@@ -2,10 +2,20 @@
 
 Everything here is plain Python int arithmetic (arbitrary precision, exact).
 All functions are pure and safe to call from multiple threads.
+
+`factor` trial-divides by primes only, drawn from one sieved prime table
+that is built on first use (never at import) and grows when a larger bound
+is asked for.  The table is cut into fixed blocks whose products are
+precomputed, so one gcd of n with a block's product decides whether any of
+its primes divides n; only blocks with a common factor are walked prime by
+prime (batch trial division, after Bernstein's "How to find small factors
+of integers").  `is_perfect_power` takes its prime exponents from the same
+table.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -101,6 +111,26 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, b in enumerate(sieve) if b]
+
+
+# Trial division tests this many primes per gcd (Bernstein's batch idea).
+_BLOCK = 512
+# (bound, primes <= bound, block products); replaced whole, never mutated, so
+# concurrent readers always see a consistent triple.
+_table: tuple[int, list[int], list[int]] = (0, [], [])
+
+
+def _prime_table(bound: int) -> tuple[list[int], list[int]]:
+    """Every prime <= bound (possibly more), with the product of each block of
+    _BLOCK consecutive primes.  Built on first use and grown by doubling."""
+    global _table
+    table = _table
+    if table[0] < bound:
+        top = max(bound, 2 * table[0])
+        primes = primes_up_to(top)
+        products = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
+        table = _table = (top, primes, products)
+    return table[1], table[2]
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -223,11 +253,15 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityVerdict:
     return PrimalityVerdict(PROBABLE_PRIME, rounds=rounds)
 
 
+MAX_TRIAL_BOUND = 10 ** 7
+
+
 @dataclass(frozen=True)
 class FactorBudget:
     """Effort bounds for `factor`.
 
-    trial_bound: trial-divide by primes up to this bound first.
+    trial_bound: trial-divide by primes up to this bound first (at most
+        MAX_TRIAL_BOUND, which keeps the prime table small).
     rho_iterations: Pollard-rho (Brent) iterations per attempt.
     rho_restarts: attempts with distinct polynomial constants per cofactor.
     """
@@ -235,6 +269,12 @@ class FactorBudget:
     trial_bound: int = 100_000
     rho_iterations: int = 1_000_000
     rho_restarts: int = 4
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.trial_bound <= MAX_TRIAL_BOUND:
+            raise ValueError(
+                f"trial_bound must lie in [0, {MAX_TRIAL_BOUND}], got {self.trial_bound}"
+            )
 
     @classmethod
     def off(cls) -> "FactorBudget":
@@ -317,19 +357,26 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     probable: set[int] = set()
 
     limit = budget.trial_bound
-    for p in _SMALL_PRIMES:
-        if p > limit or p * p > n:
+    primes, products = _prime_table(min(limit, math.isqrt(n)))
+    count = bisect.bisect_right(primes, limit)
+    for start in range(0, count, _BLOCK):
+        if primes[start] ** 2 > n:
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    if n > 1 and limit > _SMALL_PRIMES[-1]:
-        p = _SMALL_PRIMES[-1] + 2
-        while p <= limit and p * p <= n:
-            while n % p == 0:
-                counts[p] = counts.get(p, 0) + 1
-                n //= p
-            p += 2
+        stop = min(start + _BLOCK, len(primes))
+        product = products[start // _BLOCK]
+        if stop > count:  # the bound falls inside this block
+            stop = count
+            product = math.prod(primes[start:stop])
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in primes[start:stop]:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                counts[p] = e
 
     unresolved: list[int] = []
     stack = [n] if n > 1 else []
@@ -362,7 +409,8 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         remainder_status="composite" if remainder else None,
         probable=frozenset(probable),
     )
-    assert result.product() == original
+    if result.product() != original:
+        raise ArithmeticError(f"factorization of {original} does not multiply back")
     return result
 
 
@@ -492,7 +540,8 @@ def is_perfect_power(n: int) -> Optional[tuple[int, int]]:
     while progress:
         progress = False
         max_k = base.bit_length()
-        for q in _prime_iter(max_k):
+        primes, _ = _prime_table(max_k)
+        for q in primes[: bisect.bisect_right(primes, max_k)]:
             r = iroot(base, q)
             if r ** q == base:
                 base, exp = r, exp * q
@@ -500,15 +549,3 @@ def is_perfect_power(n: int) -> Optional[tuple[int, int]]:
                 break
     return (base, exp) if exp >= 2 else None
 
-
-def _prime_iter(limit: int):
-    """Primes <= limit, small ones first."""
-    for p in _SMALL_PRIMES:
-        if p > limit:
-            return
-        yield p
-    p = _SMALL_PRIMES[-1] + 2
-    while p <= limit:
-        if is_prime(p):
-            yield p
-        p += 2

@@ -92,7 +92,8 @@ def cyclotomic_value(m: int, x: int) -> int:
         elif mu == -1:
             denominator *= x ** d - 1
     value, rem = divmod(numerator, denominator)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Moebius product for m={m}, x={x} did not divide exactly")
     return value
 
 
@@ -256,19 +257,25 @@ def load_order_counts(path: Union[str, Path]) -> dict[int, int]:
     return counts
 
 
-def _entry_is_prime(e: int) -> bool:
-    """Primality for provenance flags.
+def _entry_provenance(e: int) -> str:
+    """Provenance flag of a table entry: proven prime, probable prime, or
+    composite placeholder.
 
     Entries can run to thousands of digits (the largest shipped-format
     placeholder is 17234 digits); classification there only needs to
     separate composites from primes, so past 4096 bits a two-base
-    Miller-Rabin probe replaces the full verdict machinery.
+    Miller-Rabin probe replaces the full verdict machinery.  A prime that
+    passes only that probe, or that `is_prime` calls probable, is labelled
+    probable, never verified.
     """
     if e.bit_length() <= 4096:
-        return bool(is_prime(e))
-    if e % 2 == 0 or e % 3 == 0:
-        return False
-    return not any(_miller_rabin_witness(e, a) for a in (2, 3))
+        verdict = is_prime(e)
+        if not verdict:
+            return "placeholder-composite"
+        return "verified-prime" if verdict.proven else "probable-prime"
+    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a) for a in (2, 3)):
+        return "placeholder-composite"
+    return "probable-prime"
 
 
 @dataclass
@@ -345,12 +352,11 @@ def validate_order_table(
                 )
             if math.gcd(e, m) != 1:
                 row.violations.append(f"entry {e} shares a factor with {m}")
-            if _entry_is_prime(e):
-                primes.append(e)
-                row.provenance[e] = "verified-prime"
-            else:
+            row.provenance[e] = _entry_provenance(e)
+            if row.provenance[e] == "placeholder-composite":
                 composites.append(e)
-                row.provenance[e] = "placeholder-composite"
+            else:
+                primes.append(e)
 
         if len(set(primes)) != len(primes):
             row.violations.append("repeated prime entry")

@@ -184,3 +184,16 @@ class TestValidateOrderTable:
         assert report.valid
         assert report.rows[2888].provenance[value] == "placeholder-composite"
         assert elapsed < 60
+
+    def test_probable_primes_are_not_labelled_verified(self):
+        # 2**4423 - 1 (a Mersenne prime, 4423 bits) passes only the two-base
+        # probe used past 4096 bits; 2**89 - 1 lies above the deterministic
+        # Miller-Rabin bound, so is_prime calls it probable
+        big = 2 ** 4423 - 1
+        mid = 2 ** 89 - 1
+        report = validate_order_table(table_of({6: [7, mid, big]}), cross_check=False)
+        row = report.rows[6]
+        assert row.provenance == {
+            7: "verified-prime", mid: "probable-prime", big: "probable-prime"
+        }
+        assert any(f"entry {big} does not divide" in v for v in row.violations)
