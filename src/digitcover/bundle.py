@@ -22,14 +22,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .arith import FactorBudget, DEFAULT_BUDGET
-from .covering import (
-    Congruence,
-    CoveringSystem,
-    is_covering_fast,
-    is_covering_naive,
-    lcm_analysis,
-)
-from .construction import cross_digit_consistency, derive_b_residue
+from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
+from .construction import DIGIT_OFFSETS, cross_digit_consistency, derive_b_residue
 from .cyclotomic import load_order_counts, load_order_table, OrderTable, primes_of_order
 
 __all__ = [
@@ -109,8 +103,6 @@ REPEATED_PRIME_DIGITS = {
     39526741: ((-6, 6), 3),
     5964848081: ((-6, 6), 2),
 }
-
-ALL_DIGITS = tuple(d for d in range(-9, 10) if d != 0)
 
 
 class BundleError(ValueError):
@@ -201,7 +193,7 @@ class TableBundle:
     warnings: list[str] = field(default_factory=list)
 
     def digits(self) -> tuple[int, ...]:
-        return ALL_DIGITS
+        return DIGIT_OFFSETS
 
     def system(self, digit: int) -> CoveringSystem:
         if digit in self.mod3_digits:
@@ -281,7 +273,7 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
             coverings[digit] = tuple(parsed.rows)
 
     missing = [
-        d for d in ALL_DIGITS if d not in coverings and d not in mod3
+        d for d in DIGIT_OFFSETS if d not in coverings and d not in mod3
     ]
     if missing:
         raise BundleError(
@@ -448,10 +440,7 @@ def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitR
     source = "mod3" if digit in bundle.mod3_digits else "table"
     system = bundle.system(digit)
     analysis = lcm_analysis(system)
-    if analysis.lcm <= 10 ** 6:
-        verdict = is_covering_naive(system)
-    else:
-        verdict = is_covering_fast(system)
+    verdict = is_covering_fast(system)
     resolved = 0
     rows = bundle.rows(digit)
     for row in rows:
@@ -490,7 +479,7 @@ def shared_prime_checks(
             m = row.congruence.modulus
             if row.rho is None or m > resolve_limit:
                 continue
-            prime = 3 if digit in bundle.mod3_digits else resolve_assignment(m, row.rho)
+            prime = resolve_assignment(m, row.rho)
             if prime is None:
                 continue
             uses.setdefault(prime, []).append((digit, row.congruence.residue))

@@ -17,6 +17,7 @@ from . import __version__
 from .arith import FactorBudget, is_prime
 from .bundle import (
     BundleError,
+    TableBundle,
     default_bundle,
     ingest_tables,
     parse_covering_file,
@@ -80,12 +81,8 @@ def cmd_cover_verify(args) -> int:
     analysis = lcm_analysis(system)
     if args.naive:
         verdict = is_covering_naive(system)
-    elif args.fast or args.w is not None:
-        verdict = is_covering_fast(system, w=args.w)
-    elif analysis.lcm <= 10 ** 6:
-        verdict = is_covering_naive(system)
     else:
-        verdict = is_covering_fast(system)
+        verdict = is_covering_fast(system, w=args.w)
 
     payload = {
         "file": args.file,
@@ -137,19 +134,11 @@ def cmd_cover_verify(args) -> int:
     return OK if verdict.covering else FAIL
 
 
-def _build_digit_covering(digit: int, tables_dir: Optional[str], budget) -> DigitCovering:
-    from .covering import Congruence
-
-    if digit % 3 == 2:
-        return DigitCovering(
-            digit=digit,
-            entries=(Assignment(Congruence(0, 1), 3, rho=1),),
-        )
-    bundle = ingest_tables(tables_dir) if tables_dir else default_bundle()
-    if digit not in bundle.coverings:
+def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCovering:
+    if digit not in bundle.coverings and digit not in bundle.mod3_digits:
         raise BundleError(f"no covering table for digit {digit}")
     entries = []
-    for row in bundle.coverings[digit]:
+    for row in bundle.rows(digit):
         if row.rho is None:
             raise BundleError(
                 f"digit {digit}: congruence {row.congruence} has no prime index"
@@ -169,7 +158,8 @@ def _build_digit_covering(digit: int, tables_dir: Optional[str], budget) -> Digi
 def cmd_construct_assemble(args) -> int:
     budget = _budget_from_seconds(args.budget)
     digits = [int(s) for s in args.digits.split(",") if s.strip()]
-    coverings = [_build_digit_covering(d, args.tables, budget) for d in digits]
+    bundle = ingest_tables(args.tables) if args.tables else default_bundle()
+    coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
     construction = assemble(coverings)
     if args.out:
         write_construction(construction, args.out)
@@ -385,14 +375,17 @@ def cmd_order_counts(args) -> int:
         return ERROR
     budget = _budget_from_seconds(args.budget)
     rows = []
-    ok = True
+    unresolved = []
     for m in sorted(bundle.order_counts):
         if m > args.limit:
             continue
         expected = bundle.order_counts[m]
         computed = primes_of_order(m, budget)
-        enough = not computed.complete or len(computed.primes) >= expected
-        ok &= enough
+        # an incomplete factorization that found too few primes decides nothing
+        enough: Optional[bool] = len(computed.primes) >= expected
+        if not enough and not computed.complete:
+            enough = None
+            unresolved.append(m)
         rows.append(
             {
                 "m": m,
@@ -402,14 +395,19 @@ def cmd_order_counts(args) -> int:
                 "ok": enough,
             }
         )
-    payload = {"rows": rows, "ok": ok}
-    lines = [f"{'m':>5} {'used':>5} {'found':>6} {'complete':>9} {'ok':>4}"]
+    ok = all(r["ok"] for r in rows if r["ok"] is not None)
+    payload = {"rows": rows, "ok": ok, "unresolved": unresolved}
+    lines = [f"{'m':>5} {'used':>5} {'found':>6} {'complete':>9} {'ok':>10}"]
     for r in rows:
+        status = "unresolved" if r["ok"] is None else str(r["ok"])
         lines.append(
             f"{r['m']:>5} {r['expected_at_least']:>5} {r['computed']:>6} "
-            f"{str(r['complete']):>9} {str(r['ok']):>4}"
+            f"{str(r['complete']):>9} {status:>10}"
         )
-    lines.append(f"all rows consistent: {ok}")
+    checked = len(rows) - len(unresolved)
+    lines.append(f"all rows consistent: {ok} ({checked} of {len(rows)} rows checked)")
+    if unresolved:
+        lines.append("unresolved m: " + ", ".join(map(str, unresolved)))
     _emit(args, payload, lines)
     return OK if ok else FAIL
 
@@ -450,10 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
     verify = cover_sub.add_parser("verify", help="verify a covering file")
     verify.add_argument("file")
-    route = verify.add_mutually_exclusive_group()
-    route.add_argument("--naive", action="store_true", help="full interval scan")
-    route.add_argument("--fast", action="store_true", help="residue-class route")
-    verify.add_argument("--w", type=int, default=None, help="class modulus (fast route)")
+    verify.add_argument("--naive", action="store_true", help="reference full interval scan")
+    verify.add_argument("--w", type=int, default=None, help="class modulus")
     verify.add_argument("--profile", action="store_true", help="per-class reductions")
     verify.set_defaults(func=cmd_cover_verify)
 

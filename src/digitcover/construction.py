@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import crt_combine, has_order, is_prime
-from .covering import Congruence, CoveringSystem, is_covering_fast, is_covering_naive
+from .covering import Congruence, CoveringSystem, is_covering_fast
 
 __all__ = [
     "Assignment",
@@ -92,12 +92,7 @@ class DigitCovering:
                         f"digit {self.digit}: 10 does not have order "
                         f"{e.congruence.modulus} mod the assigned prime {e.prime}"
                     )
-        system = self.system
-        verdict = (
-            is_covering_naive(system)
-            if system.lcm <= 10 ** 6
-            else is_covering_fast(system)
-        )
+        verdict = is_covering_fast(self.system)
         if not verdict:
             raise ValueError(
                 f"digit {self.digit}: congruences do not cover "
@@ -180,12 +175,16 @@ def assemble(
 
     modulus = math.prod(p for p, _ in constraints)
     residue, crt_mod = crt_combine([(r, p) for p, r in constraints])
-    assert crt_mod == modulus
+    if crt_mod != modulus:
+        raise ArithmeticError(
+            f"CRT modulus {crt_mod} differs from the prime product {modulus}"
+        )
     max_prime = max(p for p, _ in constraints)
     offset = residue if residue > max_prime else residue + modulus * (
         (max_prime - residue) // modulus + 1
     )
-    assert math.gcd(modulus, offset) == 1
+    if math.gcd(modulus, offset) != 1:
+        raise ArithmeticError(f"offset {offset} shares a factor with {modulus}")
     return Construction(
         digits=by_digit,
         modulus=modulus,

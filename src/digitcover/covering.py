@@ -1,13 +1,15 @@
 """Covering systems of congruences and their verification.
 
-Two verification routes are provided.  The naive route materializes the
-interval [0, lcm) and checks every residue.  The accelerated route splits
-the integers into residue classes u mod w, keeps only the congruences
-consistent with each class, and checks a span of lcm'/delta representatives
-per class, where lcm' is the lcm of the surviving moduli and
-delta = gcd(w, lcm').  Both routes mark coverage through numpy arithmetic
-progressions, so the inner loop is vectorized rather than a per-integer
-membership scan.
+One verifier, is_covering_fast, splits the integers into residue classes
+u mod w, keeps only the congruences consistent with each class, and checks
+a span of lcm'/delta representatives per class, where lcm' is the lcm of
+the surviving moduli and delta = gcd(w, lcm').  Unless w is given, systems
+with lcm up to FULL_SCAN_LCM = 10**6 use w = 1: one class that keeps every
+congruence and scans all of [0, lcm), giving the least uncovered integer as
+witness.  Larger systems use default_w.  The naive scan over [0, lcm),
+is_covering_naive, is kept as the reference the verifier is tested against.
+Both mark coverage through numpy arithmetic progressions, so the inner loop
+is vectorized rather than a per-integer membership scan.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,12 +34,14 @@ __all__ = [
     "is_covering_fast",
     "reduction_profile",
     "default_w",
+    "FULL_SCAN_LCM",
     "NAIVE_LIMIT",
     "SPAN_LIMIT",
 ]
 
+FULL_SCAN_LCM = 10 ** 6  # without a given w, lcm up to this is one class, w = 1
 NAIVE_LIMIT = 10 ** 8   # naive scan refuses larger lcm values
-SPAN_LIMIT = 10 ** 9    # per-class span guard for the accelerated route
+SPAN_LIMIT = 10 ** 9    # per-class span guard for the class route
 
 
 @dataclass(frozen=True, order=True)
@@ -170,8 +174,9 @@ class ResidueClassReduction:
     congruences holds the consistent sub-list C'; lcm_prime its lcm;
     delta = gcd(w, lcm_prime); span = lcm_prime // delta is the number of
     representatives v = w*t + u, 0 <= t < span, whose coverage decides the
-    whole class.  An empty C' is recorded with lcm_prime = 1 and span 1 (the
-    single representative u itself, necessarily uncovered).
+    whole class.  witness is the least uncovered representative, or None
+    when the class is covered.  An empty C' is recorded with lcm_prime = 1
+    and span 1 (the single representative u itself, necessarily uncovered).
     """
 
     u: int
@@ -180,7 +185,11 @@ class ResidueClassReduction:
     lcm_prime: int
     delta: int
     span: int
-    covered: bool
+    witness: Optional[int]
+
+    @property
+    def covered(self) -> bool:
+        return self.witness is None
 
 
 def _valuation(n: int, p: int) -> int:
@@ -220,30 +229,12 @@ def default_w(system: CoveringSystem) -> int:
     return best
 
 
-def _class_reduction(
-    u: int,
-    w: int,
-    prepared: Sequence[tuple[Congruence, int]],
-) -> tuple[tuple[Congruence, ...], int, int, int]:
-    """Filter congruences consistent with u mod w; return (C', lcm', delta, span)."""
-    kept = tuple(c for c, g in prepared if (c.residue - u) % g == 0)
+def _class_witness(
+    u: int, w: int, kept: Sequence[Congruence], span: int, span_limit: int
+) -> Optional[int]:
+    """Least uncovered v = w*t + u with 0 <= t < span, or None."""
     if not kept:
-        return kept, 1, 1, 1
-    lcm_prime = reduce(math.lcm, (c.modulus for c in kept))
-    delta = math.gcd(w, lcm_prime)
-    return kept, lcm_prime, delta, lcm_prime // delta
-
-
-def _class_covered(
-    u: int,
-    w: int,
-    kept: Sequence[Congruence],
-    span: int,
-    span_limit: int,
-) -> tuple[bool, Optional[int]]:
-    """Check all v = w*t + u, 0 <= t < span; return (covered, witness)."""
-    if not kept:
-        return False, u
+        return u
     if span > span_limit:
         raise ValueError(
             f"class u={u} needs a span of {span} > limit {span_limit}"
@@ -254,18 +245,46 @@ def _class_covered(
         step = c.modulus // g
         if step == 1:
             # the congruence holds on the entire class
-            return True, None
+            return None
         start = (c.residue - u) // g * pow(w // g, -1, step) % step
         progressions.append((start, step))
     covered = _mark_progressions(span, progressions)
     if covered.all():
-        return True, None
-    t = int(np.argmin(covered))
-    return False, w * t + u
+        return None
+    return w * int(np.argmin(covered)) + u
 
 
-def _prepare(system: CoveringSystem, w: int) -> list[tuple[Congruence, int]]:
-    return [(c, math.gcd(c.modulus, w)) for c in system]
+def _reductions(
+    system: CoveringSystem, w: Optional[int], span_limit: int
+) -> Iterator[ResidueClassReduction]:
+    """Reduce and check the classes u = 0, 1, ..., w - 1 in turn.
+
+    Without a w, systems with lcm <= FULL_SCAN_LCM form the single class
+    w = 1 (every congruence kept, span = lcm: the full interval scan), and
+    larger ones use default_w.
+    """
+    if not len(system):
+        raise ValueError("cannot verify an empty system")
+    ell = system.lcm
+    if w is None:
+        w = 1 if ell <= FULL_SCAN_LCM else default_w(system)
+    elif w < 1 or ell % w != 0:
+        raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
+    gcds = [(c, math.gcd(c.modulus, w)) for c in system]
+    for u in range(w):
+        kept = tuple(c for c, g in gcds if (c.residue - u) % g == 0)
+        lcm_prime = reduce(math.lcm, (c.modulus for c in kept), 1)
+        delta = math.gcd(w, lcm_prime)
+        span = lcm_prime // delta
+        yield ResidueClassReduction(
+            u=u,
+            w=w,
+            congruences=kept,
+            lcm_prime=lcm_prime,
+            delta=delta,
+            span=span,
+            witness=_class_witness(u, w, kept, span, span_limit),
+        )
 
 
 def is_covering_fast(
@@ -273,27 +292,17 @@ def is_covering_fast(
     w: Optional[int] = None,
     span_limit: int = SPAN_LIMIT,
 ) -> CoverVerdict:
-    """Residue-class verification: equivalent verdict to the naive scan.
+    """Residue-class verification: the same verdict as the naive scan.
 
     For each class u in [0, w), only the congruences consistent with
     u mod w matter, and only lcm'/delta representatives of the class need
-    checking.  The verdict equals is_covering_naive on every system; on
-    failure the witness is the uncovered integer from the smallest u (ties
-    broken by the smallest representative).
+    checking.  Stops at the first uncovered class; its witness is the
+    uncovered integer from the smallest u (ties broken by the smallest
+    representative), so with w = 1 it is the least uncovered integer.
     """
-    if not len(system):
-        raise ValueError("cannot verify an empty system")
-    ell = system.lcm
-    if w is None:
-        w = default_w(system)
-    elif w < 1 or ell % w != 0:
-        raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
-    prepared = _prepare(system, w)
-    for u in range(w):
-        kept, _, _, span = _class_reduction(u, w, prepared)
-        ok, witness = _class_covered(u, w, kept, span, span_limit)
-        if not ok:
-            return CoverVerdict(False, witness=witness)
+    for r in _reductions(system, w, span_limit):
+        if not r.covered:
+            return CoverVerdict(False, witness=r.witness)
     return CoverVerdict(True)
 
 
@@ -302,28 +311,6 @@ def reduction_profile(
     w: Optional[int] = None,
     span_limit: int = SPAN_LIMIT,
 ) -> list[ResidueClassReduction]:
-    """Per-class reductions for every u in [0, w), without early exit."""
-    if not len(system):
-        raise ValueError("cannot profile an empty system")
-    ell = system.lcm
-    if w is None:
-        w = default_w(system)
-    elif w < 1 or ell % w != 0:
-        raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
-    prepared = _prepare(system, w)
-    out = []
-    for u in range(w):
-        kept, lcm_prime, delta, span = _class_reduction(u, w, prepared)
-        ok, _ = _class_covered(u, w, kept, span, span_limit)
-        out.append(
-            ResidueClassReduction(
-                u=u,
-                w=w,
-                congruences=kept,
-                lcm_prime=lcm_prime,
-                delta=delta,
-                span=span,
-                covered=ok,
-            )
-        )
-    return out
+    """Per-class reductions for every u in [0, w), without early exit; the
+    classes is_covering_fast would visit for the same w."""
+    return list(_reductions(system, w, span_limit))

@@ -58,7 +58,8 @@ class Substitution:
                 f"{digit_at(n, self.position)}, not {self.original}"
             )
         result = n + self.delta * 10 ** self.position
-        assert result >= 0
+        if result < 0:
+            raise ArithmeticError(f"substitution made {n} negative: {result}")
         return result
 
     def inverse(self) -> "Substitution":

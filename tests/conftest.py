@@ -1,10 +1,8 @@
 import pytest
 
-from digitcover.bundle import default_bundle
+from digitcover.bundle import MOD3_DIGITS, default_bundle
 from digitcover.construction import Assignment, DigitCovering, assemble
 from digitcover.covering import Congruence
-
-MOD3_DIGITS = (-7, -4, -1, 2, 5, 8)
 
 
 def build_mini_construction(swap_order8: bool = False):
@@ -12,7 +10,7 @@ def build_mini_construction(swap_order8: bool = False):
     to 2 mod 3, and the primes 11, 101, 73, 137 for d = 9."""
     coverings = [
         DigitCovering(d, (Assignment(Congruence(0, 1), 3, rho=1),))
-        for d in MOD3_DIGITS
+        for d in sorted(MOD3_DIGITS)
     ]
     order8 = [(1, 73), (5, 137)] if not swap_order8 else [(1, 137), (5, 73)]
     entries = [

@@ -19,8 +19,8 @@ class TestCoverCli:
         assert "covering: True" in out
 
     def test_verify_naive_and_fast_routes(self, capsys):
-        for route in ("--naive", "--fast"):
-            code, out, _ = run(capsys, "cover", "verify", D9_FILE, route)
+        for route in (["--naive"], ["--w", "2"]):
+            code, out, _ = run(capsys, "cover", "verify", D9_FILE, *route)
             assert code == 0
 
     def test_non_covering_exits_1_with_witness(self, tmp_path, capsys):
@@ -186,6 +186,26 @@ class TestOrderCli:
         code, out, _ = run(capsys, "order", "counts", "--limit", "13")
         assert code == 0
         assert "all rows consistent: True" in out
+
+    def test_counts_incomplete_row_is_unresolved(self, tmp_path, capsys):
+        # every digit marked mod3, so the bundle needs no covering files
+        cov = tmp_path / "coverings"
+        cov.mkdir()
+        digits = [d for d in range(-9, 10) if d]
+        (cov / "manifest.json").write_text(json.dumps({"mod3_digits": digits}))
+        # m = 2: 11 found, complete; m = 3: only 37 exists, 2 claimed;
+        # m = 69: 10k rho iterations find 1 of the 3 claimed, incomplete
+        (tmp_path / "order_prime_counts.txt").write_text("2 1\n3 2\n69 3\n")
+        argv = ["--budget", "0", "order", "counts", "--limit", "70",
+                "--tables", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "all rows consistent: False (2 of 3 rows checked)" in out
+        assert "unresolved m: 69" in out
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        payload = json.loads(out)
+        assert [r["ok"] for r in payload["rows"]] == [True, False, None]
+        assert payload["unresolved"] == [69] and payload["ok"] is False
 
 
 class TestReportCli:

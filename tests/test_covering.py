@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitcover.bundle import default_bundle
 from digitcover.covering import (
+    FULL_SCAN_LCM,
     Congruence,
     CoveringSystem,
     default_w,
@@ -201,6 +203,49 @@ class TestReductionProfile:
         empty = profile[1]
         assert empty.congruences == ()
         assert (empty.lcm_prime, empty.span, empty.covered) == (1, 1, False)
+
+
+def small_systems():
+    """Seeded random systems plus every shipped digit with lcm <= 10**6."""
+    rng = random.Random(41)
+    systems = [random_system(rng) for _ in range(300)]
+    bundle = default_bundle()
+    shipped = [bundle.system(d) for d in bundle.digits()]
+    return systems + [s for s in shipped if s.lcm <= FULL_SCAN_LCM]
+
+
+class TestUnifiedVerifier:
+    """Without a w, small systems form the single class w = 1, which is the
+    naive scan; larger ones fall back to default_w."""
+
+    def test_small_systems_match_naive_verdict_and_witness(self):
+        for system in small_systems():
+            assert is_covering_fast(system) == is_covering_naive(system)
+
+    def test_small_systems_use_one_class(self):
+        for system in small_systems():
+            profile = reduction_profile(system)
+            assert len(profile) == 1 and profile[0].w == 1
+            assert profile[0].span == system.lcm
+            assert profile[0].congruences == system.congruences
+
+    def test_default_w_route_agrees_with_naive(self):
+        for system in small_systems():
+            w = default_w(system)
+            assert (
+                is_covering_fast(system, w=w).covering
+                == is_covering_naive(system).covering
+            )
+
+    def test_route_boundary(self):
+        at_limit = CoveringSystem.from_pairs([(0, 2), (1, 10 ** 6)])
+        assert reduction_profile(at_limit)[0].w == 1
+        past_limit = CoveringSystem.from_pairs([(0, 2), (1, 2 ** 20)])
+        assert past_limit.lcm > FULL_SCAN_LCM
+        profile = reduction_profile(past_limit)
+        assert len(profile) == profile[0].w == default_w(past_limit) > 1
+        verdict = is_covering_fast(past_limit)
+        assert not verdict.covering and not past_limit.matches(verdict.witness)
 
 
 @given(st.integers(min_value=-10 ** 9, max_value=10 ** 9))
