@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -503,27 +502,19 @@ def shared_prime_checks(
 
 def reproduce_report(
     bundle: Optional[TableBundle] = None,
-    threads: int = 1,
     resolve_limit: int = 64,
 ) -> VerificationReport:
     """Re-verify every shipped covering and compare with the expected data.
 
     Per digit: congruence count, moduli lcm, largest prime factor, covering
     verdict and wall time, each checked against the embedded expected
-    values.  Digits may be verified concurrently; the report order is fixed
-    by digit value, and shared-prime consistency is checked at the end.
+    values.  Digits are reported in order of value, and shared-prime
+    consistency is checked at the end.
     """
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
-    digits = list(bundle.digits())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(lambda d: _verify_digit(bundle, d, resolve_limit), digits)
-            )
-    else:
-        reports = [_verify_digit(bundle, d, resolve_limit) for d in digits]
+    reports = [_verify_digit(bundle, d, resolve_limit) for d in bundle.digits()]
     shared = shared_prime_checks(bundle, resolve_limit)
     return VerificationReport(
         digits=reports,

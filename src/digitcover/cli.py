@@ -37,6 +37,7 @@ from .covering import (
     is_covering_fast,
     is_covering_naive,
     lcm_analysis,
+    profile_verdict,
     reduction_profile,
 )
 from .cyclotomic import load_order_table, primes_of_order, validate_order_table
@@ -79,8 +80,11 @@ def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
 def cmd_cover_verify(args) -> int:
     system, digit = _load_system(args.file)
     analysis = lcm_analysis(system)
+    profile = reduction_profile(system, w=args.w) if args.profile else None
     if args.naive:
         verdict = is_covering_naive(system)
+    elif profile is not None:
+        verdict = profile_verdict(profile)
     else:
         verdict = is_covering_fast(system, w=args.w)
 
@@ -101,15 +105,18 @@ def cmd_cover_verify(args) -> int:
         + ("" if verdict.covering else f" (uncovered: {verdict.witness})"),
     ]
 
-    if args.profile:
-        profile = reduction_profile(system, w=args.w)
-        w = profile[0].w if profile else 1
+    if profile is not None:
+        w = profile[0].w
         max_span = max(r.span for r in profile)
         top = [r.u for r in profile if r.span == max_span]
+        spanned = sum(r.span for r in profile)
+        marked = sum(r.cells_marked for r in profile)
         payload["profile"] = {
             "w": w,
             "max_span": max_span,
             "max_span_classes": top,
+            "cells_spanned": str(spanned),
+            "cells_marked": str(marked),
             "classes": [
                 {
                     "u": r.u,
@@ -117,18 +124,20 @@ def cmd_cover_verify(args) -> int:
                     "lcm": str(r.lcm_prime),
                     "delta": str(r.delta),
                     "span": str(r.span),
+                    "cells_marked": str(r.cells_marked),
                     "covered": r.covered,
                 }
                 for r in profile
             ],
         }
         lines.append(f"profile: w={w}, max span {max_span} at u in {top}")
+        lines.append(f"cells marked: {marked} of {spanned} spanned")
         if w <= 100:
             for r in profile:
                 lines.append(
                     f"  u={r.u:>4}  kept={len(r.congruences):>4}  "
                     f"lcm'={r.lcm_prime}  delta={r.delta}  span={r.span}  "
-                    f"covered={r.covered}"
+                    f"marked={r.cells_marked}  covered={r.covered}"
                 )
     _emit(args, payload, lines)
     return OK if verdict.covering else FAIL
@@ -414,9 +423,7 @@ def cmd_order_counts(args) -> int:
 
 def cmd_report(args) -> int:
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
-    report = reproduce_report(
-        bundle, threads=args.threads, resolve_limit=args.resolve_limit
-    )
+    report = reproduce_report(bundle, resolve_limit=args.resolve_limit)
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL
 
@@ -432,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads where supported"
     )
     parser.add_argument(
         "--budget",

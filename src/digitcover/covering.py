@@ -1,27 +1,36 @@
 """Covering systems of congruences and their verification.
 
-One verifier, is_covering_fast, splits the integers into residue classes
-u mod w, keeps only the congruences consistent with each class, and checks
-a span of lcm'/delta representatives per class, where lcm' is the lcm of
-the surviving moduli and delta = gcd(w, lcm').  Unless w is given, systems
-with lcm up to FULL_SCAN_LCM = 10**6 use w = 1: one class that keeps every
-congruence and scans all of [0, lcm), giving the least uncovered integer as
-witness.  Larger systems use default_w.  The naive scan over [0, lcm),
-is_covering_naive, is kept as the reference the verifier is tested against.
-Both mark coverage through numpy arithmetic progressions, so the inner loop
-is vectorized rather than a per-integer membership scan.
+One verifier, is_covering_fast, decides coverage by recursive prime
+splitting, the prime-by-prime verification used for coverings with huge
+lcm (Nielsen, J. Number Theory 129, 2009).  A node is a set of arithmetic
+progressions (start, step) on Z/L, L the lcm of its steps.  A node with a
+step-1 progression is covered; one with L <= LEAF_CELLS is marked in one
+numpy array; a larger one splits on a prime p <= LEAF_CELLS of L into its
+p subclasses t = p*s + j, choosing the p whose children have the least
+total lcm.  A node with no such prime is marked whole up to NAIVE_LIMIT
+and rejected beyond, so no array exceeds LEAF_CELLS cells otherwise.
+
+Without a w the whole system is the single class w = 1.  With a class
+modulus w, each residue class u mod w keeps only the congruences
+consistent with it, needs lcm'/delta representatives (lcm' the lcm of the
+survivors, delta = gcd(w, lcm')), and is refined on its own.
+reduction_profile lists these classes; without a w it takes w = 1 up to
+lcm FULL_SCAN_LCM and default_w, the paper's reduction, beyond.  Either
+way a failing system's witness is the least uncovered integer.  The naive
+scan over [0, lcm), is_covering_naive, is kept as the reference the
+verifier is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import factor
+from .arith import factor, primes_up_to
 
 __all__ = [
     "Congruence",
@@ -34,14 +43,15 @@ __all__ = [
     "is_covering_fast",
     "reduction_profile",
     "default_w",
+    "profile_verdict",
     "FULL_SCAN_LCM",
+    "LEAF_CELLS",
     "NAIVE_LIMIT",
-    "SPAN_LIMIT",
 ]
 
-FULL_SCAN_LCM = 10 ** 6  # without a given w, lcm up to this is one class, w = 1
-NAIVE_LIMIT = 10 ** 8   # naive scan refuses larger lcm values
-SPAN_LIMIT = 10 ** 9    # per-class span guard for the class route
+FULL_SCAN_LCM = 10 ** 6  # reduction_profile without a w: lcm up to this is w = 1
+NAIVE_LIMIT = 10 ** 8   # largest array marked in one piece: naive scan, unsplittable node
+LEAF_CELLS = 1 << 16    # refinement marks nodes of lcm up to this, splits larger ones
 
 
 @dataclass(frozen=True, order=True)
@@ -177,6 +187,8 @@ class ResidueClassReduction:
     whole class.  witness is the least uncovered representative, or None
     when the class is covered.  An empty C' is recorded with lcm_prime = 1
     and span 1 (the single representative u itself, necessarily uncovered).
+    cells_marked counts the cells refinement marked for the class, against
+    span for marking the class whole.
     """
 
     u: int
@@ -186,6 +198,7 @@ class ResidueClassReduction:
     delta: int
     span: int
     witness: Optional[int]
+    cells_marked: int
 
     @property
     def covered(self) -> bool:
@@ -229,88 +242,183 @@ def default_w(system: CoveringSystem) -> int:
     return best
 
 
-def _class_witness(
-    u: int, w: int, kept: Sequence[Congruence], span: int, span_limit: int
-) -> Optional[int]:
-    """Least uncovered v = w*t + u with 0 <= t < span, or None."""
-    if not kept:
-        return u
-    if span > span_limit:
-        raise ValueError(
-            f"class u={u} needs a span of {span} > limit {span_limit}"
-        )
-    progressions = []
-    for c in kept:
-        g = math.gcd(c.modulus, w)
-        step = c.modulus // g
-        if step == 1:
-            # the congruence holds on the entire class
-            return None
-        start = (c.residue - u) // g * pow(w // g, -1, step) % step
-        progressions.append((start, step))
-    covered = _mark_progressions(span, progressions)
-    if covered.all():
-        return None
-    return w * int(np.argmin(covered)) + u
+@lru_cache(maxsize=1)
+def _split_primes() -> tuple[int, ...]:
+    """The primes a node may be split on: those at most LEAF_CELLS."""
+    return tuple(primes_up_to(LEAF_CELLS))
 
 
-def _reductions(
-    system: CoveringSystem, w: Optional[int], span_limit: int
-) -> Iterator[ResidueClassReduction]:
-    """Reduce and check the classes u = 0, 1, ..., w - 1 in turn.
+def _split_cost(progressions: dict[int, list[int]], p: int) -> int:
+    """Total lcm of the p children of a split on p, without building them.
 
-    Without a w, systems with lcm <= FULL_SCAN_LCM form the single class
-    w = 1 (every congruence kept, span = lcm: the full interval scan), and
-    larger ones use default_w.
+    A step prime to p reaches every child; a step divisible by p reaches
+    only the child start mod p, with step / p.  A child that gets step 1 is
+    covered and costs nothing.
     """
+    shared = 1
+    own: dict[int, int] = {}
+    covered: set[int] = set()
+    for step, starts in progressions.items():
+        if step % p:
+            shared = math.lcm(shared, step)
+        elif step == p:
+            covered.update(starts)
+        else:
+            sub = step // p
+            for j in {a % p for a in starts}:
+                own[j] = math.lcm(own.get(j, 1), sub)
+    reached = covered.union(own)
+    return (p - len(reached)) * shared + sum(
+        math.lcm(shared, m) for j, m in own.items() if j not in covered
+    )
+
+
+def _split(progressions: dict[int, list[int]], p: int) -> list[dict[int, list[int]]]:
+    """The p children of a split on p: child j holds t = p*s + j."""
+    children: list[dict[int, list[int]]] = [{} for _ in range(p)]
+    for step, starts in progressions.items():
+        if step % p:
+            inv = pow(p, -1, step)
+            for j, child in enumerate(children):
+                shifted = [(a - j) * inv % step for a in starts]
+                if step in child:
+                    child[step] += shifted
+                else:
+                    child[step] = shifted
+        else:
+            sub = step // p
+            for a in starts:
+                children[a % p].setdefault(sub, []).append(a // p)
+    return children
+
+
+def _least_uncovered(
+    progressions: dict[int, list[int]], length: int
+) -> tuple[Optional[int], int]:
+    """Least t in [0, length) on none of the progressions, and cells marked.
+
+    progressions maps each step (a divisor of length) to its starts.  A node
+    with a step-1 progression is covered; one of lcm at most LEAF_CELLS is
+    marked in one array.  Larger nodes split on the prime p <= LEAF_CELLS
+    of their lcm whose p children t = p*s + j have the least total lcm; a
+    node with no such prime is marked whole up to NAIVE_LIMIT.  A covering
+    visits every node; otherwise only nodes that may hold a t below the
+    least witness found so far are visited.
+    """
+    best: Optional[int] = None
+    cells = 0
+    primes: Optional[list[int]] = None
+    # (progressions, lcm, offset, scale): the node's s is t = offset + scale*s
+    stack = [(progressions, length, 0, 1)]
+    while stack:
+        node, ell, offset, scale = stack.pop()
+        if 1 in node or (best is not None and offset >= best):
+            continue  # covered, or no t here is below the best witness
+        if not node:
+            t = offset
+        else:
+            candidates = []
+            if ell > LEAF_CELLS:
+                if primes is None:
+                    primes = [p for p in _split_primes() if length % p == 0]
+                candidates = [p for p in primes if ell % p == 0]
+            if candidates:
+                p = min(candidates, key=lambda q: _split_cost(node, q))
+                children = _split(node, p)
+                for j in range(p - 1, -1, -1):  # child 0 is popped first
+                    child = children[j]
+                    stack.append((child, math.lcm(*child), offset + scale * j, scale * p))
+                continue
+            if ell > NAIVE_LIMIT:
+                raise ValueError(
+                    f"a class needs {ell} cells with no prime factor <= "
+                    f"{LEAF_CELLS} to split on (limit {NAIVE_LIMIT})"
+                )
+            covered = _mark_progressions(
+                ell, ((a, step) for step, starts in node.items() for a in starts)
+            )
+            cells += ell
+            if covered.all():
+                continue
+            t = offset + scale * int(np.argmin(covered))
+        if best is None or t < best:
+            best = t
+    return best, cells
+
+
+def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReduction]:
+    """Reduce and refine the classes u = 0, 1, ..., w - 1 in turn."""
     if not len(system):
         raise ValueError("cannot verify an empty system")
     ell = system.lcm
-    if w is None:
-        w = 1 if ell <= FULL_SCAN_LCM else default_w(system)
-    elif w < 1 or ell % w != 0:
+    if w < 1 or ell % w != 0:
         raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
-    gcds = [(c, math.gcd(c.modulus, w)) for c in system]
+    # v = w*t + u meets c = r (mod m) iff g = gcd(m, w) divides r - u and
+    # t = (r - u)/g * (w/g)^-1 (mod m/g)
+    terms = []
+    for c in system:
+        g = math.gcd(c.modulus, w)
+        step = c.modulus // g
+        terms.append((c.residue, g, step, pow(w // g, -1, step), c))
     for u in range(w):
-        kept = tuple(c for c, g in gcds if (c.residue - u) % g == 0)
-        lcm_prime = reduce(math.lcm, (c.modulus for c in kept), 1)
+        kept = [term for term in terms if (term[0] - u) % term[1] == 0]
+        congruences = tuple([term[4] for term in kept])
+        lcm_prime = math.lcm(*[c.modulus for c in congruences])
         delta = math.gcd(w, lcm_prime)
         span = lcm_prime // delta
+        progressions: dict[int, list[int]] = {}
+        for r, g, step, inv, _ in kept:
+            if step == 1:
+                progressions = {1: [0]}  # the congruence holds on the whole class
+                break
+            progressions.setdefault(step, []).append((r - u) // g * inv % step)
+        t, cells = _least_uncovered(progressions, span)
         yield ResidueClassReduction(
             u=u,
             w=w,
-            congruences=kept,
+            congruences=congruences,
             lcm_prime=lcm_prime,
             delta=delta,
             span=span,
-            witness=_class_witness(u, w, kept, span, span_limit),
+            witness=None if t is None else w * t + u,
+            cells_marked=cells,
         )
 
 
-def is_covering_fast(
-    system: CoveringSystem,
-    w: Optional[int] = None,
-    span_limit: int = SPAN_LIMIT,
-) -> CoverVerdict:
-    """Residue-class verification: the same verdict as the naive scan.
+def profile_verdict(profile: Iterable[ResidueClassReduction]) -> CoverVerdict:
+    """Covering iff every class is covered; otherwise the least class
+    witness, which is the least uncovered integer."""
+    best: Optional[int] = None
+    for r in profile:
+        if r.witness is not None and (best is None or r.witness < best):
+            best = r.witness
+        if best is not None and best <= r.u + 1:
+            break  # a later class u' > r.u has no witness below u'
+    return CoverVerdict(True) if best is None else CoverVerdict(False, witness=best)
 
-    For each class u in [0, w), only the congruences consistent with
-    u mod w matter, and only lcm'/delta representatives of the class need
-    checking.  Stops at the first uncovered class; its witness is the
-    uncovered integer from the smallest u (ties broken by the smallest
-    representative), so with w = 1 it is the least uncovered integer.
+
+def is_covering_fast(
+    system: CoveringSystem, w: Optional[int] = None
+) -> CoverVerdict:
+    """Refinement verification: the naive scan's verdict and witness.
+
+    Without a w the whole system is the single class w = 1; with one, each
+    class u mod w keeps only its consistent congruences and is refined on
+    its own.  A failing system's witness is the least uncovered integer
+    for every w.
     """
-    for r in _reductions(system, w, span_limit):
-        if not r.covered:
-            return CoverVerdict(False, witness=r.witness)
-    return CoverVerdict(True)
+    return profile_verdict(_reductions(system, 1 if w is None else w))
 
 
 def reduction_profile(
-    system: CoveringSystem,
-    w: Optional[int] = None,
-    span_limit: int = SPAN_LIMIT,
+    system: CoveringSystem, w: Optional[int] = None
 ) -> list[ResidueClassReduction]:
-    """Per-class reductions for every u in [0, w), without early exit; the
-    classes is_covering_fast would visit for the same w."""
-    return list(_reductions(system, w, span_limit))
+    """Per-class reductions for every u in [0, w), each refined.
+
+    Without a w, systems with lcm <= FULL_SCAN_LCM form the single class
+    w = 1 and larger ones use default_w, the class modulus of the paper's
+    reduction.
+    """
+    if w is None:
+        w = 1 if system.lcm <= FULL_SCAN_LCM else default_w(system)
+    return list(_reductions(system, w))

@@ -149,15 +149,6 @@ class TestReport:
                 assert d in MOD3_DIGITS and r.lcm == 1
         assert [r.digit for r in report.digits] == sorted(by_digit)
 
-    def test_threaded_report_is_deterministic(self, bundle):
-        single = reproduce_report(bundle, threads=1)
-        multi = reproduce_report(bundle, threads=4)
-        strip = lambda rep: [
-            (r.digit, r.congruences, r.lcm, r.max_prime, r.covering)
-            for r in rep.digits
-        ]
-        assert strip(single) == strip(multi)
-
     def test_shared_primes_consistent(self, bundle):
         checks = shared_prime_checks(bundle, resolve_limit=64)
         assert checks

@@ -43,6 +43,32 @@ class TestCoverCli:
         assert "max span" in out
         assert "u=   1" in out
 
+    def test_profile_reports_cells_marked(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "cover", "verify", D9_FILE, "--profile", "--w", "2"
+        )
+        assert code == 0
+        profile = json.loads(out)["profile"]
+        assert profile["cells_spanned"] == str(sum(int(c["span"]) for c in profile["classes"]))
+        assert profile["cells_marked"] == str(
+            sum(int(c["cells_marked"]) for c in profile["classes"])
+        )
+        code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
+        assert "cells marked: 8 of 8 spanned" in out
+
+    def test_profile_verdict_matches_plain_verdict(self, tmp_path, capsys):
+        # leaves 5 and 6 (mod 12) uncovered; with w = 2 or 3 the class
+        # holding 6 comes first, but the witness is the least, 5
+        path = tmp_path / "gaps.txt"
+        path.write_text("0 4\n3 4\n1 12\n2 12\n9 12\n10 12\n")
+        plain = run(capsys, "--format", "json", "cover", "verify", str(path))
+        for w in ([], ["--w", "2"], ["--w", "3"], ["--w", "6"]):
+            code, out, _ = run(
+                capsys, "--format", "json", "cover", "verify", str(path), "--profile", *w
+            )
+            assert code == plain[0] == 1
+            assert json.loads(out)["witness"] == json.loads(plain[1])["witness"] == "5"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "cover", "verify", D9_FILE)
         assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,16 @@ from hypothesis import strategies as st
 from digitcover.bundle import default_bundle
 from digitcover.covering import (
     FULL_SCAN_LCM,
+    LEAF_CELLS,
+    NAIVE_LIMIT,
     Congruence,
+    CoverVerdict,
     CoveringSystem,
     default_w,
     is_covering_fast,
     is_covering_naive,
     lcm_analysis,
+    profile_verdict,
     reduction_profile,
 )
 
@@ -109,6 +114,13 @@ class TestFast:
         verdict = is_covering_fast(system, w=2)
         assert not verdict.covering and verdict.witness == 1
 
+    def test_witness_is_least_for_every_w(self):
+        # 5 and 6 (mod 12) are uncovered; the class of 6 comes first for w = 2, 3
+        pairs = [(0, 4), (3, 4), (1, 12), (2, 12), (9, 12), (10, 12)]
+        system = CoveringSystem.from_pairs(pairs)
+        for w in (None, 1, 2, 3, 4, 6, 12):
+            assert is_covering_fast(system, w=w) == CoverVerdict(False, witness=5)
+
     def test_witness_suffices_nothing(self):
         rng = random.Random(11)
         found = 0
@@ -197,6 +209,19 @@ class TestReductionProfile:
                         assert ell % (r.w * r.span) == 0
                         assert r.delta == math.gcd(r.w, r.lcm_prime)
 
+    def test_cells_marked_within_span(self):
+        for system in refinement_systems():
+            (whole,) = reduction_profile(system, w=1)
+            assert 0 <= whole.cells_marked <= whole.span
+
+    def test_verdict_from_profile(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            system = random_system(rng)
+            w = default_w(system)
+            verdict = profile_verdict(reduction_profile(system, w=w))
+            assert verdict == is_covering_fast(system, w=w)
+
     def test_empty_class_convention(self):
         system = CoveringSystem.from_pairs([(0, 4), (2, 4)])
         profile = reduction_profile(system, w=2)
@@ -246,6 +271,142 @@ class TestUnifiedVerifier:
         assert len(profile) == profile[0].w == default_w(past_limit) > 1
         verdict = is_covering_fast(past_limit)
         assert not verdict.covering and not past_limit.matches(verdict.witness)
+
+
+def split_covering(rng: random.Random, max_lcm: int) -> CoveringSystem:
+    """A random covering with lcm at most max_lcm, built by splitting
+    one class at a time into p classes up to a log-uniform target lcm, then
+    shifted and sometimes broken: one congruence dropped, one residue moved,
+    or a congruence added."""
+    primes = (2, 2, 2, 3, 3, 5, 7, 11, 13, 17, 19, 23)
+    target = LEAF_CELLS * (max_lcm / LEAF_CELLS) ** rng.random()
+    cover, ell = [(0, 1)], 1
+    while ell <= target:
+        # splitting the newest class half the time keeps the count small
+        a, m = cover.pop(-1 if rng.random() < 0.5 else rng.randrange(len(cover)))
+        p = rng.choice(primes)
+        if math.lcm(ell, m * p) > max_lcm:
+            cover.append((a, m))
+            break
+        cover += [(a + m * j, m * p) for j in range(p)]
+        ell = math.lcm(ell, m * p)
+    shift = rng.randrange(ell)
+    pairs = [(a + shift, m) for a, m in cover]
+    kind = rng.randrange(4)
+    if kind == 1:
+        pairs.pop(rng.randrange(len(pairs)))
+    elif kind == 2:
+        i = rng.randrange(len(pairs))
+        pairs[i] = (pairs[i][0] + 1, pairs[i][1])
+    elif kind == 3:
+        pairs.append((rng.randrange(7), 7))
+    rng.shuffle(pairs)
+    return CoveringSystem.from_pairs(pairs)
+
+
+def random_divisor_system(rng: random.Random) -> CoveringSystem:
+    """Random residues modulo divisors of a master modulus above LEAF_CELLS."""
+    master = rng.choice([720720, 1441440, 9699690, 65537 * 720, 2 ** 26])
+    small = [d for d in range(2, math.isqrt(master) + 1) if master % d == 0]
+    divisors = small + [master // d for d in small]
+    count = rng.randint(5, 60)
+    return CoveringSystem.from_pairs(
+        (rng.randrange(m), m) for m in (rng.choice(divisors) for _ in range(count))
+    )
+
+
+def refinement_systems() -> list[CoveringSystem]:
+    """Seeded systems with lcm in (LEAF_CELLS, NAIVE_LIMIT], so that
+    refinement splits: random coverings (most lcm <= 10**7, a few up to
+    10**8) and random residues modulo divisors."""
+    rng = random.Random(4099)
+    systems = []
+    while len(systems) < 60:
+        if len(systems) % 2:
+            max_lcm = NAIVE_LIMIT if len(systems) % 15 == 1 else 10 ** 7
+            system = split_covering(rng, max_lcm)
+        else:
+            system = random_divisor_system(rng)
+        if LEAF_CELLS < system.lcm <= NAIVE_LIMIT:
+            systems.append(system)
+    return systems
+
+
+def fast_routes(system: CoveringSystem) -> list:
+    """is_covering_fast without a w, with the smallest prime factor of the
+    lcm as w, and with its largest divisor up to 720 as w."""
+    ell = system.lcm
+    p = next((q for q in range(2, ell + 1) if ell % q == 0), 1)
+    w = max(d for d in range(1, 721) if ell % d == 0)
+    return [is_covering_fast(system), is_covering_fast(system, w=p), is_covering_fast(system, w=w)]
+
+
+class TestRefinement:
+    """Recursive prime splitting gives the naive scan's verdict and least
+    uncovered integer, with or without a class modulus."""
+
+    def test_refinement_systems_match_naive(self):
+        systems = refinement_systems()
+        assert any(is_covering_naive(s).covering for s in systems)
+        for system in systems:
+            naive = is_covering_naive(system)
+            assert fast_routes(system) == [naive] * 3, system
+
+    def test_shipped_digits_minus_one_congruence_match_naive(self):
+        bundle = default_bundle()
+        rng = random.Random(59)
+        compared = 0
+        for d in bundle.digits():
+            congruences = bundle.system(d).congruences
+            if len(congruences) < 2:
+                continue
+            for i in rng.sample(range(len(congruences)), 3):
+                system = CoveringSystem(congruences[:i] + congruences[i + 1:])
+                if system.lcm > NAIVE_LIMIT:
+                    continue
+                compared += 1
+                assert fast_routes(system) == [is_covering_naive(system)] * 3
+        assert compared >= 15
+
+    def test_shipped_digits_in_refinement_range(self):
+        bundle = default_bundle()
+        systems = [bundle.system(d) for d in bundle.digits()]
+        systems = [s for s in systems if LEAF_CELLS < s.lcm <= NAIVE_LIMIT]
+        assert len(systems) >= 2
+        for system in systems:
+            assert fast_routes(system) == [is_covering_naive(system)] * 3
+
+    def test_trivial_cover_with_huge_prime_is_quick(self):
+        system = CoveringSystem.from_pairs([(0, 2), (1, 2), (0, 1000000007)])
+        start = time.perf_counter()
+        verdict = is_covering_fast(system)
+        assert verdict.covering
+        assert time.perf_counter() - start < 1.0
+
+    def test_unsplittable_node_past_limit_raises(self):
+        big = 65537 * 65539  # both prime, above LEAF_CELLS
+        assert big > NAIVE_LIMIT
+        system = CoveringSystem.from_pairs([(0, 2), (1, 4), (3, big)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="to split on"):
+            is_covering_fast(system)
+        assert time.perf_counter() - start < 1.0
+
+    def test_prime_above_leaf_cap_matches_naive(self):
+        assert 65537 > LEAF_CELLS
+        system = CoveringSystem.from_pairs([(0, 2), (3, 4), (1, 65537)])
+        naive = is_covering_naive(system)
+        assert not naive.covering
+        assert fast_routes(system) == [naive] * 3
+
+    def test_d_minus_3_marks_a_tenth_of_the_class_route(self, system_d_minus_3):
+        # the w = 1140 class route marked 385,231,385 cells for d = -3
+        (whole,) = reduction_profile(system_d_minus_3, w=1)
+        assert whole.covered
+        assert whole.cells_marked <= 385_231_385 // 10
+        spanned = reduction_profile(system_d_minus_3, w=1140)
+        assert sum(r.span for r in spanned) == 385_231_385
+        assert sum(r.cells_marked for r in spanned) < 385_231_385 // 10
 
 
 @given(st.integers(min_value=-10 ** 9, max_value=10 ** 9))
