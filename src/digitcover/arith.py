@@ -298,7 +298,6 @@ class Factorization:
     n: int
     factors: list[tuple[int, int]]
     remainder: Optional[int] = None
-    remainder_status: Optional[str] = None  # "composite" | "unresolved"
     probable: frozenset[int] = field(default_factory=frozenset)
 
     @property
@@ -406,7 +405,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         n=original,
         factors=sorted(counts.items()),
         remainder=remainder,
-        remainder_status="composite" if remainder else None,
         probable=frozenset(probable),
     )
     if result.product() != original:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
-from .construction import DIGIT_OFFSETS, cross_digit_consistency, derive_b_residue
-from .cyclotomic import load_order_counts, load_order_table, OrderTable, primes_of_order
+from .construction import DIGIT_OFFSETS, cross_digit_consistency
+from .cyclotomic import load_order_counts, primes_of_order
 
 __all__ = [
     "TableBundle",
@@ -187,8 +187,6 @@ class TableBundle:
     coverings: dict[int, tuple[CoveringRow, ...]]
     mod3_digits: frozenset[int]
     order_counts: Optional[dict[int, int]] = None
-    order_table: Optional[OrderTable] = None
-    manifest: Optional[dict] = None
     warnings: list[str] = field(default_factory=list)
 
     def digits(self) -> tuple[int, ...]:
@@ -214,9 +212,11 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
 
     Expects `coverings/d<d>.txt` files described by `coverings/manifest.json`
     (falling back to globbing when no manifest exists), and optionally
-    `order_prime_counts.txt` and `order_table.txt` at the top level.  Raises
-    BundleError when a digit is neither tabulated nor marked mod3, when a
-    manifest row count disagrees with the file, or on any parse error.
+    `order_prime_counts.txt` at the top level.  The manifest is only checked
+    here, not kept: raises BundleError when a digit is neither tabulated nor
+    marked mod3, when a manifest row count or sha256 disagrees with the
+    file, or on any parse error.  An `order_table.txt` is not read; `order
+    validate` checks such a file on its own.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -284,17 +284,10 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     if counts_path.exists():
         order_counts = load_order_counts(counts_path)
 
-    order_table = None
-    table_path = root / "order_table.txt"
-    if table_path.exists():
-        order_table = load_order_table(table_path)
-
     return TableBundle(
         coverings=coverings,
         mod3_digits=frozenset(mod3),
         order_counts=order_counts,
-        order_table=order_table,
-        manifest=manifest,
         warnings=warnings,
     )
 
@@ -362,7 +355,6 @@ class SharedPrimeCheck:
     prime: int
     uses: tuple[tuple[int, int], ...]  # (digit, residue a)
     consistent: bool
-    offset_residue: Optional[int]
 
 
 @dataclass
@@ -487,15 +479,8 @@ def shared_prime_checks(
         if len(uses[prime]) < 2:
             continue
         pairs = tuple(uses[prime])
-        consistent = cross_digit_consistency(prime, pairs)
-        residue = derive_b_residue(*pairs[0], prime) if consistent else None
         checks.append(
-            SharedPrimeCheck(
-                prime=prime,
-                uses=pairs,
-                consistent=consistent,
-                offset_residue=residue,
-            )
+            SharedPrimeCheck(prime, pairs, cross_digit_consistency(prime, pairs))
         )
     return checks
 

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .arith import FactorBudget, is_prime
+from .arith import DEFAULT_BUDGET, FactorBudget, is_prime
 from .bundle import (
     BundleError,
     TableBundle,
@@ -42,23 +42,14 @@ from .covering import (
 )
 from .cyclotomic import load_order_table, primes_of_order, validate_order_table
 from .delicate import (
-    is_composite_digit_stable,
-    is_digitally_delicate,
-    is_widely_digitally_delicate_window,
     find_first_digitally_delicate,
-    substitution_report,
+    first_failure,
+    is_widely_digitally_delicate_window,
+    require_stable_candidate,
 )
 from .graham import GrahamInstance, reduce_seeds, verify_cover
 
 OK, FAIL, ERROR = 0, 1, 2
-
-
-def _budget_from_seconds(seconds: Optional[float]) -> FactorBudget:
-    """Scale the factoring effort knob from a rough seconds budget."""
-    if seconds is None:
-        return FactorBudget()
-    iterations = max(10_000, int(seconds * 250_000))
-    return FactorBudget(rho_iterations=iterations)
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -165,7 +156,7 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
 
 
 def cmd_construct_assemble(args) -> int:
-    budget = _budget_from_seconds(args.budget)
+    budget = FactorBudget(rho_iterations=args.rho_iterations)
     digits = [int(s) for s in args.digits.split(",") if s.strip()]
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
     coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
@@ -218,24 +209,27 @@ def cmd_construct_certify(args) -> int:
     return OK if ok else FAIL
 
 
+def _witness(payload: dict, lines: list[str], failure) -> None:
+    sub, value = failure
+    payload["witness"] = str(value)
+    lines.append(
+        f"witness: position {sub.position}, "
+        f"{sub.original} -> {sub.replacement} gives {value}"
+    )
+
+
 def cmd_delicate_check(args) -> int:
     n = int(args.n)
     if not is_prime(n):
         print(f"{n} is not prime", file=sys.stderr)
         return ERROR
-    delicate = is_digitally_delicate(n)
+    failure = first_failure(n)
+    delicate = failure is None
     payload = {"n": str(n), "digitally_delicate": delicate}
     lines = [f"digitally delicate: {delicate}"]
     code = OK if delicate else FAIL
     if not delicate:
-        for sub, value, prime in substitution_report(n):
-            if prime or value < 2:
-                lines.append(
-                    f"witness: position {sub.position}, "
-                    f"{sub.original} -> {sub.replacement} gives {value}"
-                )
-                payload["witness"] = str(value)
-                break
+        _witness(payload, lines, failure)
     if args.widely is not None and delicate:
         verdict = is_widely_digitally_delicate_window(n, window=args.widely)
         payload["window"] = args.widely
@@ -264,18 +258,13 @@ def cmd_delicate_scan(args) -> int:
 
 def cmd_delicate_stable(args) -> int:
     n = int(args.n)
-    stable = is_composite_digit_stable(n)
+    require_stable_candidate(n)
+    failure = first_failure(n)
+    stable = failure is None
     payload = {"n": str(n), "composite_digit_stable": stable}
     lines = [f"composite digit stable: {stable}"]
     if not stable:
-        for sub, value, prime in substitution_report(n):
-            if prime or value < 2:
-                payload["witness"] = str(value)
-                lines.append(
-                    f"witness: position {sub.position}, "
-                    f"{sub.original} -> {sub.replacement} gives {value}"
-                )
-                break
+        _witness(payload, lines, failure)
     _emit(args, payload, lines)
     return OK if stable else FAIL
 
@@ -336,7 +325,7 @@ def cmd_graham_reduce(args) -> int:
 
 
 def cmd_order_primes(args) -> int:
-    budget = _budget_from_seconds(args.budget)
+    budget = FactorBudget(rho_iterations=args.rho_iterations)
     result = primes_of_order(int(args.m), budget)
     payload = {
         "m": result.modulus,
@@ -361,7 +350,7 @@ def cmd_order_primes(args) -> int:
 
 
 def cmd_order_validate(args) -> int:
-    budget = _budget_from_seconds(args.budget)
+    budget = FactorBudget(rho_iterations=args.rho_iterations)
     table = load_order_table(args.file)
     report = validate_order_table(table, budget)
     violations = report.all_violations()
@@ -382,7 +371,7 @@ def cmd_order_counts(args) -> int:
     if bundle.order_counts is None:
         print("bundle has no order_prime_counts.txt", file=sys.stderr)
         return ERROR
-    budget = _budget_from_seconds(args.budget)
+    budget = FactorBudget(rho_iterations=args.rho_iterations)
     rows = []
     unresolved = []
     for m in sorted(bundle.order_counts):
@@ -441,10 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="approximate seconds of factoring effort for order-table work",
+        "--rho-iterations",
+        type=int,
+        default=DEFAULT_BUDGET.rho_iterations,
+        metavar="N",
+        help="Pollard rho iterations per attempt for order-table work "
+        "(default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -114,7 +114,6 @@ class Construction:
     modulus: int  # the A of the progression A*n + B
     offset: int   # the B
     residue_constraints: tuple[tuple[int, int], ...]  # (prime, offset mod prime)
-    prime_uses: dict[int, tuple[tuple[int, int], ...]]  # prime -> ((d, a), ...)
     probable_primes: frozenset[int] = frozenset()
 
     def element(self, index: int) -> int:
@@ -190,7 +189,6 @@ def assemble(
         modulus=modulus,
         offset=offset,
         residue_constraints=tuple(constraints),
-        prime_uses={p: tuple(v) for p, v in uses.items()},
         probable_primes=frozenset(probable),
     )
 

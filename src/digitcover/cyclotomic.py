@@ -285,7 +285,6 @@ class RowReport:
     modulus: int
     violations: list[str] = field(default_factory=list)
     provenance: dict[int, str] = field(default_factory=dict)  # entry -> flag
-    computed_count: Optional[int] = None  # when primes_of_order completed
 
     @property
     def valid(self) -> bool:
@@ -392,7 +391,6 @@ def validate_order_table(
         if cross_check:
             known = primes_of_order(m, budget)
             if known.complete:
-                row.computed_count = len(known.primes)
                 stray = [p for p in primes if p not in known.primes]
                 if stray:
                     row.violations.append(

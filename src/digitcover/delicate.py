@@ -3,7 +3,9 @@
 A substitution replaces one decimal digit (possibly one of the infinitely
 many leading zeros) with a different digit; arithmetically it adds
 (replacement - original) * 10**position.  The predicates here check what
-happens to primality under every such change.
+happens to primality under every such change.  Each is its input checks
+plus one call to `first_failure`, the single walker over the substitutions;
+`substitution_report` is the itemized reference.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "digit_at",
     "substitutions",
     "substitution_report",
+    "first_failure",
+    "require_stable_candidate",
     "is_digitally_delicate",
     "is_widely_digitally_delicate_window",
     "find_first_digitally_delicate",
@@ -101,6 +105,19 @@ def substitution_report(
     return out
 
 
+def first_failure(
+    n: int, leading_zeros: int = 0
+) -> Optional[tuple[Substitution, int]]:
+    """The first substitution of n, in `substitutions` order, whose value is
+    < 2 or prime, with that value; None when every value is composite.  (A
+    leading-zero substitution gives at least 10, never 0 or 1.)"""
+    for sub in substitutions(n, leading_zeros):
+        value = sub.apply(n)
+        if value < 2 or is_prime(value):
+            return sub, value
+    return None
+
+
 def is_digitally_delicate(p: int) -> bool:
     """Whether changing any single written digit of the prime p always gives
     a composite number.
@@ -111,11 +128,7 @@ def is_digitally_delicate(p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for sub in substitutions(p):
-        value = sub.apply(p)
-        if value < 2 or is_prime(value):
-            return False
-    return True
+    return first_failure(p) is None
 
 
 @dataclass(frozen=True)
@@ -145,13 +158,8 @@ def is_widely_digitally_delicate_window(p: int, window: int = 64) -> WindowVerdi
         raise ValueError("window must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for sub in substitutions(p, leading_zeros=window + 1):
-        value = sub.apply(p)
-        if sub.position < digit_count(p) and value < 2:
-            return WindowVerdict(False, witness=value)
-        if is_prime(value):
-            return WindowVerdict(False, witness=value)
-    return WindowVerdict(True)
+    failure = first_failure(p, leading_zeros=window + 1)
+    return WindowVerdict(True) if failure is None else WindowVerdict(False, failure[1])
 
 
 def find_first_digitally_delicate(bound: int) -> Optional[int]:
@@ -170,12 +178,13 @@ def is_composite_digit_stable(n: int) -> bool:
 
     Raises ValueError if n is prime or shares a factor with 10.
     """
+    require_stable_candidate(n)
+    return first_failure(n) is None
+
+
+def require_stable_candidate(n: int) -> None:
+    """Raise ValueError unless n is composite and coprime to 10."""
     if is_prime(n) or n < 4:
         raise ValueError(f"{n} is not composite")
     if math.gcd(n, 10) != 1:
         raise ValueError(f"{n} is not coprime to 10")
-    for sub in substitutions(n):
-        value = sub.apply(n)
-        if value < 2 or is_prime(value):
-            return False
-    return True

@@ -5,7 +5,8 @@ The sequence u(0) = a, u(1) = b, u(n+1) = u(n) + u(n-1) reduced mod a prime
 p is purely periodic, because the state map (x, y) -> (y, x + y) is
 invertible mod p.  Collecting, per prime, the period and the indices where
 the term vanishes turns "every term is divisible by some prime in the set"
-into a finite covering check over one lcm of periods.
+into the covering system j = z (mod period(p)), one congruence per zero
+index z, which `covering.is_covering_fast` checks within its memory bounds.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 
-import numpy as np
-
 from .arith import is_prime
+from .covering import CoveringSystem, is_covering_fast
 
 __all__ = [
     "GrahamInstance",
@@ -79,11 +79,9 @@ def recurrence_period(p: int, a: int, b: int) -> RecurrencePeriod:
 
 @dataclass
 class CoverReport:
-    instance: GrahamInstance
     covered: bool
     period_lcm: int
     periods: dict[int, RecurrencePeriod] = field(default_factory=dict)
-    coverage_counts: dict[int, int] = field(default_factory=dict)
     uncovered_index: int | None = None
     terms_exceed_primes: bool = True
 
@@ -94,8 +92,10 @@ class CoverReport:
 def verify_cover(instance: GrahamInstance, explicit_terms: int = 50) -> CoverReport:
     """Check that every recurrence index is covered by some prime's zero set.
 
-    Works mod the lcm L of the per-prime periods: index j is covered iff
-    u(j) = 0 mod p for some p, which only depends on j mod period(p).  Also
+    Index j is covered iff u(j) = 0 mod p for some p, which only depends on
+    j mod period(p), so is_covering_fast decides it on the zero-index
+    congruences and uncovered_index is the least uncovered index (0 when no
+    prime has a zero).  Raises ValueError beyond the verifier's limits.  Also
     checks the first `explicit_terms` terms exceed max(primes), so the
     divisibility actually proves them composite.
     """
@@ -105,14 +105,12 @@ def verify_cover(instance: GrahamInstance, explicit_terms: int = 50) -> CoverRep
         p: recurrence_period(p, instance.a, instance.b) for p in instance.primes
     }
     big_l = reduce(math.lcm, (rp.period for rp in periods.values()))
-    covered = np.zeros(big_l, dtype=bool)
-    counts = {}
-    for p, rp in periods.items():
-        for z in sorted(rp.zero_indices):
-            covered[z :: rp.period] = True
-        counts[p] = big_l // rp.period * len(rp.zero_indices)
-    all_covered = bool(covered.all())
-    uncovered = None if all_covered else int(np.argmin(covered))
+    pairs = [(z, rp.period) for rp in periods.values() for z in rp.zero_indices]
+    if pairs:
+        verdict = is_covering_fast(CoveringSystem.from_pairs(pairs))
+        covered, uncovered = verdict.covering, verdict.witness
+    else:
+        covered, uncovered = False, 0
 
     max_p = max(instance.primes)
     terms_ok = True
@@ -124,11 +122,9 @@ def verify_cover(instance: GrahamInstance, explicit_terms: int = 50) -> CoverRep
             break
 
     return CoverReport(
-        instance=instance,
-        covered=all_covered,
+        covered=covered,
         period_lcm=big_l,
         periods=periods,
-        coverage_counts=counts,
         uncovered_index=uncovered,
         terms_exceed_primes=terms_ok,
     )

@@ -1,4 +1,5 @@
 import json
+import time
 
 from digitcover.bundle import DATA_ROOT
 from digitcover.cli import main
@@ -158,6 +159,17 @@ class TestDelicateCli:
         assert code == 1
         assert "witness" in out
 
+    def test_witness_is_the_first_failing_substitution(self, capsys):
+        code, out, _ = run(capsys, "delicate", "check", "101")
+        assert "witness: position 0, 1 -> 3 gives 103" in out
+        code, out, _ = run(capsys, "--format", "json", "delicate", "stable", "121")
+        assert code == 1 and json.loads(out)["witness"] == "127"
+
+    def test_stable_rejects_a_prime(self, capsys):
+        code, _, err = run(capsys, "delicate", "stable", "13")
+        assert code == 2
+        assert "13 is not composite" in err
+
 
 class TestGrahamCli:
     PRIMES = "2,3,5,7,11,17,19,23,31,41,47,61,107,181,541,1103,2521"
@@ -177,6 +189,26 @@ class TestGrahamCli:
         )
         assert code == 1
         assert "uncovered index 0" in out
+
+    def test_verify_huge_period_lcm(self, capsys):
+        # period lcm 16,843,844,304: decided without an array that large
+        primes = "10007,10009,10037,10039,10061"
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "--format", "json",
+            "graham", "verify", "--a", "1", "--b", "3", "--primes", primes,
+        )
+        assert time.perf_counter() - start < 1
+        payload = json.loads(out)
+        assert code == 1 and payload["period_lcm"] == 16843844304
+        assert payload["covered"] is False and payload["uncovered_index"] == 0
+
+    def test_verify_beyond_verifier_limit_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "graham", "verify", "--a", "0", "--b", "1", "--primes", "132059,133499"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "no prime factor" in err
 
     def test_reduce(self, capsys):
         code, out, _ = run(
@@ -222,7 +254,7 @@ class TestOrderCli:
         # m = 2: 11 found, complete; m = 3: only 37 exists, 2 claimed;
         # m = 69: 10k rho iterations find 1 of the 3 claimed, incomplete
         (tmp_path / "order_prime_counts.txt").write_text("2 1\n3 2\n69 3\n")
-        argv = ["--budget", "0", "order", "counts", "--limit", "70",
+        argv = ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
                 "--tables", str(tmp_path)]
         code, out, _ = run(capsys, *argv)
         assert code == 1

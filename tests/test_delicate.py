@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitcover.arith import is_prime
+from digitcover.arith import is_prime, primes_up_to
 from digitcover.construction import substitution_divisor
 from digitcover.delicate import (
     Substitution,
     digit_at,
     digit_count,
     find_first_digitally_delicate,
+    first_failure,
     is_composite_digit_stable,
     is_digitally_delicate,
     is_widely_digitally_delicate_window,
@@ -97,6 +98,29 @@ class TestDigitallyDelicate:
         for p in (2, 3, 5, 7, 11, 101, 293999):
             if is_prime(p):
                 assert not is_digitally_delicate(p)
+
+
+class TestFirstFailure:
+    @staticmethod
+    def reference(n, leading_zeros=0):
+        for sub, value, prime in substitution_report(n, leading_zeros):
+            if prime or value < 2:
+                return sub, value
+        return None
+
+    def test_matches_report_below_ten_thousand(self):
+        for p in primes_up_to(10 ** 4):
+            assert first_failure(p) == self.reference(p), p
+
+    def test_matches_report_on_the_paper_numbers(self):
+        for n, zeros in ((212159, 0), (294001, 0), (294001, 1), (294001, 2)):
+            assert first_failure(n, zeros) == self.reference(n, zeros)
+        assert first_failure(212159) is None and first_failure(294001) is None
+        assert first_failure(294001, 2) == (Substitution(7, 0, 1), 10294001)
+
+    def test_single_digit_failures(self):
+        assert first_failure(2) == (Substitution(0, 2, 0), 0)
+        assert first_failure(7, leading_zeros=3)[1] == 0
 
 
 class TestWidelyWindow:

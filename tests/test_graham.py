@@ -1,8 +1,11 @@
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
+from digitcover.arith import primes_up_to
 from digitcover.graham import (
     GrahamInstance,
     recurrence_period,
@@ -122,6 +125,58 @@ class TestVerifyCover:
     def test_empty_prime_set_rejected(self):
         with pytest.raises(ValueError):
             verify_cover(GrahamInstance(1, 1, ()))
+
+
+# Five primes near 10^4 whose period lcm is 16,843,844,304: a boolean array
+# over it would take 16.8 GB.
+HOSTILE = GrahamInstance(1, 3, (10007, 10009, 10037, 10039, 10061))
+# p = 2q + 1 with q prime > 2^16: Fibonacci has period 2q and zeros at
+# multiples of 2q, so the even class has lcm q1*q2 with no prime to split on.
+UNSPLITTABLE = GrahamInstance(0, 1, (132059, 133499))
+
+
+def brute_scan(periods, big_l):
+    """Mark every zero index over [0, big_l) and return the least unmarked."""
+    covered = np.zeros(big_l, dtype=bool)
+    for rp in periods.values():
+        for z in rp.zero_indices:
+            covered[z :: rp.period] = True
+    return (True, None) if covered.all() else (False, int(np.argmin(covered)))
+
+
+class TestVerifyCoverThroughCovering:
+    def test_seeded_instances_match_brute_scan(self):
+        rng = random.Random(5)
+        small = list(primes_up_to(200))
+        checked = covers = 0
+        for _ in range(400):
+            primes = tuple(rng.sample(small, rng.randint(1, 6)))
+            instance = GrahamInstance(rng.randrange(10 ** 6), rng.randrange(10 ** 6), primes)
+            report = verify_cover(instance)
+            if report.period_lcm > 10 ** 7:
+                continue
+            expected = brute_scan(report.periods, report.period_lcm)
+            assert (report.covered, report.uncovered_index) == expected, instance
+            checked += 1
+            covers += report.covered
+        assert checked >= 300 and covers >= 5
+
+    def test_hostile_lcm_decided_quickly(self):
+        start = time.perf_counter()
+        report = verify_cover(HOSTILE)
+        assert time.perf_counter() - start < 1
+        assert report.period_lcm == 16843844304
+        assert not report.covered and report.uncovered_index == 0
+
+    def test_prime_set_without_zeros(self):
+        # the Lucas numbers 2, 1, 3, 4, 7, ... are never 0 mod 5
+        report = verify_cover(GrahamInstance(2, 1, (5,)))
+        assert not report.periods[5].zero_indices
+        assert not report.covered and report.uncovered_index == 0
+
+    def test_unsplittable_lcm_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no prime factor"):
+            verify_cover(UNSPLITTABLE)
 
 
 class TestReduceSeeds:
