@@ -11,16 +11,24 @@ its primes divides n; only blocks with a common factor are walked prime by
 prime (batch trial division, after Bernstein's "How to find small factors
 of integers").  `is_perfect_power` takes its prime exponents from the same
 table.
+
+`pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
+stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
+prime factors p are known to have a given factor of p - 1: the order-m
+primes of `cyclotomic` all have lcm(2, m) | p - 1.  Its primes come from
+the cached table and then a segmented sieve, so no prime list grows past
+the table.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "PrimalityVerdict",
@@ -34,6 +42,7 @@ __all__ = [
     "is_perfect_power",
     "iroot",
     "primes_up_to",
+    "pm1_split",
 ]
 
 # Miller-Rabin with these bases is a proven primality test below this bound
@@ -258,12 +267,18 @@ MAX_TRIAL_BOUND = 10 ** 7
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort bounds for `factor`.
+    """Effort bounds for `factor` and for the cofactor splitting of
+    `cyclotomic.primes_of_order`.
 
-    trial_bound: trial-divide by primes up to this bound first (at most
-        MAX_TRIAL_BOUND, which keeps the prime table small).
-    rho_iterations: Pollard-rho (Brent) iterations per attempt.
-    rho_restarts: attempts with distinct polynomial constants per cofactor.
+    trial_bound: `factor` trial-divides by primes up to this bound first (at
+        most MAX_TRIAL_BOUND, which keeps the prime table small).
+        `primes_of_order` does not trial-divide and ignores it.
+    rho_iterations: for `factor`, Pollard-rho (Brent) iterations per
+        attempt; for `primes_of_order`, the modular multiplications that
+        `pm1_split` may spend on each composite cofactor.
+    rho_restarts: for `factor`, rho attempts with distinct polynomial
+        constants per cofactor; for `primes_of_order`, the p - 1 bases tried
+        on a cofactor whose gcd collapses to the whole cofactor.
     """
 
     trial_bound: int = 100_000
@@ -275,12 +290,6 @@ class FactorBudget:
             raise ValueError(
                 f"trial_bound must lie in [0, {MAX_TRIAL_BOUND}], got {self.trial_bound}"
             )
-
-    @classmethod
-    def off(cls) -> "FactorBudget":
-        """No splitting effort at all (useful when only trial division by a
-        supplied list is wanted)."""
-        return cls(trial_bound=2, rho_iterations=0, rho_restarts=0)
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -341,6 +350,112 @@ def _brent_rho(n: int, budget: FactorBudget) -> Optional[int]:
         if 1 < g < n:
             return g
     return None
+
+
+# Integers sieved per segment by _prime_stream.
+_SEGMENT = 1 << 16
+# Primes per gcd in both stages of pm1_split.
+_PM1_BLOCK = 64
+# Giant step W of stage 2 in pm1_split.  W = 2*3*5*7, so for every prime
+# q > 7 the baby step r = v*W - q is one of the 48 residues prime to W.
+_PM1_GIANT = 210
+
+
+def _prime_stream() -> Iterator[int]:
+    """Every prime, ascending: the cached table, then one segment of
+    _SEGMENT integers at a time, sieved with base primes from the table."""
+    primes, _ = _prime_table(_SEGMENT)
+    yield from primes
+    lo = primes[-1] + 1
+    while True:
+        hi = lo + _SEGMENT
+        sieve = bytearray([1]) * _SEGMENT
+        root = math.isqrt(hi - 1)
+        base, _ = _prime_table(root)
+        for p in base[: bisect.bisect_right(base, root)]:
+            start = max(p * p, -(-lo // p) * p) - lo
+            sieve[start::p] = bytes(len(range(start, _SEGMENT, p)))
+        yield from itertools.compress(range(lo, hi), sieve)
+        lo = hi
+
+
+def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], int]:
+    """A proper factor of the composite n by Pollard's p - 1 method, or None,
+    with the modular multiplications spent (a power with exponent e counts
+    e.bit_length()).
+
+    Every prime p | n must have known | p - 1, so each base b starts as
+    b**known.  Stage 1 raises x to the prime powers q**e <= rho_iterations
+    of ascending primes while it has spent less than min(rho_iterations/4,
+    25*sqrt(rho_iterations)), so that a larger budget mostly buys a longer
+    stage 2.  Stage 2 takes the next primes one at a time: for q = v*W - r
+    with W = _PM1_GIANT and 0 <= r < W, x**q = 1 iff x**(v*W) = x**r, so it
+    multiplies the x**(v*W) - x**r together, one multiplication per prime
+    plus one per giant step.  Both stages take one gcd per block of
+    _PM1_BLOCK primes.  A block whose gcd is all of n is redone prime by
+    prime; if one prime still catches every factor, the next base is tried,
+    up to rho_restarts bases.  The budget of rho_iterations multiplications
+    covers all bases and is checked before each block.
+    """
+    limit = budget.rho_iterations
+    stage_one = min(limit // 4, 25 * math.isqrt(limit))
+    spent = 0
+    for base in _SMALL_PRIMES[1 : 1 + budget.rho_restarts]:
+        if spent >= limit:
+            break
+        x = pow(base, known, n)
+        spent += known.bit_length()
+        primes = _prime_stream()
+        # stage 1: x <- x**(q**e), gcd(x - 1, n) once per block
+        g = 1
+        while g == 1 and spent < stage_one:
+            powers = []
+            for q in itertools.islice(primes, _PM1_BLOCK):
+                pe = q
+                while pe * q <= limit:
+                    pe *= q
+                powers.append(pe)
+            exponent = math.prod(powers)
+            y = pow(x, exponent, n)
+            spent += exponent.bit_length()
+            g = math.gcd(y - 1, n)
+            if g == n:
+                for pe in powers:
+                    x = pow(x, pe, n)
+                    g = math.gcd(x - 1, n)
+                    if g != 1:
+                        break
+            x = y
+        # stage 2: x**(v*W) - x**r for each next prime q = v*W - r
+        giant = pow(x, _PM1_GIANT, n)
+        spent += _PM1_GIANT.bit_length()
+        small: dict[int, int] = {}
+        v, xv = 0, 1
+        while g == 1 and spent < limit:
+            block = list(itertools.islice(primes, _PM1_BLOCK))
+            start, acc = (v, xv), 1
+            for q in block:
+                while v * _PM1_GIANT < q:
+                    v, xv = v + 1, xv * giant % n
+                    spent += 1
+                r = v * _PM1_GIANT - q
+                if r not in small:
+                    small[r] = pow(x, r, n)
+                    spent += r.bit_length()
+                acc = acc * (xv - small[r]) % n
+            spent += len(block)
+            g = math.gcd(acc, n)
+            if g == n:
+                v, xv = start
+                for q in block:
+                    while v * _PM1_GIANT < q:
+                        v, xv = v + 1, xv * giant % n
+                    g = math.gcd(xv - small[v * _PM1_GIANT - q], n)
+                    if g != 1:
+                        break
+        if 1 < g < n:
+            return g, spent
+    return None, spent
 
 
 def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:

@@ -303,18 +303,14 @@ def resolve_assignment(
 ) -> Optional[int]:
     """The rho-th smallest prime with 10 of order m, or None if unknown.
 
-    With an incomplete factorization, indices are still exact for primes
-    below the trial-division bound: every order-m prime smaller than such a
-    prime was necessarily found.  Indices beyond that reliable prefix
-    return None rather than guessing.
+    Indices are exact within the prefix `primes_of_order` proves: every
+    listed prime when the list is complete, else the primes below its
+    `exact_below`, under which no order-m prime is missing.  Indices beyond
+    that prefix return None rather than guessing.
     """
-    result = primes_of_order(m, budget)
-    if result.complete:
-        reliable = len(result.primes)
-    else:
-        reliable = sum(1 for p in result.primes if p < budget.trial_bound)
-    if 1 <= rho <= reliable:
-        return result.primes[rho - 1]
+    exact = primes_of_order(m, budget).exact
+    if 1 <= rho <= len(exact):
+        return exact[rho - 1]
     return None
 
 

@@ -331,6 +331,10 @@ def cmd_order_primes(args) -> int:
         "m": result.modulus,
         "primes": [str(p) for p in result.primes],
         "complete": result.complete,
+        "exact_below": result.exact_below,
+        "reason": result.reason,
+        "scan_candidates": result.scan_candidates,
+        "scan_survivors": result.scan_survivors,
         "remainder_digits": (
             None if result.remainder is None else len(str(result.remainder))
         ),
@@ -339,11 +343,8 @@ def cmd_order_primes(args) -> int:
         f"primes with 10 of order {result.modulus}: "
         + ", ".join(str(p) for p in result.primes),
         f"complete: {result.complete}"
-        + (
-            ""
-            if result.complete
-            else f" (unfactored {len(str(result.remainder))}-digit cofactor)"
-        ),
+        + ("" if result.complete else f" ({result.reason})"),
+        f"every order-{result.modulus} prime below {result.exact_below} is listed",
     ]
     _emit(args, payload, lines)
     return OK
@@ -391,6 +392,7 @@ def cmd_order_counts(args) -> int:
                 "computed": len(computed.primes),
                 "complete": computed.complete,
                 "ok": enough,
+                "reason": computed.reason if enough is None else None,
             }
         )
     ok = all(r["ok"] for r in rows if r["ok"] is not None)
@@ -401,6 +403,7 @@ def cmd_order_counts(args) -> int:
         lines.append(
             f"{r['m']:>5} {r['expected_at_least']:>5} {r['computed']:>6} "
             f"{str(r['complete']):>9} {status:>10}"
+            + (f"  {r['reason']}" if r["reason"] else "")
         )
     checked = len(rows) - len(unresolved)
     lines.append(f"all rows consistent: {ok} ({checked} of {len(rows)} rows checked)")
@@ -434,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET.rho_iterations,
         metavar="N",
-        help="Pollard rho iterations per attempt for order-table work "
-        "(default %(default)s)",
+        help="modular multiplications Pollard's p-1 may spend on each "
+        "composite cofactor when listing order-m primes (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,19 +2,24 @@
 
 The primes p (coprime to 10) for which 10 has multiplicative order m are
 exactly the primes dividing the m-th cyclotomic polynomial evaluated at 10,
-excluding primes dividing m.  This module evaluates those values exactly,
-extracts ordered prime lists within a factoring budget, and validates
-externally supplied order tables, where an unfactored composite placeholder
-may stand in for up to two unknown primes.
+excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
+This module evaluates those values exactly, lists the order-m primes by
+scanning that progression below SCAN_BOUND and splitting what is left with
+Pollard's p - 1 method, and validates externally supplied order tables,
+where an unfactored composite placeholder may stand in for up to two
+unknown primes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -24,6 +29,7 @@ from .arith import (
     has_order,
     is_perfect_power,
     is_prime,
+    pm1_split,
 )
 
 __all__ = [
@@ -101,55 +107,143 @@ def cyclotomic_value(m: int, x: int) -> int:
 class OrderPrimes:
     """Primes with 10 of order `modulus`, ascending, possibly incomplete.
 
-    complete is True iff the factorization of the cyclotomic value left no
-    unresolved cofactor; `remainder` holds that cofactor otherwise.
+    Every order-m prime below `exact_below` is listed.  complete is True iff
+    no composite cofactor is left, and then every order-m prime is listed;
+    otherwise `remainder` is the product of the composite cofactors and
+    `reason` says why each was not split.  scan_candidates and
+    scan_survivors count the candidates the scan tested and those that
+    passed its order filter.
     """
 
     modulus: int
     primes: tuple[int, ...]
     complete: bool
+    exact_below: int
     remainder: Optional[int] = None
+    reason: Optional[str] = None
+    scan_candidates: int = 0
+    scan_survivors: int = 0
+
+    @property
+    def exact(self) -> tuple[int, ...]:
+        """The ascending prefix whose indices are exact: all primes when
+        complete, else those below exact_below."""
+        if self.complete:
+            return self.primes
+        return self.primes[: bisect.bisect_left(self.primes, self.exact_below)]
+
+
+# The scan tests p = 1 + k*lcm(2, m) below this bound.  It stays below 2**32,
+# so products of uint64 residues cannot overflow.
+SCAN_BOUND = 10 ** 6
+# Candidates per scan chunk: the first chunk, and the cap the doubling stops at.
+_CHUNK_FIRST = 1 << 6
+_CHUNK_MAX = 1 << 14
+# Composite cofactors above this size are not split.
+_SPLIT_BIT_LIMIT = 512
+
+
+def _pow10_mod(e: int, p: np.ndarray) -> np.ndarray:
+    """10**e mod p, elementwise, for a uint64 array p of values < 2**32."""
+    result = np.ones_like(p)
+    base = np.uint64(10) % p
+    while e:
+        if e & 1:
+            result = result * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return result
 
 
 @lru_cache(maxsize=None)
 def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
-    value = cyclotomic_value(m, 10)
-    fac = factor(value, budget)
-    primes = sorted(p for p in fac.primes() if m % p != 0)
-    for p in primes:
-        if not has_order(10, m, p):
-            raise AssertionError(
-                f"prime {p} divides the order-{m} cyclotomic value at 10 "
-                f"but 10 does not have order {m} mod {p}"
+    qs = factor(m).primes()
+    step = math.lcm(2, m)
+    cofactor = cyclotomic_value(m, 10)
+    for q in qs:
+        while cofactor % q == 0:
+            cofactor //= q
+
+    # Scan p = 1 + k*step in chunks.  After a chunk every order-m prime below
+    # `limit` is divided out, so a cofactor below limit**2 is 1 or prime.
+    found: set[int] = set()
+    candidates = survivors = 0
+    k, chunk, limit = 1, _CHUNK_FIRST, 2
+    last = (SCAN_BOUND - 2) // step  # the largest k with 1 + k*step < SCAN_BOUND
+    while cofactor >= limit * limit and k <= last:
+        stop = min(k + chunk, last + 1)
+        p = 1 + np.uint64(step) * np.arange(k, stop, dtype=np.uint64)
+        p = p[_pow10_mod(m, p) == 1]
+        for q in qs:
+            p = p[_pow10_mod(m // q, p) != 1]
+        candidates += stop - k
+        survivors += len(p)
+        for prime in map(int, p):
+            if is_prime(prime) and has_order(10, m, prime):
+                found.add(prime)
+                while cofactor % prime == 0:
+                    cofactor //= prime
+        k, chunk, limit = stop, min(2 * chunk, _CHUNK_MAX), 1 + stop * step
+
+    # Split what is left: every part below limit**2 is prime.
+    rest: list[int] = []
+    reasons: list[str] = []
+    parts = [cofactor] if cofactor > 1 else []
+    while parts:
+        n = parts.pop()
+        if n < limit * limit or is_prime(n):
+            if not has_order(10, m, n):
+                raise ArithmeticError(
+                    f"prime {n} divides the order-{m} cyclotomic value at 10 "
+                    f"but 10 does not have order {m} mod {n}"
+                )
+            found.add(n)
+        elif n.bit_length() > _SPLIT_BIT_LIMIT:
+            rest.append(n)
+            reasons.append(
+                f"{n.bit_length()}-bit cofactor above the split limit, not attempted"
             )
+        else:
+            d, spent = pm1_split(n, step, budget)
+            if d is None:
+                rest.append(n)
+                reasons.append(
+                    f"p-1 spent {spent} multiplications on a {len(str(n))}-digit cofactor"
+                )
+            else:
+                parts += [d, n // d]
     return OrderPrimes(
         modulus=m,
-        primes=tuple(primes),
-        complete=fac.complete,
-        remainder=fac.remainder,
+        primes=tuple(sorted(found)),
+        complete=not rest,
+        exact_below=limit,
+        remainder=math.prod(rest) if rest else None,
+        reason="; ".join(reasons) or None,
+        scan_candidates=candidates,
+        scan_survivors=survivors,
     )
 
 
-# Pollard rho is pointless past this operand size; trial division still runs.
-_RHO_BIT_LIMIT = 512
-
-
 def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrimes:
-    """Primes p with multiplicative order of 10 mod p equal to m.
+    """Primes p with multiplicative order of 10 mod p equal to m, ascending.
 
-    Factors the cyclotomic value at 10 within budget; the result is flagged
-    complete only when no unresolved cofactor remains.  Every returned prime
-    is re-verified to have order exactly m.  Values for m > 4000 are still
-    computed but no factoring is attempted (divisibility checks against a
-    supplied list remain cheap at any size); between that and a 512-bit
-    value, trial division runs but rho is not attempted.
+    Every such prime is 1 (mod lcm(2, m)) and divides the cyclotomic value
+    Phi_m(10), which is first freed of the primes of m.  The candidates
+    p = 1 + k*lcm(2, m) below SCAN_BOUND are scanned in numpy chunks that
+    start small and double up to _CHUNK_MAX; p is kept when 10**m = 1 and
+    10**(m/q) != 1 (mod p) for every prime q | m, proven with `is_prime` and
+    `has_order`, and divided out of Phi_m(10) with its multiplicity.  The
+    scan stops once the cofactor is below the square of the scanned limit,
+    where it is 1 or prime.  A composite cofactor of at most _SPLIT_BIT_LIMIT
+    bits is split with `pm1_split`, within budget, and each prime it yields
+    is re-checked with `has_order`.  A part counts as prime below the
+    limit squared or when `is_prime` says so.
+
+    The listed primes below `exact_below` are exactly the order-m primes
+    there; the result is complete, and lists them all, iff no composite
+    cofactor remains.
     """
-    if m > 4000:
-        budget = FactorBudget.off()
-    elif cyclotomic_value(m, 10).bit_length() > _RHO_BIT_LIMIT:
-        budget = FactorBudget(
-            trial_bound=budget.trial_bound, rho_iterations=0, rho_restarts=0
-        )
     return _primes_of_order_cached(m, budget)
 
 

@@ -163,11 +163,13 @@ def is_widely_digitally_delicate_window(p: int, window: int = 64) -> WindowVerdi
 
 
 def find_first_digitally_delicate(bound: int) -> Optional[int]:
-    """Least digitally delicate prime <= bound, or None."""
-    if bound < 2:
-        return None
+    """Least digitally delicate prime <= bound, or None.
+
+    The sieve already proves each p prime, so the walk is called directly
+    instead of through `is_digitally_delicate`, which would re-prove it.
+    """
     for p in primes_up_to(bound):
-        if is_digitally_delicate(p):
+        if first_failure(p) is None:
             return p
     return None
 

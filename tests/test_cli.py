@@ -265,6 +265,34 @@ class TestOrderCli:
         assert [r["ok"] for r in payload["rows"]] == [True, False, None]
         assert payload["unresolved"] == [69] and payload["ok"] is False
 
+    def test_primes_prints_exact_prefix_and_reason(self, capsys):
+        argv = ["--rho-iterations", "10000", "order", "primes", "69"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "complete: False (p-1 spent " in out
+        assert "every order-69 prime below 1000087 is listed" in out
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        payload = json.loads(out)
+        assert payload["primes"] == ["277"] and payload["exact_below"] == 1000087
+        assert payload["reason"].endswith("multiplications on a 42-digit cofactor")
+        assert payload["scan_candidates"] == (10 ** 6 - 2) // 138
+        assert payload["scan_survivors"] >= 1
+
+    def test_counts_unresolved_row_shows_reason(self, tmp_path, capsys):
+        cov = tmp_path / "coverings"
+        cov.mkdir()
+        digits = [d for d in range(-9, 10) if d]
+        (cov / "manifest.json").write_text(json.dumps({"mod3_digits": digits}))
+        (tmp_path / "order_prime_counts.txt").write_text("2 1\n69 3\n")
+        argv = ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
+                "--tables", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        row = next(line for line in out.splitlines() if line.split()[0] == "69")
+        assert "unresolved  p-1 spent " in row
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        reasons = [r["reason"] for r in json.loads(out)["rows"]]
+        assert reasons[0] is None and reasons[1].startswith("p-1 spent ")
+
 
 class TestReportCli:
     def test_report_ok(self, capsys):

@@ -1,0 +1,139 @@
+"""Order-m primes by the scan of p = 1 (mod lcm(2, m)) and the p - 1 split
+of what is left, against sympy as an independent oracle."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from digitcover.arith import FactorBudget, _prime_stream, pm1_split, primes_up_to
+from digitcover.bundle import default_bundle, resolve_assignment
+from digitcover.cyclotomic import SCAN_BOUND, _pow10_mod, cyclotomic_value, primes_of_order
+from digitcover.delicate import find_first_digitally_delicate, is_digitally_delicate
+
+sympy = pytest.importorskip("sympy")
+
+SMALL_BUDGET = FactorBudget(rho_iterations=10_000)
+
+
+def sympy_order_primes(moduli, bound):
+    """{m: primes p < bound with n_order(10, p) == m}, from sympy alone.
+    Such p has m | p - 1 (Fermat), which only prefilters the candidates."""
+    primes = [p for p in sympy.sieve.primerange(3, bound) if p != 5]
+    return {
+        m: [p for p in primes if (p - 1) % m == 0 and pow(10, m, p) == 1
+            and sympy.n_order(10, p) == m]
+        for m in moduli
+    }
+
+
+def test_scanned_prefix_matches_sympy():
+    moduli = sorted(m for m in default_bundle().order_counts if m <= 300)
+    expected = sympy_order_primes(moduli, SCAN_BOUND)
+    incomplete = 0
+    for m in moduli:
+        result = primes_of_order(m, SMALL_BUDGET)
+        if not result.complete:
+            incomplete += 1
+            assert result.exact_below >= SCAN_BOUND, m
+            assert result.reason, m
+        # complete lists hold every order-m prime, incomplete ones every
+        # order-m prime below exact_below >= SCAN_BOUND
+        assert [p for p in result.primes if p < SCAN_BOUND] == expected[m], m
+        assert list(result.exact) == sorted(result.exact)
+    assert len(moduli) >= 177 and incomplete > 0
+
+
+def test_pow10_mod_matches_python_pow_up_to_2_32():
+    # uint64 products of residues below 2**32 cannot wrap
+    rng = random.Random(6)
+    moduli = [2, 3, 7, 2 ** 32 - 5, 2 ** 32 - 1] + [rng.randrange(2, 2 ** 32) for _ in range(500)]
+    p = np.array(moduli, dtype=np.uint64)
+    for e in (0, 1, 2, 63, 64, 1000, 75_240, 2 ** 40 + 3):
+        assert _pow10_mod(e, p).tolist() == [pow(10, e, q) for q in moduli], e
+
+
+@pytest.mark.parametrize("m", [40, 54, 60])
+def test_two_large_primes_split_completely(m):
+    # the cofactor left by the scan is a product of primes above 10**6
+    result = primes_of_order(m)
+    value = cyclotomic_value(m, 10)
+    expected = sorted(p for p in sympy.factorint(value) if m % p)
+    assert result.complete and result.reason is None
+    assert list(result.primes) == expected
+    assert sum(p > SCAN_BOUND for p in expected) == 2
+
+
+def test_large_modulus_is_an_exact_prefix():
+    # Phi_5000(10) has 2000 digits: scanned like any other m, then left
+    # whole with its reason, above the split size
+    result = primes_of_order(5000, SMALL_BUDGET)
+    assert not result.complete
+    assert result.exact_below >= SCAN_BOUND
+    assert "above the split limit" in result.reason
+    assert list(result.primes) == sympy_order_primes([5000], SCAN_BOUND)[5000]
+    assert result.scan_candidates == (SCAN_BOUND - 2) // 5000
+
+
+def test_incomplete_modulus_resolves_its_prefix_only():
+    result = primes_of_order(69, SMALL_BUDGET)
+    assert not result.complete and result.primes == (277,)
+    assert result.reason.startswith("p-1 spent ")
+    assert resolve_assignment(69, 1, SMALL_BUDGET) == 277
+    assert resolve_assignment(69, 2, SMALL_BUDGET) is None
+
+
+def test_scan_counters():
+    result = primes_of_order(8)
+    assert result.primes == (73, 137) and result.complete
+    # the cofactor is 1 after the first chunk, so the scan stops there
+    assert result.scan_candidates == 64 and result.scan_survivors == 2
+    assert result.exact_below == 1 + 65 * 8
+
+
+def test_prime_stream_matches_sieve_across_segments():
+    # the 100,000th prime is 1,299,709: the cached table, then segments
+    assert list(itertools.islice(_prime_stream(), 100_000)) == primes_up_to(1_299_709)
+
+
+class TestPm1Split:
+    def test_stage_one_block_redone_prime_by_prime(self):
+        # 210 = 2*3*5*7 and 858 = 2*3*11*13: the first block catches both
+        # primes, so only the prime-by-prime redo separates them
+        budget = FactorBudget(rho_iterations=10_000, rho_restarts=1)
+        d, _ = pm1_split(211 * 859, 2, budget)
+        assert d in (211, 859)
+
+    def test_stage_two_block_redone_prime_by_prime(self):
+        # p - 1 = 2*13*10463 and 2*8*10477: both need one stage-2 prime,
+        # and both primes fall in the same block of 64
+        budget = FactorBudget(rho_iterations=10_000, rho_restarts=1)
+        d, _ = pm1_split(272039 * 167633, 2, budget)
+        assert d in (272039, 167633)
+
+    def test_collapse_moves_to_next_base(self):
+        # base 3 catches 11 and 31 at the same prime even prime by prime
+        one = FactorBudget(rho_iterations=10_000, rho_restarts=1)
+        two = FactorBudget(rho_iterations=10_000, rho_restarts=2)
+        assert pm1_split(11 * 31, 2, one)[0] is None
+        assert pm1_split(11 * 31, 2, two)[0] in (11, 31)
+
+    def test_budget_is_spent_and_reported(self):
+        # safe primes: p - 1 = 2 * (a prime above 10**9), out of reach
+        n = 2000000579 * 2000001743
+        d, spent = pm1_split(n, 2, SMALL_BUDGET)
+        assert d is None
+        # the budget is checked before each block of 64 primes, so the last
+        # block (64 terms and a few giant steps) may run past it
+        assert 10_000 <= spent <= 10_000 + 2 * 64
+        assert pm1_split(n, 2, FactorBudget(rho_iterations=0)) == (None, 0)
+
+
+def test_first_delicate_scan_equals_predicate_loop():
+    def reference(bound):
+        return next((p for p in primes_up_to(bound) if is_digitally_delicate(p)), None)
+
+    for bound in (0, 1, 2, 10, 101, 1000, 10_000):
+        assert find_first_digitally_delicate(bound) == reference(bound)
+    assert find_first_digitally_delicate(300_000) == 294001

@@ -1,6 +1,8 @@
 """Trial division in `factor` against sympy as an independent oracle, at and
-around the trial bound, plus the prefix invariant `resolve_assignment`
-relies on."""
+around the trial bound, plus the invariant that an incomplete factorization
+still lists every prime below the bound.  (`resolve_assignment` no longer
+relies on it: order-m primes come from the scan in `primes_of_order`, whose
+exact prefix is tested in test_order_scan.py.)"""
 
 import random
 
