@@ -26,7 +26,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Optional
 
@@ -64,6 +64,8 @@ _BASE_TIERS = (
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (_DETERMINISTIC_BOUND, _DETERMINISTIC_BASES),
 )
+# Random Miller-Rabin rounds behind a probable-prime verdict.
+_RANDOM_ROUNDS = 64
 
 
 def _proven_bases(n: int) -> tuple[int, ...]:
@@ -220,14 +222,14 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = 64) -> PrimalityVerdict:
+def is_prime(n: int) -> PrimalityVerdict:
     """Decide primality of n >= 0.
 
     Deterministic (kind "proven-prime"/"composite") for n below a fixed
     Miller-Rabin bound near 3.3e24.  Above it, a probable-prime verdict is
-    backed by `rounds` Miller-Rabin rounds with deterministically derived
-    bases plus a strong Lucas double check; such verdicts are labeled, never
-    silently treated as proven.
+    backed by _RANDOM_ROUNDS Miller-Rabin rounds with deterministically
+    derived bases plus a strong Lucas double check; such verdicts are
+    labeled, never silently treated as proven.
 
     The verdict is truthy exactly when n is (probably) prime.
     """
@@ -255,11 +257,11 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityVerdict:
         # certificate to attach; the verdict is still composite.
         return PrimalityVerdict(COMPOSITE)
     rng = random.Random(n)
-    for _ in range(rounds):
+    for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _miller_rabin_witness(n, a):
             return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-    return PrimalityVerdict(PROBABLE_PRIME, rounds=rounds)
+    return PrimalityVerdict(PROBABLE_PRIME, rounds=_RANDOM_ROUNDS)
 
 
 MAX_TRIAL_BOUND = 10 ** 7
@@ -299,15 +301,14 @@ DEFAULT_BUDGET = FactorBudget()
 class Factorization:
     """Partial factorization: n = prod(p**e) * remainder.
 
-    Every p in `factors` passed is_prime (probable ones listed in
-    `probable`); `remainder` is None for a complete factorization, else a
-    composite cofactor the budget could not split.
+    Every p in `factors` passed is_prime; `remainder` is None for a
+    complete factorization, else a composite cofactor the budget could not
+    split.
     """
 
     n: int
     factors: list[tuple[int, int]]
     remainder: Optional[int] = None
-    probable: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def complete(self) -> bool:
@@ -468,7 +469,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         raise ValueError("factor requires n >= 1")
     original = n
     counts: dict[int, int] = {}
-    probable: set[int] = set()
 
     limit = budget.trial_bound
     primes, products = _prime_table(min(limit, math.isqrt(n)))
@@ -500,8 +500,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             continue
         if m < limit * limit or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
-            if m >= _DETERMINISTIC_BOUND:
-                probable.add(m)
             continue
         power = is_perfect_power(m)
         if power is not None:
@@ -516,12 +514,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             stack.append(m // d)
 
     remainder = reduce(lambda a, b: a * b, unresolved, 1) if unresolved else None
-    result = Factorization(
-        n=original,
-        factors=sorted(counts.items()),
-        remainder=remainder,
-        probable=frozenset(probable),
-    )
+    result = Factorization(n=original, factors=sorted(counts.items()), remainder=remainder)
     if result.product() != original:
         raise ArithmeticError(f"factorization of {original} does not multiply back")
     return result
@@ -554,15 +547,13 @@ def crt_combine(
     return residue, modulus
 
 
-def multiplicative_order(
-    base: int, modulus: int, budget: FactorBudget = DEFAULT_BUDGET
-) -> int:
+def multiplicative_order(base: int, modulus: int) -> int:
     """Least m >= 1 with base**m = 1 (mod modulus).
 
     Computed by factoring the group exponent and stripping prime factors,
     never by linear scan.  Requires gcd(base, modulus) = 1 and modulus >= 2;
     raises ValueError otherwise, or if the needed factorizations exceed the
-    budget (composite moduli are supported as a convenience only).
+    default budget (composite moduli are supported as a convenience only).
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -572,10 +563,10 @@ def multiplicative_order(
     if is_prime(modulus):
         exponent = modulus - 1
     else:
-        mf = factor(modulus, budget)
+        mf = factor(modulus)
         if not mf.complete:
             raise ValueError(
-                f"cannot factor modulus {modulus} within budget; "
+                f"cannot factor modulus {modulus} within the default budget; "
                 "order computation would need a linear scan"
             )
         lam = 1
@@ -587,10 +578,10 @@ def multiplicative_order(
             lam = math.lcm(lam, part)
         exponent = lam
 
-    ef = factor(exponent, budget)
+    ef = factor(exponent)
     if not ef.complete:
         raise ValueError(
-            f"cannot factor group exponent {exponent} within budget"
+            f"cannot factor group exponent {exponent} within the default budget"
         )
     if pow(base, exponent, modulus) != 1:
         # Carmichael bound is always a valid exponent; reaching here means a
@@ -603,7 +594,7 @@ def multiplicative_order(
     return order
 
 
-def has_order(base: int, m: int, modulus: int, budget: FactorBudget = DEFAULT_BUDGET) -> bool:
+def has_order(base: int, m: int, modulus: int) -> bool:
     """Whether base has multiplicative order exactly m mod modulus.
 
     Needs only the factorization of m (the order is m iff base**m = 1 and
@@ -614,7 +605,7 @@ def has_order(base: int, m: int, modulus: int, budget: FactorBudget = DEFAULT_BU
         return False
     if pow(base, m, modulus) != 1:
         return False
-    mf = factor(m, budget)
+    mf = factor(m)
     if not mf.complete:
         raise ValueError(f"cannot factor the candidate order {m}")
     return all(pow(base, m // q, modulus) != 1 for q in mf.primes())

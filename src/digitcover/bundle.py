@@ -41,9 +41,13 @@ __all__ = [
     "MOD3_DIGITS",
     "REPEATED_PRIME_DIGITS",
     "DATA_ROOT",
+    "RESOLVE_LIMIT",
 ]
 
 DATA_ROOT = Path(__file__).parent / "data"
+
+# The report resolves prime assignments for moduli up to this bound.
+RESOLVE_LIMIT = 64
 
 MOD3_DIGITS = frozenset({-7, -4, -1, 2, 5, 8})
 
@@ -422,7 +426,9 @@ class VerificationReport:
         }
 
 
-def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitReport:
+def _verify_digit(
+    bundle: TableBundle, digit: int, resolve_limit: int, budget: FactorBudget
+) -> DigitReport:
     start = time.perf_counter()
     source = "mod3" if digit in bundle.mod3_digits else "table"
     system = bundle.system(digit)
@@ -434,7 +440,7 @@ def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitR
         if row.rho is None:
             continue
         m = row.congruence.modulus
-        if m <= resolve_limit and resolve_assignment(m, row.rho) is not None:
+        if m <= resolve_limit and resolve_assignment(m, row.rho, budget):
             resolved += 1
     return DigitReport(
         digit=digit,
@@ -456,17 +462,18 @@ def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitR
 
 
 def shared_prime_checks(
-    bundle: TableBundle, resolve_limit: int
+    bundle: TableBundle, resolve_limit: int, budget: FactorBudget = DEFAULT_BUDGET
 ) -> list[SharedPrimeCheck]:
-    """Resolve assignments up to the modulus limit and check every prime
-    used by more than one digit for offset-residue consistency."""
+    """Resolve assignments up to the modulus limit within budget and check
+    every prime used by more than one digit for offset-residue
+    consistency."""
     uses: dict[int, list[tuple[int, int]]] = {}
     for digit in bundle.digits():
         for row in bundle.rows(digit):
             m = row.congruence.modulus
             if row.rho is None or m > resolve_limit:
                 continue
-            prime = resolve_assignment(m, row.rho)
+            prime = resolve_assignment(m, row.rho, budget)
             if prime is None:
                 continue
             uses.setdefault(prime, []).append((digit, row.congruence.residue))
@@ -483,20 +490,22 @@ def shared_prime_checks(
 
 def reproduce_report(
     bundle: Optional[TableBundle] = None,
-    resolve_limit: int = 64,
+    resolve_limit: int = RESOLVE_LIMIT,
+    budget: FactorBudget = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Re-verify every shipped covering and compare with the expected data.
 
     Per digit: congruence count, moduli lcm, largest prime factor, covering
     verdict and wall time, each checked against the embedded expected
     values.  Digits are reported in order of value, and shared-prime
-    consistency is checked at the end.
+    consistency is checked at the end.  Prime assignments are resolved for
+    moduli up to resolve_limit, within budget.
     """
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
-    reports = [_verify_digit(bundle, d, resolve_limit) for d in bundle.digits()]
-    shared = shared_prime_checks(bundle, resolve_limit)
+    reports = [_verify_digit(bundle, d, resolve_limit, budget) for d in bundle.digits()]
+    shared = shared_prime_checks(bundle, resolve_limit, budget)
     return VerificationReport(
         digits=reports,
         shared=shared,

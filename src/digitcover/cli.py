@@ -16,6 +16,7 @@ from typing import Optional
 from . import __version__
 from .arith import DEFAULT_BUDGET, FactorBudget, is_prime
 from .bundle import (
+    RESOLVE_LIMIT,
     BundleError,
     TableBundle,
     default_bundle,
@@ -58,6 +59,10 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _budget(args) -> FactorBudget:
+    return FactorBudget(rho_iterations=args.rho_iterations)
 
 
 def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
@@ -156,7 +161,7 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
 
 
 def cmd_construct_assemble(args) -> int:
-    budget = FactorBudget(rho_iterations=args.rho_iterations)
+    budget = _budget(args)
     digits = [int(s) for s in args.digits.split(",") if s.strip()]
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
     coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
@@ -325,8 +330,7 @@ def cmd_graham_reduce(args) -> int:
 
 
 def cmd_order_primes(args) -> int:
-    budget = FactorBudget(rho_iterations=args.rho_iterations)
-    result = primes_of_order(int(args.m), budget)
+    result = primes_of_order(int(args.m), _budget(args))
     payload = {
         "m": result.modulus,
         "primes": [str(p) for p in result.primes],
@@ -351,9 +355,8 @@ def cmd_order_primes(args) -> int:
 
 
 def cmd_order_validate(args) -> int:
-    budget = FactorBudget(rho_iterations=args.rho_iterations)
     table = load_order_table(args.file)
-    report = validate_order_table(table, budget)
+    report = validate_order_table(table, _budget(args))
     violations = report.all_violations()
     payload = {
         "file": args.file,
@@ -372,7 +375,7 @@ def cmd_order_counts(args) -> int:
     if bundle.order_counts is None:
         print("bundle has no order_prime_counts.txt", file=sys.stderr)
         return ERROR
-    budget = FactorBudget(rho_iterations=args.rho_iterations)
+    budget = _budget(args)
     rows = []
     unresolved = []
     for m in sorted(bundle.order_counts):
@@ -415,7 +418,7 @@ def cmd_order_counts(args) -> int:
 
 def cmd_report(args) -> int:
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
-    report = reproduce_report(bundle, resolve_limit=args.resolve_limit)
+    report = reproduce_report(bundle, args.resolve_limit, _budget(args))
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL
 
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--resolve-limit",
         type=int,
-        default=64,
+        default=RESOLVE_LIMIT,
         help="resolve prime assignments for moduli up to this bound",
     )
     report.set_defaults(func=cmd_report)

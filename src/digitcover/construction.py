@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DIGIT_OFFSETS = tuple(d for d in range(-9, 10) if d != 0)
+# Sampled values verify_property_star_sample also tests with is_prime.
+SPOT_CHECKS = 24
 
 
 def derive_b_residue(d: int, a: int, p: int) -> int:
@@ -79,19 +81,18 @@ class DigitCovering:
     def system(self) -> CoveringSystem:
         return CoveringSystem(tuple(e.congruence for e in self.entries))
 
-    def validate(self, check_orders: bool = True) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless primes are distinct, each prime's order
         equals its congruence modulus, and the congruences form a covering."""
         primes = [e.prime for e in self.entries]
         if len(set(primes)) != len(primes):
             raise ValueError(f"digit {self.digit}: repeated prime assignment")
-        if check_orders:
-            for e in self.entries:
-                if not has_order(10, e.congruence.modulus, e.prime):
-                    raise ValueError(
-                        f"digit {self.digit}: 10 does not have order "
-                        f"{e.congruence.modulus} mod the assigned prime {e.prime}"
-                    )
+        for e in self.entries:
+            if not has_order(10, e.congruence.modulus, e.prime):
+                raise ValueError(
+                    f"digit {self.digit}: 10 does not have order "
+                    f"{e.congruence.modulus} mod the assigned prime {e.prime}"
+                )
         verdict = is_covering_fast(self.system)
         if not verdict:
             raise ValueError(
@@ -121,10 +122,7 @@ class Construction:
         return self.modulus * index + self.offset
 
 
-def assemble(
-    coverings: Sequence[DigitCovering],
-    check_orders: bool = True,
-) -> Construction:
+def assemble(coverings: Sequence[DigitCovering]) -> Construction:
     """Glue per-digit coverings into one Construction.
 
     Validates every covering, checks that any prime shared between digits
@@ -139,7 +137,7 @@ def assemble(
     for cov in coverings:
         if cov.digit in by_digit:
             raise ValueError(f"digit {cov.digit} supplied twice")
-        cov.validate(check_orders=check_orders)
+        cov.validate()
         by_digit[cov.digit] = cov
 
     uses: dict[int, list[tuple[int, int]]] = {}
@@ -267,21 +265,20 @@ def verify_property_star_sample(
     samples: int = 100,
     k_max: int = 200,
     seed: int = 0,
-    spot_checks: int = 24,
 ) -> SampleReport:
     """Randomized check of the composite-substitution property.
 
     Draws `samples` progression elements, and for every covered digit d and
     exponent k <= k_max verifies that the certificate prime divides
     n + d * 10**k and the magnitude exceeds the prime (so divisibility
-    proves compositeness).  A few values are additionally spot-checked to
-    be composite with the primality test.  Stops at the first failure.
+    proves compositeness).  Up to SPOT_CHECKS values, drawn at random, are
+    additionally checked to be composite with the primality test.  Stops at
+    the first failure.
     """
     rng = random.Random(seed)
     digits = tuple(sorted(construction.digits))
     report = SampleReport(samples=samples, k_max=k_max, checked=0, digits=digits)
     pow10 = [10 ** k for k in range(k_max + 1)]
-    spot_budget = spot_checks
     for _ in range(samples):
         n = construction.element(rng.randrange(1, 10 ** 18))
         for d in digits:
@@ -295,8 +292,7 @@ def verify_property_star_sample(
                         f"certify {value}"
                     )
                     return report
-                if spot_budget and rng.random() < 1e-4:
-                    spot_budget -= 1
+                if report.spot_checked < SPOT_CHECKS and rng.random() < 1e-4:
                     report.spot_checked += 1
                     if is_prime(abs(value)):
                         report.failures.append(

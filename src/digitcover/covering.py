@@ -13,24 +13,26 @@ and rejected beyond, so no array exceeds LEAF_CELLS cells otherwise.
 Without a w the whole system is the single class w = 1.  With a class
 modulus w, each residue class u mod w keeps only the congruences
 consistent with it, needs lcm'/delta representatives (lcm' the lcm of the
-survivors, delta = gcd(w, lcm')), and is refined on its own.
-reduction_profile lists these classes; without a w it takes w = 1 up to
-lcm FULL_SCAN_LCM and default_w, the paper's reduction, beyond.  Either
-way a failing system's witness is the least uncovered integer.  The naive
-scan over [0, lcm), is_covering_naive, is kept as the reference the
-verifier is tested against.
+survivors, delta = gcd(w, lcm')), and is refined on its own; the paper's
+reduction is w = 60q, q the largest prime of the lcm.  reduction_profile
+lists the classes of the same w, so without one the single class that
+is_covering_fast refines.  For every w a failing system's witness is
+the least uncovered integer.  The naive scan over [0, lcm),
+is_covering_naive, is kept as the reference the verifier is tested
+against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import factor, primes_up_to
+from .arith import _prime_table, factor
 
 __all__ = [
     "Congruence",
@@ -42,14 +44,11 @@ __all__ = [
     "is_covering_naive",
     "is_covering_fast",
     "reduction_profile",
-    "default_w",
     "profile_verdict",
-    "FULL_SCAN_LCM",
     "LEAF_CELLS",
     "NAIVE_LIMIT",
 ]
 
-FULL_SCAN_LCM = 10 ** 6  # reduction_profile without a w: lcm up to this is w = 1
 NAIVE_LIMIT = 10 ** 8   # largest array marked in one piece: naive scan, unsplittable node
 LEAF_CELLS = 1 << 16    # refinement marks nodes of lcm up to this, splits larger ones
 
@@ -205,49 +204,6 @@ class ResidueClassReduction:
         return self.witness is None
 
 
-def _valuation(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def default_w(system: CoveringSystem) -> int:
-    """The class modulus used when none is supplied: 60*q for q the largest
-    prime factor of the lcm, when that divides the lcm; otherwise the
-    largest divisor of the lcm of the form 2^a * 3^b * 5^c * q that is at
-    most 10**4 * q."""
-    ell = system.lcm
-    if ell == 1:
-        return 1
-    q = lcm_analysis(system).max_prime
-    if ell % (60 * q) == 0:
-        return 60 * q
-    rest = ell // q
-    cap = 10 ** 4 * q
-    best = q
-    p2 = 1
-    for _ in range(_valuation(rest, 2) + 1):
-        p3 = 1
-        for _ in range(_valuation(rest, 3) + 1):
-            p5 = 1
-            for _ in range(_valuation(rest, 5) + 1):
-                cand = q * p2 * p3 * p5
-                if best < cand <= cap:
-                    best = cand
-                p5 *= 5
-            p3 *= 3
-        p2 *= 2
-    return best
-
-
-@lru_cache(maxsize=1)
-def _split_primes() -> tuple[int, ...]:
-    """The primes a node may be split on: those at most LEAF_CELLS."""
-    return tuple(primes_up_to(LEAF_CELLS))
-
-
 def _split_cost(progressions: dict[int, list[int]], p: int) -> int:
     """Total lcm of the p children of a split on p, without building them.
 
@@ -319,8 +275,10 @@ def _least_uncovered(
         else:
             candidates = []
             if ell > LEAF_CELLS:
-                if primes is None:
-                    primes = [p for p in _split_primes() if length % p == 0]
+                if primes is None:  # the primes <= LEAF_CELLS that divide length
+                    table, _ = _prime_table(LEAF_CELLS)
+                    split = table[: bisect.bisect_right(table, LEAF_CELLS)]
+                    primes = [p for p in split if length % p == 0]
                 candidates = [p for p in primes if ell % p == 0]
             if candidates:
                 p = min(candidates, key=lambda q: _split_cost(node, q))
@@ -413,12 +371,7 @@ def is_covering_fast(
 def reduction_profile(
     system: CoveringSystem, w: Optional[int] = None
 ) -> list[ResidueClassReduction]:
-    """Per-class reductions for every u in [0, w), each refined.
-
-    Without a w, systems with lcm <= FULL_SCAN_LCM form the single class
-    w = 1 and larger ones use default_w, the class modulus of the paper's
-    reduction.
-    """
-    if w is None:
-        w = 1 if system.lcm <= FULL_SCAN_LCM else default_w(system)
-    return list(_reductions(system, w))
+    """Per-class reductions for every u in [0, w), each refined: the
+    classes is_covering_fast(system, w) decides, so without a w the single
+    class w = 1."""
+    return list(_reductions(system, 1 if w is None else w))

@@ -404,9 +404,7 @@ class OrderTableReport:
 
 
 def validate_order_table(
-    table: OrderTable,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    cross_check: bool = True,
+    table: OrderTable, budget: FactorBudget = DEFAULT_BUDGET
 ) -> OrderTableReport:
     """Run the data-validation checklist on every row of an order table.
 
@@ -421,8 +419,9 @@ def validate_order_table(
     that many unknown prime factors; anything else is a violation.
 
     Globally, a prime may appear under at most one modulus.  When
-    cross_check is set and primes_of_order(m) completes within budget, the
-    row's prime entries must be among the computed primes.
+    primes_of_order(m) completes within budget, the row's prime entries
+    must be among the computed primes, and the row may list no more entries
+    than there are computed primes.
     """
     report = OrderTableReport()
     seen_prime_rows: dict[int, int] = {}
@@ -482,17 +481,14 @@ def validate_order_table(
                 )
             seen_prime_rows[p] = m
 
-        if cross_check:
-            known = primes_of_order(m, budget)
-            if known.complete:
-                stray = [p for p in primes if p not in known.primes]
-                if stray:
-                    row.violations.append(
-                        f"entries {stray} are not order-{m} primes"
-                    )
-                if entry.count > len(known.primes):
-                    row.violations.append(
-                        f"row lists {entry.count} entries but only "
-                        f"{len(known.primes)} primes have order {m}"
-                    )
+        known = primes_of_order(m, budget)
+        if known.complete:
+            stray = [p for p in primes if p not in known.primes]
+            if stray:
+                row.violations.append(f"entries {stray} are not order-{m} primes")
+            if entry.count > len(known.primes):
+                row.violations.append(
+                    f"row lists {entry.count} entries but only "
+                    f"{len(known.primes)} primes have order {m}"
+                )
     return report

@@ -26,7 +26,16 @@ __all__ = [
     "recurrence_period",
     "verify_cover",
     "reduce_seeds",
+    "PERIOD_PRIME_LIMIT",
+    "EXPLICIT_TERMS",
 ]
+
+# recurrence_period walks the orbit one state at a time, and a period can
+# be about 2p long, so it refuses primes above this bound.
+PERIOD_PRIME_LIMIT = 10 ** 7
+# verify_cover checks that the terms u(2), ..., u(EXPLICIT_TERMS - 1)
+# exceed every listed prime.
+EXPLICIT_TERMS = 50
 
 
 @dataclass(frozen=True)
@@ -42,12 +51,6 @@ class GrahamInstance:
         """Product of the prime set; seeds may be shifted by any multiple."""
         return math.prod(self.primes)
 
-    def term(self, n: int) -> int:
-        x, y = self.a, self.b
-        for _ in range(n):
-            x, y = y, x + y
-        return x
-
 
 @dataclass(frozen=True)
 class RecurrencePeriod:
@@ -60,7 +63,14 @@ class RecurrencePeriod:
 
 
 def recurrence_period(p: int, a: int, b: int) -> RecurrencePeriod:
-    """Walk the state orbit of (a, b) mod p until it closes."""
+    """Walk the state orbit of (a, b) mod p until it closes.
+
+    Raises ValueError unless p is a prime of at most PERIOD_PRIME_LIMIT.
+    """
+    if p > PERIOD_PRIME_LIMIT:
+        raise ValueError(
+            f"prime {p} exceeds the recurrence period limit {PERIOD_PRIME_LIMIT}"
+        )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     start = (a % p, b % p)
@@ -89,14 +99,15 @@ class CoverReport:
         return self.covered
 
 
-def verify_cover(instance: GrahamInstance, explicit_terms: int = 50) -> CoverReport:
+def verify_cover(instance: GrahamInstance) -> CoverReport:
     """Check that every recurrence index is covered by some prime's zero set.
 
     Index j is covered iff u(j) = 0 mod p for some p, which only depends on
     j mod period(p), so is_covering_fast decides it on the zero-index
     congruences and uncovered_index is the least uncovered index (0 when no
-    prime has a zero).  Raises ValueError beyond the verifier's limits.  Also
-    checks the first `explicit_terms` terms exceed max(primes), so the
+    prime has a zero).  Raises ValueError for a prime above
+    PERIOD_PRIME_LIMIT or beyond the verifier's limits.  Also checks that
+    the terms u(2), ..., u(EXPLICIT_TERMS - 1) exceed max(primes), so the
     divisibility actually proves them composite.
     """
     if not instance.primes:
@@ -115,7 +126,7 @@ def verify_cover(instance: GrahamInstance, explicit_terms: int = 50) -> CoverRep
     max_p = max(instance.primes)
     terms_ok = True
     x, y = instance.a, instance.b
-    for j in range(2, explicit_terms):
+    for _ in range(2, EXPLICIT_TERMS):
         x, y = y, x + y
         if y <= max_p:
             terms_ok = False

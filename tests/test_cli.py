@@ -1,10 +1,12 @@
 import json
 import time
 
-from digitcover.bundle import DATA_ROOT
-from digitcover.cli import main
+from digitcover.arith import DEFAULT_BUDGET
+from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT
+from digitcover.cli import build_parser, main
 
 D9_FILE = str(DATA_ROOT / "coverings" / "d9.txt")
+D_MINUS_3_FILE = str(DATA_ROOT / "coverings" / "d-3.txt")
 
 
 def run(capsys, *argv):
@@ -69,6 +71,19 @@ class TestCoverCli:
             )
             assert code == plain[0] == 1
             assert json.loads(out)["witness"] == json.loads(plain[1])["witness"] == "5"
+
+    def test_profile_lists_the_classes_of_w(self, capsys):
+        # without --w the profile is the single class the verdict refined,
+        # even for an lcm above 10**6; the paper's classes are --w 60q
+        code, out, _ = run(capsys, "cover", "verify", D_MINUS_3_FILE, "--profile")
+        assert code == 0
+        assert "profile: w=1," in out
+        assert "cells marked: 18066503 of 1486147703040 spanned" in out
+        code, out, _ = run(
+            capsys, "cover", "verify", D_MINUS_3_FILE, "--w", "1140", "--profile"
+        )
+        assert code == 0
+        assert "max span 14325696 at u in [75, 303, 531, 759, 987]" in out
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "cover", "verify", D9_FILE)
@@ -210,6 +225,15 @@ class TestGrahamCli:
         assert code == 2
         assert err.startswith("error: ") and "no prime factor" in err
 
+    def test_verify_prime_above_period_limit_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "graham", "verify", "--a", "1", "--b", "3", "--primes", "2,1000000007"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error: ") and "10000000" in err
+
     def test_reduce(self, capsys):
         code, out, _ = run(
             capsys,
@@ -312,6 +336,21 @@ class TestReportCli:
         assert d3["lcm"] == "1486147703040"
         assert d3["congruences"] == 739
 
+    def test_report_honours_rho_iterations(self, capsys):
+        resolved = []
+        for budget in ([], ["--rho-iterations", "0"]):
+            code, out, _ = run(capsys, "--format", "json", *budget, "report")
+            assert code == 0
+            digits = json.loads(out)["digits"]
+            resolved.append(sum(r["resolved_assignments"] for r in digits))
+        assert resolved == [181, 155]
+
     def test_missing_tables_dir_is_error(self, capsys):
         code, _, err = run(capsys, "report", "--tables", "/nonexistent-path")
         assert code == 2
+
+
+def test_parser_defaults_are_the_library_constants():
+    args = build_parser().parse_args(["report"])
+    assert args.resolve_limit == RESOLVE_LIMIT
+    assert args.rho_iterations == DEFAULT_BUDGET.rho_iterations

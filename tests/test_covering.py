@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from digitcover.bundle import default_bundle
 from digitcover.covering import (
-    FULL_SCAN_LCM,
     LEAF_CELLS,
     NAIVE_LIMIT,
     Congruence,
     CoverVerdict,
     CoveringSystem,
-    default_w,
     is_covering_fast,
     is_covering_naive,
     lcm_analysis,
@@ -29,6 +27,11 @@ def scan_oracle(system: CoveringSystem) -> tuple[bool, int | None]:
         if not any((r - c.residue) % c.modulus == 0 for c in system):
             return False, r
     return True, None
+
+
+def class_w(system: CoveringSystem) -> int:
+    """The largest divisor of the lcm up to 720, a class modulus w."""
+    return max(d for d in range(1, 721) if system.lcm % d == 0)
 
 
 def random_system(rng: random.Random) -> CoveringSystem:
@@ -146,14 +149,6 @@ class TestFast:
                     continue
                 assert is_covering_fast(system, w=w).covering == oracle_verdict
 
-    def test_default_w_forms(self):
-        # 60 * q divides the lcm here: q = 7, lcm = 5040
-        system = CoveringSystem.from_pairs([(0, 7), (1, 16), (2, 9), (3, 5)])
-        assert system.lcm == 5040
-        assert default_w(system) == 420
-        # fallback: lcm = 8 leaves only the 2-smooth form
-        assert default_w(D9) == 8
-
     def test_shift_soundness(self):
         rng = random.Random(5)
         covering_seen = 0
@@ -218,7 +213,7 @@ class TestReductionProfile:
         rng = random.Random(37)
         for _ in range(100):
             system = random_system(rng)
-            w = default_w(system)
+            w = class_w(system)
             verdict = profile_verdict(reduction_profile(system, w=w))
             assert verdict == is_covering_fast(system, w=w)
 
@@ -236,12 +231,12 @@ def small_systems():
     systems = [random_system(rng) for _ in range(300)]
     bundle = default_bundle()
     shipped = [bundle.system(d) for d in bundle.digits()]
-    return systems + [s for s in shipped if s.lcm <= FULL_SCAN_LCM]
+    return systems + [s for s in shipped if s.lcm <= 10 ** 6]
 
 
 class TestUnifiedVerifier:
-    """Without a w, small systems form the single class w = 1, which is the
-    naive scan; larger ones fall back to default_w."""
+    """Without a w, every system forms the single class w = 1, which gives
+    the naive scan's verdict and witness."""
 
     def test_small_systems_match_naive_verdict_and_witness(self):
         for system in small_systems():
@@ -254,9 +249,9 @@ class TestUnifiedVerifier:
             assert profile[0].span == system.lcm
             assert profile[0].congruences == system.congruences
 
-    def test_default_w_route_agrees_with_naive(self):
+    def test_class_route_agrees_with_naive(self):
         for system in small_systems():
-            w = default_w(system)
+            w = class_w(system)
             assert (
                 is_covering_fast(system, w=w).covering
                 == is_covering_naive(system).covering
@@ -266,11 +261,20 @@ class TestUnifiedVerifier:
         at_limit = CoveringSystem.from_pairs([(0, 2), (1, 10 ** 6)])
         assert reduction_profile(at_limit)[0].w == 1
         past_limit = CoveringSystem.from_pairs([(0, 2), (1, 2 ** 20)])
-        assert past_limit.lcm > FULL_SCAN_LCM
-        profile = reduction_profile(past_limit)
-        assert len(profile) == profile[0].w == default_w(past_limit) > 1
+        assert past_limit.lcm > 10 ** 6
+        (whole,) = reduction_profile(past_limit)
+        assert whole.w == 1 and whole.span == past_limit.lcm
         verdict = is_covering_fast(past_limit)
         assert not verdict.covering and not past_limit.matches(verdict.witness)
+        assert profile_verdict([whole]) == verdict
+
+    def test_shipped_digits_profile_the_verdict_class(self):
+        bundle = default_bundle()
+        for d in bundle.digits():
+            system = bundle.system(d)
+            profile = reduction_profile(system)
+            assert [r.w for r in profile] == [1]
+            assert profile_verdict(profile) == is_covering_fast(system)
 
 
 def split_covering(rng: random.Random, max_lcm: int) -> CoveringSystem:
@@ -337,7 +341,7 @@ def fast_routes(system: CoveringSystem) -> list:
     lcm as w, and with its largest divisor up to 720 as w."""
     ell = system.lcm
     p = next((q for q in range(2, ell + 1) if ell % q == 0), 1)
-    w = max(d for d in range(1, 721) if ell % d == 0)
+    w = class_w(system)
     return [is_covering_fast(system), is_covering_fast(system, w=p), is_covering_fast(system, w=w)]
 
 

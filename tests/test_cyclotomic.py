@@ -135,7 +135,7 @@ class TestValidateOrderTable:
         assert "14" in text
 
     def test_square_placeholder_fails_bullets_4_and_5(self):
-        report = validate_order_table(table_of({2: [11, 121, 121]}), cross_check=False)
+        report = validate_order_table(table_of({2: [11, 121, 121]}))
         violations = " ".join(report.rows[2].violations)
         assert "shares a factor with the prime entries" in violations
         assert "121 = 11**2" in violations
@@ -143,7 +143,7 @@ class TestValidateOrderTable:
     def test_placeholder_for_unfactored_part_is_accepted(self):
         # order-11 value is 21649 * 513239; pretend it resisted factoring
         q = 21649 * 513239
-        report = validate_order_table(table_of({11: [q, q]}), cross_check=False)
+        report = validate_order_table(table_of({11: [q, q]}))
         assert report.valid
         assert report.rows[11].provenance[q] == "placeholder-composite"
 
@@ -191,7 +191,7 @@ class TestValidateOrderTable:
         # Miller-Rabin bound, so is_prime calls it probable
         big = 2 ** 4423 - 1
         mid = 2 ** 89 - 1
-        report = validate_order_table(table_of({6: [7, mid, big]}), cross_check=False)
+        report = validate_order_table(table_of({6: [7, mid, big]}))
         row = report.rows[6]
         assert row.provenance == {
             7: "verified-prime", mid: "probable-prime", big: "probable-prime"

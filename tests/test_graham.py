@@ -7,6 +7,7 @@ import pytest
 
 from digitcover.arith import primes_up_to
 from digitcover.graham import (
+    PERIOD_PRIME_LIMIT,
     GrahamInstance,
     recurrence_period,
     reduce_seeds,
@@ -52,6 +53,15 @@ class TestRecurrencePeriod:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             recurrence_period(10, 1, 1)
+
+    def test_refuses_prime_above_limit(self):
+        assert PERIOD_PRIME_LIMIT == 10 ** 7
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(PERIOD_PRIME_LIMIT)):
+            recurrence_period(1_000_000_007, 1, 3)
+        with pytest.raises(ValueError, match="limit"):
+            verify_cover(GrahamInstance(1, 3, (2, 1_000_000_007)))
+        assert time.perf_counter() - start < 1
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(13)
