@@ -41,6 +41,7 @@ __all__ = [
     "crt_combine",
     "is_perfect_power",
     "iroot",
+    "prime_flags",
     "primes_up_to",
     "pm1_split",
 ]
@@ -112,16 +113,21 @@ class PrimalityVerdict:
         return self.kind == PROVEN_PRIME
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve."""
+def prime_flags(n: int) -> bytearray:
+    """Sieve of Eratosthenes over 0..n: byte i is 1 iff i is prime."""
     if n < 2:
-        return []
+        return bytearray(max(n + 1, 0))
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, by sieve."""
+    return [i for i, b in enumerate(prime_flags(n)) if b]
 
 
 # Trial division tests this many primes per gcd (Bernstein's batch idea).

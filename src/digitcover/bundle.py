@@ -392,7 +392,15 @@ class VerificationReport:
         for s in self.shared:
             if not s.consistent:
                 out.append(f"    INCONSISTENT prime {s.prime}: uses {s.uses}")
-        out.append(f"total {self.seconds:.2f}s; overall {'OK' if self.ok else 'FAIL'}")
+        closing = f"total {self.seconds:.2f}s; overall {'OK' if self.ok else 'FAIL'}"
+        total = sum(r.total for r in self.digits)
+        unchecked = total - sum(r.resolved for r in self.digits)
+        if unchecked:
+            closing += (
+                f"; {unchecked} of {total} prime assignments not checked "
+                f"(resolve limit {self.resolve_limit})"
+            )
+        out.append(closing)
         return out
 
     def to_dict(self) -> dict:

@@ -334,6 +334,7 @@ def cmd_order_primes(args) -> int:
     payload = {
         "m": result.modulus,
         "primes": [str(p) for p in result.primes],
+        "probable": [str(p) for p in result.primes if p in result.probable],
         "complete": result.complete,
         "exact_below": result.exact_below,
         "reason": result.reason,
@@ -345,7 +346,10 @@ def cmd_order_primes(args) -> int:
     }
     lines = [
         f"primes with 10 of order {result.modulus}: "
-        + ", ".join(str(p) for p in result.primes),
+        + ", ".join(
+            f"{p} (probable-prime)" if p in result.probable else str(p)
+            for p in result.primes
+        ),
         f"complete: {result.complete}"
         + ("" if result.complete else f" ({result.reason})"),
         f"every order-{result.modulus} prime below {result.exact_below} is listed",

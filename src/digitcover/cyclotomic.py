@@ -22,7 +22,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .arith import (
+    COMPOSITE,
     DEFAULT_BUDGET,
+    PROBABLE_PRIME,
+    PROVEN_PRIME,
     FactorBudget,
     _miller_rabin_witness,
     factor,
@@ -107,7 +110,9 @@ def cyclotomic_value(m: int, x: int) -> int:
 class OrderPrimes:
     """Primes with 10 of order `modulus`, ascending, possibly incomplete.
 
-    Every order-m prime below `exact_below` is listed.  complete is True iff
+    Every order-m prime below `exact_below` is listed.  `probable` holds the
+    listed primes that rest on `is_prime`'s probable-prime verdict alone;
+    every other listed prime is proven.  complete is True iff
     no composite cofactor is left, and then every order-m prime is listed;
     otherwise `remainder` is the product of the composite cofactors and
     `reason` says why each was not split.  scan_candidates and
@@ -119,6 +124,7 @@ class OrderPrimes:
     primes: tuple[int, ...]
     complete: bool
     exact_below: int
+    probable: frozenset[int]
     remainder: Optional[int] = None
     reason: Optional[str] = None
     scan_candidates: int = 0
@@ -189,16 +195,20 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
     # Split what is left: every part below limit**2 is prime.
     rest: list[int] = []
     reasons: list[str] = []
+    probable: set[int] = set()
     parts = [cofactor] if cofactor > 1 else []
     while parts:
         n = parts.pop()
-        if n < limit * limit or is_prime(n):
+        kind = PROVEN_PRIME if n < limit * limit else is_prime(n).kind
+        if kind != COMPOSITE:
             if not has_order(10, m, n):
                 raise ArithmeticError(
                     f"prime {n} divides the order-{m} cyclotomic value at 10 "
                     f"but 10 does not have order {m} mod {n}"
                 )
             found.add(n)
+            if kind == PROBABLE_PRIME:
+                probable.add(n)
         elif n.bit_length() > _SPLIT_BIT_LIMIT:
             rest.append(n)
             reasons.append(
@@ -218,6 +228,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
         primes=tuple(sorted(found)),
         complete=not rest,
         exact_below=limit,
+        probable=frozenset(probable),
         remainder=math.prod(rest) if rest else None,
         reason="; ".join(reasons) or None,
         scan_candidates=candidates,
@@ -238,7 +249,8 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     where it is 1 or prime.  A composite cofactor of at most _SPLIT_BIT_LIMIT
     bits is split with `pm1_split`, within budget, and each prime it yields
     is re-checked with `has_order`.  A part counts as prime below the
-    limit squared or when `is_prime` says so.
+    limit squared or when `is_prime` says so, and lands in `probable` when
+    `is_prime` only calls it a probable prime.
 
     The listed primes below `exact_below` are exactly the order-m primes
     there; the result is complete, and lists them all, iff no composite

@@ -6,6 +6,11 @@ many leading zeros) with a different digit; arithmetically it adds
 happens to primality under every such change.  Each is its input checks
 plus one call to `first_failure`, the single walker over the substitutions;
 `substitution_report` is the itemized reference.
+
+`find_first_digitally_delicate` does not walk substitutions per prime.  It
+sieves one width at a time and rejects a prime by counting the
+non-composites on its digit lines (see `_delicate_mask`); the prime it
+returns is confirmed by `first_failure`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .arith import is_prime, primes_up_to
+import numpy as np
+
+from .arith import is_prime, prime_flags
 
 __all__ = [
     "Substitution",
@@ -162,15 +169,49 @@ def is_widely_digitally_delicate_window(p: int, window: int = 64) -> WindowVerdi
     return WindowVerdict(True) if failure is None else WindowVerdict(False, failure[1])
 
 
+def _delicate_mask(width: int) -> np.ndarray:
+    """Boolean mask over [0, 10**width), true exactly at the digitally
+    delicate primes with `width` digits.
+
+    The ten numbers that agree with x outside position k are x's digit line
+    at k; replacing the leading digit by 0 stays on the line, as the shorter
+    number.  Reshaping [0, 10**width) to (10**(width-k-1), 10, 10**k) puts
+    every line at k on the middle axis, so one sum there counts the
+    non-composites (primes, 0 and 1) on all of them.  A prime is delicate
+    iff it is the only non-composite on each of its `width` lines.
+    """
+    flags = np.frombuffer(prime_flags(10 ** width - 1), dtype=np.uint8)
+    mask = flags.astype(bool)
+    mask[: 10 ** (width - 1)] = False
+    flags[:2] = 1  # values below 2 fail like primes do in `first_failure`
+    for k in range(width):
+        lines = flags.reshape(10 ** (width - k - 1), 10, 10 ** k)
+        on_lines = mask.reshape(lines.shape)
+        on_lines &= (lines.sum(axis=1, dtype=np.uint8) == 1)[:, None, :]
+    return mask
+
+
 def find_first_digitally_delicate(bound: int) -> Optional[int]:
     """Least digitally delicate prime <= bound, or None.
 
-    The sieve already proves each p prime, so the walk is called directly
-    instead of through `is_digitally_delicate`, which would re-prove it.
+    Widths 1, 2, ... are decided by `_delicate_mask` until one holds a
+    flagged prime <= bound; `first_failure` then confirms that prime.  The
+    first such prime, 294001, has six digits, so no array exceeds 10**6
+    entries whatever the bound.
     """
-    for p in primes_up_to(bound):
-        if first_failure(p) is None:
+    width = 1
+    while 10 ** (width - 1) <= bound:
+        hits = np.flatnonzero(_delicate_mask(width)[: min(bound, 10 ** width - 1) + 1])
+        if hits.size:
+            p = int(hits[0])
+            failure = first_failure(p)
+            if failure is not None:
+                raise ArithmeticError(
+                    f"the digit-line counts call {p} digitally delicate, "
+                    f"but {failure[0]} gives the non-composite {failure[1]}"
+                )
             return p
+        width += 1
     return None
 
 

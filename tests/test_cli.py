@@ -252,6 +252,15 @@ class TestOrderCli:
         assert code == 0
         assert "73, 137" in out
 
+    def test_primes_labels_probable_primes(self, capsys):
+        big = "201763709900322803748657942361"  # 30 digits, above 3.3e24
+        code, out, _ = run(capsys, "order", "primes", "41")
+        assert code == 0
+        assert f"83, 1231, 538987, {big} (probable-prime)" in out
+        code, out, _ = run(capsys, "--format", "json", "order", "primes", "41")
+        payload = json.loads(out)
+        assert payload["primes"][-1] == big and payload["probable"] == [big]
+
     def test_validate(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
         good.write_text("6: 7, 13\n")
@@ -323,6 +332,14 @@ class TestReportCli:
         code, out, _ = run(capsys, "report", "--resolve-limit", "8")
         assert code == 0
         assert "overall OK" in out
+
+    def test_report_names_unchecked_assignments(self, capsys):
+        code, out, _ = run(capsys, "report")
+        assert code == 0
+        closing = out.splitlines()[-1]
+        assert closing.endswith(
+            "; overall OK; 2477 of 2658 prime assignments not checked (resolve limit 64)"
+        )
 
     def test_report_json(self, capsys):
         code, out, _ = run(

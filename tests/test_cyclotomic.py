@@ -63,6 +63,14 @@ class TestPrimesOfOrder:
         assert primes_of_order(2).primes == (11,)
         assert primes_of_order(4).primes == (101,)
 
+    def test_probable_cofactor_is_labelled(self):
+        # the 30-digit cofactor of m = 41 is above is_prime's deterministic
+        # bound; the scanned primes below it are proven
+        result = primes_of_order(41)
+        assert result.primes == (83, 1231, 538987, 201763709900322803748657942361)
+        assert result.probable == {201763709900322803748657942361}
+        assert primes_of_order(8).probable == frozenset()
+
     def test_results_are_complete_and_increasing(self):
         for m in (1, 2, 3, 4, 5, 6, 8, 13, 29):
             result = primes_of_order(m)

@@ -1,13 +1,19 @@
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitcover.arith import is_prime, primes_up_to
+from digitcover import delicate
+from digitcover.cli import main
 from digitcover.construction import substitution_divisor
 from digitcover.delicate import (
     Substitution,
+    _delicate_mask,
     digit_at,
     digit_count,
     find_first_digitally_delicate,
@@ -175,6 +181,78 @@ class TestScan:
         first = find_first_digitally_delicate(294001)
         later = find_first_digitally_delicate(296000)
         assert first == later == 294001
+
+
+class TestDelicateMask:
+    def test_equals_first_failure_below_ten_to_the_five(self):
+        primes = primes_up_to(10 ** 5)
+        for width in range(1, 6):
+            mask = _delicate_mask(width)
+            assert mask.shape == (10 ** width,)
+            of_width = [p for p in primes if digit_count(p) == width]
+            for p in of_width:
+                assert mask[p] == (first_failure(p) is None), p
+            assert set(np.flatnonzero(mask)) <= set(of_width)
+
+    def test_flags_the_five_delicate_primes_below_a_million(self):
+        # OEIS A050249
+        for width in range(1, 6):
+            assert not _delicate_mask(width).any()
+        assert np.flatnonzero(_delicate_mask(6)).tolist() == [
+            294001, 505447, 584141, 604171, 971767
+        ]
+
+    @pytest.mark.parametrize("lone, control", [(11, 13), (10, 23)])
+    def test_zero_and_one_are_non_composite(self, monkeypatch, lone, control):
+        # With a sieve that calls only `lone` prime, its line at the tens
+        # holds 1 (for 11) or 0 (for 10) beside it; the control's does not.
+        def only(prime):
+            return lambda n: bytearray(int(i == prime) for i in range(n + 1))
+
+        monkeypatch.setattr(delicate, "prime_flags", only(lone))
+        assert not _delicate_mask(2)[lone]
+        monkeypatch.setattr(delicate, "prime_flags", only(control))
+        assert _delicate_mask(2)[control]
+
+    def test_huge_bound_is_fast_and_small(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            found = find_first_digitally_delicate(10 ** 18)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == 294001
+        assert seconds < 1.0
+        assert peak < 16 * 2 ** 20
+
+    def test_cli_scan_with_huge_bound(self, capsys):
+        assert main(["delicate", "scan", "--bound", "1000000000000"]) == 0
+        assert capsys.readouterr().out.strip() == "294001"
+
+    def test_scan_walks_substitutions_of_the_answer_only(self, monkeypatch):
+        # No timing: a per-prime walk would call first_failure once per
+        # prime below 294001 and is_prime far more than 54 times.
+        calls = {"first_failure": 0, "is_prime": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(delicate, "first_failure", counting("first_failure", first_failure))
+        monkeypatch.setattr(delicate, "is_prime", counting("is_prime", is_prime))
+        assert find_first_digitally_delicate(300000) == 294001
+        assert calls["first_failure"] == 1
+        assert calls["is_prime"] <= 54
+
+    def test_disagreement_with_first_failure_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(delicate, "first_failure", lambda p: (Substitution(0, 1, 0), 294000))
+        with pytest.raises(ArithmeticError, match="294001"):
+            find_first_digitally_delicate(300000)
 
 
 class TestCompositeStable:
