@@ -18,11 +18,11 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
-from .construction import DIGIT_OFFSETS, cross_digit_consistency
+from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
 from .cyclotomic import load_order_counts, primes_of_order
 
 __all__ = [
@@ -197,18 +197,28 @@ class TableBundle:
         return DIGIT_OFFSETS
 
     def system(self, digit: int) -> CoveringSystem:
-        if digit in self.mod3_digits:
-            return CoveringSystem((Congruence(0, 1),))
-        return CoveringSystem(tuple(r.congruence for r in self.coverings[digit]))
+        return CoveringSystem(tuple(r.congruence for r in self.rows(digit)))
 
     def rows(self, digit: int) -> tuple[CoveringRow, ...]:
         if digit in self.mod3_digits:
             return (CoveringRow(Congruence(0, 1), 1),)
+        if digit not in self.coverings:
+            raise BundleError(f"no covering table for digit {digit}")
         return self.coverings[digit]
 
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    def resolved_rows(
+        self, digit: int, resolve_limit: Optional[int], budget: FactorBudget
+    ) -> Iterator[tuple[CoveringRow, Optional[int]]]:
+        """Each row of `rows(digit)` with its prime, lazily and in order: the
+        rho-th order-m prime from `resolve_assignment`, or None when the row
+        has no index, its modulus exceeds resolve_limit (None sets no limit),
+        or the index lies beyond the proven prefix."""
+        for row in self.rows(digit):
+            m = row.congruence.modulus
+            if row.rho is None or (resolve_limit is not None and m > resolve_limit):
+                yield row, None
+            else:
+                yield row, resolve_assignment(m, row.rho, budget)
 
 
 def ingest_tables(directory: Union[str, Path]) -> TableBundle:
@@ -227,44 +237,27 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
         raise BundleError(f"{root} is not a directory")
     cov_dir = root / "coverings" if (root / "coverings").is_dir() else root
 
-    manifest = None
+    # (digit, info) per file; a globbed file's digit (None) comes from its header or name
     manifest_path = cov_dir / "manifest.json"
     if manifest_path.exists():
         try:
             manifest = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as exc:
             raise BundleError(f"{manifest_path}: invalid JSON: {exc}") from None
+        mod3 = frozenset(manifest.get("mod3_digits", ()))
+        digits = manifest.get("digits", {})
+        sources = [(int(d), digits[d]) for d in sorted(digits, key=int)]
+    else:
+        mod3 = MOD3_DIGITS
+        sources = [(None, {"file": p.name}) for p in sorted(cov_dir.glob("d*.txt"))]
 
     coverings: dict[int, tuple[CoveringRow, ...]] = {}
     warnings: list[str] = []
-    if manifest is not None:
-        mod3 = frozenset(manifest.get("mod3_digits", ()))
-        for digit_str, info in sorted(
-            manifest.get("digits", {}).items(), key=lambda kv: int(kv[0])
-        ):
-            digit = int(digit_str)
-            parsed = parse_covering_file(cov_dir / info["file"])
-            warnings.extend(parsed.warnings)
-            if parsed.digit is not None and parsed.digit != digit:
-                raise BundleError(
-                    f"{info['file']}: header digit {parsed.digit} "
-                    f"disagrees with manifest digit {digit}"
-                )
-            if "congruences" in info and info["congruences"] != len(parsed.rows):
-                raise BundleError(
-                    f"{info['file']}: {len(parsed.rows)} congruences, "
-                    f"manifest says {info['congruences']}"
-                )
-            if "sha256" in info:
-                digest = _sha256(cov_dir / info["file"])
-                if digest != info["sha256"]:
-                    raise BundleError(f"{info['file']}: checksum mismatch")
-            coverings[digit] = tuple(parsed.rows)
-    else:
-        mod3 = MOD3_DIGITS
-        for path in sorted(cov_dir.glob("d*.txt")):
-            parsed = parse_covering_file(path)
-            warnings.extend(parsed.warnings)
+    for digit, info in sources:
+        path = cov_dir / info["file"]
+        parsed = parse_covering_file(path)
+        warnings.extend(parsed.warnings)
+        if digit is None:
             digit = parsed.digit
             if digit is None:
                 try:
@@ -273,7 +266,19 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
                     raise BundleError(
                         f"{path}: no digit header and unrecognized name"
                     ) from None
-            coverings[digit] = tuple(parsed.rows)
+        elif parsed.digit is not None and parsed.digit != digit:
+            raise BundleError(
+                f"{info['file']}: header digit {parsed.digit} "
+                f"disagrees with manifest digit {digit}"
+            )
+        if "congruences" in info and info["congruences"] != len(parsed.rows):
+            raise BundleError(
+                f"{info['file']}: {len(parsed.rows)} congruences, "
+                f"manifest says {info['congruences']}"
+            )
+        if "sha256" in info and hashlib.sha256(path.read_bytes()).hexdigest() != info["sha256"]:
+            raise BundleError(f"{info['file']}: checksum mismatch")
+        coverings[digit] = tuple(parsed.rows)
 
     missing = [
         d for d in DIGIT_OFFSETS if d not in coverings and d not in mod3
@@ -290,7 +295,7 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
 
     return TableBundle(
         coverings=coverings,
-        mod3_digits=frozenset(mod3),
+        mod3_digits=mod3,
         order_counts=order_counts,
         warnings=warnings,
     )
@@ -328,22 +333,13 @@ class DigitReport:
     covering: bool
     witness: Optional[int]
     seconds: float
-    expected_congruences: Optional[int]
-    expected_lcm: Optional[int]
-    expected_max_prime: Optional[int]
-    resolved: int
-    total: int
+    matches_expected: bool
+    rows: list[tuple[CoveringRow, Optional[int]]]  # each row with its prime or None
+    probable: list[tuple[CoveringRow, int]]  # rows resolved to a probable prime
 
     @property
-    def matches_expected(self) -> bool:
-        ok = True
-        if self.expected_congruences is not None:
-            ok &= self.congruences == self.expected_congruences
-        if self.expected_lcm is not None:
-            ok &= self.lcm == self.expected_lcm
-        if self.expected_max_prime is not None:
-            ok &= self.max_prime == self.expected_max_prime
-        return ok
+    def resolved(self) -> int:
+        return sum(prime is not None for _, prime in self.rows)
 
     @property
     def ok(self) -> bool:
@@ -376,7 +372,7 @@ class VerificationReport:
             f"{'covering':>9} {'expected':>9} {'assigned':>9} {'time':>8}"
         ]
         for r in self.digits:
-            assigned = f"{r.resolved}/{r.total}"
+            assigned = f"{r.resolved}/{len(r.rows)}"
             out.append(
                 f"{r.digit:>3} {r.congruences:>5} {r.lcm:>14} {r.max_prime:>6} "
                 f"{str(r.covering):>9} {str(r.matches_expected):>9} "
@@ -392,8 +388,18 @@ class VerificationReport:
         for s in self.shared:
             if not s.consistent:
                 out.append(f"    INCONSISTENT prime {s.prime}: uses {s.uses}")
+        probable = [
+            f"d={r.digit} m={row.congruence.modulus} rho={row.rho}"
+            for r in self.digits
+            for row, _ in r.probable
+        ]
+        if probable:
+            out.append(
+                f"resolved to probable primes: {len(probable)} "
+                f"({', '.join(probable)})"
+            )
         closing = f"total {self.seconds:.2f}s; overall {'OK' if self.ok else 'FAIL'}"
-        total = sum(r.total for r in self.digits)
+        total = sum(len(r.rows) for r in self.digits)
         unchecked = total - sum(r.resolved for r in self.digits)
         if unchecked:
             closing += (
@@ -418,7 +424,15 @@ class VerificationReport:
                     "witness": None if r.witness is None else str(r.witness),
                     "matches_expected": r.matches_expected,
                     "resolved_assignments": r.resolved,
-                    "total_assignments": r.total,
+                    "total_assignments": len(r.rows),
+                    "probable_assignments": [
+                        {
+                            "modulus": row.congruence.modulus,
+                            "rho": row.rho,
+                            "prime": str(prime),
+                        }
+                        for row, prime in r.probable
+                    ],
                     "seconds": r.seconds,
                 }
                 for r in self.digits
@@ -435,38 +449,54 @@ class VerificationReport:
 
 
 def _verify_digit(
-    bundle: TableBundle, digit: int, resolve_limit: int, budget: FactorBudget
+    bundle: TableBundle,
+    digit: int,
+    rows: Iterable[tuple[CoveringRow, Optional[int]]],
+    budget: FactorBudget,
 ) -> DigitReport:
     start = time.perf_counter()
-    source = "mod3" if digit in bundle.mod3_digits else "table"
     system = bundle.system(digit)
     analysis = lcm_analysis(system)
     verdict = is_covering_fast(system)
-    resolved = 0
-    rows = bundle.rows(digit)
-    for row in rows:
-        if row.rho is None:
-            continue
-        m = row.congruence.modulus
-        if m <= resolve_limit and resolve_assignment(m, row.rho, budget):
-            resolved += 1
+    # resolved after the verdict: its split primes size arith's shared prime
+    # table in one step, where resolving first would regrow it by doubling
+    resolved = list(rows)
+    actual = (analysis.count, analysis.lcm, analysis.max_prime)
+    tables = (EXPECTED_CONGRUENCE_COUNTS, EXPECTED_LCM, EXPECTED_MAX_PRIME)
     return DigitReport(
         digit=digit,
-        source=source,
+        source="mod3" if digit in bundle.mod3_digits else "table",
         congruences=analysis.count,
         lcm=analysis.lcm,
         max_prime=analysis.max_prime,
         covering=verdict.covering,
         witness=verdict.witness,
         seconds=time.perf_counter() - start,
-        expected_congruences=EXPECTED_CONGRUENCE_COUNTS.get(digit),
-        expected_lcm=EXPECTED_LCM.get(digit) if source == "table" else 1,
-        expected_max_prime=(
-            EXPECTED_MAX_PRIME.get(digit) if source == "table" else 1
-        ),
-        resolved=resolved,
-        total=len(rows),
+        matches_expected=all(t.get(digit) in (None, a) for t, a in zip(tables, actual)),
+        rows=resolved,
+        probable=[
+            (row, prime)
+            for row, prime in resolved
+            if prime is not None
+            and prime in primes_of_order(row.congruence.modulus, budget).probable
+        ],
     )
+
+
+def _shared_checks(
+    resolved: dict[int, Iterable[tuple[CoveringRow, Optional[int]]]]
+) -> list[SharedPrimeCheck]:
+    uses = prime_uses(
+        (digit, row.congruence.residue, prime)
+        for digit, rows in resolved.items()
+        for row, prime in rows
+        if prime is not None
+    )
+    return [
+        SharedPrimeCheck(prime, tuple(pairs), cross_digit_consistency(prime, pairs))
+        for prime, pairs in sorted(uses.items())
+        if len(pairs) > 1
+    ]
 
 
 def shared_prime_checks(
@@ -475,25 +505,9 @@ def shared_prime_checks(
     """Resolve assignments up to the modulus limit within budget and check
     every prime used by more than one digit for offset-residue
     consistency."""
-    uses: dict[int, list[tuple[int, int]]] = {}
-    for digit in bundle.digits():
-        for row in bundle.rows(digit):
-            m = row.congruence.modulus
-            if row.rho is None or m > resolve_limit:
-                continue
-            prime = resolve_assignment(m, row.rho, budget)
-            if prime is None:
-                continue
-            uses.setdefault(prime, []).append((digit, row.congruence.residue))
-    checks = []
-    for prime in sorted(uses):
-        if len(uses[prime]) < 2:
-            continue
-        pairs = tuple(uses[prime])
-        checks.append(
-            SharedPrimeCheck(prime, pairs, cross_digit_consistency(prime, pairs))
-        )
-    return checks
+    return _shared_checks(
+        {d: bundle.resolved_rows(d, resolve_limit, budget) for d in bundle.digits()}
+    )
 
 
 def reproduce_report(
@@ -506,14 +520,18 @@ def reproduce_report(
     Per digit: congruence count, moduli lcm, largest prime factor, covering
     verdict and wall time, each checked against the embedded expected
     values.  Digits are reported in order of value, and shared-prime
-    consistency is checked at the end.  Prime assignments are resolved for
-    moduli up to resolve_limit, within budget.
+    consistency is checked at the end.  Each prime assignment is resolved
+    once, for moduli up to resolve_limit and within budget; every count and
+    check reads those rows.
     """
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
-    reports = [_verify_digit(bundle, d, resolve_limit, budget) for d in bundle.digits()]
-    shared = shared_prime_checks(bundle, resolve_limit, budget)
+    reports = [
+        _verify_digit(bundle, d, bundle.resolved_rows(d, resolve_limit, budget), budget)
+        for d in bundle.digits()
+    ]
+    shared = _shared_checks({r.digit: r.rows for r in reports})
     return VerificationReport(
         digits=reports,
         shared=shared,

@@ -23,7 +23,6 @@ from .bundle import (
     ingest_tables,
     parse_covering_file,
     reproduce_report,
-    resolve_assignment,
 )
 from .construction import (
     Assignment,
@@ -43,9 +42,9 @@ from .covering import (
 )
 from .cyclotomic import load_order_table, primes_of_order, validate_order_table
 from .delicate import (
+    digit_count,
     find_first_digitally_delicate,
     first_failure,
-    is_widely_digitally_delicate_window,
     require_stable_candidate,
 )
 from .graham import GrahamInstance, reduce_seeds, verify_cover
@@ -63,6 +62,13 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 def _budget(args) -> FactorBudget:
     return FactorBudget(rho_iterations=args.rho_iterations)
+
+
+def _bundle(args) -> TableBundle:
+    bundle = ingest_tables(args.tables) if args.tables else default_bundle()
+    for w in bundle.warnings:
+        print(w, file=sys.stderr)
+    return bundle
 
 
 def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
@@ -140,15 +146,12 @@ def cmd_cover_verify(args) -> int:
 
 
 def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCovering:
-    if digit not in bundle.coverings and digit not in bundle.mod3_digits:
-        raise BundleError(f"no covering table for digit {digit}")
     entries = []
-    for row in bundle.rows(digit):
+    for row, prime in bundle.resolved_rows(digit, None, budget):
         if row.rho is None:
             raise BundleError(
                 f"digit {digit}: congruence {row.congruence} has no prime index"
             )
-        prime = resolve_assignment(row.congruence.modulus, row.rho, budget)
         if prime is None:
             raise BundleError(
                 f"digit {digit}: cannot resolve the prime for "
@@ -163,7 +166,7 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
 def cmd_construct_assemble(args) -> int:
     budget = _budget(args)
     digits = [int(s) for s in args.digits.split(",") if s.strip()]
-    bundle = ingest_tables(args.tables) if args.tables else default_bundle()
+    bundle = _bundle(args)
     coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
     construction = assemble(coverings)
     if args.out:
@@ -228,25 +231,28 @@ def cmd_delicate_check(args) -> int:
     if not is_prime(n):
         print(f"{n} is not prime", file=sys.stderr)
         return ERROR
-    failure = first_failure(n)
-    delicate = failure is None
+    # one walk: the written digits first, then the leading zeros of --widely
+    leading_zeros = 0 if args.widely is None else args.widely + 1
+    failure = first_failure(n, leading_zeros)
+    delicate = failure is None or failure[0].position >= digit_count(n)
     payload = {"n": str(n), "digitally_delicate": delicate}
     lines = [f"digitally delicate: {delicate}"]
     code = OK if delicate else FAIL
     if not delicate:
         _witness(payload, lines, failure)
     if args.widely is not None and delicate:
-        verdict = is_widely_digitally_delicate_window(n, window=args.widely)
+        if args.widely < 1:
+            raise ValueError("window must be >= 1")
         payload["window"] = args.widely
-        payload["window_passed"] = verdict.passed
-        if verdict.passed:
+        payload["window_passed"] = failure is None
+        if failure is None:
             lines.append(
                 f"no prime under any substitution through "
                 f"{args.widely + 1} leading zeros (not a proof)"
             )
         else:
-            payload["witness"] = str(verdict.witness)
-            lines.append(f"leading-zero window fails: {verdict.witness} is prime")
+            payload["witness"] = str(failure[1])
+            lines.append(f"leading-zero window fails: {failure[1]} is prime")
             code = FAIL
     _emit(args, payload, lines)
     return code
@@ -375,7 +381,7 @@ def cmd_order_validate(args) -> int:
 
 
 def cmd_order_counts(args) -> int:
-    bundle = ingest_tables(args.tables) if args.tables else default_bundle()
+    bundle = _bundle(args)
     if bundle.order_counts is None:
         print("bundle has no order_prime_counts.txt", file=sys.stderr)
         return ERROR
@@ -421,7 +427,7 @@ def cmd_order_counts(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = ingest_tables(args.tables) if args.tables else default_bundle()
+    bundle = _bundle(args)
     report = reproduce_report(bundle, args.resolve_limit, _budget(args))
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL

@@ -29,6 +29,7 @@ __all__ = [
     "SampleReport",
     "derive_b_residue",
     "cross_digit_consistency",
+    "prime_uses",
     "assemble",
     "substitution_divisor",
     "verify_property_star_sample",
@@ -52,6 +53,14 @@ def cross_digit_consistency(p: int, uses: Iterable[tuple[int, int]]) -> bool:
     pin the same offset residue mod p."""
     residues = {derive_b_residue(d, a, p) for d, a in uses}
     return len(residues) <= 1
+
+
+def prime_uses(uses: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """Group (digit, residue, prime) triples by prime, in input order."""
+    grouped: dict[int, list[tuple[int, int]]] = {}
+    for d, a, p in uses:
+        grouped.setdefault(p, []).append((d, a))
+    return grouped
 
 
 @dataclass(frozen=True)
@@ -140,10 +149,11 @@ def assemble(coverings: Sequence[DigitCovering]) -> Construction:
         cov.validate()
         by_digit[cov.digit] = cov
 
-    uses: dict[int, list[tuple[int, int]]] = {}
-    for cov in by_digit.values():
-        for e in cov.entries:
-            uses.setdefault(e.prime, []).append((cov.digit, e.congruence.residue))
+    uses = prime_uses(
+        (cov.digit, e.congruence.residue, e.prime)
+        for cov in by_digit.values()
+        for e in cov.entries
+    )
 
     probable: set[int] = set()
     constraints: list[tuple[int, int]] = []

@@ -1,9 +1,14 @@
 import json
+import shutil
+from unittest import mock
 
 import pytest
 
-from digitcover.arith import multiplicative_order
+import digitcover.bundle as bundle_module
+from digitcover.arith import DEFAULT_BUDGET, multiplicative_order
 from digitcover.bundle import (
+    DATA_ROOT,
+    RESOLVE_LIMIT,
     EXPECTED_CONGRUENCE_COUNTS,
     EXPECTED_LCM,
     EXPECTED_MAX_PRIME,
@@ -11,6 +16,7 @@ from digitcover.bundle import (
     REPEATED_PRIME_DIGITS,
     BundleError,
     CoveringRow,
+    TableBundle,
     ingest_tables,
     parse_covering_file,
     reproduce_report,
@@ -19,7 +25,20 @@ from digitcover.bundle import (
     write_covering_file,
 )
 from digitcover.construction import cross_digit_consistency
-from digitcover.covering import Congruence
+from digitcover.covering import Congruence, CoveringSystem
+from digitcover.cyclotomic import primes_of_order
+
+# Rows of the default report that rest on a probable prime: (digit, m, rho).
+PROBABLE_ROWS = [(-9, 62, 1), (-6, 58, 2), (-3, 57, 3)]
+
+
+def copy_tables(tmp_path):
+    """The shipped coverings without their manifest, so files can change."""
+    cov = tmp_path / "coverings"
+    shutil.copytree(DATA_ROOT / "coverings", cov)
+    (cov / "manifest.json").unlink()
+    shutil.copy(DATA_ROOT / "order_prime_counts.txt", tmp_path)
+    return cov
 
 
 class TestParseCoveringFile:
@@ -112,12 +131,100 @@ class TestIngest:
         with pytest.raises(BundleError, match="checksum"):
             ingest_tables(tmp_path)
 
+    def test_header_disagreeing_with_manifest(self, tmp_path):
+        cov = tmp_path / "coverings"
+        cov.mkdir()
+        write_covering_file(cov / "d9.txt", 8, [CoveringRow(Congruence(0, 1), 1)])
+        manifest = {"digits": {"9": {"file": "d9.txt"}}, "mod3_digits": []}
+        (cov / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="header digit 8 disagrees with manifest digit 9"):
+            ingest_tables(tmp_path)
+
+    def test_glob_digit_from_file_name(self, tmp_path, bundle):
+        cov = copy_tables(tmp_path)
+        (cov / "d9.txt").write_text("0 2 1\n3 4 1\n1 8 1\n5 8 2\n")
+        assert ingest_tables(tmp_path).coverings[9] == bundle.coverings[9]
+
+    def test_glob_unrecognized_name(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "dx.txt").write_text("0 1 1\n")
+        with pytest.raises(BundleError, match="dx.txt: no digit header and unrecognized name"):
+            ingest_tables(tmp_path)
+
+    def test_manifest_and_glob_routes_agree(self, tmp_path, bundle):
+        copy_tables(tmp_path)
+        again = ingest_tables(tmp_path)
+        assert again.coverings == bundle.coverings
+        assert again.mod3_digits == bundle.mod3_digits
+        assert again.order_counts == bundle.order_counts
+
+    def test_warnings_collected(self, tmp_path, bundle):
+        cov = copy_tables(tmp_path)
+        (cov / "d9.txt").write_text("# digit 9\n0 2 1\n7 4 1\n1 8 1\n5 8 2\n")
+        again = ingest_tables(tmp_path)
+        assert again.coverings[9] == bundle.coverings[9]
+        assert len(again.warnings) == 1
+        assert "residue 7 normalized to 3 (mod 4)" in again.warnings[0]
+
     def test_bad_manifest_json(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
         (cov / "manifest.json").write_text("{")
         with pytest.raises(BundleError, match="invalid JSON"):
             ingest_tables(tmp_path)
+
+
+class TestResolvedRows:
+    def test_mod3_digit_is_one_row_resolving_to_3(self, bundle):
+        assert list(bundle.resolved_rows(2, RESOLVE_LIMIT, DEFAULT_BUDGET)) == [
+            (CoveringRow(Congruence(0, 1), 1), 3)
+        ]
+        assert bundle.system(2) == CoveringSystem((Congruence(0, 1),))
+
+    def test_system_is_the_rows(self, bundle):
+        for d in bundle.digits():
+            assert bundle.system(d).congruences == tuple(
+                r.congruence for r in bundle.rows(d)
+            )
+
+    def test_unknown_digit_is_bundle_error(self, bundle):
+        with pytest.raises(BundleError, match="no covering table for digit 0"):
+            bundle.rows(0)
+
+    def test_limit_and_missing_index_give_none(self, bundle):
+        rows = list(bundle.resolved_rows(9, 4, DEFAULT_BUDGET))
+        assert [p for _, p in rows] == [11, 101, None, None]
+        assert [p for _, p in bundle.resolved_rows(9, None, DEFAULT_BUDGET)] == [
+            11, 101, 73, 137
+        ]
+        unindexed = TableBundle(
+            coverings={9: (CoveringRow(Congruence(0, 2)), CoveringRow(Congruence(1, 2), 1))},
+            mod3_digits=frozenset(),
+        )
+        assert [p for _, p in unindexed.resolved_rows(9, None, DEFAULT_BUDGET)] == [None, 11]
+
+    def test_lazy(self, bundle):
+        # d = -3 lists moduli up to 75,240; taking the first rows must not
+        # resolve the rest
+        calls = []
+        with mock.patch.object(
+            bundle_module, "resolve_assignment", lambda *a: calls.append(a) or 0
+        ):
+            rows = bundle.resolved_rows(-3, None, DEFAULT_BUDGET)
+            next(rows), next(rows)
+        assert len(calls) == 2
+
+    def test_report_resolves_each_row_once(self):
+        calls = []
+        resolve = bundle_module.resolve_assignment
+        with mock.patch.object(
+            bundle_module,
+            "resolve_assignment",
+            lambda *a: calls.append(a) or resolve(*a),
+        ):
+            report = reproduce_report()
+        assert len(calls) == 181
+        assert sum(r.resolved for r in report.digits) == 181
 
 
 class TestResolveAssignment:
@@ -156,6 +263,50 @@ class TestReport:
         by_prime = {c.prime: c for c in checks}
         assert set(by_prime[3].uses) == {(d, 0) for d in MOD3_DIGITS}
         assert sorted(d for d, _ in by_prime[11].uses) == [-9, -2, 9]
+
+
+class TestReportProbableAssignments:
+    def test_names_the_probable_rows(self, bundle):
+        report = reproduce_report(bundle)
+        named = [
+            (r.digit, row.congruence.modulus, row.rho)
+            for r in report.digits
+            for row, _ in r.probable
+        ]
+        assert named == PROBABLE_ROWS
+        for r in report.digits:
+            for row, prime in r.probable:
+                assert prime in primes_of_order(row.congruence.modulus).probable
+        lines = report.lines()
+        shared = next(i for i, line in enumerate(lines) if line.startswith("shared primes"))
+        assert lines[shared + 1] == (
+            "resolved to probable primes: 3 "
+            "(d=-9 m=62 rho=1, d=-6 m=58 rho=2, d=-3 m=57 rho=3)"
+        )
+        assert report.ok
+
+    def test_json_lists_them_per_digit(self, bundle):
+        digits = {r["digit"]: r for r in reproduce_report(bundle).to_dict()["digits"]}
+        assert digits[-9]["probable_assignments"] == [
+            {"modulus": 62, "rho": 1, "prime": "909090909090909090909090909091"}
+        ]
+        with_probable = sorted(d for d, r in digits.items() if r["probable_assignments"])
+        assert with_probable == [-9, -6, -3]
+
+    def test_no_line_when_none_resolved(self, bundle):
+        report = reproduce_report(bundle, 8, DEFAULT_BUDGET)
+        assert not any(r.probable for r in report.digits)
+        assert not any(line.startswith("resolved to probable") for line in report.lines())
+
+
+class TestMatchesExpected:
+    def test_changed_table_fails_the_expected_counts(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "d9.txt").write_text("# digit 9\n0 2 1\n1 2\n")
+        report = reproduce_report(ingest_tables(tmp_path), 8, DEFAULT_BUDGET)
+        d9 = next(r for r in report.digits if r.digit == 9)
+        assert d9.covering and not d9.matches_expected
+        assert not report.ok
 
 
 class TestRepeatedPrimeTable:

@@ -1,9 +1,16 @@
 import json
+import re
+import shutil
 import time
+from unittest import mock
 
+import pytest
+
+import digitcover.delicate as delicate_module
 from digitcover.arith import DEFAULT_BUDGET
-from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT
+from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT, default_bundle
 from digitcover.cli import build_parser, main
+from digitcover.construction import load_construction
 
 D9_FILE = str(DATA_ROOT / "coverings" / "d9.txt")
 D_MINUS_3_FILE = str(DATA_ROOT / "coverings" / "d-3.txt")
@@ -132,6 +139,49 @@ class TestConstructCli:
         assert code == 2
         assert "cannot resolve" in err
 
+    def test_unresolvable_digit_stops_at_the_first_unresolved_row(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "construct", "assemble", "--digits", "-3")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert "cannot resolve the prime for 25 (mod 210)" in err
+
+    def test_row_without_index_is_data_error(self, tmp_path, capsys):
+        cov = tmp_path / "coverings"
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        (cov / "manifest.json").unlink()
+        (cov / "d9.txt").write_text("# digit 9\n0 2 1\n3 4\n1 8 1\n5 8 2\n")
+        code, _, err = run(
+            capsys, "construct", "assemble", "--digits", "9", "--tables", str(tmp_path)
+        )
+        assert code == 2
+        assert "digit 9: congruence 3 (mod 4) has no prime index" in err
+
+    def test_unknown_digit_is_data_error(self, capsys):
+        code, _, err = run(capsys, "construct", "assemble", "--digits", "0")
+        assert code == 2
+        assert "no covering table for digit 0" in err
+
+    def test_assembled_primes_are_the_report_rows(self, tmp_path, capsys):
+        out_file = tmp_path / "mini.txt"
+        digits = (9, 2, 5, 8, -1, -4, -7)
+        code, _, _ = run(
+            capsys, "construct", "assemble",
+            "--digits", ",".join(map(str, digits)), "--out", str(out_file),
+        )
+        assert code == 0
+        construction = load_construction(out_file)
+        bundle = default_bundle()
+        for d in digits:
+            assigned = [
+                (e.congruence, e.rho, e.prime) for e in construction.digits[d].entries
+            ]
+            reported = [
+                (row.congruence, row.rho, prime)
+                for row, prime in bundle.resolved_rows(d, RESOLVE_LIMIT, DEFAULT_BUDGET)
+            ]
+            assert assigned == reported, d
+
 
 class TestDelicateCli:
     def test_check_delicate_prime(self, capsys):
@@ -184,6 +234,82 @@ class TestDelicateCli:
         code, _, err = run(capsys, "delicate", "stable", "13")
         assert code == 2
         assert "13 is not composite" in err
+
+
+class TestDelicateWindowCli:
+    def test_one_walk(self, capsys):
+        calls = []
+        is_prime = delicate_module.is_prime
+        with mock.patch.object(
+            delicate_module, "is_prime", lambda n: calls.append(n) or is_prime(n)
+        ):
+            code, out, _ = run(capsys, "delicate", "check", "294001", "--widely", "1")
+        assert code == 1
+        assert out.splitlines()[-1] == "leading-zero window fails: 10294001 is prime"
+        assert len(calls) <= 64
+        assert len(calls) == len(set(calls))
+
+    def test_window_passed(self, capsys):
+        code, out, _ = run(capsys, "delicate", "check", "604171", "--widely", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "digitally delicate: True",
+            "no prime under any substitution through 2 leading zeros (not a proof)",
+        ]
+        code, out, _ = run(
+            capsys, "--format", "json", "delicate", "check", "604171", "--widely", "1"
+        )
+        assert json.loads(out) == {
+            "n": "604171", "digitally_delicate": True, "window": 1, "window_passed": True,
+        }
+
+    def test_zero_window_is_checked_only_for_delicate_primes(self, capsys):
+        code, out, _ = run(capsys, "delicate", "check", "101", "--widely", "0")
+        assert code == 1
+        assert "witness: position 0, 1 -> 3 gives 103" in out
+        code, out, err = run(capsys, "delicate", "check", "294001", "--widely", "0")
+        assert code == 2
+        assert out == ""
+        assert "window must be >= 1" in err
+
+    def test_written_digit_witness_wins_over_the_window(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "delicate", "check", "101", "--widely", "3"
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "n": "101", "digitally_delicate": False, "witness": "103",
+        }
+
+
+class TestTablesWarnings:
+    @pytest.fixture
+    def tables(self, tmp_path):
+        cov = tmp_path / "coverings"
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        (cov / "manifest.json").unlink()
+        shutil.copy(DATA_ROOT / "order_prime_counts.txt", tmp_path)
+        (cov / "d9.txt").write_text("# digit 9\n0 2 1\n7 4 1\n1 8 1\n5 8 2\n")
+        return str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("report", "--resolve-limit", "8"),
+            ("order", "counts", "--limit", "8"),
+            ("construct", "assemble", "--digits", "9"),
+        ],
+    )
+    def test_warnings_go_to_stderr(self, capsys, tables, argv):
+        code, out, err = run(capsys, *argv)
+        code_t, out_t, err_t = run(capsys, *argv, "--tables", tables)
+        assert err == ""
+        assert err_t.splitlines() == [
+            f"{tables}/coverings/d9.txt:3: residue 7 normalized to 3 (mod 4)"
+        ]
+        assert code_t == code
+        seconds = re.compile(r"\d+\.\d\ds")  # the report's timings
+        assert seconds.sub("", out_t) == seconds.sub("", out)
 
 
 class TestGrahamCli:

@@ -155,6 +155,24 @@ class TestValidateOrderTable:
         assert report.valid
         assert report.rows[11].provenance[q] == "placeholder-composite"
 
+    def test_repeated_prime_entry(self):
+        report = validate_order_table(table_of({6: [7, 7, 13]}))
+        assert "repeated prime entry" in report.rows[6].violations
+
+    def test_two_distinct_placeholders(self):
+        # the order-30 value is 211 * 241 * 2161
+        report = validate_order_table(table_of({30: [211 * 241, 241 * 2161]}))
+        assert report.rows[30].violations == [
+            f"more than one composite placeholder: {[211 * 241, 241 * 2161]}"
+        ]
+
+    def test_placeholder_listed_three_times(self):
+        q = 21649 * 513239
+        report = validate_order_table(table_of({11: [q, q, q]}))
+        violations = report.rows[11].violations
+        assert f"composite placeholder {q} appears 3 times" in violations
+        assert not report.valid
+
     def test_wrong_order_prime_caught_by_divisibility(self):
         report = validate_order_table(table_of({6: [7, 11]}))
         assert not report.valid  # 11 has order 2, does not divide the value

@@ -1,0 +1,35 @@
+"""Every table row reaches its prime through one function: the report, its
+shared-prime check and `construct assemble` all consume that resolver, so
+they cannot resolve a row differently."""
+
+import ast
+from pathlib import Path
+
+import digitcover
+
+PACKAGE = Path(digitcover.__file__).parent
+
+
+def callers(name: str) -> set[str]:
+    """`module:function` for every function in the package that calls `name`."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.add(f"{path.stem}:{func.name}")
+    return found
+
+
+def test_resolve_assignment_has_one_caller():
+    assert callers("resolve_assignment") == {"bundle:resolved_rows"}
+
+
+def test_prime_grouping_has_one_definition():
+    assert callers("prime_uses") == {"bundle:_shared_checks", "construction:assemble"}
