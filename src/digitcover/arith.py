@@ -4,20 +4,23 @@ Everything here is plain Python int arithmetic (arbitrary precision, exact).
 All functions are pure and safe to call from multiple threads.
 
 `factor` trial-divides by primes only, drawn from one sieved prime table
-that is built on first use (never at import) and grows when a larger bound
-is asked for.  The table is cut into fixed blocks whose products are
-precomputed, so one gcd of n with a block's product decides whether any of
-its primes divides n; only blocks with a common factor are walked prime by
-prime (batch trial division, after Bernstein's "How to find small factors
-of integers").  `is_perfect_power` takes its prime exponents from the same
-table.
+that is built on first use (never at import, and to at least 2^16) and
+grows when a larger bound is asked for.  The table is cut into fixed blocks
+whose products are precomputed, so one gcd of n with a block's product
+decides whether any of its primes divides n; only blocks with a common
+factor are walked prime by prime (batch trial division, after Bernstein's
+"How to find small factors of integers").  `is_perfect_power` takes its
+prime exponents from the same table.  A composite cofactor then gets a
+short Pollard p - 1 pass sized by the cofactor, about a quarter of the
+multiplications Brent rho expects to need, and rho only if that finds
+nothing.
 
 `pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
 stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
 prime factors p are known to have a given factor of p - 1: the order-m
-primes of `cyclotomic` all have lcm(2, m) | p - 1.  Its primes come from
-the cached table and then a segmented sieve, so no prime list grows past
-the table.
+primes of `cyclotomic` all have lcm(2, m) | p - 1, and every odd prime has
+2 | p - 1.  Its primes come from the cached table and then a segmented
+sieve, so no prime list grows past the table.
 """
 
 from __future__ import annotations
@@ -132,6 +135,10 @@ def primes_up_to(n: int) -> list[int]:
 
 # Trial division tests this many primes per gcd (Bernstein's batch idea).
 _BLOCK = 512
+# The least bound the prime table is sieved to, and the integers sieved per
+# segment by _prime_stream.  Covering refinement and the p - 1 pass of
+# `factor` read this far, so the first sieve already serves them.
+_SEGMENT = 1 << 16
 # (bound, primes <= bound, block products); replaced whole, never mutated, so
 # concurrent readers always see a consistent triple.
 _table: tuple[int, list[int], list[int]] = (0, [], [])
@@ -139,11 +146,12 @@ _table: tuple[int, list[int], list[int]] = (0, [], [])
 
 def _prime_table(bound: int) -> tuple[list[int], list[int]]:
     """Every prime <= bound (possibly more), with the product of each block of
-    _BLOCK consecutive primes.  Built on first use and grown by doubling."""
+    _BLOCK consecutive primes.  Built on first use, to at least _SEGMENT, and
+    grown by doubling."""
     global _table
     table = _table
     if table[0] < bound:
-        top = max(bound, 2 * table[0])
+        top = max(bound, 2 * table[0], _SEGMENT)
         primes = primes_up_to(top)
         products = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
         table = _table = (top, primes, products)
@@ -282,8 +290,10 @@ class FactorBudget:
         most MAX_TRIAL_BOUND, which keeps the prime table small).
         `primes_of_order` does not trial-divide and ignores it.
     rho_iterations: for `factor`, Pollard-rho (Brent) iterations per
-        attempt; for `primes_of_order`, the modular multiplications that
-        `pm1_split` may spend on each composite cofactor.
+        attempt, and also a cap on the modular multiplications of the
+        p - 1 pass before rho; for `primes_of_order`, the modular
+        multiplications that `pm1_split` may spend on each composite
+        cofactor.
     rho_restarts: for `factor`, rho attempts with distinct polynomial
         constants per cofactor; for `primes_of_order`, the p - 1 bases tried
         on a cofactor whose gcd collapses to the whole cofactor.
@@ -344,7 +354,7 @@ def _brent_rho(n: int, budget: FactorBudget) -> Optional[int]:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 count += min(128, r - k)
                 g = math.gcd(q, n)
                 k += 128
@@ -353,14 +363,12 @@ def _brent_rho(n: int, budget: FactorBudget) -> Optional[int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None
 
 
-# Integers sieved per segment by _prime_stream.
-_SEGMENT = 1 << 16
 # Primes per gcd in both stages of pm1_split.
 _PM1_BLOCK = 64
 # Giant step W of stage 2 in pm1_split.  W = 2*3*5*7, so for every prime
@@ -466,7 +474,15 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
 
 
 def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
-    """Factor n >= 1 within budget: trial division then Pollard rho (Brent).
+    """Factor n >= 1 within budget: trial division, then Pollard p - 1 sized
+    by the cofactor, then Pollard rho (Brent).
+
+    Each composite cofactor m that is not a perfect power first gets one
+    base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
+    rho_iterations) modular multiplications, about a quarter of what rho
+    expects to spend on a balanced m; it catches a factor p with p - 1
+    smooth.  If it finds nothing, rho runs with the full budget.  So
+    rho_iterations = 0 still means trial division only.
 
     Never wrong, possibly incomplete: budget exhaustion leaves a composite
     remainder rather than guessing.  product() always reproduces n exactly.
@@ -512,7 +528,10 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             base, exp = power
             stack.extend([base] * exp)
             continue
-        d = _brent_rho(m, budget)
+        cap = min(math.isqrt(math.isqrt(m)) // 4, budget.rho_iterations)
+        d, _ = pm1_split(m, 2, FactorBudget(rho_iterations=cap, rho_restarts=1))
+        if d is None:
+            d = _brent_rho(m, budget)
         if d is None:
             unresolved.append(m)
         else:

@@ -228,9 +228,10 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     (falling back to globbing when no manifest exists), and optionally
     `order_prime_counts.txt` at the top level.  The manifest is only checked
     here, not kept: raises BundleError when a digit is neither tabulated nor
-    marked mod3, when a manifest row count or sha256 disagrees with the
-    file, or on any parse error.  An `order_table.txt` is not read; `order
-    validate` checks such a file on its own.
+    marked mod3, when a file's digit is not a digit offset or was already
+    supplied by another file, when a manifest row count or sha256 disagrees
+    with the file, or on any parse error.  An `order_table.txt` is not read;
+    `order validate` checks such a file on its own.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -252,6 +253,7 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
         sources = [(None, {"file": p.name}) for p in sorted(cov_dir.glob("d*.txt"))]
 
     coverings: dict[int, tuple[CoveringRow, ...]] = {}
+    files: dict[int, str] = {}  # the file that supplied each digit
     warnings: list[str] = []
     for digit, info in sources:
         path = cov_dir / info["file"]
@@ -278,6 +280,15 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
             )
         if "sha256" in info and hashlib.sha256(path.read_bytes()).hexdigest() != info["sha256"]:
             raise BundleError(f"{info['file']}: checksum mismatch")
+        if digit not in DIGIT_OFFSETS:
+            raise BundleError(
+                f"{info['file']}: digit {digit} is not a digit offset (-9..-1, 1..9)"
+            )
+        if digit in files:
+            raise BundleError(
+                f"{info['file']}: digit {digit} is already supplied by {files[digit]}"
+            )
+        files[digit] = info["file"]
         coverings[digit] = tuple(parsed.rows)
 
     missing = [

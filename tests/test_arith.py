@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitcover.arith as arith
 from digitcover.arith import (
     FactorBudget,
     crt_combine,
@@ -17,6 +19,7 @@ from digitcover.arith import (
     primes_up_to,
     _miller_rabin_witness,
 )
+from digitcover.covering import LEAF_CELLS
 
 
 def brute_order(base: int, modulus: int) -> int:
@@ -202,6 +205,17 @@ class TestFactor:
         assert not result.complete
         assert result.remainder == p * q
         assert result.product() == p * q
+
+    def test_prime_table_is_sieved_once_for_factor_then_covering(self):
+        # the first sieve reaches 2^16, which covering refinement reads next
+        calls = []
+        sieve = arith.primes_up_to
+        with mock.patch.object(arith, "_table", (0, [], [])), mock.patch.object(
+            arith, "primes_up_to", lambda n: calls.append(n) or sieve(n)
+        ):
+            factor(91)
+            arith._prime_table(LEAF_CELLS)
+        assert calls == [LEAF_CELLS]
 
     def test_perfect_power_shortcut(self):
         p = 1_000_003

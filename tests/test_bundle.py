@@ -166,6 +166,31 @@ class TestIngest:
         assert len(again.warnings) == 1
         assert "residue 7 normalized to 3 (mod 4)" in again.warnings[0]
 
+    def test_glob_digit_outside_offsets(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "d12.txt").write_text("0 1 1\n")
+        with pytest.raises(BundleError, match="d12.txt: digit 12 is not a digit offset"):
+            ingest_tables(tmp_path)
+
+    def test_glob_digit_supplied_twice(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "d09.txt").write_text("0 2 1\n1 2 1\n")
+        with pytest.raises(BundleError, match="d9.txt: digit 9 is already supplied by d09.txt"):
+            ingest_tables(tmp_path)
+
+    def test_manifest_digit_supplied_twice(self, tmp_path):
+        cov = tmp_path / "coverings"
+        cov.mkdir()
+        write_covering_file(cov / "d9.txt", 9, [CoveringRow(Congruence(0, 1), 1)])
+        write_covering_file(cov / "d09.txt", 9, [CoveringRow(Congruence(0, 1), 1)])
+        manifest = {
+            "digits": {"9": {"file": "d9.txt"}, "09": {"file": "d09.txt"}},
+            "mod3_digits": [],
+        }
+        (cov / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="d09.txt: digit 9 is already supplied by d9.txt"):
+            ingest_tables(tmp_path)
+
     def test_bad_manifest_json(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
