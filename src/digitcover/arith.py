@@ -5,7 +5,9 @@ All functions are pure and safe to call from multiple threads.
 
 `factor` trial-divides by primes only, drawn from one sieved prime table
 that is built on first use (never at import, and to at least 2^16) and
-grows when a larger bound is asked for.  The table is cut into fixed blocks
+grows when a larger bound is asked for.  Below 2^64 one numpy sweep of n
+modulo the table's primes, held as uint64, finds every prime that divides
+n.  Larger n take the block-gcd walk: the table is cut into fixed blocks
 whose products are precomputed, so one gcd of n with a block's product
 decides whether any of its primes divides n; only blocks with a common
 factor are walked prime by prime (batch trial division, after Bernstein's
@@ -31,7 +33,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 __all__ = [
     "PrimalityVerdict",
@@ -54,7 +58,10 @@ __all__ = [
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Smaller proven base sets for smaller inputs (Jaeschke; Sinclair).
+# Smaller proven base sets for smaller inputs (Jaeschke; Sinclair).  Each
+# tier's bases lie below its lower bound, so no base is reduced mod n.
+# Sinclair's seven bases below 2^64 were proven by checking them against
+# Feitsma's enumeration of the base-2 strong pseudoprimes below 2^64.
 _BASE_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -66,6 +73,7 @@ _BASE_TIERS = (
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (_DETERMINISTIC_BOUND, _DETERMINISTIC_BASES),
 )
 # Random Miller-Rabin rounds behind a probable-prime verdict.
@@ -139,32 +147,49 @@ _BLOCK = 512
 # segment by _prime_stream.  Covering refinement and the p - 1 pass of
 # `factor` read this far, so the first sieve already serves them.
 _SEGMENT = 1 << 16
-# (bound, primes <= bound, block products); replaced whole, never mutated, so
-# concurrent readers always see a consistent triple.
-_table: tuple[int, list[int], list[int]] = (0, [], [])
+# `factor` sweeps n modulo the table's primes in one numpy pass below this.
+_WORD = 1 << 64
 
 
-def _prime_table(bound: int) -> tuple[list[int], list[int]]:
-    """Every prime <= bound (possibly more), with the product of each block of
-    _BLOCK consecutive primes.  Built on first use, to at least _SEGMENT, and
-    grown by doubling."""
+class _PrimeTable(NamedTuple):
+    bound: int
+    primes: list[int]  # every prime <= bound, ascending
+    products: list[int]  # product of each block of _BLOCK consecutive primes
+    words: np.ndarray  # the primes as uint64, for the sweep below _WORD
+    # by a count of primes that ends inside a block, the product of that
+    # block's primes below the count: trial division's last, partial block
+    partials: dict[int, int]
+
+
+# Replaced whole when it grows, so concurrent readers always see one
+# consistent table; only its cache of partial-block products gains entries.
+_table = _PrimeTable(0, [], [], np.zeros(0, np.uint64), {})
+
+
+def _prime_table(bound: int) -> _PrimeTable:
+    """The table of every prime <= bound (possibly more).  Built on first use,
+    to at least _SEGMENT, and grown by doubling."""
     global _table
     table = _table
     if table[0] < bound:
         top = max(bound, 2 * table[0], _SEGMENT)
         primes = primes_up_to(top)
         products = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
-        table = _table = (top, primes, products)
-    return table[1], table[2]
+        table = _table = _PrimeTable(top, primes, products, np.array(primes, np.uint64), {})
+    return table
 
 
-def _miller_rabin_witness(n: int, a: int) -> bool:
-    """True if base a proves n composite (n odd, n > 2, 1 < a < n)."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+def _odd_part(n: int) -> tuple[int, int]:
+    """(d, s) with n = d * 2**s and d odd, for n > 0."""
+    s = (n & -n).bit_length() - 1
+    return n >> s, s
+
+
+def _miller_rabin_witness(n: int, a: int, d: int = 0, s: int = 0) -> bool:
+    """True if base a proves n composite (n odd, n > 2, 1 < a < n).  A caller
+    that tests several bases passes n - 1 = d * 2**s, split once."""
+    if not d:
+        d, s = _odd_part(n - 1)
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -206,11 +231,7 @@ def _strong_lucas_prp(n: int) -> bool:
         d = -(d + 2) if d > 0 else -(d - 2)
     p, q = 1, (1 - d) // 4
 
-    k = n + 1
-    s = 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
+    k, s = _odd_part(n + 1)
 
     # Lucas sequences U_k, V_k by binary ladder.
     u, v, qk = 1, p, q % n
@@ -240,8 +261,13 @@ def is_prime(n: int) -> PrimalityVerdict:
     """Decide primality of n >= 0.
 
     Deterministic (kind "proven-prime"/"composite") for n below a fixed
-    Miller-Rabin bound near 3.3e24.  Above it, a probable-prime verdict is
-    backed by _RANDOM_ROUNDS Miller-Rabin rounds with deterministically
+    Miller-Rabin bound near 3.3e24: the first 13 prime bases
+    (Sorenson-Webster), fewer below smaller bounds, and from 3.4e14 to 2^64
+    Sinclair's seven bases 2, 325, 9375, 28178, 450775, 9780504 and
+    1795265022, proven deterministic there against Feitsma's enumeration of
+    the base-2 strong pseudoprimes below 2^64.  n - 1 = d * 2**s is split
+    once for all bases.  Above the bound, a probable-prime verdict is backed
+    by _RANDOM_ROUNDS Miller-Rabin rounds with deterministically
     derived bases plus a strong Lucas double check; such verdicts are
     labeled, never silently treated as proven.
 
@@ -257,8 +283,9 @@ def is_prime(n: int) -> PrimalityVerdict:
     if n < _SMALL_PRIMES[-1] ** 2:
         return PrimalityVerdict(PROVEN_PRIME)
 
+    d, s = _odd_part(n - 1)
     for a in _proven_bases(n):
-        if _miller_rabin_witness(n, a):
+        if _miller_rabin_witness(n, a, d, s):
             return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
     if n < _DETERMINISTIC_BOUND:
         return PrimalityVerdict(PROVEN_PRIME)
@@ -273,7 +300,7 @@ def is_prime(n: int) -> PrimalityVerdict:
     rng = random.Random(n)
     for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, n - 1)
-        if _miller_rabin_witness(n, a):
+        if _miller_rabin_witness(n, a, d, s):
             return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
     return PrimalityVerdict(PROBABLE_PRIME, rounds=_RANDOM_ROUNDS)
 
@@ -374,24 +401,41 @@ _PM1_BLOCK = 64
 # Giant step W of stage 2 in pm1_split.  W = 2*3*5*7, so for every prime
 # q > 7 the baby step r = v*W - q is one of the 48 residues prime to W.
 _PM1_GIANT = 210
+# Baby steps r that stage 2 can meet: those 48, and one each for q <= 7.
+_PM1_RESIDUES = 52
 
 
 def _prime_stream() -> Iterator[int]:
     """Every prime, ascending: the cached table, then one segment of
     _SEGMENT integers at a time, sieved with base primes from the table."""
-    primes, _ = _prime_table(_SEGMENT)
+    primes = _prime_table(_SEGMENT).primes
     yield from primes
     lo = primes[-1] + 1
     while True:
         hi = lo + _SEGMENT
         sieve = bytearray([1]) * _SEGMENT
         root = math.isqrt(hi - 1)
-        base, _ = _prime_table(root)
+        base = _prime_table(root).primes
         for p in base[: bisect.bisect_right(base, root)]:
             start = max(p * p, -(-lo // p) * p) - lo
             sieve[start::p] = bytes(len(range(start, _SEGMENT, p)))
         yield from itertools.compress(range(lo, hi), sieve)
         lo = hi
+
+
+def _stage_two_fit(block: list[int], v: int, small: dict[int, int], room: int) -> int:
+    """How many leading primes of a stage-2 block of `pm1_split` fit in room
+    multiplications, from giant step v with the powers x**r in small."""
+    seen = set(small)
+    for i, q in enumerate(block):
+        u = -(-q // _PM1_GIANT)
+        r = u * _PM1_GIANT - q
+        room -= u - v + 1 + (0 if r in seen else r.bit_length())
+        if room < 0:
+            return i
+        v = u
+        seen.add(r)
+    return len(block)
 
 
 def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], int]:
@@ -410,27 +454,33 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
     _PM1_BLOCK primes.  A block whose gcd is all of n is redone prime by
     prime; if one prime still catches every factor, the next base is tried,
     up to rho_restarts bases.  The budget of rho_iterations multiplications
-    covers all bases and is checked before each block.
+    covers all bases.  A stage-1 block takes prime powers only while its
+    exponent's bit length fits the budget left, and stage 2 takes a prime
+    only if its multiplications fit, so spent exceeds rho_iterations by at
+    most the bits of one prime power.
     """
     limit = budget.rho_iterations
     stage_one = min(limit // 4, 25 * math.isqrt(limit))
     spent = 0
     for base in _SMALL_PRIMES[1 : 1 + budget.rho_restarts]:
-        if spent >= limit:
+        if spent + known.bit_length() > limit:
             break
         x = pow(base, known, n)
         spent += known.bit_length()
         primes = _prime_stream()
-        # stage 1: x <- x**(q**e), gcd(x - 1, n) once per block
+        # stage 1: x <- x**(q**e), gcd(x - 1, n) once per block; a block
+        # takes prime powers while its exponent fits the budget left
         g = 1
         while g == 1 and spent < stage_one:
-            powers = []
-            for q in itertools.islice(primes, _PM1_BLOCK):
+            powers, exponent = [], 1
+            for q in primes:
                 pe = q
                 while pe * q <= limit:
                     pe *= q
                 powers.append(pe)
-            exponent = math.prod(powers)
+                exponent *= pe
+                if len(powers) == _PM1_BLOCK or spent + exponent.bit_length() >= limit:
+                    break
             y = pow(x, exponent, n)
             spent += exponent.bit_length()
             g = math.gcd(y - 1, n)
@@ -442,12 +492,22 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
                         break
             x = y
         # stage 2: x**(v*W) - x**r for each next prime q = v*W - r
-        giant = pow(x, _PM1_GIANT, n)
-        spent += _PM1_GIANT.bit_length()
+        fits = spent + _PM1_GIANT.bit_length() < limit
+        if fits:
+            giant = pow(x, _PM1_GIANT, n)
+            spent += _PM1_GIANT.bit_length()
         small: dict[int, int] = {}
         v, xv = 0, 1
-        while g == 1 and spent < limit:
+        while g == 1 and fits:
             block = list(itertools.islice(primes, _PM1_BLOCK))
+            # a prime costs its giant steps, one product and at most 8 for a
+            # new x**r; the block that may not fit keeps the primes that do
+            room = limit - spent
+            fresh = min(len(block), _PM1_RESIDUES - len(small))
+            if len(block) + 8 * fresh - v - (-block[-1] // _PM1_GIANT) > room:
+                keep = _stage_two_fit(block, v, small, room)
+                fits = keep == len(block)
+                del block[keep:]
             start, acc = (v, xv), 1
             for q in block:
                 while v * _PM1_GIANT < q:
@@ -473,9 +533,24 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
     return None, spent
 
 
+def _divide_out(n: int, p: int, counts: dict[int, int]) -> int:
+    """n freed of the prime p, which divides it; counts[p] is its exponent."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    counts[p] = e
+    return n
+
+
 def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n >= 1 within budget: trial division, then Pollard p - 1 sized
     by the cofactor, then Pollard rho (Brent).
+
+    Trial division divides out every prime up to min(trial_bound, isqrt(n)).
+    Below 2^64 they are found by one numpy sweep of n modulo all of them at
+    once; larger n take one gcd per block of _BLOCK primes, and walk only
+    the blocks that share a factor with n.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -493,26 +568,32 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     counts: dict[int, int] = {}
 
     limit = budget.trial_bound
-    primes, products = _prime_table(min(limit, math.isqrt(n)))
-    count = bisect.bisect_right(primes, limit)
-    for start in range(0, count, _BLOCK):
-        if primes[start] ** 2 > n:
-            break
-        stop = min(start + _BLOCK, len(primes))
-        product = products[start // _BLOCK]
-        if stop > count:  # the bound falls inside this block
-            stop = count
-            product = math.prod(primes[start:stop])
-        g = math.gcd(n, product)
-        if g == 1:
-            continue
-        for p in primes[start:stop]:
-            if g % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                counts[p] = e
+    top = min(limit, math.isqrt(n))
+    table = _prime_table(top)
+    primes = table.primes
+    count = bisect.bisect_right(primes, top)
+    if n < _WORD:
+        for i in np.flatnonzero(np.uint64(n) % table.words[:count] == 0).tolist():
+            n = _divide_out(n, primes[i], counts)
+    else:
+        # top = limit here, since isqrt(n) >= 2^32 > MAX_TRIAL_BOUND
+        for start in range(0, count, _BLOCK):
+            if primes[start] ** 2 > n:
+                break
+            stop = start + _BLOCK
+            if stop <= count:
+                product = table.products[start // _BLOCK]
+            else:  # the bound falls inside this block
+                stop = count
+                product = table.partials.get(count)
+                if product is None:
+                    product = table.partials[count] = math.prod(primes[start:count])
+            g = math.gcd(n, product)
+            if g == 1:
+                continue
+            for p in primes[start:stop]:
+                if g % p == 0:
+                    n = _divide_out(n, p, counts)
 
     unresolved: list[int] = []
     stack = [n] if n > 1 else []
@@ -669,7 +750,7 @@ def is_perfect_power(n: int) -> Optional[tuple[int, int]]:
     while progress:
         progress = False
         max_k = base.bit_length()
-        primes, _ = _prime_table(max_k)
+        primes = _prime_table(max_k).primes
         for q in primes[: bisect.bisect_right(primes, max_k)]:
             r = iroot(base, q)
             if r ** q == base:

@@ -276,7 +276,7 @@ def _least_uncovered(
             candidates = []
             if ell > LEAF_CELLS:
                 if primes is None:  # the primes <= LEAF_CELLS that divide length
-                    table, _ = _prime_table(LEAF_CELLS)
+                    table = _prime_table(LEAF_CELLS).primes
                     split = table[: bisect.bisect_right(table, LEAF_CELLS)]
                     primes = [p for p in split if length % p == 0]
                 candidates = [p for p in primes if ell % p == 0]

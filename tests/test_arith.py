@@ -16,7 +16,11 @@ from digitcover.arith import (
     is_perfect_power,
     is_prime,
     multiplicative_order,
+    pm1_split,
     primes_up_to,
+    _BASE_TIERS,
+    _DETERMINISTIC_BOUND,
+    _SMALL_PRIMES,
     _miller_rabin_witness,
 )
 from digitcover.covering import LEAF_CELLS
@@ -176,6 +180,77 @@ class TestIsPrime:
         q = 10 ** 18 + 31
         assert is_prime(p) and is_prime(q)
         assert not is_prime(p * q)
+
+    # Strong pseudoprimes with the bases they pass: each tier's bound but
+    # 2^64 is the least one its bases miss, 3825123056546413051 passes every
+    # prime base up to 23 and 318665857834031151167461 every one up to 37;
+    # the rest are base-2 strong pseudoprimes p*(2p - 1) either side of 2^64.
+    STRONG_PSEUDOPRIMES = [tier for tier in _BASE_TIERS if tier[0] != 1 << 64] + [
+        (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
+        (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+        (18_446_743_208_455_367_653, (2,)),
+        (18_446_725_861_112_997_001, (2,)),
+        (18_446_752_100_793_694_681, (2,)),
+        (18_446_803_559_777_249_821, (2,)),
+    ]
+
+    def test_base_tiers_increase_and_need_no_reduction(self):
+        # every base lies below the least n that reaches its tier, so none
+        # is ever reduced mod n (is_prime decides n < 293^2 by trial division)
+        lower = 0
+        for bound, bases in _BASE_TIERS:
+            assert bound > lower, bound
+            assert max(bases) < max(lower, _SMALL_PRIMES[-1] ** 2), bound
+            lower = bound
+        assert lower == _DETERMINISTIC_BOUND
+        assert (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)) in _BASE_TIERS
+
+    def test_strong_pseudoprimes_near_tier_bounds(self):
+        sympy = pytest.importorskip("sympy")
+        for n, bases in self.STRONG_PSEUDOPRIMES:
+            assert not any(_miller_rabin_witness(n, a) for a in bases), n
+            assert not sympy.isprime(n), n
+            verdict = is_prime(n)
+            assert verdict.kind == "composite", n
+            if verdict.witness_kind == "mr-base":
+                assert _miller_rabin_witness(n, verdict.witness), n
+
+    def test_matches_sympy_from_3e14_to_just_past_2_64(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(6464)
+        for _ in range(3_000):
+            n = rng.randrange(341_550_071_728_321, 2 ** 64 + 2 ** 20) | 1
+            verdict = is_prime(n)
+            assert bool(verdict) == sympy.isprime(n), n
+            assert verdict.kind != "probable-prime", n
+        for n in range(2 ** 64 - 2 ** 10 + 1, 2 ** 64 + 2 ** 10, 2):
+            assert bool(is_prime(n)) == sympy.isprime(n), n
+
+
+class TestPm1Budget:
+    def test_spent_stays_within_cap_on_34_bit_semiprimes(self):
+        # the budget `factor` gives the p - 1 pass on a cofactor above the
+        # trial bound squared: both primes just above 10^5, cap about 80; a
+        # prime power <= cap has at most cap.bit_length() bits
+        rng = random.Random(34)
+        primes = [p for p in primes_up_to(131_071) if p > 100_000]
+        found = 0
+        for _ in range(300):
+            p, q = rng.choice(primes), rng.choice(primes)
+            n = p * q
+            cap = math.isqrt(math.isqrt(n)) // 4
+            d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=cap, rho_restarts=1))
+            assert spent <= cap + cap.bit_length(), (n, cap, spent)
+            if d is not None:
+                assert 1 < d < n and n % d == 0
+                found += 1
+        assert found > 0
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 20, 79, 1_000, 10_000])
+    def test_spent_stays_within_small_caps(self, cap):
+        n = 100_003 * 100_019
+        d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=cap, rho_restarts=4))
+        assert spent <= cap + cap.bit_length(), (cap, spent)
 
 
 class TestFactor:
