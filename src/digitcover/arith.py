@@ -1,4 +1,4 @@
-"""Exact integer primitives: multiplicative orders, CRT, primality, factoring.
+"""Exact integer primitives: order tests, CRT, primality, factoring.
 
 Everything here is plain Python int arithmetic (arbitrary precision, exact).
 All functions are pure and safe to call from multiple threads.
@@ -43,7 +43,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factor",
-    "multiplicative_order",
     "has_order",
     "crt_combine",
     "is_perfect_power",
@@ -651,53 +650,6 @@ def crt_combine(
         residue = (residue + modulus * t) % combined
         modulus = combined
     return residue, modulus
-
-
-def multiplicative_order(base: int, modulus: int) -> int:
-    """Least m >= 1 with base**m = 1 (mod modulus).
-
-    Computed by factoring the group exponent and stripping prime factors,
-    never by linear scan.  Requires gcd(base, modulus) = 1 and modulus >= 2;
-    raises ValueError otherwise, or if the needed factorizations exceed the
-    default budget (composite moduli are supported as a convenience only).
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if math.gcd(base, modulus) != 1:
-        raise ValueError(f"order undefined: gcd({base}, {modulus}) != 1")
-
-    if is_prime(modulus):
-        exponent = modulus - 1
-    else:
-        mf = factor(modulus)
-        if not mf.complete:
-            raise ValueError(
-                f"cannot factor modulus {modulus} within the default budget; "
-                "order computation would need a linear scan"
-            )
-        lam = 1
-        for p, e in mf.factors:
-            if p == 2 and e >= 3:
-                part = 2 ** (e - 2)
-            else:
-                part = p ** (e - 1) * (p - 1)
-            lam = math.lcm(lam, part)
-        exponent = lam
-
-    ef = factor(exponent)
-    if not ef.complete:
-        raise ValueError(
-            f"cannot factor group exponent {exponent} within the default budget"
-        )
-    if pow(base, exponent, modulus) != 1:
-        # Carmichael bound is always a valid exponent; reaching here means a
-        # probable-prime modulus was actually composite.
-        raise ValueError(f"modulus {modulus} misclassified as prime")
-    order = exponent
-    for p, _ in ef.factors:
-        while order % p == 0 and pow(base, order // p, modulus) == 1:
-            order //= p
-    return order
 
 
 def has_order(base: int, m: int, modulus: int) -> bool:

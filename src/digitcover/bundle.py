@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
@@ -31,7 +31,6 @@ __all__ = [
     "ingest_tables",
     "default_bundle",
     "parse_covering_file",
-    "write_covering_file",
     "reproduce_report",
     "resolve_assignment",
     "VerificationReport",
@@ -171,17 +170,6 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
             )
         rows.append(CoveringRow(Congruence.reduced(a, m), rho))
     return ParsedCovering(digit=digit, rows=rows, warnings=warnings)
-
-
-def write_covering_file(
-    path: Union[str, Path], digit: int, rows: Sequence[CoveringRow]
-) -> None:
-    lines = [f"# digit {digit}"]
-    for row in rows:
-        c = row.congruence
-        tail = f" {row.rho}" if row.rho is not None else ""
-        lines.append(f"{c.residue} {c.modulus}{tail}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass

@@ -228,6 +228,8 @@ def _witness(payload: dict, lines: list[str], failure) -> None:
 
 def cmd_delicate_check(args) -> int:
     n = int(args.n)
+    if args.widely is not None and args.widely < 1:
+        raise ValueError("window must be >= 1")
     if not is_prime(n):
         print(f"{n} is not prime", file=sys.stderr)
         return ERROR
@@ -241,8 +243,6 @@ def cmd_delicate_check(args) -> int:
     if not delicate:
         _witness(payload, lines, failure)
     if args.widely is not None and delicate:
-        if args.widely < 1:
-            raise ValueError("window must be >= 1")
         payload["window"] = args.widely
         payload["window_passed"] = failure is None
         if failure is None:
@@ -385,12 +385,14 @@ def cmd_order_counts(args) -> int:
     if bundle.order_counts is None:
         print("bundle has no order_prime_counts.txt", file=sys.stderr)
         return ERROR
+    moduli = [m for m in sorted(bundle.order_counts) if m <= args.limit]
+    if not moduli:
+        print(f"no tabulated modulus <= {args.limit}", file=sys.stderr)
+        return ERROR
     budget = _budget(args)
     rows = []
     unresolved = []
-    for m in sorted(bundle.order_counts):
-        if m > args.limit:
-            continue
+    for m in moduli:
         expected = bundle.order_counts[m]
         computed = primes_of_order(m, budget)
         # an incomplete factorization that found too few primes decides nothing

@@ -3,16 +3,18 @@
 The primes p (coprime to 10) for which 10 has multiplicative order m are
 exactly the primes dividing the m-th cyclotomic polynomial evaluated at 10,
 excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
-This module evaluates those values exactly, lists the order-m primes by
-scanning that progression below SCAN_BOUND and splitting what is left with
-Pollard's p - 1 method, and validates externally supplied order tables,
-where an unfactored composite placeholder may stand in for up to two
-unknown primes.
+This module evaluates those values exactly, as a Moebius product over the
+squarefree divisors of m formed from the primes `factor` finds in m.  It
+lists the order-m primes by scanning that progression below SCAN_BOUND and
+splitting what is left with Pollard's p - 1 method, and validates
+externally supplied order tables, where an unfactored composite placeholder
+may stand in for up to two unknown primes.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,64 +44,34 @@ __all__ = [
     "OrderTableEntry",
     "OrderTable",
     "load_order_table",
-    "write_order_table",
     "load_order_counts",
     "validate_order_table",
     "OrderTableReport",
 ]
 
 
-def divisors(n: int) -> list[int]:
-    """Divisors of n >= 1, ascending (trial division; n is a modulus-sized int)."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def mobius(n: int) -> int:
-    """Moebius function of n >= 1 by trial division."""
-    if n < 1:
-        raise ValueError("mobius requires n >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def cyclotomic_value(m: int, x: int) -> int:
     """Exact value of the m-th cyclotomic polynomial at integer x >= 2.
 
-    Uses the Moebius product over divisors d of m of (x**d - 1) raised to
-    mobius(m/d), with the division performed exactly.
+    Uses the Moebius product over the squarefree divisors e of m, taken as
+    subsets of the primes of m: the term for e is (x**(m/e) - 1), raised to
+    -1 when e has an odd number of primes, and the division is performed
+    exactly.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if x < 2:
         raise ValueError("x must be >= 2")
-    if m == 1:
-        return x - 1
     numerator = 1
     denominator = 1
-    for d in divisors(m):
-        mu = mobius(m // d)
-        if mu == 1:
-            numerator *= x ** d - 1
-        elif mu == -1:
-            denominator *= x ** d - 1
+    qs = factor(m).primes()
+    for size in range(len(qs) + 1):
+        for subset in itertools.combinations(qs, size):
+            term = x ** (m // math.prod(subset)) - 1
+            if size % 2:
+                denominator *= term
+            else:
+                numerator *= term
     value, rem = divmod(numerator, denominator)
     if rem:
         raise ArithmeticError(f"Moebius product for m={m}, x={x} did not divide exactly")
@@ -328,24 +300,6 @@ def load_order_table(path: Union[str, Path]) -> OrderTable:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
         rows[m] = OrderTableEntry(modulus=m, entries=tuple(entries))
     return OrderTable(rows=rows)
-
-
-def write_order_table(table: OrderTable, path: Union[str, Path]) -> None:
-    """Serialize in the same format load_order_table reads."""
-    lines = []
-    for m in table:
-        entries = table[m].entries
-        parts = []
-        i = 0
-        while i < len(entries):
-            if i + 1 < len(entries) and entries[i + 1] == entries[i]:
-                parts.append(f"{entries[i]}*2")
-                i += 2
-            else:
-                parts.append(str(entries[i]))
-                i += 1
-        lines.append(f"{m}: {', '.join(parts)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_order_counts(path: Union[str, Path]) -> dict[int, int]:

@@ -2,10 +2,11 @@
 
 A substitution replaces one decimal digit (possibly one of the infinitely
 many leading zeros) with a different digit; arithmetically it adds
-(replacement - original) * 10**position.  The predicates here check what
-happens to primality under every such change.  Each is its input checks
-plus one call to `first_failure`, the single walker over the substitutions;
-`substitution_report` is the itemized reference.
+(replacement - original) * 10**position.  `first_failure` is the single
+walker over the substitutions: `is_digitally_delicate` is its input check
+plus one call to it, the CLI's leading-zero window and composite-stability
+checks call it after their own input checks, and `substitution_report` is
+the itemized reference it is tested against.
 
 `find_first_digitally_delicate` does not walk substitutions per prime.  It
 sieves one width at a time and rejects a prime by counting the
@@ -25,7 +26,6 @@ from .arith import is_prime, prime_flags
 
 __all__ = [
     "Substitution",
-    "WindowVerdict",
     "digit_count",
     "digit_at",
     "substitutions",
@@ -33,9 +33,7 @@ __all__ = [
     "first_failure",
     "require_stable_candidate",
     "is_digitally_delicate",
-    "is_widely_digitally_delicate_window",
     "find_first_digitally_delicate",
-    "is_composite_digit_stable",
 ]
 
 
@@ -138,37 +136,6 @@ def is_digitally_delicate(p: int) -> bool:
     return first_failure(p) is None
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
-    """passed means every tested substitution stayed composite.  Passing a
-    finite window is NOT a proof of the widely digitally delicate property;
-    only a covering-system certificate gives that.  On failure, witness is
-    the offending substituted value (a prime, except for the degenerate
-    single-digit cases where it can be 0 or 1)."""
-
-    passed: bool
-    witness: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def is_widely_digitally_delicate_window(p: int, window: int = 64) -> WindowVerdict:
-    """Digit-delicacy check extended to leading zeros, heuristically.
-
-    Tests every written-digit substitution plus the leading-zero positions
-    from digit_count(p) through digit_count(p) + window, i.e. window + 1
-    leading zeros (window >= 1).  A passed verdict only says no prime was
-    found in that range.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    failure = first_failure(p, leading_zeros=window + 1)
-    return WindowVerdict(True) if failure is None else WindowVerdict(False, failure[1])
-
-
 def _delicate_mask(width: int) -> np.ndarray:
     """Boolean mask over [0, 10**width), true exactly at the digitally
     delicate primes with `width` digits.
@@ -213,16 +180,6 @@ def find_first_digitally_delicate(bound: int) -> Optional[int]:
             return p
         width += 1
     return None
-
-
-def is_composite_digit_stable(n: int) -> bool:
-    """Whether the composite n, coprime to 10, stays composite under every
-    written-digit substitution (no leading-zero window here).
-
-    Raises ValueError if n is prime or shares a factor with 10.
-    """
-    require_stable_candidate(n)
-    return first_failure(n) is None
 
 
 def require_stable_candidate(n: int) -> None:

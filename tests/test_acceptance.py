@@ -5,11 +5,13 @@ import math
 import random
 import time
 
+import sympy
+
 from digitcover.arith import (
     crt_combine,
     factor,
+    has_order,
     is_prime,
-    multiplicative_order,
     primes_up_to,
 )
 from digitcover.bundle import (
@@ -25,7 +27,7 @@ from digitcover.covering import (
     is_covering_naive,
     reduction_profile,
 )
-from digitcover.cyclotomic import divisors, primes_of_order
+from digitcover.cyclotomic import primes_of_order
 from digitcover.delicate import Substitution, digit_at
 from digitcover.construction import derive_b_residue, verify_property_star_sample
 from digitcover.graham import GrahamInstance, recurrence_period, reduce_seeds, verify_cover
@@ -214,17 +216,18 @@ def test_criterion_8_property_suite():
     cases_per_property = 10_000
     timing = {}
 
-    # order correctness: 10^m = 1 and no proper divisor of m works
+    # order correctness: has_order accepts sympy's order m of 10 mod p and
+    # rejects every proper divisor of m
     start = time.perf_counter()
     rng = random.Random(101)
     primes = [p for p in primes_up_to(10 ** 6) if p not in (2, 5)]
     for _ in range(cases_per_property):
         p = rng.choice(primes)
-        m = multiplicative_order(10, p)
-        assert pow(10, m, p) == 1
+        m = sympy.n_order(10, p)
+        assert has_order(10, m, p)
         assert (p - 1) % m == 0
-        for d in divisors(m)[:-1]:
-            assert pow(10, d, p) != 1
+        for d in sympy.divisors(m)[:-1]:
+            assert not has_order(10, d, p)
     timing["order"] = time.perf_counter() - start
 
     # primality agreement with a sieve, exhaustive below 10^6

@@ -3,6 +3,7 @@ import random
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from digitcover.arith import (
     iroot,
     is_perfect_power,
     is_prime,
-    multiplicative_order,
     pm1_split,
     primes_up_to,
     _BASE_TIERS,
@@ -35,48 +35,56 @@ def brute_order(base: int, modulus: int) -> int:
     return m
 
 
+def assert_order(m: int, modulus: int) -> None:
+    """has_order accepts m as the order of 10 mod modulus and rejects every
+    proper divisor of m."""
+    assert has_order(10, m, modulus)
+    for d in sympy.divisors(m)[:-1]:
+        assert not has_order(10, d, modulus), (d, modulus)
+
+
 class TestMultiplicativeOrder:
     def test_order_of_ten_small_primes(self):
-        assert multiplicative_order(10, 3) == 1
-        assert multiplicative_order(10, 11) == 2
-        assert multiplicative_order(10, 101) == 4
-        assert multiplicative_order(10, 73) == 8
-        assert multiplicative_order(10, 137) == 8
+        for p, m in ((3, 1), (11, 2), (101, 4), (73, 8), (137, 8)):
+            assert sympy.n_order(10, p) == m
+            assert_order(m, p)
 
     def test_order_mod_7_matches_brute_force(self):
         assert brute_order(10, 7) == 6
-        assert multiplicative_order(10, 7) == 6
+        assert_order(6, 7)
 
     def test_undefined_when_not_coprime(self):
-        with pytest.raises(ValueError):
-            multiplicative_order(10, 2)
-        with pytest.raises(ValueError):
-            multiplicative_order(10, 35)  # gcd(10, 35) = 5
-        with pytest.raises(ValueError):
-            multiplicative_order(10, 1)
+        for m in range(1, 13):
+            assert not has_order(10, m, 2)
+            assert not has_order(10, m, 35)  # gcd(10, 35) = 5
+            assert not has_order(10, m, 1)
 
     def test_composite_modulus(self):
-        # 10 mod 21: brute force gives the reference
-        assert multiplicative_order(10, 21) == brute_order(10, 21)
-        assert multiplicative_order(10, 9 * 11) == brute_order(10, 99)
+        # 10 mod 21 and mod 99: brute force gives the reference
+        for modulus in (21, 9 * 11):
+            m = brute_order(10, modulus)
+            assert_order(m, modulus)
+            assert not any(has_order(10, d, modulus) for d in range(m + 1, 3 * m))
 
     def test_matches_brute_force_on_random_primes(self):
         rng = random.Random(7)
         primes = [p for p in primes_up_to(3000) if p not in (2, 5)]
         for p in rng.sample(primes, 120):
-            assert multiplicative_order(10, p) == brute_order(10, p)
+            assert_order(brute_order(10, p), p)
 
     def test_order_divides_p_minus_1(self):
+        # exactly one divisor of p - 1 is the order
         for p in primes_up_to(2000):
             if p in (2, 5):
                 continue
-            assert (p - 1) % multiplicative_order(10, p) == 0
+            orders = [d for d in sympy.divisors(p - 1) if has_order(10, d, p)]
+            assert orders == [sympy.n_order(10, p)], p
 
     def test_has_order_agrees_with_computed_order(self):
         rng = random.Random(19)
         primes = [p for p in primes_up_to(2000) if p not in (2, 5)]
         for p in rng.sample(primes, 60):
-            m = multiplicative_order(10, p)
+            m = sympy.n_order(10, p)
             assert has_order(10, m, p)
             assert not has_order(10, 2 * m, p)
             for d in range(1, m):

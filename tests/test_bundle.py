@@ -3,9 +3,10 @@ import shutil
 from unittest import mock
 
 import pytest
+import sympy
 
 import digitcover.bundle as bundle_module
-from digitcover.arith import DEFAULT_BUDGET, multiplicative_order
+from digitcover.arith import DEFAULT_BUDGET
 from digitcover.bundle import (
     DATA_ROOT,
     RESOLVE_LIMIT,
@@ -22,7 +23,6 @@ from digitcover.bundle import (
     reproduce_report,
     resolve_assignment,
     shared_prime_checks,
-    write_covering_file,
 )
 from digitcover.construction import cross_digit_consistency
 from digitcover.covering import Congruence, CoveringSystem
@@ -98,7 +98,10 @@ class TestIngest:
         out = tmp_path / "coverings"
         out.mkdir()
         for d, rows in bundle.coverings.items():
-            write_covering_file(out / f"d{d}.txt", d, rows)
+            lines = [f"# digit {d}"] + [
+                f"{r.congruence.residue} {r.congruence.modulus} {r.rho}" for r in rows
+            ]
+            (out / f"d{d}.txt").write_text("\n".join(lines) + "\n")
         again = ingest_tables(tmp_path)
         assert again.coverings == bundle.coverings
         assert again.mod3_digits == bundle.mod3_digits
@@ -106,9 +109,7 @@ class TestIngest:
     def test_manifest_count_mismatch_detected(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
-        write_covering_file(
-            cov / "d9.txt", 9, [CoveringRow(Congruence(0, 1), 1)]
-        )
+        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
         manifest = {
             "digits": {"9": {"file": "d9.txt", "congruences": 4}},
             "mod3_digits": sorted(MOD3_DIGITS | {-9, -8, -6, -5, -3, -2, 1, 3, 4, 6, 7}),
@@ -120,9 +121,7 @@ class TestIngest:
     def test_checksum_mismatch_detected(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
-        write_covering_file(
-            cov / "d9.txt", 9, [CoveringRow(Congruence(0, 1), 1)]
-        )
+        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
         manifest = {
             "digits": {"9": {"file": "d9.txt", "sha256": "0" * 64}},
             "mod3_digits": sorted(MOD3_DIGITS | {-9, -8, -6, -5, -3, -2, 1, 3, 4, 6, 7}),
@@ -134,7 +133,7 @@ class TestIngest:
     def test_header_disagreeing_with_manifest(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
-        write_covering_file(cov / "d9.txt", 8, [CoveringRow(Congruence(0, 1), 1)])
+        (cov / "d9.txt").write_text("# digit 8\n0 1 1\n")
         manifest = {"digits": {"9": {"file": "d9.txt"}}, "mod3_digits": []}
         (cov / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match="header digit 8 disagrees with manifest digit 9"):
@@ -181,8 +180,8 @@ class TestIngest:
     def test_manifest_digit_supplied_twice(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
-        write_covering_file(cov / "d9.txt", 9, [CoveringRow(Congruence(0, 1), 1)])
-        write_covering_file(cov / "d09.txt", 9, [CoveringRow(Congruence(0, 1), 1)])
+        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
+        (cov / "d09.txt").write_text("# digit 9\n0 1 1\n")
         manifest = {
             "digits": {"9": {"file": "d9.txt"}, "09": {"file": "d09.txt"}},
             "mod3_digits": [],
@@ -339,7 +338,7 @@ class TestRepeatedPrimeTable:
         # resolve every repeated prime through its order and table index,
         # then confirm the digit sets and the residue consistency
         for prime, (digits, rho) in REPEATED_PRIME_DIGITS.items():
-            m = multiplicative_order(10, prime)
+            m = sympy.n_order(10, prime)
             resolved = resolve_assignment(m, rho)
             assert resolved == prime, (prime, m, rho, resolved)
             uses = []
@@ -362,7 +361,7 @@ class TestRepeatedPrimeTable:
         for prime, (digits, rho) in REPEATED_PRIME_DIGITS.items():
             if prime == 3:
                 continue
-            m = multiplicative_order(10, prime)
+            m = sympy.n_order(10, prime)
             users = [
                 d
                 for d, rows in bundle.coverings.items()

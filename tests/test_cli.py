@@ -263,11 +263,13 @@ class TestDelicateWindowCli:
             "n": "604171", "digitally_delicate": True, "window": 1, "window_passed": True,
         }
 
-    def test_zero_window_is_checked_only_for_delicate_primes(self, capsys):
-        code, out, _ = run(capsys, "delicate", "check", "101", "--widely", "0")
-        assert code == 1
-        assert "witness: position 0, 1 -> 3 gives 103" in out
-        code, out, err = run(capsys, "delicate", "check", "294001", "--widely", "0")
+    @pytest.mark.parametrize("n", ["101", "294001"])
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_is_usage_error(self, capsys, n, window):
+        # rejected before any substitution walk, delicate or not
+        with mock.patch.object(delicate_module, "is_prime") as is_prime:
+            code, out, err = run(capsys, "delicate", "check", n, "--widely", window)
+        assert not is_prime.called
         assert code == 2
         assert out == ""
         assert "window must be >= 1" in err
@@ -403,6 +405,16 @@ class TestOrderCli:
         code, out, _ = run(capsys, "order", "counts", "--limit", "13")
         assert code == 0
         assert "all rows consistent: True" in out
+
+    def test_counts_with_no_modulus_in_range_is_usage_error(self, capsys):
+        for limit in ("0", "-1"):
+            code, out, err = run(capsys, "order", "counts", "--limit", limit)
+            assert code == 2
+            assert out == ""
+            assert f"no tabulated modulus <= {limit}" in err
+        code, out, _ = run(capsys, "order", "counts", "--limit", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "all rows consistent: True (1 of 1 rows checked)"
 
     def test_counts_incomplete_row_is_unresolved(self, tmp_path, capsys):
         # every digit marked mod3, so the bundle needs no covering files

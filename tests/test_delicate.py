@@ -18,9 +18,8 @@ from digitcover.delicate import (
     digit_count,
     find_first_digitally_delicate,
     first_failure,
-    is_composite_digit_stable,
     is_digitally_delicate,
-    is_widely_digitally_delicate_window,
+    require_stable_candidate,
     substitution_report,
     substitutions,
 )
@@ -130,10 +129,14 @@ class TestFirstFailure:
 
 
 class TestWidelyWindow:
+    # A window of K tests K + 1 leading-zero positions, as `delicate check
+    # --widely K` does.
+
     def test_294001_fails_with_10294001(self):
-        verdict = is_widely_digitally_delicate_window(294001, window=1)
-        assert not verdict.passed
-        assert verdict.witness == 10294001
+        window = 1
+        sub, value = first_failure(294001, window + 1)
+        assert value == 10294001
+        assert sub.position == digit_count(294001) + window
 
     def test_first_leading_zero_position_alone_is_quiet(self):
         # all single-step leading-zero changes of 294001 are composite; the
@@ -142,14 +145,10 @@ class TestWidelyWindow:
             assert not is_prime(d * 10 ** 6 + 294001)
         assert is_prime(1 * 10 ** 7 + 294001)
 
-    def test_window_requires_positive(self):
-        with pytest.raises(ValueError):
-            is_widely_digitally_delicate_window(294001, window=0)
-
     def test_non_delicate_prime_fails_inside(self):
-        verdict = is_widely_digitally_delicate_window(101, window=3)
-        assert not verdict.passed
-        assert verdict.witness is not None and is_prime(verdict.witness)
+        window = 3
+        sub, value = first_failure(101, window + 1)
+        assert sub.position < digit_count(101) and is_prime(value)
 
     def test_progression_primes_certified_on_covered_digits(self, mini_construction):
         # cross-module check: window-substituted values on covered digits
@@ -257,7 +256,8 @@ class TestDelicateMask:
 
 class TestCompositeStable:
     def test_212159_is_stable(self):
-        assert is_composite_digit_stable(212159)
+        require_stable_candidate(212159)
+        assert first_failure(212159) is None
 
     def test_212159_all_54_composite(self):
         rows = substitution_report(212159)
@@ -266,12 +266,14 @@ class TestCompositeStable:
             assert not prime
 
     def test_nine_is_not_stable(self):
-        assert not is_composite_digit_stable(9)  # 7 is prime
+        require_stable_candidate(9)
+        # 0 is the first non-composite substitution; 2, 3, 5 and 7 follow
+        assert first_failure(9) == (Substitution(0, 9, 0), 0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="not composite"):
-            is_composite_digit_stable(13)
+            require_stable_candidate(13)
         with pytest.raises(ValueError, match="coprime"):
-            is_composite_digit_stable(15)
+            require_stable_candidate(15)
         with pytest.raises(ValueError, match="coprime"):
-            is_composite_digit_stable(16)
+            require_stable_candidate(16)

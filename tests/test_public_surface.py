@@ -1,0 +1,84 @@
+"""Every name a package module exports must have a caller: code in the
+package or in bench/ that refers to it outside its own definition.  Tests
+alone do not keep a name alive."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import digitcover
+
+PACKAGE = Path(digitcover.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted(BENCH.glob("*.py"))
+MODULES = sorted(p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*.py"))
+
+# Exported for reference and tests only:
+REFERENCE_ONLY = {
+    # the itemized walk that tests compare first_failure against
+    "substitution_report",
+    # the sampled property-(*) check of a construction; it keeps its
+    # SampleReport result type referenced
+    "verify_property_star_sample",
+    # the reference table of primes that serve more than one digit offset
+    "REPEATED_PRIME_DIGITS",
+}
+
+
+def exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def references(tree: ast.AST, own_definition: str = "") -> set[str]:
+    """Names read, attributes accessed and names imported in tree, outside
+    the function or class called own_definition."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name == own_definition
+        ):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+TREES = {path: ast.parse(path.read_text()) for path in SOURCES}
+
+
+def test_bench_scripts_are_scanned():
+    assert any(path.parent == BENCH for path in TREES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_has_a_caller(module):
+    path = PACKAGE / module
+    dead = [
+        name
+        for name in exported(TREES[path])
+        if name not in REFERENCE_ONLY
+        and not any(
+            name in references(tree, name if other == path else "")
+            for other, tree in TREES.items()
+        )
+    ]
+    assert not dead, f"{module} exports names only tests call: {dead}"
+
+
+def test_reference_only_names_are_exported():
+    names = {name for tree in TREES.values() for name in exported(tree)}
+    assert REFERENCE_ONLY <= names
