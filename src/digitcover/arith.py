@@ -5,17 +5,13 @@ All functions are pure and safe to call from multiple threads.
 
 `factor` trial-divides by primes only, drawn from one sieved prime table
 that is built on first use (never at import, and to at least 2^16) and
-grows when a larger bound is asked for.  Below 2^64 one numpy sweep of n
-modulo the table's primes, held as uint64, finds every prime that divides
-n.  Larger n take the block-gcd walk: the table is cut into fixed blocks
-whose products are precomputed, so one gcd of n with a block's product
-decides whether any of its primes divides n; only blocks with a common
-factor are walked prime by prime (batch trial division, after Bernstein's
-"How to find small factors of integers").  `is_perfect_power` takes its
-prime exponents from the same table.  A composite cofactor then gets a
-short Pollard p - 1 pass sized by the cofactor, about a quarter of the
-multiplications Brent rho expects to need, and rho only if that finds
-nothing.
+grows when a larger bound is asked for.  One numpy sweep of n modulo the
+table's primes, held as uint64, finds every prime that divides n: it
+reduces n's top 64 bits, then folds in its lower 32-bit limbs one at a
+time.  `is_perfect_power` takes its prime exponents from the same table.
+A composite cofactor then gets a short Pollard p - 1 pass sized by the
+cofactor, about a quarter of the multiplications Brent rho expects to
+need, and rho only if that finds nothing.
 
 `pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
 stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
@@ -140,29 +136,21 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, b in enumerate(prime_flags(n)) if b]
 
 
-# Trial division tests this many primes per gcd (Bernstein's batch idea).
-_BLOCK = 512
 # The least bound the prime table is sieved to, and the integers sieved per
 # segment by _prime_stream.  Covering refinement and the p - 1 pass of
 # `factor` read this far, so the first sieve already serves them.
 _SEGMENT = 1 << 16
-# `factor` sweeps n modulo the table's primes in one numpy pass below this.
-_WORD = 1 << 64
 
 
 class _PrimeTable(NamedTuple):
     bound: int
     primes: list[int]  # every prime <= bound, ascending
-    products: list[int]  # product of each block of _BLOCK consecutive primes
-    words: np.ndarray  # the primes as uint64, for the sweep below _WORD
-    # by a count of primes that ends inside a block, the product of that
-    # block's primes below the count: trial division's last, partial block
-    partials: dict[int, int]
+    words: np.ndarray  # the primes as uint64, for the residue sweep of `factor`
 
 
 # Replaced whole when it grows, so concurrent readers always see one
-# consistent table; only its cache of partial-block products gains entries.
-_table = _PrimeTable(0, [], [], np.zeros(0, np.uint64), {})
+# consistent table.
+_table = _PrimeTable(0, [], np.zeros(0, np.uint64))
 
 
 def _prime_table(bound: int) -> _PrimeTable:
@@ -173,8 +161,7 @@ def _prime_table(bound: int) -> _PrimeTable:
     if table[0] < bound:
         top = max(bound, 2 * table[0], _SEGMENT)
         primes = primes_up_to(top)
-        products = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
-        table = _table = _PrimeTable(top, primes, products, np.array(primes, np.uint64), {})
+        table = _table = _PrimeTable(top, primes, np.array(primes, np.uint64))
     return table
 
 
@@ -184,11 +171,9 @@ def _odd_part(n: int) -> tuple[int, int]:
     return n >> s, s
 
 
-def _miller_rabin_witness(n: int, a: int, d: int = 0, s: int = 0) -> bool:
-    """True if base a proves n composite (n odd, n > 2, 1 < a < n).  A caller
-    that tests several bases passes n - 1 = d * 2**s, split once."""
-    if not d:
-        d, s = _odd_part(n - 1)
+def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
+    """True if base a proves n composite (n odd, n > 2, 1 < a < n), given
+    n - 1 = d * 2**s from `_odd_part`, split once for all bases."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -334,6 +319,9 @@ class FactorBudget:
             raise ValueError(
                 f"trial_bound must lie in [0, {MAX_TRIAL_BOUND}], got {self.trial_bound}"
             )
+        for name in ("rho_iterations", "rho_restarts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -546,10 +534,9 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n >= 1 within budget: trial division, then Pollard p - 1 sized
     by the cofactor, then Pollard rho (Brent).
 
-    Trial division divides out every prime up to min(trial_bound, isqrt(n)).
-    Below 2^64 they are found by one numpy sweep of n modulo all of them at
-    once; larger n take one gcd per block of _BLOCK primes, and walk only
-    the blocks that share a factor with n.
+    Trial division divides out every prime up to min(trial_bound, isqrt(n)),
+    found by one numpy sweep of n modulo all of them at once: the top 64
+    bits of n first, then each lower 32-bit limb folded in.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -569,30 +556,17 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     limit = budget.trial_bound
     top = min(limit, math.isqrt(n))
     table = _prime_table(top)
-    primes = table.primes
-    count = bisect.bisect_right(primes, top)
-    if n < _WORD:
-        for i in np.flatnonzero(np.uint64(n) % table.words[:count] == 0).tolist():
-            n = _divide_out(n, primes[i], counts)
-    else:
-        # top = limit here, since isqrt(n) >= 2^32 > MAX_TRIAL_BOUND
-        for start in range(0, count, _BLOCK):
-            if primes[start] ** 2 > n:
-                break
-            stop = start + _BLOCK
-            if stop <= count:
-                product = table.products[start // _BLOCK]
-            else:  # the bound falls inside this block
-                stop = count
-                product = table.partials.get(count)
-                if product is None:
-                    product = table.partials[count] = math.prod(primes[start:count])
-            g = math.gcd(n, product)
-            if g == 1:
-                continue
-            for p in primes[start:stop]:
-                if g % p == 0:
-                    n = _divide_out(n, p, counts)
+    words = table.words[: bisect.bisect_right(table.primes, top)]
+    # n's top bits down to a 32-bit limb boundary (at most 64), then each
+    # lower limb: r < p <= MAX_TRIAL_BOUND < 2^24, so (r << 32) | limb < 2^56
+    # fits in uint64
+    shift = max(n.bit_length() - 64, 0)
+    shift += -shift % 32
+    residues = np.uint64(n >> shift) % words
+    for low in range(shift - 32, -1, -32):
+        residues = ((residues << np.uint64(32)) | np.uint64(n >> low & 0xFFFFFFFF)) % words
+    for i in np.flatnonzero(residues == 0).tolist():
+        n = _divide_out(n, table.primes[i], counts)
 
     unresolved: list[int] = []
     stack = [n] if n > 1 else []

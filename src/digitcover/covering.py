@@ -152,20 +152,18 @@ def _mark_progressions(
     return covered
 
 
-def is_covering_naive(
-    system: CoveringSystem, limit: int = NAIVE_LIMIT
-) -> CoverVerdict:
+def is_covering_naive(system: CoveringSystem) -> CoverVerdict:
     """Scan the full interval [0, lcm); witness is the least uncovered integer.
 
-    Memory is about one byte per residue, so the scan refuses lcm > limit;
-    use is_covering_fast past that.
+    Memory is about one byte per residue, so the scan refuses lcm >
+    NAIVE_LIMIT; use is_covering_fast past that.
     """
     if not len(system):
         raise ValueError("cannot verify an empty system")
     ell = system.lcm
-    if ell > limit:
+    if ell > NAIVE_LIMIT:
         raise ValueError(
-            f"lcm {ell} exceeds the naive scan limit {limit}; "
+            f"lcm {ell} exceeds the naive scan limit {NAIVE_LIMIT}; "
             "use is_covering_fast"
         )
     covered = _mark_progressions(

@@ -30,6 +30,7 @@ from .arith import (
     PROVEN_PRIME,
     FactorBudget,
     _miller_rabin_witness,
+    _odd_part,
     factor,
     has_order,
     is_perfect_power,
@@ -333,7 +334,8 @@ def _entry_provenance(e: int) -> str:
         if not verdict:
             return "placeholder-composite"
         return "verified-prime" if verdict.proven else "probable-prime"
-    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a) for a in (2, 3)):
+    d, s = _odd_part(e - 1)
+    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3)):
         return "placeholder-composite"
     return "probable-prime"
 
@@ -434,8 +436,8 @@ def validate_order_table(
                 row.violations.append(
                     f"placeholder {q} shares a factor with the prime entries"
                 )
-            if len(composites) == 2 and is_perfect_power(q) is not None:
-                base, exp = is_perfect_power(q)
+            if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
+                base, exp = power
                 row.violations.append(
                     f"placeholder {q} = {base}**{exp} cannot hold two distinct primes"
                 )

@@ -71,9 +71,6 @@ class Substitution:
             raise ArithmeticError(f"substitution made {n} negative: {result}")
         return result
 
-    def inverse(self) -> "Substitution":
-        return Substitution(self.position, self.replacement, self.original)
-
 
 def digit_count(n: int) -> int:
     """Number of decimal digits of n >= 0 (0 has one digit)."""

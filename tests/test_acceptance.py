@@ -293,7 +293,7 @@ def test_criterion_8_property_suite():
         r = rng.choice([x for x in range(10) if x != o])
         sub = Substitution(k, o, r)
         edited = sub.apply(n)
-        assert sub.inverse().apply(edited) == n
+        assert Substitution(k, r, o).apply(edited) == n
         text = str(n).rjust(k + 1, "0")
         spot = len(text) - 1 - k
         assert edited == int(text[:spot] + str(r) + text[spot + 1 :])

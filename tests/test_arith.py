@@ -22,6 +22,7 @@ from digitcover.arith import (
     _DETERMINISTIC_BOUND,
     _SMALL_PRIMES,
     _miller_rabin_witness,
+    _odd_part,
 )
 from digitcover.covering import LEAF_CELLS
 
@@ -174,7 +175,7 @@ class TestIsPrime:
                 assert n % verdict.witness == 0
                 assert 1 < verdict.witness < n
             elif verdict.witness_kind == "mr-base":
-                assert _miller_rabin_witness(n, verdict.witness)
+                assert _miller_rabin_witness(n, verdict.witness, *_odd_part(n - 1))
 
     def test_beyond_deterministic_bound_is_labeled(self):
         mersenne_127 = 2 ** 127 - 1  # prime, but too large to prove here
@@ -216,12 +217,12 @@ class TestIsPrime:
     def test_strong_pseudoprimes_near_tier_bounds(self):
         sympy = pytest.importorskip("sympy")
         for n, bases in self.STRONG_PSEUDOPRIMES:
-            assert not any(_miller_rabin_witness(n, a) for a in bases), n
+            assert not any(_miller_rabin_witness(n, a, *_odd_part(n - 1)) for a in bases), n
             assert not sympy.isprime(n), n
             verdict = is_prime(n)
             assert verdict.kind == "composite", n
             if verdict.witness_kind == "mr-base":
-                assert _miller_rabin_witness(n, verdict.witness), n
+                assert _miller_rabin_witness(n, verdict.witness, *_odd_part(n - 1)), n
 
     def test_matches_sympy_from_3e14_to_just_past_2_64(self):
         sympy = pytest.importorskip("sympy")

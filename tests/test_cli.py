@@ -99,6 +99,18 @@ class TestCoverCli:
         assert payload["covering"] is True
         assert payload["lcm"] == "8"
 
+    def test_verify_prime_lcm_above_2_64(self, tmp_path, capsys):
+        # lcm_analysis factors the lcm, a prime the residue sweep takes in
+        # 32-bit limbs past its top 64 bits
+        prime = 18446744073709551629  # the least prime above 2^64
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 1\n0 {prime}\n")
+        code, out, _ = run(capsys, "--format", "json", "cover", "verify", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["covering"] is True
+        assert payload["lcm"] == payload["max_prime"] == str(prime)
+
 
 class TestConstructCli:
     def test_assemble_and_certify_round_trip(self, tmp_path, capsys):
@@ -499,6 +511,15 @@ class TestReportCli:
             digits = json.loads(out)["digits"]
             resolved.append(sum(r["resolved_assignments"] for r in digits))
         assert resolved == [181, 155]
+
+    @pytest.mark.parametrize(
+        "argv", [["report"], ["order", "primes", "69"], ["order", "primes", "8"]]
+    )
+    def test_negative_rho_iterations_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "--rho-iterations", "-1", *argv)
+        assert code == 2
+        assert out == ""
+        assert "rho_iterations must be >= 0, got -1" in err
 
     def test_missing_tables_dir_is_error(self, capsys):
         code, _, err = run(capsys, "report", "--tables", "/nonexistent-path")

@@ -1,11 +1,13 @@
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitcover.covering as covering_module
 from digitcover.bundle import default_bundle
 from digitcover.covering import (
     LEAF_CELLS,
@@ -89,9 +91,14 @@ class TestNaive:
         assert verdict.witness == 3
 
     def test_guard_on_large_lcm(self):
-        system = CoveringSystem.from_pairs([(0, p) for p in (101, 103, 107, 109)])
-        with pytest.raises(ValueError, match="naive scan limit"):
-            is_covering_naive(system, limit=10 ** 6)
+        # lcm 100,160,063 lies just above NAIVE_LIMIT: refused before any
+        # array is allocated
+        system = CoveringSystem.from_pairs([(0, 10007), (0, 10009)])
+        assert system.lcm > NAIVE_LIMIT
+        with mock.patch.object(
+            covering_module, "_mark_progressions", side_effect=AssertionError("allocated")
+        ), pytest.raises(ValueError, match="naive scan limit"):
+            is_covering_naive(system)
 
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError):

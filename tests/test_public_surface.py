@@ -1,6 +1,6 @@
-"""Every name a package module exports must have a caller: code in the
-package or in bench/ that refers to it outside its own definition.  Tests
-alone do not keep a name alive."""
+"""Every name a package module exports, and every method of a package
+class, must have a caller: code in the package or in bench/ that refers to
+it outside its own definition.  Tests alone do not keep a name alive."""
 
 import ast
 from pathlib import Path
@@ -57,6 +57,18 @@ def references(tree: ast.AST, own_definition: str = "") -> set[str]:
     return found
 
 
+def methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) for every non-dunder method of a top-level class."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
 TREES = {path: ast.parse(path.read_text()) for path in SOURCES}
 
 
@@ -82,3 +94,17 @@ def test_every_export_has_a_caller(module):
 def test_reference_only_names_are_exported():
     names = {name for tree in TREES.values() for name in exported(tree)}
     assert REFERENCE_ONLY <= names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_method_has_a_caller(module):
+    path = PACKAGE / module
+    dead = [
+        f"{cls}.{name}"
+        for cls, name in methods(TREES[path])
+        if not any(
+            name in references(tree, name if other == path else "")
+            for other, tree in TREES.items()
+        )
+    ]
+    assert not dead, f"{module} defines methods only tests call: {dead}"

@@ -1,18 +1,18 @@
 """Trial division in `factor` against sympy as an independent oracle, at and
 around the trial bound, plus the invariant that an incomplete factorization
-still lists every prime below the bound.  Below 2^64 `factor` sweeps n
-modulo the table's primes with numpy; the block-gcd walk it takes above is
-checked against that route on both sides of 2^64.  (`resolve_assignment`
+still lists every prime below the bound.  `factor` sweeps n modulo the
+table's primes with numpy, folding in 32-bit limbs past n's top 64 bits;
+the sweep is checked on both sides of 2^64, 2^96 and 2^128 and at the bit
+lengths where a limb is added.  (`resolve_assignment`
 no longer relies on it: order-m primes come from the scan in
 `primes_of_order`, whose exact prefix is tested in test_order_scan.py.)"""
 
+import functools
 import math
 import random
-from unittest import mock
 
 import pytest
 
-import digitcover.arith as arith
 from digitcover.arith import MAX_TRIAL_BOUND, FactorBudget, factor, primes_up_to
 
 sympy = pytest.importorskip("sympy")
@@ -77,6 +77,10 @@ def test_trial_bound_out_of_range_is_rejected():
         FactorBudget(trial_bound=-1)
     with pytest.raises(ValueError):
         FactorBudget(trial_bound=MAX_TRIAL_BOUND + 1)
+    with pytest.raises(ValueError, match="rho_iterations"):
+        FactorBudget(rho_iterations=-1)
+    with pytest.raises(ValueError, match="rho_restarts"):
+        FactorBudget(rho_restarts=-2)
 
 
 def test_trial_division_stops_at_bound():
@@ -88,49 +92,61 @@ def test_trial_division_stops_at_bound():
     assert result.remainder == n
 
 
-def word_edge_inputs() -> list[int]:
-    """2^64 - 1, 2^64, 2^64 + 1, and products of near-bound primes with a
-    prime cofactor that puts them just below and just above 2^64."""
-    inputs = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1]
+# 2^128 + 1 = F7 is beyond rho at the default budget and slow for sympy
+# too, so it runs with rho off only, against its known factorization.
+F7 = 2 ** 128 + 1
+F7_FACTORS = {59649589127497217: 1, 5704689200685129054721: 1}
+
+
+@functools.lru_cache(maxsize=None)
+def factorint(n: int) -> dict[int, int]:
+    return F7_FACTORS if n == F7 else sympy.factorint(n)
+
+
+def limb_edge_inputs() -> list[int]:
+    """Inputs around the 32-bit limbs that the sweep folds in above 2^64:
+    2^64 - 1, 2^64, 2^64 + 1, 2^96 +- 1 and 2^128 +- 1; n of bit length
+    64 + 32k and 65 + 32k; and products of near-bound primes with a prime
+    cofactor that puts them just below and just above 2^64, 2^96 and 2^128."""
+    inputs = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 96 - 1, 2 ** 96 + 1, 2 ** 128 - 1, F7]
     rng = random.Random(64)
-    for size in (1, 2, 3):
-        for _ in range(4):
-            near = math.prod(rng.choice(NEAR_BOUND) for _ in range(size))
-            target = 2 ** 64 // near
-            inputs.append(near * sympy.prevprime(target))
-            inputs.append(near * sympy.nextprime(target))
+    for edge in (64, 96, 128):
+        for size in (1, 2, 3):
+            for _ in range(4):
+                near = math.prod(rng.choice(NEAR_BOUND) for _ in range(size))
+                target = 2 ** edge // near
+                inputs.append(near * sympy.prevprime(target))
+                inputs.append(near * sympy.nextprime(target))
+    small = primes_up_to(400)
+    for k in range(4):
+        for bits in (64 + 32 * k, 65 + 32 * k):
+            for _ in range(3):
+                smooth = rng.choice(small) ** rng.randint(1, 3) * rng.choice(NEAR_BOUND)
+                low = 2 ** (bits - 1)
+                n = smooth * sympy.nextprime(rng.randrange(low, low + low // 2) // smooth)
+                assert n.bit_length() == bits
+                inputs.append(n)
     return inputs
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("rho_iterations", [0, 1_000_000])
 def test_word_sweep_matches_block_walk_and_sympy(bound, rho_iterations):
-    # _WORD = 0 sends every n down the block-gcd walk
+    # The sweep takes every n, so across the limb boundaries it must agree
+    # with sympy: the whole factorization when complete, every prime <= the
+    # bound when not.  (The name dates from the block-gcd walk that larger n
+    # took before the sweep folded in limbs.)
     budget = FactorBudget(trial_bound=bound, rho_iterations=rho_iterations)
-    inputs = edge_inputs() + word_edge_inputs()
-    swept = [factor(n, budget) for n in inputs]
-    with mock.patch.object(arith, "_WORD", 0):
-        walked = [factor(n, budget) for n in inputs]
-    for n, a, b in zip(inputs, swept, walked):
-        assert (a.factors, a.remainder) == (b.factors, b.remainder), (bound, n)
-        assert a.product() == n
-        if a.complete:
-            assert dict(a.factors) == sympy.factorint(n), (bound, n)
-        else:
-            found = {p: e for p, e in a.factors if p <= bound}
-            assert found == {p: e for p, e in sympy.factorint(n).items() if p <= bound}
+    inputs = edge_inputs() + limb_edge_inputs()
     if rho_iterations:
-        assert all(a.complete for a in swept)
-
-
-def test_partial_block_product_is_cached_with_the_table():
-    # the default bound 10^5 falls inside block 18; above 2^64 its product is
-    # taken once per table and kept under the prime count
-    n = 99991 * 100003 * (2 ** 61 - 1)
-    first = factor(n)
-    table = arith._prime_table(100_000)
-    count = len(primes_up_to(100_000))
-    start = count - count % arith._BLOCK
-    assert table.partials[count] == math.prod(table.primes[start:count])
-    with mock.patch.object(arith.math, "prod", side_effect=AssertionError("rebuilt")):
-        assert factor(n).factors == first.factors == [(99991, 1), (100003, 1), (2 ** 61 - 1, 1)]
+        inputs.remove(F7)
+    for n in inputs:
+        result = factor(n, budget)
+        assert result.product() == n
+        if result.complete:
+            assert dict(result.factors) == factorint(n), (bound, n)
+        else:
+            found = {p: e for p, e in result.factors if p <= bound}
+            assert found == {p: e for p, e in factorint(n).items() if p <= bound}, (bound, n)
+        if rho_iterations:
+            assert result.complete, (bound, n)
