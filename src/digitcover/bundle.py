@@ -328,7 +328,7 @@ class DigitReport:
     source: str  # "table" or "mod3"
     congruences: int
     lcm: int
-    max_prime: int
+    max_prime: Optional[int]  # None when the lcm could not be factored
     covering: bool
     witness: Optional[int]
     seconds: float
@@ -372,8 +372,9 @@ class VerificationReport:
         ]
         for r in self.digits:
             assigned = f"{r.resolved}/{len(r.rows)}"
+            max_prime = "?" if r.max_prime is None else r.max_prime
             out.append(
-                f"{r.digit:>3} {r.congruences:>5} {r.lcm:>14} {r.max_prime:>6} "
+                f"{r.digit:>3} {r.congruences:>5} {r.lcm:>14} {max_prime:>6} "
                 f"{str(r.covering):>9} {str(r.matches_expected):>9} "
                 f"{assigned:>9} {r.seconds:>7.2f}s"
             )
@@ -418,7 +419,7 @@ class VerificationReport:
                     "source": r.source,
                     "congruences": r.congruences,
                     "lcm": str(r.lcm),
-                    "max_prime": str(r.max_prime),
+                    "max_prime": None if r.max_prime is None else str(r.max_prime),
                     "covering": r.covering,
                     "witness": None if r.witness is None else str(r.witness),
                     "matches_expected": r.matches_expected,
@@ -471,7 +472,8 @@ def _verify_digit(
         covering=verdict.covering,
         witness=verdict.witness,
         seconds=time.perf_counter() - start,
-        matches_expected=all(t.get(digit) in (None, a) for t, a in zip(tables, actual)),
+        matches_expected=analysis.max_prime is not None
+        and all(t.get(digit) in (None, a) for t, a in zip(tables, actual)),
         rows=resolved,
         probable=[
             (row, prime)

@@ -35,7 +35,6 @@ from .construction import (
 from .covering import (
     CoveringSystem,
     is_covering_fast,
-    is_covering_naive,
     lcm_analysis,
     profile_verdict,
     reduction_profile,
@@ -83,26 +82,25 @@ def cmd_cover_verify(args) -> int:
     system, digit = _load_system(args.file)
     analysis = lcm_analysis(system)
     profile = reduction_profile(system, w=args.w) if args.profile else None
-    if args.naive:
-        verdict = is_covering_naive(system)
-    elif profile is not None:
+    if profile is not None:
         verdict = profile_verdict(profile)
     else:
         verdict = is_covering_fast(system, w=args.w)
+    max_prime = analysis.max_prime
 
     payload = {
         "file": args.file,
         "digit": digit,
         "congruences": analysis.count,
         "lcm": str(analysis.lcm),
-        "max_prime": str(analysis.max_prime),
+        "max_prime": None if max_prime is None else str(max_prime),
         "covering": verdict.covering,
         "witness": None if verdict.witness is None else str(verdict.witness),
     }
     lines = [
         f"congruences: {analysis.count}",
         f"lcm: {analysis.lcm}",
-        f"max prime: {analysis.max_prime}",
+        f"max prime: {'unresolved' if max_prime is None else max_prime}",
         f"covering: {verdict.covering}"
         + ("" if verdict.covering else f" (uncovered: {verdict.witness})"),
     ]
@@ -366,18 +364,18 @@ def cmd_order_primes(args) -> int:
 
 def cmd_order_validate(args) -> int:
     table = load_order_table(args.file)
-    report = validate_order_table(table, _budget(args))
-    violations = report.all_violations()
+    violations = validate_order_table(table, _budget(args))
+    valid = not violations
     payload = {
         "file": args.file,
         "rows": len(table),
-        "valid": report.valid,
+        "valid": valid,
         "violations": violations,
     }
-    lines = [f"rows: {len(table)}", f"valid: {report.valid}"]
+    lines = [f"rows: {len(table)}", f"valid: {valid}"]
     lines.extend(f"  {v}" for v in violations)
     _emit(args, payload, lines)
-    return OK if report.valid else FAIL
+    return OK if valid else FAIL
 
 
 def cmd_order_counts(args) -> int:
@@ -461,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
     verify = cover_sub.add_parser("verify", help="verify a covering file")
     verify.add_argument("file")
-    verify.add_argument("--naive", action="store_true", help="reference full interval scan")
     verify.add_argument("--w", type=int, default=None, help="class modulus")
     verify.add_argument("--profile", action="store_true", help="per-class reductions")
     verify.set_defaults(func=cmd_cover_verify)

@@ -203,7 +203,11 @@ def assemble(coverings: Sequence[DigitCovering]) -> Construction:
 
 @dataclass(frozen=True)
 class DivisorCertificate:
-    """Why n + d * 10**k is composite: the assigned prime divides it."""
+    """Why n + d * 10**k is composite: the assigned prime divides it.
+
+    `check` is the one test of that claim: the prime divides the value, the
+    value exceeds the prime in magnitude, and the congruence matches k.
+    """
 
     prime: int
     congruence: Congruence
@@ -222,11 +226,13 @@ class DivisorCertificate:
 def substitution_divisor(
     construction: Construction, n: int, d: int, k: int
 ) -> DivisorCertificate:
-    """Certificate that n + d * 10**k is divisible by an assigned prime.
+    """The certificate of the congruence that matches k for digit d: its
+    prime should divide n + d * 10**k, which `DivisorCertificate.check`
+    tests.
 
     Requires n in the progression (n = offset mod modulus), d among the
     construction's digits, and k >= 0.  The covering property guarantees a
-    matching congruence exists; the certificate re-checks the division.
+    matching congruence exists.
     """
     if d not in construction.digits:
         raise ValueError(f"digit {d} is not covered by this construction")
@@ -236,20 +242,13 @@ def substitution_divisor(
         raise ValueError("n is not an element of the progression")
     for entry in construction.digits[d].entries:
         if entry.congruence.matches(k):
-            value = n + d * 10 ** k
-            cert = DivisorCertificate(
+            return DivisorCertificate(
                 prime=entry.prime,
                 congruence=entry.congruence,
                 digit=d,
                 exponent=k,
-                value=value,
+                value=n + d * 10 ** k,
             )
-            if value % entry.prime != 0:
-                raise AssertionError(
-                    f"internal inconsistency: {entry.prime} does not divide "
-                    f"n + {d}*10^{k}"
-                )
-            return cert
     raise AssertionError(
         f"no congruence matches k={k} for digit {d}; covering verification "
         "should have made this impossible"
@@ -279,32 +278,30 @@ def verify_property_star_sample(
     """Randomized check of the composite-substitution property.
 
     Draws `samples` progression elements, and for every covered digit d and
-    exponent k <= k_max verifies that the certificate prime divides
-    n + d * 10**k and the magnitude exceeds the prime (so divisibility
-    proves compositeness).  Up to SPOT_CHECKS values, drawn at random, are
-    additionally checked to be composite with the primality test.  Stops at
-    the first failure.
+    exponent k <= k_max checks the certificate of `substitution_divisor`:
+    its prime divides n + d * 10**k and the magnitude exceeds the prime (so
+    divisibility proves compositeness).  Up to SPOT_CHECKS values, drawn at
+    random, are additionally checked to be composite with the primality
+    test.  Stops at the first failure.
     """
     rng = random.Random(seed)
     digits = tuple(sorted(construction.digits))
     report = SampleReport(samples=samples, k_max=k_max, checked=0, digits=digits)
-    pow10 = [10 ** k for k in range(k_max + 1)]
     for _ in range(samples):
         n = construction.element(rng.randrange(1, 10 ** 18))
         for d in digits:
             for k in range(k_max + 1):
                 cert = substitution_divisor(construction, n, d, k)
-                value = n + d * pow10[k]
                 report.checked += 1
-                if value % cert.prime != 0 or abs(value) <= cert.prime:
+                if not cert.check():
                     report.failures.append(
                         f"n={n} d={d} k={k}: prime {cert.prime} does not "
-                        f"certify {value}"
+                        f"certify {cert.value}"
                     )
                     return report
                 if report.spot_checked < SPOT_CHECKS and rng.random() < 1e-4:
                     report.spot_checked += 1
-                    if is_prime(abs(value)):
+                    if is_prime(abs(cert.value)):
                         report.failures.append(
                             f"n={n} d={d} k={k}: value is prime despite "
                             f"certificate {cert.prime}"

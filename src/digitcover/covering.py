@@ -123,22 +123,21 @@ class CoverVerdict:
 @dataclass(frozen=True)
 class LcmAnalysis:
     lcm: int
-    max_prime: int
+    max_prime: Optional[int]
     count: int
 
 
 def lcm_analysis(system: CoveringSystem) -> LcmAnalysis:
-    """lcm of the moduli, its largest prime factor, and the congruence count."""
+    """lcm of the moduli, its largest prime factor, and the congruence count.
+
+    max_prime is None when `factor` cannot finish the lcm within the default
+    budget; the verdict does not depend on it.
+    """
     ell = system.lcm
-    if ell == 1:
-        max_prime = 1
-    else:
+    max_prime: Optional[int] = 1
+    if ell > 1:
         fac = factor(ell)
-        if not fac.complete:
-            raise ValueError(
-                f"cannot factor the moduli lcm {ell} within the default budget"
-            )
-        max_prime = max(fac.primes())
+        max_prime = max(fac.primes()) if fac.complete else None
     return LcmAnalysis(lcm=ell, max_prime=max_prime, count=len(system))
 
 

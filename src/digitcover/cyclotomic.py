@@ -6,9 +6,11 @@ excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
 This module evaluates those values exactly, as a Moebius product over the
 squarefree divisors of m formed from the primes `factor` finds in m.  It
 lists the order-m primes by scanning that progression below SCAN_BOUND and
-splitting what is left with Pollard's p - 1 method, and validates
-externally supplied order tables, where an unfactored composite placeholder
-may stand in for up to two unknown primes.
+splitting what is left with Pollard's p - 1 method.  It also validates
+externally supplied order tables: `load_order_table` reads one as a dict
+from each modulus to its entries, where an unfactored composite placeholder
+may stand in for up to two unknown primes, and `validate_order_table`
+returns the list of its violations, empty when the table is valid.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -42,12 +44,9 @@ __all__ = [
     "cyclotomic_value",
     "primes_of_order",
     "OrderPrimes",
-    "OrderTableEntry",
-    "OrderTable",
     "load_order_table",
     "load_order_counts",
     "validate_order_table",
-    "OrderTableReport",
 ]
 
 
@@ -232,46 +231,14 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     return _primes_of_order_cached(m, budget)
 
 
-@dataclass(frozen=True)
-class OrderTableEntry:
-    """One modulus row: the ordered entry list (primes, or a composite
-    placeholder standing for unknown prime factors, repeated if used twice).
-    """
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        """L value of the row: plain entry count, placeholder multiplicity
-        included."""
-        return len(self.entries)
-
-
-@dataclass
-class OrderTable:
-    """Ordered prime lists keyed by modulus; immutable after load."""
-
-    rows: dict[int, OrderTableEntry] = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(sorted(self.rows))
-
-    def __getitem__(self, m: int) -> OrderTableEntry:
-        return self.rows[m]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def load_order_table(path: Union[str, Path]) -> OrderTable:
-    """Parse an order-table file.
+def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
+    """Parse an order-table file into its entries keyed by modulus.
 
     One record per line, `m: e1, e2, ..., eL`, each e a decimal integer; a
     trailing `*2` repeats that entry (a placeholder used twice).  Lines
     starting with `#` are comments.
     """
-    rows: dict[int, OrderTableEntry] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -299,8 +266,8 @@ def load_order_table(path: Union[str, Path]) -> OrderTable:
             entries.extend([value, value] if twice else [value])
         if m in rows:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
-        rows[m] = OrderTableEntry(modulus=m, entries=tuple(entries))
-    return OrderTable(rows=rows)
+        rows[m] = tuple(entries)
+    return rows
 
 
 def load_order_counts(path: Union[str, Path]) -> dict[int, int]:
@@ -318,63 +285,26 @@ def load_order_counts(path: Union[str, Path]) -> dict[int, int]:
     return counts
 
 
-def _entry_provenance(e: int) -> str:
-    """Provenance flag of a table entry: proven prime, probable prime, or
-    composite placeholder.
+def _is_placeholder(e: int) -> bool:
+    """Whether a table entry is composite, so a placeholder for unknown
+    prime factors rather than a prime.
 
     Entries can run to thousands of digits (the largest shipped-format
     placeholder is 17234 digits); classification there only needs to
     separate composites from primes, so past 4096 bits a two-base
-    Miller-Rabin probe replaces the full verdict machinery.  A prime that
-    passes only that probe, or that `is_prime` calls probable, is labelled
-    probable, never verified.
+    Miller-Rabin probe replaces `is_prime`.
     """
     if e.bit_length() <= 4096:
-        verdict = is_prime(e)
-        if not verdict:
-            return "placeholder-composite"
-        return "verified-prime" if verdict.proven else "probable-prime"
+        return not is_prime(e)
     d, s = _odd_part(e - 1)
-    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3)):
-        return "placeholder-composite"
-    return "probable-prime"
-
-
-@dataclass
-class RowReport:
-    """Validation outcome for one modulus row."""
-
-    modulus: int
-    violations: list[str] = field(default_factory=list)
-    provenance: dict[int, str] = field(default_factory=dict)  # entry -> flag
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class OrderTableReport:
-    rows: dict[int, RowReport] = field(default_factory=dict)
-    global_violations: list[str] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return not self.global_violations and all(
-            r.valid for r in self.rows.values()
-        )
-
-    def all_violations(self) -> list[str]:
-        out = list(self.global_violations)
-        for m in sorted(self.rows):
-            out.extend(f"m={m}: {v}" for v in self.rows[m].violations)
-        return out
+    return e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3))
 
 
 def validate_order_table(
-    table: OrderTable, budget: FactorBudget = DEFAULT_BUDGET
-) -> OrderTableReport:
-    """Run the data-validation checklist on every row of an order table.
+    table: dict[int, tuple[int, ...]], budget: FactorBudget = DEFAULT_BUDGET
+) -> list[str]:
+    """Run the data-validation checklist on every row of an order table and
+    return its violations; the table is valid iff there are none.
 
     Per row with modulus m and entries [e1..eL]:
       1. every entry divides the order-m cyclotomic value at 10;
@@ -390,61 +320,59 @@ def validate_order_table(
     primes_of_order(m) completes within budget, the row's prime entries
     must be among the computed primes, and the row may list no more entries
     than there are computed primes.
+
+    The cross-row violations come first, then each row's as `m=<m>: ...`,
+    rows in ascending m.
     """
-    report = OrderTableReport()
+    cross: list[str] = []
+    rows: list[str] = []
     seen_prime_rows: dict[int, int] = {}
 
-    for m in table:
-        entry = table[m]
-        row = RowReport(modulus=m)
-        report.rows[m] = row
+    for m in sorted(table):
+        entries = table[m]
+        violations: list[str] = []
         value = cyclotomic_value(m, 10)
 
         primes: list[int] = []
         composites: list[int] = []
-        for e in entry.entries:
+        for e in entries:
             if e < 2:
-                row.violations.append(f"entry {e} is not a positive integer > 1")
+                violations.append(f"entry {e} is not a positive integer > 1")
                 continue
             if value % e != 0:
-                row.violations.append(
+                violations.append(
                     f"entry {e} does not divide the cyclotomic value"
                 )
             if math.gcd(e, m) != 1:
-                row.violations.append(f"entry {e} shares a factor with {m}")
-            row.provenance[e] = _entry_provenance(e)
-            if row.provenance[e] == "placeholder-composite":
-                composites.append(e)
-            else:
-                primes.append(e)
+                violations.append(f"entry {e} shares a factor with {m}")
+            (composites if _is_placeholder(e) else primes).append(e)
 
         if len(set(primes)) != len(primes):
-            row.violations.append("repeated prime entry")
+            violations.append("repeated prime entry")
         distinct_q = set(composites)
         if len(distinct_q) > 1:
-            row.violations.append(
+            violations.append(
                 f"more than one composite placeholder: {sorted(distinct_q)}"
             )
         elif composites:
             q = composites[0]
             if len(composites) > 2:
-                row.violations.append(
+                violations.append(
                     f"composite placeholder {q} appears {len(composites)} times"
                 )
-            prime_product = math.prod(primes) if primes else 1
-            if math.gcd(q, prime_product) != 1:
-                row.violations.append(
+            if math.gcd(q, math.prod(primes)) != 1:
+                violations.append(
                     f"placeholder {q} shares a factor with the prime entries"
                 )
             if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
                 base, exp = power
-                row.violations.append(
+                violations.append(
                     f"placeholder {q} = {base}**{exp} cannot hold two distinct primes"
                 )
 
         for p in primes:
             if p in seen_prime_rows and seen_prime_rows[p] != m:
-                report.global_violations.append(
+                cross.append(
                     f"prime {p} listed under both m={seen_prime_rows[p]} and m={m}"
                 )
             seen_prime_rows[p] = m
@@ -453,10 +381,11 @@ def validate_order_table(
         if known.complete:
             stray = [p for p in primes if p not in known.primes]
             if stray:
-                row.violations.append(f"entries {stray} are not order-{m} primes")
-            if entry.count > len(known.primes):
-                row.violations.append(
-                    f"row lists {entry.count} entries but only "
+                violations.append(f"entries {stray} are not order-{m} primes")
+            if len(entries) > len(known.primes):
+                violations.append(
+                    f"row lists {len(entries)} entries but only "
                     f"{len(known.primes)} primes have order {m}"
                 )
-    return report
+        rows.extend(f"m={m}: {v}" for v in violations)
+    return cross + rows

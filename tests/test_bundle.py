@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 import digitcover.bundle as bundle_module
-from digitcover.arith import DEFAULT_BUDGET
+from digitcover.arith import DEFAULT_BUDGET, Factorization
 from digitcover.bundle import (
     DATA_ROOT,
     RESOLVE_LIMIT,
@@ -331,6 +331,22 @@ class TestMatchesExpected:
         d9 = next(r for r in report.digits if r.digit == 9)
         assert d9.covering and not d9.matches_expected
         assert not report.ok
+
+    def test_unfactored_lcm_is_not_a_match(self, bundle):
+        # an lcm that factor cannot finish leaves the largest prime unknown:
+        # "?" in the table, null in JSON, and no match with the expected row
+        def stuck(n):
+            return Factorization(n=n, factors=[], remainder=n)
+
+        with mock.patch("digitcover.covering.factor", side_effect=stuck):
+            report = reproduce_report(bundle, 8, DEFAULT_BUDGET)
+        d9 = next(r for r in report.digits if r.digit == 9)
+        assert d9.covering and d9.max_prime is None and not d9.matches_expected
+        assert report.lines()[1].split()[:4] == ["-9", "232", "14433138720", "?"]
+        digits = report.to_dict()["digits"]
+        assert digits[0]["max_prime"] is None and not report.ok
+        # the mod-3 digits have lcm 1 and need no factoring
+        assert all(r.matches_expected for r in report.digits if r.lcm == 1)
 
 
 class TestRepeatedPrimeTable:

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 import digitcover.delicate as delicate_module
-from digitcover.arith import DEFAULT_BUDGET
+from digitcover.arith import DEFAULT_BUDGET, Factorization
 from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT, default_bundle
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
@@ -29,9 +29,14 @@ class TestCoverCli:
         assert "covering: True" in out
 
     def test_verify_naive_and_fast_routes(self, capsys):
-        for route in (["--naive"], ["--w", "2"]):
-            code, out, _ = run(capsys, "cover", "verify", D9_FILE, *route)
-            assert code == 0
+        # the reference scan is no route of cover verify; --w picks the class
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "verify", D9_FILE, "--naive"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --naive" in capsys.readouterr().err
+        code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--w", "2")
+        assert code == 0
+        assert "covering: True" in out
 
     def test_non_covering_exits_1_with_witness(self, tmp_path, capsys):
         path = tmp_path / "half.txt"
@@ -110,6 +115,21 @@ class TestCoverCli:
         payload = json.loads(out)
         assert payload["covering"] is True
         assert payload["lcm"] == payload["max_prime"] == str(prime)
+
+    def test_unfactorable_lcm_still_gets_a_verdict(self, tmp_path, capsys):
+        # 2^128 + 1 costs seconds of p - 1 and rho; an incomplete
+        # factorization stands in for a budget that runs out
+        lcm = 2 ** 128 + 1
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 1\n0 {lcm}\n")
+        stuck = Factorization(n=lcm, factors=[], remainder=lcm)
+        with mock.patch("digitcover.covering.factor", return_value=stuck):
+            code, out, _ = run(capsys, "cover", "verify", str(path))
+            assert code == 0
+            assert out.splitlines()[2:] == ["max prime: unresolved", "covering: True"]
+            code, out, _ = run(capsys, "--format", "json", "cover", "verify", str(path))
+        payload = json.loads(out)
+        assert payload["max_prime"] is None and payload["covering"] is True
 
 
 class TestConstructCli:
@@ -412,6 +432,25 @@ class TestOrderCli:
         code, out, _ = run(capsys, "order", "validate", str(bad))
         assert code == 1
         assert "121" in out
+
+    def test_validate_prints_cross_row_then_row_violations(self, tmp_path, capsys):
+        path = tmp_path / "mixed.txt"
+        path.write_text("6: 7, 13\n3: 37, 7\n30: 50851, 520801\n11: 11111111111*2\n")
+        violations = [
+            "prime 7 listed under both m=3 and m=6",
+            "m=3: entry 7 does not divide the cyclotomic value",
+            "m=3: entries [7] are not order-3 primes",
+            "m=3: row lists 2 entries but only 1 primes have order 3",
+            "m=30: more than one composite placeholder: [50851, 520801]",
+        ]
+        code, out, _ = run(capsys, "order", "validate", str(path))
+        assert code == 1
+        assert out.splitlines() == ["rows: 4", "valid: False"] + [f"  {v}" for v in violations]
+        code, out, _ = run(capsys, "--format", "json", "order", "validate", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "file": str(path), "rows": 4, "valid": False, "violations": violations
+        }
 
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "order", "counts", "--limit", "13")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -177,6 +178,13 @@ class TestSubstitutionDivisor:
         with pytest.raises(ValueError, match="not an element"):
             substitution_divisor(mini_construction, 12345, 9, 0)
 
+    def test_wrong_offset_gives_a_failing_certificate(self, mini_construction):
+        # the certificate is returned for its check() to judge, not raised
+        broken = dataclasses.replace(mini_construction, offset=mini_construction.offset + 1)
+        cert = substitution_divisor(broken, broken.offset, 9, 0)
+        assert (cert.prime, cert.value) == (11, 8523682 + 1 + 9)
+        assert not cert.check()
+
 
 class TestSampleVerification:
     def test_small_run_passes(self, mini_construction):
@@ -190,6 +198,16 @@ class TestSampleVerification:
         report = verify_property_star_sample(mini_construction, samples=5, k_max=0)
         assert report.ok
         assert report.checked == 5 * 7
+
+    def test_wrong_offset_fails_the_sample(self, mini_construction):
+        broken = dataclasses.replace(mini_construction, offset=mini_construction.offset + 1)
+        report = verify_property_star_sample(broken, samples=5, k_max=20)
+        assert report.ok is False
+        assert report.checked == 1
+        [failure] = report.failures
+        n = broken.element(random.Random(0).randrange(1, 10 ** 18))
+        d = min(broken.digits)
+        assert failure.startswith(f"n={n} d={d} k=0: prime 3 does not certify ")
 
     def test_sampled_values_composite_by_primality(self, mini_construction):
         c = mini_construction

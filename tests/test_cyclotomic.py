@@ -5,23 +5,12 @@ import sympy
 
 from digitcover.arith import primes_up_to
 from digitcover.cyclotomic import (
-    OrderTable,
-    OrderTableEntry,
     cyclotomic_value,
     load_order_counts,
     load_order_table,
     primes_of_order,
     validate_order_table,
 )
-
-
-def table_of(rows: dict[int, list[int]]) -> OrderTable:
-    return OrderTable(
-        rows={
-            m: OrderTableEntry(modulus=m, entries=tuple(entries))
-            for m, entries in rows.items()
-        }
-    )
 
 
 class TestCyclotomicValue:
@@ -97,13 +86,14 @@ class TestPrimesOfOrder:
 
 class TestOrderTableFiles:
     def test_round_trip(self, tmp_path):
-        table = table_of({6: [7, 13], 11: [21649, 513239], 2888: [3 ** 50, 3 ** 50]})
         path = tmp_path / "orders.txt"
         # a placeholder used twice is written once, with *2
         path.write_text(
             "6: 7, 13\n11: 21649, 513239\n2888: 717897987691852588770249*2\n"
         )
-        assert load_order_table(path).rows == table.rows
+        assert load_order_table(path) == {
+            6: (7, 13), 11: (21649, 513239), 2888: (3 ** 50, 3 ** 50)
+        }
 
     def test_parse_errors_carry_location(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -114,8 +104,7 @@ class TestOrderTableFiles:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "orders.txt"
         path.write_text("# header\n\n6: 7, 13\n")
-        table = load_order_table(path)
-        assert table[6].entries == (7, 13)
+        assert load_order_table(path) == {6: (7, 13)}
 
     def test_duplicate_modulus_rejected(self, tmp_path):
         path = tmp_path / "orders.txt"
@@ -131,64 +120,57 @@ class TestOrderTableFiles:
 
 class TestValidateOrderTable:
     def test_valid_plain_row(self):
-        report = validate_order_table(table_of({6: [7, 13]}))
-        assert report.valid
-        assert report.rows[6].provenance == {7: "verified-prime", 13: "verified-prime"}
+        assert validate_order_table({6: (7, 13)}) == []
 
     def test_composite_without_placeholder_status_fails(self):
-        report = validate_order_table(table_of({6: [7, 14]}))
-        assert not report.valid
-        text = " ".join(report.rows[6].violations)
-        assert "14" in text
+        # 14 = 2 * 7 is read as a placeholder and fails checks 1, 2 and 4
+        assert validate_order_table({6: (7, 14)}) == [
+            "m=6: entry 14 does not divide the cyclotomic value",
+            "m=6: entry 14 shares a factor with 6",
+            "m=6: placeholder 14 shares a factor with the prime entries",
+        ]
 
     def test_square_placeholder_fails_bullets_4_and_5(self):
-        report = validate_order_table(table_of({2: [11, 121, 121]}))
-        violations = " ".join(report.rows[2].violations)
-        assert "shares a factor with the prime entries" in violations
-        assert "121 = 11**2" in violations
+        violations = validate_order_table({2: (11, 121, 121)})
+        assert "m=2: placeholder 121 shares a factor with the prime entries" in violations
+        assert "m=2: placeholder 121 = 11**2 cannot hold two distinct primes" in violations
 
     def test_placeholder_for_unfactored_part_is_accepted(self):
-        # order-11 value is 21649 * 513239; pretend it resisted factoring
+        # order-11 value is 21649 * 513239; pretend it resisted factoring.
+        # Read as a prime, q twice would be a repeated prime entry.
         q = 21649 * 513239
-        report = validate_order_table(table_of({11: [q, q]}))
-        assert report.valid
-        assert report.rows[11].provenance[q] == "placeholder-composite"
+        assert validate_order_table({11: (q, q)}) == []
 
     def test_repeated_prime_entry(self):
-        report = validate_order_table(table_of({6: [7, 7, 13]}))
-        assert "repeated prime entry" in report.rows[6].violations
+        assert "m=6: repeated prime entry" in validate_order_table({6: (7, 7, 13)})
 
     def test_two_distinct_placeholders(self):
         # the order-30 value is 211 * 241 * 2161
-        report = validate_order_table(table_of({30: [211 * 241, 241 * 2161]}))
-        assert report.rows[30].violations == [
-            f"more than one composite placeholder: {[211 * 241, 241 * 2161]}"
+        assert validate_order_table({30: (211 * 241, 241 * 2161)}) == [
+            f"m=30: more than one composite placeholder: {[211 * 241, 241 * 2161]}"
         ]
 
     def test_placeholder_listed_three_times(self):
         q = 21649 * 513239
-        report = validate_order_table(table_of({11: [q, q, q]}))
-        violations = report.rows[11].violations
-        assert f"composite placeholder {q} appears 3 times" in violations
-        assert not report.valid
+        violations = validate_order_table({11: (q, q, q)})
+        assert f"m=11: composite placeholder {q} appears 3 times" in violations
 
     def test_wrong_order_prime_caught_by_divisibility(self):
-        report = validate_order_table(table_of({6: [7, 11]}))
-        assert not report.valid  # 11 has order 2, does not divide the value
+        # 11 has order 2, so it does not divide the order-6 value
+        violations = validate_order_table({6: (7, 11)})
+        assert "m=6: entry 11 does not divide the cyclotomic value" in violations
 
     def test_prime_under_two_moduli_is_global_violation(self):
-        report = validate_order_table(table_of({6: [7, 13], 3: [37, 7]}))
-        assert any("both" in v for v in report.global_violations)
-        assert not report.valid
+        # cross-row violations come first, then the rows in ascending m
+        violations = validate_order_table({6: (7, 13), 3: (37, 7)})
+        assert violations[0] == "prime 7 listed under both m=3 and m=6"
+        assert all(v.startswith("m=3: ") for v in violations[1:])
 
     def test_cross_check_count_bound(self):
         # claiming three entries for order 2 overruns the computed list [11]
-        report = validate_order_table(table_of({2: [11, 11 * 9090911, 11 * 9090911]}))
-        assert not report.valid
-
-    def test_entry_count_is_l_value(self):
-        entry = OrderTableEntry(modulus=11, entries=(21649 * 513239,) * 2)
-        assert entry.count == 2
+        q = 11 * 9090911
+        violations = validate_order_table({2: (11, q, q)})
+        assert "m=2: row lists 3 entries but only 1 primes have order 2" in violations
 
     def test_thousand_digit_placeholder(self, tmp_path):
         # the modulus-2888 value itself: a 1368-digit composite standing in
@@ -201,24 +183,25 @@ class TestValidateOrderTable:
         path = tmp_path / "orders.txt"
         path.write_text(f"2888: {value}*2\n")
         table = load_order_table(path)
-        assert table[2888].count == 2
+        assert table == {2888: (value, value)}
 
         start = time.perf_counter()
-        report = validate_order_table(table)
+        violations = validate_order_table(table)
         elapsed = time.perf_counter() - start
-        assert report.valid
-        assert report.rows[2888].provenance[value] == "placeholder-composite"
+        # read as a prime, the value twice would be a repeated prime entry
+        assert violations == []
         assert elapsed < 60
 
-    def test_probable_primes_are_not_labelled_verified(self):
-        # 2**4423 - 1 (a Mersenne prime, 4423 bits) passes only the two-base
-        # probe used past 4096 bits; 2**89 - 1 lies above the deterministic
-        # Miller-Rabin bound, so is_prime calls it probable
+    def test_large_primes_are_read_as_primes(self):
+        # 2**4423 - 1 (a Mersenne prime, 4423 bits) takes the two-base
+        # probe used past 4096 bits, and 2**89 - 1 lies above the
+        # deterministic Miller-Rabin bound, where is_prime calls it probable.
+        # Listed twice, each is a repeated prime entry; a composite reading
+        # would make it a placeholder instead.
         big = 2 ** 4423 - 1
         mid = 2 ** 89 - 1
-        report = validate_order_table(table_of({6: [7, mid, big]}))
-        row = report.rows[6]
-        assert row.provenance == {
-            7: "verified-prime", mid: "probable-prime", big: "probable-prime"
-        }
-        assert any(f"entry {big} does not divide" in v for v in row.violations)
+        for prime in (mid, big):
+            violations = validate_order_table({6: (prime, prime)})
+            assert "m=6: repeated prime entry" in violations
+            assert f"m=6: entry {prime} does not divide the cyclotomic value" in violations
+            assert not any("placeholder" in v for v in violations)
