@@ -111,12 +111,14 @@ def cmd_cover_verify(args) -> int:
         top = [r.u for r in profile if r.span == max_span]
         spanned = sum(r.span for r in profile)
         marked = sum(r.cells_marked for r in profile)
+        splits = sum(r.splits for r in profile)
         payload["profile"] = {
             "w": w,
             "max_span": max_span,
             "max_span_classes": top,
             "cells_spanned": str(spanned),
             "cells_marked": str(marked),
+            "splits": splits,
             "classes": [
                 {
                     "u": r.u,
@@ -125,6 +127,7 @@ def cmd_cover_verify(args) -> int:
                     "delta": str(r.delta),
                     "span": str(r.span),
                     "cells_marked": str(r.cells_marked),
+                    "splits": r.splits,
                     "covered": r.covered,
                 }
                 for r in profile
@@ -132,12 +135,13 @@ def cmd_cover_verify(args) -> int:
         }
         lines.append(f"profile: w={w}, max span {max_span} at u in {top}")
         lines.append(f"cells marked: {marked} of {spanned} spanned")
+        lines.append(f"splits: {splits}")
         if w <= 100:
             for r in profile:
                 lines.append(
                     f"  u={r.u:>4}  kept={len(r.congruences):>4}  "
                     f"lcm'={r.lcm_prime}  delta={r.delta}  span={r.span}  "
-                    f"marked={r.cells_marked}  covered={r.covered}"
+                    f"marked={r.cells_marked}  splits={r.splits}  covered={r.covered}"
                 )
     _emit(args, payload, lines)
     return OK if verdict.covering else FAIL

@@ -7,8 +7,10 @@ progressions (start, step) on Z/L, L the lcm of its steps.  A node with a
 step-1 progression is covered; one with L <= LEAF_CELLS is marked in one
 numpy array; a larger one splits on a prime p <= LEAF_CELLS of L into its
 p subclasses t = p*s + j, choosing the p whose children have the least
-total lcm.  A node with no such prime is marked whole up to NAIVE_LIMIT
-and rejected beyond, so no array exceeds LEAF_CELLS cells otherwise.
+total cost, where a child of lcm L' costs L' if it is a leaf and
+sqrt(L' * LEAF_CELLS) if it will split again.  A node with no such prime
+is marked whole up to NAIVE_LIMIT and rejected beyond, so no array exceeds
+LEAF_CELLS cells otherwise.
 
 Without a w the whole system is the single class w = 1.  With a class
 modulus w, each residue class u mod w keeps only the congruences
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import _prime_table, factor
+from .arith import FactorBudget, _prime_table, factor
 
 __all__ = [
     "Congruence",
@@ -51,6 +53,11 @@ __all__ = [
 
 NAIVE_LIMIT = 10 ** 8   # largest array marked in one piece: naive scan, unsplittable node
 LEAF_CELLS = 1 << 16    # refinement marks nodes of lcm up to this, splits larger ones
+# lcm_analysis's budget: the verdict never reads the largest prime, so an lcm
+# is not worth seconds of rho.  Rho needs about sqrt(p) iterations to find a
+# prime p, so every lcm whose second-largest prime is below about 10^8 still
+# resolves, far above the split primes (<= LEAF_CELLS) refinement can use.
+LCM_BUDGET = FactorBudget(rho_iterations=10 ** 4)
 
 
 @dataclass(frozen=True, order=True)
@@ -130,13 +137,13 @@ class LcmAnalysis:
 def lcm_analysis(system: CoveringSystem) -> LcmAnalysis:
     """lcm of the moduli, its largest prime factor, and the congruence count.
 
-    max_prime is None when `factor` cannot finish the lcm within the default
-    budget; the verdict does not depend on it.
+    max_prime is None when `factor` cannot finish the lcm within LCM_BUDGET;
+    the verdict does not depend on it.
     """
     ell = system.lcm
     max_prime: Optional[int] = 1
     if ell > 1:
-        fac = factor(ell)
+        fac = factor(ell, LCM_BUDGET)
         max_prime = max(fac.primes()) if fac.complete else None
     return LcmAnalysis(lcm=ell, max_prime=max_prime, count=len(system))
 
@@ -184,7 +191,7 @@ class ResidueClassReduction:
     when the class is covered.  An empty C' is recorded with lcm_prime = 1
     and span 1 (the single representative u itself, necessarily uncovered).
     cells_marked counts the cells refinement marked for the class, against
-    span for marking the class whole.
+    span for marking the class whole, and splits the nodes it split.
     """
 
     u: int
@@ -195,14 +202,23 @@ class ResidueClassReduction:
     span: int
     witness: Optional[int]
     cells_marked: int
+    splits: int
 
     @property
     def covered(self) -> bool:
         return self.witness is None
 
 
+def _node_cost(ell: int) -> int:
+    """Estimated cells to refine a node of lcm ell: a leaf is marked whole,
+    a larger node splits again, and the geometric mean of ell and
+    LEAF_CELLS prices it far closer than ell does."""
+    return ell if ell <= LEAF_CELLS else math.isqrt(ell * LEAF_CELLS)
+
+
 def _split_cost(progressions: dict[int, list[int]], p: int) -> int:
-    """Total lcm of the p children of a split on p, without building them.
+    """Total _node_cost of the p children of a split on p, without building
+    them.
 
     A step prime to p reaches every child; a step divisible by p reaches
     only the child start mod p, with step / p.  A child that gets step 1 is
@@ -221,8 +237,8 @@ def _split_cost(progressions: dict[int, list[int]], p: int) -> int:
             for j in {a % p for a in starts}:
                 own[j] = math.lcm(own.get(j, 1), sub)
     reached = covered.union(own)
-    return (p - len(reached)) * shared + sum(
-        math.lcm(shared, m) for j, m in own.items() if j not in covered
+    return (p - len(reached)) * _node_cost(shared) + sum(
+        _node_cost(math.lcm(shared, m)) for j, m in own.items() if j not in covered
     )
 
 
@@ -247,19 +263,20 @@ def _split(progressions: dict[int, list[int]], p: int) -> list[dict[int, list[in
 
 def _least_uncovered(
     progressions: dict[int, list[int]], length: int
-) -> tuple[Optional[int], int]:
-    """Least t in [0, length) on none of the progressions, and cells marked.
+) -> tuple[Optional[int], int, int]:
+    """Least t in [0, length) on none of the progressions, cells marked and
+    nodes split.
 
     progressions maps each step (a divisor of length) to its starts.  A node
     with a step-1 progression is covered; one of lcm at most LEAF_CELLS is
     marked in one array.  Larger nodes split on the prime p <= LEAF_CELLS
-    of their lcm whose p children t = p*s + j have the least total lcm; a
-    node with no such prime is marked whole up to NAIVE_LIMIT.  A covering
-    visits every node; otherwise only nodes that may hold a t below the
-    least witness found so far are visited.
+    of their lcm whose p children t = p*s + j have the least total
+    _split_cost; a node with no such prime is marked whole up to
+    NAIVE_LIMIT.  A covering visits every node; otherwise only nodes that
+    may hold a t below the least witness found so far are visited.
     """
     best: Optional[int] = None
-    cells = 0
+    cells = splits = 0
     primes: Optional[list[int]] = None
     # (progressions, lcm, offset, scale): the node's s is t = offset + scale*s
     stack = [(progressions, length, 0, 1)]
@@ -278,8 +295,11 @@ def _least_uncovered(
                     primes = [p for p in split if length % p == 0]
                 candidates = [p for p in primes if ell % p == 0]
             if candidates:
-                p = min(candidates, key=lambda q: _split_cost(node, q))
+                p = candidates[0] if len(candidates) == 1 else min(
+                    candidates, key=lambda q: _split_cost(node, q)
+                )
                 children = _split(node, p)
+                splits += 1
                 for j in range(p - 1, -1, -1):  # child 0 is popped first
                     child = children[j]
                     stack.append((child, math.lcm(*child), offset + scale * j, scale * p))
@@ -298,7 +318,7 @@ def _least_uncovered(
             t = offset + scale * int(np.argmin(covered))
         if best is None or t < best:
             best = t
-    return best, cells
+    return best, cells, splits
 
 
 def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReduction]:
@@ -327,7 +347,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
                 progressions = {1: [0]}  # the congruence holds on the whole class
                 break
             progressions.setdefault(step, []).append((r - u) // g * inv % step)
-        t, cells = _least_uncovered(progressions, span)
+        t, cells, splits = _least_uncovered(progressions, span)
         yield ResidueClassReduction(
             u=u,
             w=w,
@@ -337,6 +357,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
             span=span,
             witness=None if t is None else w * t + u,
             cells_marked=cells,
+            splits=splits,
         )
 
 

@@ -335,7 +335,7 @@ class TestMatchesExpected:
     def test_unfactored_lcm_is_not_a_match(self, bundle):
         # an lcm that factor cannot finish leaves the largest prime unknown:
         # "?" in the table, null in JSON, and no match with the expected row
-        def stuck(n):
+        def stuck(n, budget):
             return Factorization(n=n, factors=[], remainder=n)
 
         with mock.patch("digitcover.covering.factor", side_effect=stuck):

@@ -71,6 +71,20 @@ class TestCoverCli:
         code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
         assert "cells marked: 8 of 8 spanned" in out
 
+    def test_profile_counts_splits(self, capsys):
+        # d = -3 split 623 nodes when each child was charged its full lcm
+        code, out, _ = run(
+            capsys, "--format", "json", "cover", "verify", D_MINUS_3_FILE, "--profile"
+        )
+        assert code == 0
+        profile = json.loads(out)["profile"]
+        assert 0 < profile["splits"] <= 623
+        assert profile["splits"] == sum(c["splits"] for c in profile["classes"])
+        code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
+        assert code == 0
+        assert "splits: 0" in out.splitlines()
+        assert "splits=0" in out
+
     def test_profile_verdict_matches_plain_verdict(self, tmp_path, capsys):
         # leaves 5 and 6 (mod 12) uncovered; with w = 2 or 3 the class
         # holding 6 comes first, but the witness is the least, 5
@@ -90,7 +104,7 @@ class TestCoverCli:
         code, out, _ = run(capsys, "cover", "verify", D_MINUS_3_FILE, "--profile")
         assert code == 0
         assert "profile: w=1," in out
-        assert "cells marked: 18066503 of 1486147703040 spanned" in out
+        assert "cells marked: 8620329 of 1486147703040 spanned" in out
         code, out, _ = run(
             capsys, "cover", "verify", D_MINUS_3_FILE, "--w", "1140", "--profile"
         )
@@ -130,6 +144,17 @@ class TestCoverCli:
             code, out, _ = run(capsys, "--format", "json", "cover", "verify", str(path))
         payload = json.loads(out)
         assert payload["max_prime"] is None and payload["covering"] is True
+
+    def test_unfactorable_lcm_gives_up_quickly(self, tmp_path, capsys):
+        # lcm_analysis factors at a small rho budget, so the default one
+        # (seconds on 2^128 + 1) is never spent on the largest prime
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 1\n0 {2 ** 128 + 1}\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cover", "verify", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.splitlines()[2:] == ["max prime: unresolved", "covering: True"]
 
 
 class TestConstructCli:

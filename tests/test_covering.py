@@ -410,6 +410,27 @@ class TestRefinement:
         assert not naive.covering
         assert fast_routes(system) == [naive] * 3
 
+    def test_split_rule_marks_no_more_than_the_total_lcm_rule(self, bundle):
+        # cells each shipped digit above LEAF_CELLS marked when every child
+        # of a split was charged its full lcm (27,397,606 in all), and the
+        # total over refinement_systems() under that rule
+        full_lcm_rule = {
+            -9: 1_387_408, -8: 3_148_046, -6: 3_357_800, -5: 104_484,
+            -3: 18_066_503, -2: 39_360, 3: 1_273_493, 7: 20_512,
+        }
+        marked = {}
+        for d in bundle.digits():
+            system = bundle.system(d)
+            if system.lcm > LEAF_CELLS:
+                (whole,) = reduction_profile(system)
+                marked[d] = whole.cells_marked
+        assert marked.keys() == full_lcm_rule.keys()
+        for d, cells in marked.items():
+            assert cells <= full_lcm_rule[d], d
+        assert sum(marked.values()) <= 15_000_000
+        total = sum(reduction_profile(s)[0].cells_marked for s in refinement_systems())
+        assert total <= 1_802_546
+
     def test_d_minus_3_marks_a_tenth_of_the_class_route(self, system_d_minus_3):
         # the w = 1140 class route marked 385,231,385 cells for d = -3
         (whole,) = reduction_profile(system_d_minus_3, w=1)
