@@ -1,9 +1,10 @@
 """Shipped covering tables, their ingestion, and the verification report.
 
 The package ships one covering file per digit offset d with d not congruent
-to 2 mod 3 (the remaining six digits are handled by the single congruence
-0 mod 1 assigned to the prime 3, recorded as `mod3` digits in the
-manifest), plus a reference file of expected order-m prime counts.  The
+to 2 mod 3 (the remaining six digits, `MOD3_DIGITS`, are handled by the
+single congruence 0 mod 1 assigned to the prime 3), and a manifest of
+their sha256 digests.  The files are the bundle's only source: how many
+primes of each order the construction needs is read off their rows.  The
 report re-verifies every covering, compares congruence counts, moduli lcm
 and largest prime factor against the embedded expected values, resolves
 prime assignments where the order-m prime lists can be computed, and
@@ -16,14 +17,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
 from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
-from .cyclotomic import load_order_counts, primes_of_order
+from .cyclotomic import primes_of_order
 
 __all__ = [
     "TableBundle",
@@ -177,22 +178,29 @@ class TableBundle:
     """All shipped or ingested table data for the 18 digit offsets."""
 
     coverings: dict[int, tuple[CoveringRow, ...]]
-    mod3_digits: frozenset[int]
-    order_counts: Optional[dict[int, int]] = None
     warnings: list[str] = field(default_factory=list)
-
-    def digits(self) -> tuple[int, ...]:
-        return DIGIT_OFFSETS
 
     def system(self, digit: int) -> CoveringSystem:
         return CoveringSystem(tuple(r.congruence for r in self.rows(digit)))
 
     def rows(self, digit: int) -> tuple[CoveringRow, ...]:
-        if digit in self.mod3_digits:
+        if digit in MOD3_DIGITS:
             return (CoveringRow(Congruence(0, 1), 1),)
         if digit not in self.coverings:
             raise BundleError(f"no covering table for digit {digit}")
         return self.coverings[digit]
+
+    @cached_property
+    def order_counts(self) -> dict[int, int]:
+        """How many primes of order m the rows need, per modulus m: the
+        largest index any digit offset's rows assign with modulus m."""
+        counts: dict[int, int] = {}
+        for digit in DIGIT_OFFSETS:
+            for row in self.rows(digit):
+                if row.rho is not None:
+                    m = row.congruence.modulus
+                    counts[m] = max(counts.get(m, 0), row.rho)
+        return counts
 
     def resolved_rows(
         self, digit: int, resolve_limit: Optional[int], budget: FactorBudget
@@ -209,95 +217,88 @@ class TableBundle:
                 yield row, resolve_assignment(m, row.rho, budget)
 
 
+def _check_manifest(path: Path, files: list[Path]) -> None:
+    """Check the optional `{"sha256": {file name: hex digest}}` manifest:
+    it must name exactly the given files, each with its digest."""
+    if not path.exists():
+        return
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"{path}: invalid JSON: {exc}") from None
+    digests = manifest.get("sha256") if isinstance(manifest, dict) else None
+    if not isinstance(digests, dict):
+        raise BundleError(f"{path}: expected an object with a 'sha256' table")
+    names = {p.name for p in files}
+    if set(digests) != names:
+        raise BundleError(
+            f"{path}: names absent files {sorted(set(digests) - names)} "
+            f"and omits present ones {sorted(names - set(digests))}"
+        )
+    for p in files:
+        if hashlib.sha256(p.read_bytes()).hexdigest() != digests[p.name]:
+            raise BundleError(f"{p.name}: checksum mismatch")
+
+
 def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     """Load a bundle directory.
 
-    Expects `coverings/d<d>.txt` files described by `coverings/manifest.json`
-    (falling back to globbing when no manifest exists), and optionally
-    `order_prime_counts.txt` at the top level.  The manifest is only checked
-    here, not kept: raises BundleError when a digit is neither tabulated nor
-    marked mod3, when a file's digit is not a digit offset or was already
-    supplied by another file, when a manifest row count or sha256 disagrees
-    with the file, or on any parse error.  An `order_table.txt` is not read;
-    `order validate` checks such a file on its own.
+    Reads every `d*.txt` file in `coverings/`, or in the directory itself
+    when it has no `coverings/`.  A file's digit is its `# digit <d>`
+    header, or else the integer after the `d` of its name.  A
+    `manifest.json` beside the files is optional; when present it is a
+    checksum list, `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name
+    exactly the files read, each with its digest.
+
+    Raises BundleError on any parse error, when a header disagrees with the
+    digit in the file name, when a file's digit is not a digit offset, is
+    one of `MOD3_DIGITS` (which take the single congruence 0 mod 1, so no
+    table) or was already supplied by another file, when a tabulated digit has no file,
+    or when the manifest is not such a list.  An `order_table.txt` is not
+    read; `order validate` checks such a file on its own.
     """
     root = Path(directory)
     if not root.is_dir():
         raise BundleError(f"{root} is not a directory")
     cov_dir = root / "coverings" if (root / "coverings").is_dir() else root
-
-    # (digit, info) per file; a globbed file's digit (None) comes from its header or name
-    manifest_path = cov_dir / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"{manifest_path}: invalid JSON: {exc}") from None
-        mod3 = frozenset(manifest.get("mod3_digits", ()))
-        digits = manifest.get("digits", {})
-        sources = [(int(d), digits[d]) for d in sorted(digits, key=int)]
-    else:
-        mod3 = MOD3_DIGITS
-        sources = [(None, {"file": p.name}) for p in sorted(cov_dir.glob("d*.txt"))]
+    paths = sorted(cov_dir.glob("d*.txt"))
+    _check_manifest(cov_dir / "manifest.json", paths)
 
     coverings: dict[int, tuple[CoveringRow, ...]] = {}
     files: dict[int, str] = {}  # the file that supplied each digit
     warnings: list[str] = []
-    for digit, info in sources:
-        path = cov_dir / info["file"]
+    for path in paths:
         parsed = parse_covering_file(path)
         warnings.extend(parsed.warnings)
+        try:
+            named: Optional[int] = int(path.stem[1:])
+        except ValueError:
+            named = None
+        digit = named if parsed.digit is None else parsed.digit
         if digit is None:
-            digit = parsed.digit
-            if digit is None:
-                try:
-                    digit = int(path.stem[1:])
-                except ValueError:
-                    raise BundleError(
-                        f"{path}: no digit header and unrecognized name"
-                    ) from None
-        elif parsed.digit is not None and parsed.digit != digit:
+            raise BundleError(f"{path}: no digit header and unrecognized name")
+        if named is not None and named != digit:
             raise BundleError(
-                f"{info['file']}: header digit {parsed.digit} "
-                f"disagrees with manifest digit {digit}"
+                f"{path.name}: header digit {digit} disagrees with the name's digit {named}"
             )
-        if "congruences" in info and info["congruences"] != len(parsed.rows):
+        if digit not in DIGIT_OFFSETS or digit in MOD3_DIGITS:
             raise BundleError(
-                f"{info['file']}: {len(parsed.rows)} congruences, "
-                f"manifest says {info['congruences']}"
-            )
-        if "sha256" in info and hashlib.sha256(path.read_bytes()).hexdigest() != info["sha256"]:
-            raise BundleError(f"{info['file']}: checksum mismatch")
-        if digit not in DIGIT_OFFSETS:
-            raise BundleError(
-                f"{info['file']}: digit {digit} is not a digit offset (-9..-1, 1..9)"
+                f"{path.name}: digit {digit} is not a digit offset with a table "
+                "(-9..-1, 1..9, not 2 mod 3)"
             )
         if digit in files:
             raise BundleError(
-                f"{info['file']}: digit {digit} is already supplied by {files[digit]}"
+                f"{path.name}: digit {digit} is already supplied by {files[digit]}"
             )
-        files[digit] = info["file"]
+        files[digit] = path.name
         coverings[digit] = tuple(parsed.rows)
 
     missing = [
-        d for d in DIGIT_OFFSETS if d not in coverings and d not in mod3
+        d for d in DIGIT_OFFSETS if d not in coverings and d not in MOD3_DIGITS
     ]
     if missing:
-        raise BundleError(
-            f"digit coverage gap: no covering table or mod3 marker for {missing}"
-        )
-
-    order_counts = None
-    counts_path = root / "order_prime_counts.txt"
-    if counts_path.exists():
-        order_counts = load_order_counts(counts_path)
-
-    return TableBundle(
-        coverings=coverings,
-        mod3_digits=mod3,
-        order_counts=order_counts,
-        warnings=warnings,
-    )
+        raise BundleError(f"digit coverage gap: no covering table for {missing}")
+    return TableBundle(coverings=coverings, warnings=warnings)
 
 
 @lru_cache(maxsize=1)
@@ -465,7 +466,7 @@ def _verify_digit(
     tables = (EXPECTED_CONGRUENCE_COUNTS, EXPECTED_LCM, EXPECTED_MAX_PRIME)
     return DigitReport(
         digit=digit,
-        source="mod3" if digit in bundle.mod3_digits else "table",
+        source="mod3" if digit in MOD3_DIGITS else "table",
         congruences=analysis.count,
         lcm=analysis.lcm,
         max_prime=analysis.max_prime,
@@ -507,7 +508,7 @@ def shared_prime_checks(
     every prime used by more than one digit for offset-residue
     consistency."""
     return _shared_checks(
-        {d: bundle.resolved_rows(d, resolve_limit, budget) for d in bundle.digits()}
+        {d: bundle.resolved_rows(d, resolve_limit, budget) for d in DIGIT_OFFSETS}
     )
 
 
@@ -530,7 +531,7 @@ def reproduce_report(
     start = time.perf_counter()
     reports = [
         _verify_digit(bundle, d, bundle.resolved_rows(d, resolve_limit, budget), budget)
-        for d in bundle.digits()
+        for d in DIGIT_OFFSETS
     ]
     shared = _shared_checks({r.digit: r.rows for r in reports})
     return VerificationReport(

@@ -199,6 +199,14 @@ def cmd_construct_assemble(args) -> int:
 def cmd_construct_certify(args) -> int:
     construction = load_construction(args.construction)
     n, d, k = int(args.n), int(args.d), int(args.k)
+    # the value printed below has about k + 1 digits: refuse, before 10**k
+    # is built, a k whose value str() could not print
+    limit = sys.get_int_max_str_digits()
+    if limit and k >= limit:
+        raise ValueError(
+            f"exponent k = {k} must be below {limit}, the number of digits "
+            "Python prints (sys.get_int_max_str_digits())"
+        )
     cert = substitution_divisor(construction, n, d, k)
     ok = cert.check()
     payload = {
@@ -384,9 +392,6 @@ def cmd_order_validate(args) -> int:
 
 def cmd_order_counts(args) -> int:
     bundle = _bundle(args)
-    if bundle.order_counts is None:
-        print("bundle has no order_prime_counts.txt", file=sys.stderr)
-        return ERROR
     moduli = [m for m in sorted(bundle.order_counts) if m <= args.limit]
     if not moduli:
         print(f"no tabulated modulus <= {args.limit}", file=sys.stderr)

@@ -45,7 +45,6 @@ __all__ = [
     "primes_of_order",
     "OrderPrimes",
     "load_order_table",
-    "load_order_counts",
     "validate_order_table",
 ]
 
@@ -268,21 +267,6 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
         rows[m] = tuple(entries)
     return rows
-
-
-def load_order_counts(path: Union[str, Path]) -> dict[int, int]:
-    """Parse a `m count` per line file of expected entry counts."""
-    counts: dict[int, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            m_str, count_str = line.split()
-            counts[int(m_str)] = int(count_str)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected 'm count', got {raw!r}") from None
-    return counts
 
 
 def _is_placeholder(e: int) -> bool:

@@ -24,7 +24,7 @@ from digitcover.bundle import (
     resolve_assignment,
     shared_prime_checks,
 )
-from digitcover.construction import cross_digit_consistency
+from digitcover.construction import DIGIT_OFFSETS, cross_digit_consistency
 from digitcover.covering import Congruence, CoveringSystem
 from digitcover.cyclotomic import primes_of_order
 
@@ -37,7 +37,6 @@ def copy_tables(tmp_path):
     cov = tmp_path / "coverings"
     shutil.copytree(DATA_ROOT / "coverings", cov)
     (cov / "manifest.json").unlink()
-    shutil.copy(DATA_ROOT / "order_prime_counts.txt", tmp_path)
     return cov
 
 
@@ -82,13 +81,15 @@ class TestParseCoveringFile:
 class TestIngest:
     def test_shipped_bundle(self, bundle):
         assert set(bundle.coverings) == set(EXPECTED_LCM)
-        assert bundle.mod3_digits == MOD3_DIGITS
         assert not bundle.warnings
         for d, rows in bundle.coverings.items():
             assert len(rows) == EXPECTED_CONGRUENCE_COUNTS[d]
-        assert bundle.order_counts is not None
         assert len(bundle.order_counts) == 673
-        assert sum(1 for d in bundle.digits()) == 18
+        assert bundle.order_counts[1] == 1  # the mod-3 digits' prime 3
+
+    def test_shipped_manifest_names_the_shipped_files(self):
+        digests = json.loads((DATA_ROOT / "coverings" / "manifest.json").read_text())
+        assert sorted(digests["sha256"]) == sorted(f"d{d}.txt" for d in EXPECTED_LCM)
 
     def test_empty_directory_is_gap_error(self, tmp_path):
         with pytest.raises(BundleError, match="coverage gap"):
@@ -102,42 +103,53 @@ class TestIngest:
                 f"{r.congruence.residue} {r.congruence.modulus} {r.rho}" for r in rows
             ]
             (out / f"d{d}.txt").write_text("\n".join(lines) + "\n")
-        again = ingest_tables(tmp_path)
-        assert again.coverings == bundle.coverings
-        assert again.mod3_digits == bundle.mod3_digits
-
-    def test_manifest_count_mismatch_detected(self, tmp_path):
-        cov = tmp_path / "coverings"
-        cov.mkdir()
-        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
-        manifest = {
-            "digits": {"9": {"file": "d9.txt", "congruences": 4}},
-            "mod3_digits": sorted(MOD3_DIGITS | {-9, -8, -6, -5, -3, -2, 1, 3, 4, 6, 7}),
-        }
-        (cov / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="manifest says 4"):
-            ingest_tables(tmp_path)
+        assert ingest_tables(tmp_path).coverings == bundle.coverings
 
     def test_checksum_mismatch_detected(self, tmp_path):
-        cov = tmp_path / "coverings"
-        cov.mkdir()
-        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
-        manifest = {
-            "digits": {"9": {"file": "d9.txt", "sha256": "0" * 64}},
-            "mod3_digits": sorted(MOD3_DIGITS | {-9, -8, -6, -5, -3, -2, 1, 3, 4, 6, 7}),
-        }
-        (cov / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="checksum"):
+        cov = copy_tables(tmp_path)
+        digests = {p.name: "0" * 64 for p in cov.glob("d*.txt")}
+        (cov / "manifest.json").write_text(json.dumps({"sha256": digests}))
+        with pytest.raises(BundleError, match="d-2.txt: checksum mismatch"):
             ingest_tables(tmp_path)
 
-    def test_header_disagreeing_with_manifest(self, tmp_path):
+    def test_manifest_naming_a_missing_file(self, tmp_path):
         cov = tmp_path / "coverings"
-        cov.mkdir()
-        (cov / "d9.txt").write_text("# digit 8\n0 1 1\n")
-        manifest = {"digits": {"9": {"file": "d9.txt"}}, "mod3_digits": []}
-        (cov / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="header digit 8 disagrees with manifest digit 9"):
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        (cov / "d9.txt").unlink()
+        with pytest.raises(BundleError, match=r"names absent files \['d9.txt'\] and omits present ones \[\]"):
             ingest_tables(tmp_path)
+
+    def test_manifest_omitting_a_present_file(self, tmp_path):
+        cov = tmp_path / "coverings"
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        shutil.copy(cov / "d9.txt", cov / "d09.txt")
+        with pytest.raises(BundleError, match=r"names absent files \[\] and omits present ones \['d09.txt'\]"):
+            ingest_tables(tmp_path)
+
+    def test_manifest_without_checksums(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "manifest.json").write_text(json.dumps({"mod3_digits": []}))
+        with pytest.raises(BundleError, match="expected an object with a 'sha256' table"):
+            ingest_tables(tmp_path)
+
+    def test_header_disagreeing_with_file_name(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "d9.txt").write_text("# digit 8\n0 1 1\n")
+        with pytest.raises(BundleError, match="d9.txt: header digit 8 disagrees with the name's digit 9"):
+            ingest_tables(tmp_path)
+
+    def test_file_for_a_mod3_digit(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        (cov / "d2.txt").write_text("# digit 2\n0 2 1\n1 2 1\n")
+        with pytest.raises(BundleError, match="d2.txt: digit 2 is not a digit offset with a table"):
+            ingest_tables(tmp_path)
+
+    def test_order_counts_follow_the_rows(self, tmp_path, bundle):
+        cov = copy_tables(tmp_path)
+        with open(cov / "d9.txt", "a") as f:
+            f.write("1 3 2\n")
+        assert bundle.order_counts[3] == 1
+        assert ingest_tables(tmp_path).order_counts == {**bundle.order_counts, 3: 2}
 
     def test_glob_digit_from_file_name(self, tmp_path, bundle):
         cov = copy_tables(tmp_path)
@@ -154,7 +166,6 @@ class TestIngest:
         copy_tables(tmp_path)
         again = ingest_tables(tmp_path)
         assert again.coverings == bundle.coverings
-        assert again.mod3_digits == bundle.mod3_digits
         assert again.order_counts == bundle.order_counts
 
     def test_warnings_collected(self, tmp_path, bundle):
@@ -177,19 +188,6 @@ class TestIngest:
         with pytest.raises(BundleError, match="d9.txt: digit 9 is already supplied by d09.txt"):
             ingest_tables(tmp_path)
 
-    def test_manifest_digit_supplied_twice(self, tmp_path):
-        cov = tmp_path / "coverings"
-        cov.mkdir()
-        (cov / "d9.txt").write_text("# digit 9\n0 1 1\n")
-        (cov / "d09.txt").write_text("# digit 9\n0 1 1\n")
-        manifest = {
-            "digits": {"9": {"file": "d9.txt"}, "09": {"file": "d09.txt"}},
-            "mod3_digits": [],
-        }
-        (cov / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="d09.txt: digit 9 is already supplied by d9.txt"):
-            ingest_tables(tmp_path)
-
     def test_bad_manifest_json(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
@@ -206,7 +204,7 @@ class TestResolvedRows:
         assert bundle.system(2) == CoveringSystem((Congruence(0, 1),))
 
     def test_system_is_the_rows(self, bundle):
-        for d in bundle.digits():
+        for d in DIGIT_OFFSETS:
             assert bundle.system(d).congruences == tuple(
                 r.congruence for r in bundle.rows(d)
             )
@@ -223,7 +221,6 @@ class TestResolvedRows:
         ]
         unindexed = TableBundle(
             coverings={9: (CoveringRow(Congruence(0, 2)), CoveringRow(Congruence(1, 2), 1))},
-            mod3_digits=frozenset(),
         )
         assert [p for _, p in unindexed.resolved_rows(9, None, DEFAULT_BUDGET)] == [None, 11]
 

@@ -191,6 +191,25 @@ class TestConstructCli:
         assert code == 2
         assert "not an element" in err
 
+    def test_certify_refuses_k_beyond_the_printable_digits(self, tmp_path, capsys):
+        out_file = tmp_path / "mini.txt"
+        run(capsys, "construct", "assemble", "--digits", "9", "--out", str(out_file))
+        argv = ["construct", "certify", "--construction", str(out_file),
+                "--n", "8523682", "--d", "9"]
+        code, out, _ = run(capsys, *argv, "--k", "4299")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "divisible by 101 via k = 3 (mod 4)", "certificate valid: True"
+        ]
+        with mock.patch("digitcover.cli.substitution_divisor") as built:
+            code, out, err = run(capsys, *argv, "--k", "4400")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exponent k = 4400 must be below 4300, the number of digits "
+            "Python prints (sys.get_int_max_str_digits())\n"
+        )
+        built.assert_not_called()
+
     def test_unresolvable_digit_is_data_error(self, capsys):
         code, _, err = run(capsys, "construct", "assemble", "--digits", "-3")
         assert code == 2
@@ -347,7 +366,6 @@ class TestTablesWarnings:
         cov = tmp_path / "coverings"
         shutil.copytree(DATA_ROOT / "coverings", cov)
         (cov / "manifest.json").unlink()
-        shutil.copy(DATA_ROOT / "order_prime_counts.txt", tmp_path)
         (cov / "d9.txt").write_text("# digit 9\n0 2 1\n7 4 1\n1 8 1\n5 8 2\n")
         return str(tmp_path)
 
@@ -492,24 +510,32 @@ class TestOrderCli:
         assert code == 0
         assert out.splitlines()[-1] == "all rows consistent: True (1 of 1 rows checked)"
 
-    def test_counts_incomplete_row_is_unresolved(self, tmp_path, capsys):
-        # every digit marked mod3, so the bundle needs no covering files
+    @pytest.fixture
+    def needs_two_of_order_3(self, tmp_path):
+        """The shipped tables with a row `1 3 2` added to d9.txt: m = 3 then
+        needs 2 primes, and only 37 exists.  The shipped m = 69 needs 3,
+        and 10k rho iterations find 1, with the factorization incomplete."""
         cov = tmp_path / "coverings"
-        cov.mkdir()
-        digits = [d for d in range(-9, 10) if d]
-        (cov / "manifest.json").write_text(json.dumps({"mod3_digits": digits}))
-        # m = 2: 11 found, complete; m = 3: only 37 exists, 2 claimed;
-        # m = 69: 10k rho iterations find 1 of the 3 claimed, incomplete
-        (tmp_path / "order_prime_counts.txt").write_text("2 1\n3 2\n69 3\n")
-        argv = ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        (cov / "manifest.json").unlink()
+        with open(cov / "d9.txt", "a") as f:
+            f.write("1 3 2\n")
+        return ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
                 "--tables", str(tmp_path)]
+
+    def test_counts_incomplete_row_is_unresolved(self, needs_two_of_order_3, capsys):
+        argv = needs_two_of_order_3
         code, out, _ = run(capsys, *argv)
         assert code == 1
-        assert "all rows consistent: False (2 of 3 rows checked)" in out
+        row = next(line for line in out.splitlines() if line.split()[0] == "3")
+        assert row.split() == ["3", "2", "1", "True", "False"]
+        assert "all rows consistent: False (61 of 62 rows checked)" in out
         assert "unresolved m: 69" in out
         code, out, _ = run(capsys, "--format", "json", *argv)
         payload = json.loads(out)
-        assert [r["ok"] for r in payload["rows"]] == [True, False, None]
+        ok = {r["m"]: r["ok"] for r in payload["rows"]}
+        assert ok.pop(3) is False and ok.pop(69) is None
+        assert all(ok.values())
         assert payload["unresolved"] == [69] and payload["ok"] is False
 
     def test_primes_prints_exact_prefix_and_reason(self, capsys):
@@ -525,20 +551,14 @@ class TestOrderCli:
         assert payload["scan_candidates"] == (10 ** 6 - 2) // 138
         assert payload["scan_survivors"] >= 1
 
-    def test_counts_unresolved_row_shows_reason(self, tmp_path, capsys):
-        cov = tmp_path / "coverings"
-        cov.mkdir()
-        digits = [d for d in range(-9, 10) if d]
-        (cov / "manifest.json").write_text(json.dumps({"mod3_digits": digits}))
-        (tmp_path / "order_prime_counts.txt").write_text("2 1\n69 3\n")
-        argv = ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
-                "--tables", str(tmp_path)]
+    def test_counts_unresolved_row_shows_reason(self, needs_two_of_order_3, capsys):
+        argv = needs_two_of_order_3
         code, out, _ = run(capsys, *argv)
         row = next(line for line in out.splitlines() if line.split()[0] == "69")
         assert "unresolved  p-1 spent " in row
         code, out, _ = run(capsys, "--format", "json", *argv)
-        reasons = [r["reason"] for r in json.loads(out)["rows"]]
-        assert reasons[0] is None and reasons[1].startswith("p-1 spent ")
+        reasons = {r["m"]: r["reason"] for r in json.loads(out)["rows"]}
+        assert reasons[3] is None and reasons[69].startswith("p-1 spent ")
 
 
 class TestReportCli:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import digitcover.covering as covering_module
 from digitcover.bundle import default_bundle
+from digitcover.construction import DIGIT_OFFSETS
 from digitcover.covering import (
     LEAF_CELLS,
     NAIVE_LIMIT,
@@ -237,7 +238,7 @@ def small_systems():
     rng = random.Random(41)
     systems = [random_system(rng) for _ in range(300)]
     bundle = default_bundle()
-    shipped = [bundle.system(d) for d in bundle.digits()]
+    shipped = [bundle.system(d) for d in DIGIT_OFFSETS]
     return systems + [s for s in shipped if s.lcm <= 10 ** 6]
 
 
@@ -277,7 +278,7 @@ class TestUnifiedVerifier:
 
     def test_shipped_digits_profile_the_verdict_class(self):
         bundle = default_bundle()
-        for d in bundle.digits():
+        for d in DIGIT_OFFSETS:
             system = bundle.system(d)
             profile = reduction_profile(system)
             assert [r.w for r in profile] == [1]
@@ -367,7 +368,7 @@ class TestRefinement:
         bundle = default_bundle()
         rng = random.Random(59)
         compared = 0
-        for d in bundle.digits():
+        for d in DIGIT_OFFSETS:
             congruences = bundle.system(d).congruences
             if len(congruences) < 2:
                 continue
@@ -381,7 +382,7 @@ class TestRefinement:
 
     def test_shipped_digits_in_refinement_range(self):
         bundle = default_bundle()
-        systems = [bundle.system(d) for d in bundle.digits()]
+        systems = [bundle.system(d) for d in DIGIT_OFFSETS]
         systems = [s for s in systems if LEAF_CELLS < s.lcm <= NAIVE_LIMIT]
         assert len(systems) >= 2
         for system in systems:
@@ -419,7 +420,7 @@ class TestRefinement:
             -3: 18_066_503, -2: 39_360, 3: 1_273_493, 7: 20_512,
         }
         marked = {}
-        for d in bundle.digits():
+        for d in DIGIT_OFFSETS:
             system = bundle.system(d)
             if system.lcm > LEAF_CELLS:
                 (whole,) = reduction_profile(system)

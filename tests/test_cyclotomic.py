@@ -6,7 +6,6 @@ import sympy
 from digitcover.arith import primes_up_to
 from digitcover.cyclotomic import (
     cyclotomic_value,
-    load_order_counts,
     load_order_table,
     primes_of_order,
     validate_order_table,
@@ -111,11 +110,6 @@ class TestOrderTableFiles:
         path.write_text("6: 7\n6: 13\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_order_table(path)
-
-    def test_load_order_counts(self, tmp_path):
-        path = tmp_path / "counts.txt"
-        path.write_text("# m count\n1 1\n6 2\n")
-        assert load_order_counts(path) == {1: 1, 6: 2}
 
 
 class TestValidateOrderTable:
