@@ -13,6 +13,13 @@ A composite cofactor then gets a short Pollard p - 1 pass sized by the
 cofactor, about a quarter of the multiplications Brent rho expects to
 need, and rho only if that finds nothing.
 
+`is_prime` proves primality with Miller-Rabin on proven base sets, except
+from 1.12e12 to 2^64, where one base-2 strong test and one strong Lucas
+test (Baillie-PSW, Pomerance, Selfridge & Wagstaff 1980) are a proof:
+Feitsma's enumeration of the base-2 strong pseudoprimes below 2^64, checked
+against the Lucas test, leaves none that passes both.  The Lucas test
+computes only V, by a ladder on (V_k, V_k+1, Q^k).
+
 `pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
 stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
 prime factors p are known to have a given factor of p - 1: the order-m
@@ -74,6 +81,16 @@ _BASE_TIERS = (
 # Random Miller-Rabin rounds behind a probable-prime verdict.
 _RANDOM_ROUNDS = 64
 
+# From _BPSW_FROM to _BPSW_TO, where the tiers need five or more bases, a
+# base-2 strong test and a strong Lucas test (Baillie-PSW) prove primality:
+# Feitsma's enumeration lists every base-2 strong pseudoprime below 2^64,
+# and none of them passes the strong Lucas test.  Below _BPSW_FROM the
+# tiers' at most four bases cost less than the Lucas test.  In this range,
+# and above _DETERMINISTIC_BOUND, a tier's bases after 2 run only to name
+# the witness of a composite.
+_BPSW_FROM = 1_122_004_669_633
+_BPSW_TO = 1 << 64
+
 
 def _proven_bases(n: int) -> tuple[int, ...]:
     for bound, bases in _BASE_TIERS:
@@ -88,6 +105,7 @@ _SMALL_PRIMES = (
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
     233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
 )
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 COMPOSITE = "composite"
 PROBABLE_PRIME = "probable-prime"
@@ -133,7 +151,7 @@ def prime_flags(n: int) -> bytearray:
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, by sieve."""
-    return [i for i, b in enumerate(prime_flags(n)) if b]
+    return list(itertools.compress(range(n + 1), prime_flags(n)))
 
 
 # The least bound the prime table is sieved to, and the integers sieved per
@@ -201,92 +219,114 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test, Selfridge parameter choice.
+    """Strong Lucas probable-prime test with Selfridge's parameters: the
+    first D in 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  For odd n > 2; a perfect square is rejected at once.
 
-    Assumes n odd, n > 2, not a perfect square, with no small prime factors.
+    n + 1 = k * 2**s with k odd; n passes if U_k = 0 or V_(k * 2**r) = 0
+    (mod n) for some 0 <= r < s.  Only V is computed, by a ladder on
+    (V_j, V_(j+1), Q**j): V_2j = V_j**2 - 2Q**j and V_(2j+1) = V_j V_(j+1) - Q**j.
+    Since D * U_k = 2V_(k+1) - V_k and gcd(D, n) = 1, U_k = 0 iff
+    2V_(k+1) = V_k (mod n).
     """
+    root = math.isqrt(n)
+    if root * root == n:
+        return False  # no D has (D/n) = -1; the search would not end
     d = 5
     while True:
         j = _jacobi(d, n)
-        if j == 0:
-            return False  # gcd(n, d) nontrivial
         if j == -1:
             break
+        if j == 0 and d % n:
+            return False  # gcd(n, d) is a proper factor of n
         d = -(d + 2) if d > 0 else -(d - 2)
-    p, q = 1, (1 - d) // 4
+    q = (1 - d) // 4
 
     k, s = _odd_part(n + 1)
-
-    # Lucas sequences U_k, V_k by binary ladder.
-    u, v, qk = 1, p, q % n
+    v, w, qj = 1, (1 - 2 * q) % n, q % n  # j = 1
     for bit in bin(k)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
         if bit == "1":
-            u, v = (p * u + v) % n, (d * u + p * v) % n
-            if u % 2:
-                u += n
-            if v % 2:
-                v += n
-            u, v = u // 2 % n, v // 2 % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
+            v, w, qj = (v * w - qj) % n, (w * w - 2 * q * qj) % n, qj * qj * q % n
+        else:
+            v, w, qj = (v * v - 2 * qj) % n, (v * w - qj) % n, qj * qj % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
+        v = (v * v - 2 * qj) % n
         if v == 0:
             return True
-        qk = qk * qk % n
+        qj = qj * qj % n
     return False
 
 
 def is_prime(n: int) -> PrimalityVerdict:
     """Decide primality of n >= 0.
 
-    Deterministic (kind "proven-prime"/"composite") for n below a fixed
-    Miller-Rabin bound near 3.3e24: the first 13 prime bases
-    (Sorenson-Webster), fewer below smaller bounds, and from 3.4e14 to 2^64
-    Sinclair's seven bases 2, 325, 9375, 28178, 450775, 9780504 and
-    1795265022, proven deterministic there against Feitsma's enumeration of
-    the base-2 strong pseudoprimes below 2^64.  n - 1 = d * 2**s is split
-    once for all bases.  Above the bound, a probable-prime verdict is backed
-    by _RANDOM_ROUNDS Miller-Rabin rounds with deterministically
-    derived bases plus a strong Lucas double check; such verdicts are
-    labeled, never silently treated as proven.
+    Deterministic (kind "proven-prime"/"composite") below a fixed bound near
+    3.3e24.  Below 1.12e12 Miller-Rabin with Jaeschke's proven base sets of
+    at most four bases decides.  From 1.12e12 to 2^64 one base-2 strong test
+    and one strong Lucas test with Selfridge's parameters (Baillie-PSW) do:
+    that pair has no pseudoprime below 2^64, verified against Feitsma's
+    enumeration of the base-2 strong pseudoprimes there.  From 2^64 to the
+    bound the first 13 prime bases decide (Sorenson-Webster).  Above it, a
+    probable-prime verdict rests on base 2, strong Lucas and _RANDOM_ROUNDS
+    Miller-Rabin rounds with deterministically derived bases; such verdicts
+    are labeled, never silently treated as proven.  n - 1 = d * 2**s is
+    split once for all bases.
+
+    A composite verdict names the same witness as running every base of n's
+    proven tier first would (the 13 bases above the bound): after base 2
+    passes and Lucas or a random round rejects n, the tier's other bases
+    are tried only to name one.  Small prime factors are found by one gcd
+    with the product of the primes up to 293.
 
     The verdict is truthy exactly when n is (probably) prime.
     """
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return PrimalityVerdict(PROVEN_PRIME)
-        if n % p == 0:
-            return PrimalityVerdict(COMPOSITE, witness=p, witness_kind="divisor")
+    if math.gcd(n, _SMALL_PRODUCT) > 1:
+        for p in _SMALL_PRIMES:
+            if n == p:
+                return PrimalityVerdict(PROVEN_PRIME)
+            if n % p == 0:
+                return PrimalityVerdict(COMPOSITE, witness=p, witness_kind="divisor")
     if n < _SMALL_PRIMES[-1] ** 2:
         return PrimalityVerdict(PROVEN_PRIME)
 
     d, s = _odd_part(n - 1)
-    for a in _proven_bases(n):
-        if _miller_rabin_witness(n, a, d, s):
-            return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-    if n < _DETERMINISTIC_BOUND:
+    bases = _proven_bases(n)
+    if n < _BPSW_FROM or _BPSW_TO <= n < _DETERMINISTIC_BOUND:
+        for a in bases:
+            if _miller_rabin_witness(n, a, d, s):
+                return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
         return PrimalityVerdict(PROVEN_PRIME)
 
-    root = math.isqrt(n)
-    if root * root == n:
-        return PrimalityVerdict(COMPOSITE, witness=root, witness_kind="divisor")
-    if not _strong_lucas_prp(n):
-        # No Miller-Rabin witness found above, so there is no simple
-        # certificate to attach; the verdict is still composite.
-        return PrimalityVerdict(COMPOSITE)
-    rng = random.Random(n)
-    for _ in range(_RANDOM_ROUNDS):
-        a = rng.randrange(2, n - 1)
+    if _miller_rabin_witness(n, 2, d, s):
+        return PrimalityVerdict(COMPOSITE, witness=2, witness_kind="mr-base")
+    if _strong_lucas_prp(n):
+        if n < _BPSW_TO:
+            return PrimalityVerdict(PROVEN_PRIME)
+        rng = random.Random(n)
+        for _ in range(_RANDOM_ROUNDS):
+            a = rng.randrange(2, n - 1)
+            if _miller_rabin_witness(n, a, d, s):
+                rejection = PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
+                break
+        else:
+            return PrimalityVerdict(PROBABLE_PRIME, rounds=_RANDOM_ROUNDS)
+    else:
+        root = math.isqrt(n)
+        rejection = (
+            PrimalityVerdict(COMPOSITE, witness=root, witness_kind="divisor")
+            if root * root == n
+            else PrimalityVerdict(COMPOSITE)
+        )
+    # n is composite.  The witness is the first of the tier's fixed bases
+    # that exposes n, as if they had all run first; below 2^64 one always does.
+    for a in bases[1:]:
         if _miller_rabin_witness(n, a, d, s):
             return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-    return PrimalityVerdict(PROBABLE_PRIME, rounds=_RANDOM_ROUNDS)
+    return rejection
 
 
 MAX_TRIAL_BOUND = 10 ** 7

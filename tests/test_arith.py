@@ -1,5 +1,6 @@
 import math
 import random
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -17,12 +18,18 @@ from digitcover.arith import (
     is_perfect_power,
     is_prime,
     pm1_split,
+    prime_flags,
     primes_up_to,
     _BASE_TIERS,
+    _BPSW_FROM,
+    _DETERMINISTIC_BASES,
     _DETERMINISTIC_BOUND,
+    _RANDOM_ROUNDS,
     _SMALL_PRIMES,
+    _SMALL_PRODUCT,
     _miller_rabin_witness,
     _odd_part,
+    _strong_lucas_prp,
 )
 from digitcover.covering import LEAF_CELLS
 
@@ -147,6 +154,43 @@ class TestCrt:
             assert residue % m == r
 
 
+def tier_verdict(n: int) -> Optional[tuple]:
+    """(kind, witness, witness_kind) of `is_prime(n)` by the Miller-Rabin
+    route alone: trial division by the small primes, then every base of n's
+    proven tier in order (the 13 bases above _DETERMINISTIC_BOUND, where
+    None means that none of them exposes n)."""
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return ("proven-prime", None, None)
+        if n % p == 0:
+            return ("composite", p, "divisor")
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return ("proven-prime", None, None)
+    bases = next((bases for bound, bases in _BASE_TIERS if n < bound), _DETERMINISTIC_BASES)
+    for a in bases:
+        if _miller_rabin_witness(n, a, *_odd_part(n - 1)):
+            return ("composite", a, "mr-base")
+    return ("proven-prime", None, None) if n < _DETERMINISTIC_BOUND else None
+
+
+def base2_pseudoprimes(count: int, seed: int) -> list[int]:
+    """Base-2 strong pseudoprimes p(2p - 1) in [_BPSW_FROM, 2^64), p and
+    2p - 1 prime."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        p = rng.randrange(750_000, 3_037_000_000) | 1
+        n = p * (2 * p - 1)
+        if (
+            _BPSW_FROM <= n < 2 ** 64
+            and sympy.isprime(p)
+            and sympy.isprime(2 * p - 1)
+            and not _miller_rabin_witness(n, 2, *_odd_part(n - 1))
+        ):
+            found.append(n)
+    return found
+
+
 class TestIsPrime:
     def test_known_values(self):
         assert is_prime(294001).kind == "proven-prime"
@@ -235,6 +279,96 @@ class TestIsPrime:
         for n in range(2 ** 64 - 2 ** 10 + 1, 2 ** 64 + 2 ** 10, 2):
             assert bool(is_prime(n)) == sympy.isprime(n), n
 
+    def assert_tier_verdict(self, n):
+        verdict = is_prime(n)
+        expected = tier_verdict(n)
+        if expected is not None:
+            assert (verdict.kind, verdict.witness, verdict.witness_kind) == expected, n
+        assert bool(verdict) == sympy.isprime(n), n
+
+    def test_bpsw_range_matches_tier_bases_and_sympy(self):
+        rng = random.Random(1122)
+        for _ in range(20_000):
+            self.assert_tier_verdict(rng.randrange(_BPSW_FROM, 2 ** 64) | 1)
+
+    def test_hard_composites_match_tier_bases_and_sympy(self):
+        # pseudoprimes that pass base 2, so Lucas rejects and the tier's
+        # other bases name the witness; and squares of primes
+        rng = random.Random(4)
+        squares = [sympy.nextprime(rng.randrange(1_000_000, 2 ** 32)) ** 2 for _ in range(200)]
+        squares += [1093 ** 2, 3511 ** 2, 1_000_003 ** 2, (2 ** 32 - 5) ** 2]
+        pseudoprimes = [n for n, _ in self.STRONG_PSEUDOPRIMES]
+        for n in pseudoprimes + base2_pseudoprimes(40, seed=4) + squares:
+            self.assert_tier_verdict(n)
+
+    def test_bpsw_costs_one_miller_rabin_round(self):
+        # the fixed bases run only to name a witness after a rejection
+        calls = []
+        witness = arith._miller_rabin_witness
+
+        def counted(*args):
+            calls.append(args[1])
+            return witness(*args)
+
+        assert all(bases[0] == 2 for bound, bases in _BASE_TIERS if bound > _BPSW_FROM)
+        primes = [sympy.nextprime(lo) for lo in (_BPSW_FROM, 3 * 10 ** 12, 10 ** 14, 2 ** 63)]
+        with mock.patch.object(arith, "_miller_rabin_witness", counted):
+            for p in primes + [2 ** 64 - 59]:
+                calls.clear()
+                assert is_prime(p).kind == "proven-prime"
+                assert calls == [2], p
+            composites = (1_000_003 * 10_000_019, 2_147_483_659 * 4_294_967_311)
+            for n in composites + ((10 ** 18 + 9) * (10 ** 18 + 31),):
+                calls.clear()
+                assert is_prime(n).witness == 2
+                assert calls == [2], n
+            calls.clear()
+            assert is_prime(2 ** 127 - 1).kind == "probable-prime"
+            assert len(calls) == 1 + _RANDOM_ROUNDS and calls[0] == 2
+
+
+class TestStrongLucas:
+    def test_matches_sympy_on_odd_non_squares_below_2e5(self):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        pseudoprimes = []
+        for n in range(3, 200_000, 2):
+            if math.isqrt(n) ** 2 != n:
+                passed = _strong_lucas_prp(n)
+                assert passed == is_strong_lucas_prp(n), n
+                if passed and not sympy.isprime(n):
+                    pseudoprimes.append(n)
+        assert pseudoprimes[:3] == [5459, 5777, 10877]
+
+    def test_matches_sympy_on_random_64_to_400_bits(self):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        rng = random.Random(400)
+        for _ in range(600):
+            bits = rng.randrange(64, 401)
+            n = rng.getrandbits(bits) | 1 << bits - 1 | 1
+            if rng.random() < 0.3:
+                n = sympy.nextprime(n)
+            elif math.gcd(n, _SMALL_PRODUCT) > 1:
+                continue  # exercise the ladder, not the D search
+            assert _strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+    def test_squares_are_rejected_before_the_d_search(self):
+        # (D/n) is never -1 for a square, so the D search would run until
+        # |D| met a factor of the root
+        calls = []
+        jacobi = arith._jacobi
+
+        def counted(a, n):
+            calls.append(a)
+            if len(calls) > 64:
+                raise AssertionError(f"D search ran to {a}")
+            return jacobi(a, n)
+
+        with mock.patch.object(arith, "_jacobi", counted):
+            assert not _strong_lucas_prp(1_000_003 ** 2)
+            assert not _strong_lucas_prp((2 ** 61 - 1) ** 2)
+
 
 class TestPm1Budget:
     def test_spent_stays_within_cap_on_34_bit_semiprimes(self):
@@ -300,6 +434,11 @@ class TestFactor:
             factor(91)
             arith._prime_table(LEAF_CELLS)
         assert calls == [LEAF_CELLS]
+
+    def test_prime_list_matches_the_sieve_flags(self):
+        for n in (-1, 0, 1, 2, 3, 100, 1 << 16):
+            assert primes_up_to(n) == [i for i, b in enumerate(prime_flags(n)) if b]
+        assert primes_up_to(1 << 16) == list(sympy.primerange(1 << 16))
 
     def test_perfect_power_shortcut(self):
         p = 1_000_003
