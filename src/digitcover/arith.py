@@ -137,21 +137,27 @@ class PrimalityVerdict:
         return self.kind == PROVEN_PRIME
 
 
-def prime_flags(n: int) -> bytearray:
-    """Sieve of Eratosthenes over 0..n: byte i is 1 iff i is prime."""
+def prime_flags(n: int) -> np.ndarray:
+    """Sieve of Eratosthenes over 0..n: a uint8 array whose entry i is 1 iff
+    i is prime (empty for n < 0).  Only odd numbers are sieved, in an array
+    whose entry i stands for 2i + 1, so each prime p > 2 strikes its odd
+    multiples from p*p with one strided write."""
+    flags = np.zeros(max(n + 1, 0), np.uint8)
     if n < 2:
-        return bytearray(max(n + 1, 0))
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return sieve
+        return flags
+    odd = np.ones((n + 1) // 2, np.uint8)
+    odd[0] = 0
+    for i in range(1, (math.isqrt(n) - 1) // 2 + 1):
+        if odd[i]:
+            odd[2 * i * (i + 1) :: 2 * i + 1] = 0  # (2i + 1)**2 onward
+    flags[1::2] = odd
+    flags[2] = 1
+    return flags
 
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, by sieve."""
-    return list(itertools.compress(range(n + 1), prime_flags(n)))
+    return np.flatnonzero(prime_flags(n)).tolist()
 
 
 # The least bound the prime table is sieved to, and the integers sieved per

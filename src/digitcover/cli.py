@@ -376,6 +376,8 @@ def cmd_order_primes(args) -> int:
 
 def cmd_order_validate(args) -> int:
     table = load_order_table(args.file)
+    if not table:
+        raise ValueError(f"{args.file}: no order-table rows to validate")
     violations = validate_order_table(table, _budget(args))
     valid = not violations
     payload = {

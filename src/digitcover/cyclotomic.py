@@ -135,9 +135,9 @@ def _pow10_mod(e: int, p: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
+    cofactor = cyclotomic_value(m, 10)  # rejects m < 1 before `factor` sees m
     qs = factor(m).primes()
     step = math.lcm(2, m)
-    cofactor = cyclotomic_value(m, 10)
     for q in qs:
         while cofactor % q == 0:
             cofactor //= q

@@ -10,8 +10,9 @@ the itemized reference it is tested against.
 
 `find_first_digitally_delicate` does not walk substitutions per prime.  It
 sieves one width at a time and rejects a prime by counting the
-non-composites on its digit lines (see `_delicate_mask`); the prime it
-returns is confirmed by `first_failure`.
+non-composites on its digit lines (see `_delicate_mask`), counting the
+lines below the leading digit only up to the bound; the prime it returns
+is confirmed by `first_failure`.
 """
 
 from __future__ import annotations
@@ -133,39 +134,50 @@ def is_digitally_delicate(p: int) -> bool:
     return first_failure(p) is None
 
 
-def _delicate_mask(width: int) -> np.ndarray:
-    """Boolean mask over [0, 10**width), true exactly at the digitally
-    delicate primes with `width` digits.
+def _delicate_mask(width: int, stop: int) -> np.ndarray:
+    """Boolean mask over [0, min(stop, 10**width)), true exactly at the
+    digitally delicate primes with `width` digits.
 
     The ten numbers that agree with x outside position k are x's digit line
     at k; replacing the leading digit by 0 stays on the line, as the shorter
-    number.  Reshaping [0, 10**width) to (10**(width-k-1), 10, 10**k) puts
-    every line at k on the middle axis, so one sum there counts the
-    non-composites (primes, 0 and 1) on all of them.  A prime is delicate
-    iff it is the only non-composite on each of its `width` lines.
+    number.  A prime is delicate iff it is the only non-composite (prime, 0
+    or 1) on each of its `width` lines.  Write x = d * 10**(width-1) + y:
+    only the leading-digit line, the ten x that share y, spans all ten
+    blocks of 10**(width-1), so the sieve covers [0, 10**width).  Every
+    lower line stays inside x's own block, so those lines are counted only
+    over the blocks of width-digit numbers that reach below stop.  Reshaping
+    those blocks to (-1, 10, 10**k) puts every line at k on the middle axis,
+    and ten strided adds along it count the non-composites on all of them.
     """
-    flags = np.frombuffer(prime_flags(10 ** width - 1), dtype=np.uint8)
-    mask = flags.astype(bool)
-    mask[: 10 ** (width - 1)] = False
+    block = 10 ** (width - 1)
+    stop = min(stop, 10 * block)
+    blocks = -(-stop // block)
+    flags = prime_flags(10 * block - 1)
+    mask = flags[: blocks * block].astype(bool)
+    mask[:block] = False
     flags[:2] = 1  # values below 2 fail like primes do in `first_failure`
-    for k in range(width):
-        lines = flags.reshape(10 ** (width - k - 1), 10, 10 ** k)
-        on_lines = mask.reshape(lines.shape)
-        on_lines &= (lines.sum(axis=1, dtype=np.uint8) == 1)[:, None, :]
-    return mask
+    leading = flags.reshape(10, block).sum(axis=0, dtype=np.uint8)
+    mask.reshape(blocks, block)[...] &= leading == 1
+    for k in range(width - 1):
+        lines = flags[block : blocks * block].reshape(-1, 10, 10 ** k)
+        count = lines[:, 0].copy()
+        for d in range(1, 10):
+            count += lines[:, d]
+        mask[block:].reshape(lines.shape)[...] &= (count == 1)[:, None, :]
+    return mask[:stop]
 
 
 def find_first_digitally_delicate(bound: int) -> Optional[int]:
     """Least digitally delicate prime <= bound, or None.
 
-    Widths 1, 2, ... are decided by `_delicate_mask` until one holds a
-    flagged prime <= bound; `first_failure` then confirms that prime.  The
-    first such prime, 294001, has six digits, so no array exceeds 10**6
-    entries whatever the bound.
+    Widths 1, 2, ... are decided by `_delicate_mask`, one sieve each, up to
+    the bound, until one holds a flagged prime; `first_failure` then
+    confirms that prime.  The first such prime, 294001, has six digits, so
+    no array exceeds 10**6 entries whatever the bound.
     """
     width = 1
     while 10 ** (width - 1) <= bound:
-        hits = np.flatnonzero(_delicate_mask(width)[: min(bound, 10 ** width - 1) + 1])
+        hits = np.flatnonzero(_delicate_mask(width, bound + 1))
         if hits.size:
             p = int(hits[0])
             failure = first_failure(p)

@@ -3,6 +3,7 @@ import random
 from typing import Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -439,6 +440,15 @@ class TestFactor:
         for n in (-1, 0, 1, 2, 3, 100, 1 << 16):
             assert primes_up_to(n) == [i for i, b in enumerate(prime_flags(n)) if b]
         assert primes_up_to(1 << 16) == list(sympy.primerange(1 << 16))
+
+    def test_prime_flags_match_sympy(self):
+        for n in range(-1, 6):
+            flags = prime_flags(n)
+            assert flags.dtype == np.uint8 and flags.shape == (max(n + 1, 0),)
+            assert np.flatnonzero(flags).tolist() == list(sympy.primerange(n + 1))
+        flags = prime_flags(10 ** 6)
+        assert flags.shape == (10 ** 6 + 1,)
+        assert np.flatnonzero(flags).tolist() == list(sympy.primerange(10 ** 6 + 1))
 
     def test_perfect_power_shortcut(self):
         p = 1_000_003

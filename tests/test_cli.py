@@ -476,6 +476,23 @@ class TestOrderCli:
         assert code == 1
         assert "121" in out
 
+    @pytest.mark.parametrize("text", ["", "# m: entries\n# none yet\n"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_validate_refuses_a_table_without_rows(self, tmp_path, capsys, text, fmt):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "--format", fmt, "order", "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no order-table rows to validate\n"
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):
+        code, out, err = run(capsys, "order", "primes", m)
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be >= 1\n"
+
     def test_validate_prints_cross_row_then_row_violations(self, tmp_path, capsys):
         path = tmp_path / "mixed.txt"
         path.write_text("6: 7, 13\n3: 37, 7\n30: 50851, 520801\n11: 11111111111*2\n")

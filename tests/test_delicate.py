@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitcover.arith import is_prime, primes_up_to
+from digitcover.arith import is_prime, prime_flags, primes_up_to
 from digitcover import delicate
 from digitcover.cli import main
 from digitcover.construction import substitution_divisor
@@ -182,12 +183,20 @@ class TestScan:
         later = find_first_digitally_delicate(296000)
         assert first == later == 294001
 
+    @pytest.mark.parametrize(
+        "bound, found",
+        [(0, None), (9, None), (10, None), (1000, None), (294000, None),
+         (294001, 294001), (300000, 294001), (999999, 294001), (10 ** 18, 294001)],
+    )
+    def test_answers_at_the_block_edges(self, bound, found):
+        assert find_first_digitally_delicate(bound) == found
+
 
 class TestDelicateMask:
     def test_equals_first_failure_below_ten_to_the_five(self):
         primes = primes_up_to(10 ** 5)
         for width in range(1, 6):
-            mask = _delicate_mask(width)
+            mask = _delicate_mask(width, 10 ** width)
             assert mask.shape == (10 ** width,)
             of_width = [p for p in primes if digit_count(p) == width]
             for p in of_width:
@@ -197,8 +206,8 @@ class TestDelicateMask:
     def test_flags_the_five_delicate_primes_below_a_million(self):
         # OEIS A050249
         for width in range(1, 6):
-            assert not _delicate_mask(width).any()
-        assert np.flatnonzero(_delicate_mask(6)).tolist() == [
+            assert not _delicate_mask(width, 10 ** width).any()
+        assert np.flatnonzero(_delicate_mask(6, 10 ** 6)).tolist() == [
             294001, 505447, 584141, 604171, 971767
         ]
 
@@ -207,12 +216,41 @@ class TestDelicateMask:
         # With a sieve that calls only `lone` prime, its line at the tens
         # holds 1 (for 11) or 0 (for 10) beside it; the control's does not.
         def only(prime):
-            return lambda n: bytearray(int(i == prime) for i in range(n + 1))
+            return lambda n: (np.arange(n + 1) == prime).astype(np.uint8)
 
         monkeypatch.setattr(delicate, "prime_flags", only(lone))
-        assert not _delicate_mask(2)[lone]
+        assert not _delicate_mask(2, 100)[lone]
         monkeypatch.setattr(delicate, "prime_flags", only(control))
-        assert _delicate_mask(2)[control]
+        assert _delicate_mask(2, 100)[control]
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_prefix_equals_the_full_width_counts(self, width):
+        # The full-width route: every line at every position counted over
+        # all of [0, 10**width) by one sum along the middle axis.
+        flags = np.zeros(10 ** width, np.uint8)
+        flags[list(sympy.primerange(10 ** width))] = 1
+        full = flags.astype(bool)
+        full[: 10 ** (width - 1)] = False
+        flags[:2] = 1
+        for k in range(width):
+            lines = flags.reshape(10 ** (width - k - 1), 10, 10 ** k)
+            full.reshape(lines.shape)[...] &= (lines.sum(axis=1) == 1)[:, None, :]
+        block = 10 ** (width - 1)
+        for stop in (1, block, block + 1, 3 * block - 1, 3 * block + 1, 10 * block):
+            assert np.array_equal(_delicate_mask(width, stop), full[:stop]), stop
+
+    def test_scan_sieves_once_per_width(self, monkeypatch):
+        sieved = []
+
+        def counting(n):
+            sieved.append(n)
+            return prime_flags(n)
+
+        monkeypatch.setattr(delicate, "prime_flags", counting)
+        for bound in (300000, 10 ** 18):
+            sieved.clear()
+            assert find_first_digitally_delicate(bound) == 294001
+            assert sieved == [10 ** w - 1 for w in range(1, 7)]
 
     def test_huge_bound_is_fast_and_small(self):
         tracemalloc.start()
