@@ -13,12 +13,14 @@ A composite cofactor then gets a short Pollard p - 1 pass sized by the
 cofactor, about a quarter of the multiplications Brent rho expects to
 need, and rho only if that finds nothing.
 
-`is_prime` proves primality with Miller-Rabin on proven base sets, except
-from 1.12e12 to 2^64, where one base-2 strong test and one strong Lucas
-test (Baillie-PSW, Pomerance, Selfridge & Wagstaff 1980) are a proof:
-Feitsma's enumeration of the base-2 strong pseudoprimes below 2^64, checked
-against the Lucas test, leaves none that passes both.  The Lucas test
-computes only V, by a ladder on (V_k, V_k+1, Q^k).
+`is_prime` has one route below 2^64: past trial division by the primes up
+to 293, one base-2 strong test and one strong Lucas test (Baillie-PSW,
+Pomerance, Selfridge & Wagstaff 1980) are a proof, since Feitsma's
+enumeration of the base-2 strong pseudoprimes below 2^64, checked against
+the Lucas test, leaves none that passes both.  The Lucas test computes only
+V, by a ladder on (V_k, V_k+1, Q^k).  Above 2^64 Miller-Rabin on the first
+13 prime bases proves primality up to about 3.3e24 (Sorenson-Webster), and
+past that a verdict is labeled probable.
 
 `pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
 stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
@@ -55,50 +57,6 @@ __all__ = [
     "pm1_split",
 ]
 
-# Miller-Rabin with these bases is a proven primality test below this bound
-# (Sorenson-Webster: first 13 prime bases).
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# Smaller proven base sets for smaller inputs (Jaeschke; Sinclair).  Each
-# tier's bases lie below its lower bound, so no base is reduced mod n.
-# Sinclair's seven bases below 2^64 were proven by checking them against
-# Feitsma's enumeration of the base-2 strong pseudoprimes below 2^64.
-_BASE_TIERS = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1662803)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (_DETERMINISTIC_BOUND, _DETERMINISTIC_BASES),
-)
-# Random Miller-Rabin rounds behind a probable-prime verdict.
-_RANDOM_ROUNDS = 64
-
-# From _BPSW_FROM to _BPSW_TO, where the tiers need five or more bases, a
-# base-2 strong test and a strong Lucas test (Baillie-PSW) prove primality:
-# Feitsma's enumeration lists every base-2 strong pseudoprime below 2^64,
-# and none of them passes the strong Lucas test.  Below _BPSW_FROM the
-# tiers' at most four bases cost less than the Lucas test.  In this range,
-# and above _DETERMINISTIC_BOUND, a tier's bases after 2 run only to name
-# the witness of a composite.
-_BPSW_FROM = 1_122_004_669_633
-_BPSW_TO = 1 << 64
-
-
-def _proven_bases(n: int) -> tuple[int, ...]:
-    for bound, bases in _BASE_TIERS:
-        if n < bound:
-            return bases
-    return _DETERMINISTIC_BASES
-
-
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -106,6 +64,18 @@ _SMALL_PRIMES = (
     233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
 )
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+# Below _BPSW_BOUND a base-2 strong test and a strong Lucas test
+# (Baillie-PSW) prove primality: Feitsma's enumeration lists every base-2
+# strong pseudoprime below 2^64, and none of them passes the strong Lucas
+# test.
+_BPSW_BOUND = 1 << 64
+# Miller-Rabin with these bases is a proven primality test below this bound
+# (Sorenson-Webster: first 13 prime bases).
+_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
+# Random Miller-Rabin rounds behind a probable-prime verdict.
+_RANDOM_ROUNDS = 64
 
 COMPOSITE = "composite"
 PROBABLE_PRIME = "probable-prime"
@@ -117,17 +87,15 @@ class PrimalityVerdict:
     """Outcome of a primality test.
 
     kind is one of "composite", "probable-prime", "proven-prime".  A
-    composite verdict carries an independently checkable witness when one
-    exists: a nontrivial divisor, or a Miller-Rabin base that exposes n
-    (witness_kind tells which).  n < 2 yields a composite verdict with no
-    witness.  rounds counts the random Miller-Rabin rounds behind a
-    probable-prime verdict.
+    composite verdict carries the witness of the test that rejected n when
+    that test has one: a prime divisor up to 293, or a Miller-Rabin base
+    that exposes n (witness_kind tells which, and so how to check it).  A
+    strong Lucas rejection, and n < 2, carry no witness.
     """
 
     kind: str
     witness: Optional[int] = None
     witness_kind: Optional[str] = None  # "divisor" | "mr-base"
-    rounds: int = 0
 
     def __bool__(self) -> bool:
         return self.kind != COMPOSITE
@@ -268,23 +236,18 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> PrimalityVerdict:
     """Decide primality of n >= 0.
 
-    Deterministic (kind "proven-prime"/"composite") below a fixed bound near
-    3.3e24.  Below 1.12e12 Miller-Rabin with Jaeschke's proven base sets of
-    at most four bases decides.  From 1.12e12 to 2^64 one base-2 strong test
-    and one strong Lucas test with Selfridge's parameters (Baillie-PSW) do:
-    that pair has no pseudoprime below 2^64, verified against Feitsma's
-    enumeration of the base-2 strong pseudoprimes there.  From 2^64 to the
-    bound the first 13 prime bases decide (Sorenson-Webster).  Above it, a
-    probable-prime verdict rests on base 2, strong Lucas and _RANDOM_ROUNDS
-    Miller-Rabin rounds with deterministically derived bases; such verdicts
-    are labeled, never silently treated as proven.  n - 1 = d * 2**s is
-    split once for all bases.
-
-    A composite verdict names the same witness as running every base of n's
-    proven tier first would (the 13 bases above the bound): after base 2
-    passes and Lucas or a random round rejects n, the tier's other bases
-    are tried only to name one.  Small prime factors are found by one gcd
-    with the product of the primes up to 293.
+    Small prime factors are found by one gcd with the product of the primes
+    up to 293, which also decides every n < 293^2.  Every larger n first
+    meets a base-2 strong test.  Below 2^64 one strong Lucas test with
+    Selfridge's parameters follows, and passing both (Baillie-PSW) proves n
+    prime: that pair has no pseudoprime below 2^64, verified against
+    Feitsma's enumeration of the base-2 strong pseudoprimes there.  From
+    2^64 to a fixed bound near 3.3e24 the first 13 prime bases decide
+    (Sorenson-Webster).  Above it, a probable-prime verdict rests on base 2,
+    strong Lucas and _RANDOM_ROUNDS Miller-Rabin rounds with
+    deterministically derived bases; such verdicts are labeled, never
+    silently treated as proven.  n - 1 = d * 2**s is split once for all
+    bases.
 
     The verdict is truthy exactly when n is (probably) prime.
     """
@@ -300,39 +263,22 @@ def is_prime(n: int) -> PrimalityVerdict:
         return PrimalityVerdict(PROVEN_PRIME)
 
     d, s = _odd_part(n - 1)
-    bases = _proven_bases(n)
-    if n < _BPSW_FROM or _BPSW_TO <= n < _DETERMINISTIC_BOUND:
-        for a in bases:
-            if _miller_rabin_witness(n, a, d, s):
-                return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-        return PrimalityVerdict(PROVEN_PRIME)
-
-    if _miller_rabin_witness(n, 2, d, s):
-        return PrimalityVerdict(COMPOSITE, witness=2, witness_kind="mr-base")
-    if _strong_lucas_prp(n):
-        if n < _BPSW_TO:
-            return PrimalityVerdict(PROVEN_PRIME)
-        rng = random.Random(n)
-        for _ in range(_RANDOM_ROUNDS):
-            a = rng.randrange(2, n - 1)
-            if _miller_rabin_witness(n, a, d, s):
-                rejection = PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-                break
-        else:
-            return PrimalityVerdict(PROBABLE_PRIME, rounds=_RANDOM_ROUNDS)
-    else:
-        root = math.isqrt(n)
-        rejection = (
-            PrimalityVerdict(COMPOSITE, witness=root, witness_kind="divisor")
-            if root * root == n
-            else PrimalityVerdict(COMPOSITE)
-        )
-    # n is composite.  The witness is the first of the tier's fixed bases
-    # that exposes n, as if they had all run first; below 2^64 one always does.
-    for a in bases[1:]:
+    sorenson_webster = _BPSW_BOUND <= n < _DETERMINISTIC_BOUND
+    for a in _DETERMINISTIC_BASES if sorenson_webster else (2,):
         if _miller_rabin_witness(n, a, d, s):
             return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-    return rejection
+    if sorenson_webster:
+        return PrimalityVerdict(PROVEN_PRIME)
+    if not _strong_lucas_prp(n):
+        return PrimalityVerdict(COMPOSITE)
+    if n < _BPSW_BOUND:
+        return PrimalityVerdict(PROVEN_PRIME)
+    rng = random.Random(n)
+    for _ in range(_RANDOM_ROUNDS):
+        a = rng.randrange(2, n - 1)
+        if _miller_rabin_witness(n, a, d, s):
+            return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
+    return PrimalityVerdict(PROBABLE_PRIME)
 
 
 MAX_TRIAL_BOUND = 10 ** 7

@@ -46,7 +46,7 @@ from .delicate import (
     first_failure,
     require_stable_candidate,
 )
-from .graham import GrahamInstance, reduce_seeds, verify_cover
+from .graham import EXPLICIT_TERMS, GrahamInstance, reduce_seeds, verify_cover
 
 OK, FAIL, ERROR = 0, 1, 2
 
@@ -321,9 +321,11 @@ def cmd_graham_verify(args) -> int:
             if report.covered
             else f" (uncovered index {report.uncovered_index})"
         ),
+        f"terms u(2) to u({EXPLICIT_TERMS - 1}) exceed every listed prime: "
+        f"{report.terms_exceed_primes}",
     ]
     _emit(args, payload, lines)
-    return OK if report.covered else FAIL
+    return OK if report.covered and report.terms_exceed_primes else FAIL
 
 
 def cmd_graham_reduce(args) -> int:

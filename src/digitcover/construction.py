@@ -257,8 +257,6 @@ def substitution_divisor(
 
 @dataclass
 class SampleReport:
-    samples: int
-    k_max: int
     checked: int
     digits: tuple[int, ...]
     failures: list[str] = field(default_factory=list)
@@ -286,7 +284,7 @@ def verify_property_star_sample(
     """
     rng = random.Random(seed)
     digits = tuple(sorted(construction.digits))
-    report = SampleReport(samples=samples, k_max=k_max, checked=0, digits=digits)
+    report = SampleReport(checked=0, digits=digits)
     for _ in range(samples):
         n = construction.element(rng.randrange(1, 10 ** 18))
         for d in digits:

@@ -1,6 +1,5 @@
 import math
 import random
-from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 import digitcover.arith as arith
 from digitcover.arith import (
     FactorBudget,
+    PrimalityVerdict,
     crt_combine,
     factor,
     has_order,
@@ -21,8 +21,6 @@ from digitcover.arith import (
     pm1_split,
     prime_flags,
     primes_up_to,
-    _BASE_TIERS,
-    _BPSW_FROM,
     _DETERMINISTIC_BASES,
     _DETERMINISTIC_BOUND,
     _RANDOM_ROUNDS,
@@ -155,41 +153,40 @@ class TestCrt:
             assert residue % m == r
 
 
-def tier_verdict(n: int) -> Optional[tuple]:
-    """(kind, witness, witness_kind) of `is_prime(n)` by the Miller-Rabin
-    route alone: trial division by the small primes, then every base of n's
-    proven tier in order (the 13 bases above _DETERMINISTIC_BOUND, where
-    None means that none of them exposes n)."""
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return ("proven-prime", None, None)
-        if n % p == 0:
-            return ("composite", p, "divisor")
-    if n < _SMALL_PRIMES[-1] ** 2:
-        return ("proven-prime", None, None)
-    bases = next((bases for bound, bases in _BASE_TIERS if n < bound), _DETERMINISTIC_BASES)
-    for a in bases:
-        if _miller_rabin_witness(n, a, *_odd_part(n - 1)):
-            return ("composite", a, "mr-base")
-    return ("proven-prime", None, None) if n < _DETERMINISTIC_BOUND else None
+def assert_sound_verdict(n: int) -> None:
+    """is_prime(n) agrees with sympy, is proven below _DETERMINISTIC_BOUND,
+    and a composite verdict's witness, if any, checks out."""
+    verdict = is_prime(n)
+    assert bool(verdict) == sympy.isprime(n), n
+    assert n >= _DETERMINISTIC_BOUND or verdict.kind != "probable-prime", n
+    if verdict:
+        assert verdict.witness is None and verdict.witness_kind is None, n
+    elif verdict.witness_kind == "divisor":
+        assert 1 < verdict.witness < n and n % verdict.witness == 0, n
+    elif verdict.witness_kind == "mr-base":
+        assert _miller_rabin_witness(n, verdict.witness, *_odd_part(n - 1)), n
+    else:
+        assert verdict.witness is None, n
 
 
 def base2_pseudoprimes(count: int, seed: int) -> list[int]:
-    """Base-2 strong pseudoprimes p(2p - 1) in [_BPSW_FROM, 2^64), p and
-    2p - 1 prime."""
+    """Base-2 strong pseudoprimes p(2p - 1) below 2^64 with 293 < p, so that
+    trial division cannot decide them: p and 2p - 1 prime, and p
+    log-uniform, so that every size from 2 * 293^2 up is drawn."""
     rng = random.Random(seed)
-    found = []
+    found: set[int] = set()
     while len(found) < count:
-        p = rng.randrange(750_000, 3_037_000_000) | 1
+        p = int(math.exp(rng.uniform(math.log(_SMALL_PRIMES[-1]), math.log(3_037_000_000))))
         n = p * (2 * p - 1)
         if (
-            _BPSW_FROM <= n < 2 ** 64
+            _SMALL_PRIMES[-1] < p
+            and n < 2 ** 64
             and sympy.isprime(p)
             and sympy.isprime(2 * p - 1)
             and not _miller_rabin_witness(n, 2, *_odd_part(n - 1))
         ):
-            found.append(n)
-    return found
+            found.add(n)
+    return sorted(found)
 
 
 class TestIsPrime:
@@ -212,21 +209,12 @@ class TestIsPrime:
     def test_composite_witnesses_are_checkable(self):
         rng = random.Random(3)
         for _ in range(300):
-            n = rng.randrange(4, 10 ** 12)
-            verdict = is_prime(n)
-            if verdict:
-                continue
-            if verdict.witness_kind == "divisor":
-                assert n % verdict.witness == 0
-                assert 1 < verdict.witness < n
-            elif verdict.witness_kind == "mr-base":
-                assert _miller_rabin_witness(n, verdict.witness, *_odd_part(n - 1))
+            assert_sound_verdict(rng.randrange(4, 10 ** 12))
 
     def test_beyond_deterministic_bound_is_labeled(self):
         mersenne_127 = 2 ** 127 - 1  # prime, but too large to prove here
         verdict = is_prime(mersenne_127)
         assert verdict.kind == "probable-prime"
-        assert verdict.rounds == 64
         assert verdict and not verdict.proven
 
     def test_large_semiprime_detected(self):
@@ -235,11 +223,22 @@ class TestIsPrime:
         assert is_prime(p) and is_prime(q)
         assert not is_prime(p * q)
 
-    # Strong pseudoprimes with the bases they pass: each tier's bound but
-    # 2^64 is the least one its bases miss, 3825123056546413051 passes every
-    # prime base up to 23 and 318665857834031151167461 every one up to 37;
-    # the rest are base-2 strong pseudoprimes p*(2p - 1) either side of 2^64.
-    STRONG_PSEUDOPRIMES = [tier for tier in _BASE_TIERS if tier[0] != 1 << 64] + [
+    # Strong pseudoprimes with the bases they pass: the least that pass the
+    # base sets of Jaeschke's tiers (2047 passes base 2, ..., 341550071728321
+    # every prime base up to 17), 3825123056546413051 passes every prime
+    # base up to 23 and 318665857834031151167461 every one up to 37; the
+    # rest are base-2 strong pseudoprimes p*(2p - 1) either side of 2^64.
+    STRONG_PSEUDOPRIMES = [
+        (2_047, (2,)),
+        (1_373_653, (2, 3)),
+        (9_080_191, (31, 73)),
+        (25_326_001, (2, 3, 5)),
+        (3_215_031_751, (2, 3, 5, 7)),
+        (4_759_123_141, (2, 7, 61)),
+        (1_122_004_669_633, (2, 13, 23, 1662803)),
+        (2_152_302_898_747, _SMALL_PRIMES[:5]),
+        (3_474_749_660_383, _SMALL_PRIMES[:6]),
+        (341_550_071_728_321, _SMALL_PRIMES[:7]),
         (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
         (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
         (18_446_743_208_455_367_653, (2,)),
@@ -248,29 +247,14 @@ class TestIsPrime:
         (18_446_803_559_777_249_821, (2,)),
     ]
 
-    def test_base_tiers_increase_and_need_no_reduction(self):
-        # every base lies below the least n that reaches its tier, so none
-        # is ever reduced mod n (is_prime decides n < 293^2 by trial division)
-        lower = 0
-        for bound, bases in _BASE_TIERS:
-            assert bound > lower, bound
-            assert max(bases) < max(lower, _SMALL_PRIMES[-1] ** 2), bound
-            lower = bound
-        assert lower == _DETERMINISTIC_BOUND
-        assert (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)) in _BASE_TIERS
-
     def test_strong_pseudoprimes_near_tier_bounds(self):
-        sympy = pytest.importorskip("sympy")
         for n, bases in self.STRONG_PSEUDOPRIMES:
             assert not any(_miller_rabin_witness(n, a, *_odd_part(n - 1)) for a in bases), n
             assert not sympy.isprime(n), n
-            verdict = is_prime(n)
-            assert verdict.kind == "composite", n
-            if verdict.witness_kind == "mr-base":
-                assert _miller_rabin_witness(n, verdict.witness, *_odd_part(n - 1)), n
+            assert is_prime(n).kind == "composite", n
+            assert_sound_verdict(n)
 
     def test_matches_sympy_from_3e14_to_just_past_2_64(self):
-        sympy = pytest.importorskip("sympy")
         rng = random.Random(6464)
         for _ in range(3_000):
             n = rng.randrange(341_550_071_728_321, 2 ** 64 + 2 ** 20) | 1
@@ -280,30 +264,29 @@ class TestIsPrime:
         for n in range(2 ** 64 - 2 ** 10 + 1, 2 ** 64 + 2 ** 10, 2):
             assert bool(is_prime(n)) == sympy.isprime(n), n
 
-    def assert_tier_verdict(self, n):
-        verdict = is_prime(n)
-        expected = tier_verdict(n)
-        if expected is not None:
-            assert (verdict.kind, verdict.witness, verdict.witness_kind) == expected, n
-        assert bool(verdict) == sympy.isprime(n), n
-
-    def test_bpsw_range_matches_tier_bases_and_sympy(self):
+    def test_bpsw_range_matches_sympy(self):
+        # odd n from 293^2 to 2^64 with a uniformly drawn bit length
         rng = random.Random(1122)
         for _ in range(20_000):
-            self.assert_tier_verdict(rng.randrange(_BPSW_FROM, 2 ** 64) | 1)
+            bits = rng.randrange(17, 65)
+            n = rng.randrange(max(1 << bits - 1, _SMALL_PRIMES[-1] ** 2), 1 << bits) | 1
+            assert_sound_verdict(n)
 
-    def test_hard_composites_match_tier_bases_and_sympy(self):
-        # pseudoprimes that pass base 2, so Lucas rejects and the tier's
-        # other bases name the witness; and squares of primes
+    def test_hard_composites_match_sympy(self):
+        # pseudoprimes that pass base 2, so Lucas rejects them and the
+        # verdict has no witness; and squares of primes, 1093^2 and 3511^2
+        # among them base-2 strong pseudoprimes
         rng = random.Random(4)
         squares = [sympy.nextprime(rng.randrange(1_000_000, 2 ** 32)) ** 2 for _ in range(200)]
         squares += [1093 ** 2, 3511 ** 2, 1_000_003 ** 2, (2 ** 32 - 5) ** 2]
-        pseudoprimes = [n for n, _ in self.STRONG_PSEUDOPRIMES]
-        for n in pseudoprimes + base2_pseudoprimes(40, seed=4) + squares:
-            self.assert_tier_verdict(n)
+        pseudoprimes = base2_pseudoprimes(40, seed=4)
+        assert min(pseudoprimes) < 10 ** 9
+        for n in pseudoprimes + [1093 ** 2, 3511 ** 2]:
+            assert is_prime(n) == PrimalityVerdict("composite"), n
+        for n in [n for n, _ in self.STRONG_PSEUDOPRIMES] + pseudoprimes + squares:
+            assert_sound_verdict(n)
 
     def test_bpsw_costs_one_miller_rabin_round(self):
-        # the fixed bases run only to name a witness after a rejection
         calls = []
         witness = arith._miller_rabin_witness
 
@@ -311,8 +294,9 @@ class TestIsPrime:
             calls.append(args[1])
             return witness(*args)
 
-        assert all(bases[0] == 2 for bound, bases in _BASE_TIERS if bound > _BPSW_FROM)
-        primes = [sympy.nextprime(lo) for lo in (_BPSW_FROM, 3 * 10 ** 12, 10 ** 14, 2 ** 63)]
+        lows = (85_853, 10 ** 6, 10 ** 9, 10 ** 11, 1_122_004_669_633, 10 ** 14, 2 ** 63)
+        primes = [sympy.nextprime(lo - 1) for lo in lows]
+        assert primes[0] == 85_853  # the least prime past 293^2
         with mock.patch.object(arith, "_miller_rabin_witness", counted):
             for p in primes + [2 ** 64 - 59]:
                 calls.clear()
@@ -323,6 +307,9 @@ class TestIsPrime:
                 calls.clear()
                 assert is_prime(n).witness == 2
                 assert calls == [2], n
+            calls.clear()
+            assert is_prime(2 ** 64 + 13).kind == "proven-prime"
+            assert tuple(calls) == _DETERMINISTIC_BASES
             calls.clear()
             assert is_prime(2 ** 127 - 1).kind == "probable-prime"
             assert len(calls) == 1 + _RANDOM_ROUNDS and calls[0] == 2

@@ -400,6 +400,19 @@ class TestGrahamCli:
         )
         assert code == 0
         assert "N = 1821895895860356790898731230" in out
+        assert "terms u(2) to u(49) exceed every listed prime: True" in out
+
+    def test_verify_zero_terms_fail(self, capsys):
+        # every term is 0, so every index is "covered" yet nothing is composite
+        argv = ("graham", "verify", "--a", "0", "--b", "0", "--primes", "2,3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "every index divisible by a listed prime: True" in out
+        assert "terms u(2) to u(49) exceed every listed prime: False" in out
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["covered"] is True and payload["terms_exceed_primes"] is False
 
     def test_verify_failure(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,8 @@
 """Every name a package module exports, and every method of a package
 class, must have a caller: code in the package or in bench/ that refers to
-it outside its own definition.  Tests alone do not keep a name alive."""
+it outside its own definition.  Every annotated field of a package class
+must be read as an attribute there.  Tests alone do not keep a name
+alive."""
 
 import ast
 from pathlib import Path
@@ -23,6 +25,13 @@ REFERENCE_ONLY = {
     "verify_property_star_sample",
     # the reference table of primes that serve more than one digit offset
     "REPEATED_PRIME_DIGITS",
+}
+
+# Fields that the package writes but never reads, each with its reason:
+UNREAD_FIELDS = {
+    # says how a composite verdict's witness is checked: a divisor divides
+    # n, a Miller-Rabin base exposes n
+    "PrimalityVerdict.witness_kind",
 }
 
 
@@ -69,6 +78,28 @@ def methods(tree: ast.Module) -> list[tuple[str, str]]:
     ]
 
 
+def fields(tree: ast.Module) -> list[str]:
+    """"class.field" for every annotated field of a top-level class."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Attribute names loaded in tree, augmented assignments included."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            found.add(node.target.attr)
+    return found
+
+
 TREES = {path: ast.parse(path.read_text()) for path in SOURCES}
 
 
@@ -108,3 +139,18 @@ def test_every_method_has_a_caller(module):
         )
     ]
     assert not dead, f"{module} defines methods only tests call: {dead}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_field_is_read(module):
+    read = set().union(*(attributes_read(tree) for tree in TREES.values()))
+    unread = [
+        field
+        for field in fields(TREES[PACKAGE / module])
+        if field.split(".")[1] not in read and field not in UNREAD_FIELDS
+    ]
+    assert not unread, f"{module} defines fields nothing reads: {unread}"
+
+
+def test_unread_fields_exist():
+    assert UNREAD_FIELDS <= {field for tree in TREES.values() for field in fields(tree)}
