@@ -129,8 +129,8 @@ def primes_up_to(n: int) -> list[int]:
 
 
 # The least bound the prime table is sieved to, and the integers sieved per
-# segment by _prime_stream.  Covering refinement and the p - 1 pass of
-# `factor` read this far, so the first sieve already serves them.
+# segment by _prime_stream.  The p - 1 pass of `factor` reads this far, so
+# the first sieve already serves it.
 _SEGMENT = 1 << 16
 
 

@@ -459,8 +459,9 @@ def _verify_digit(
     system = bundle.system(digit)
     analysis = lcm_analysis(system)
     verdict = is_covering_fast(system)
-    # resolved after the verdict: its split primes size arith's shared prime
-    # table in one step, where resolving first would regrow it by doubling
+    # resolved after lcm_analysis: its `factor` sieves arith's shared prime
+    # table to the 10^5 trial bound in one step, where resolving first would
+    # sieve 2^16 for p - 1 and then regrow the table
     resolved = list(rows)
     actual = (analysis.count, analysis.lcm, analysis.max_prime)
     tables = (EXPECTED_CONGRUENCE_COUNTS, EXPECTED_LCM, EXPECTED_MAX_PRIME)

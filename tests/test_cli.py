@@ -499,6 +499,16 @@ class TestOrderCli:
         assert out == ""
         assert err == f"error: {path}: no order-table rows to validate\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_validate_names_an_entry_past_the_int_string_limit(self, tmp_path, capsys, fmt):
+        path = tmp_path / "long.txt"
+        path.write_text("3: " + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "--format", fmt, "order", "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:1: entry of 5000 digits exceeds Python's ")
+        assert len(err) < 200 and "7" * 50 not in err
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):
         code, out, err = run(capsys, "order", "primes", m)

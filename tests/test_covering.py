@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitcover.covering as covering_module
-from digitcover.bundle import default_bundle
+from digitcover.arith import primes_up_to
+from digitcover.bundle import MOD3_DIGITS, default_bundle
 from digitcover.construction import DIGIT_OFFSETS
 from digitcover.covering import (
     LEAF_CELLS,
@@ -129,7 +130,8 @@ class TestFast:
         # 5 and 6 (mod 12) are uncovered; the class of 6 comes first for w = 2, 3
         pairs = [(0, 4), (3, 4), (1, 12), (2, 12), (9, 12), (10, 12)]
         system = CoveringSystem.from_pairs(pairs)
-        for w in (None, 1, 2, 3, 4, 6, 12):
+        assert is_covering_fast(system) == CoverVerdict(False, witness=5)
+        for w in (1, 2, 3, 4, 6, 12):
             assert is_covering_fast(system, w=w) == CoverVerdict(False, witness=5)
 
     def test_witness_suffices_nothing(self):
@@ -431,6 +433,18 @@ class TestRefinement:
         assert sum(marked.values()) <= 15_000_000
         total = sum(reduction_profile(s)[0].cells_marked for s in refinement_systems())
         assert total <= 1_802_546
+
+    def test_split_primes_match_the_prime_table_rule(self, bundle):
+        # the rule before the split primes came from the lcm's factorization:
+        # every prime <= 2^16 of the prime table that divides the lcm
+        table = primes_up_to(LEAF_CELLS)
+        shipped = [bundle.system(d).lcm for d in DIGIT_OFFSETS if d not in MOD3_DIGITS]
+        assert len(shipped) == 12
+        # 65521 is the last prime <= 2^16, and 65537 lies between 2^16 and 10^5
+        lcms = shipped + [1, 8, 2 * 65521, 3 * 65537, 132059 * 133499, 2 ** 128 + 1]
+        for ell in lcms:
+            expected = [p for p in table if ell % p == 0]
+            assert covering_module._split_primes(ell) == expected, ell
 
     def test_d_minus_3_marks_a_tenth_of_the_class_route(self, system_d_minus_3):
         # the w = 1140 class route marked 385,231,385 cells for d = -3

@@ -104,6 +104,14 @@ class TestVerifyCover:
             assert any(x % p == 0 for p in PRIME_SET)
             x, y = y, x + y
 
+    def test_truthiness_is_the_full_verdict(self):
+        # seeds 0, 0 put every index in the zero sets of 2 and 3, yet no
+        # term exceeds 3, so divisibility proves nothing
+        zeros = verify_cover(GrahamInstance(a=0, b=0, primes=(2, 3)))
+        assert zeros.covered and not zeros.terms_exceed_primes
+        assert not zeros
+        assert verify_cover(INSTANCE)
+
     def test_fibonacci_and_two_fails(self):
         report = verify_cover(GrahamInstance(1, 1, (2,)))
         assert not report.covered
