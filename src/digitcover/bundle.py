@@ -7,8 +7,9 @@ their sha256 digests.  The files are the bundle's only source: how many
 primes of each order the construction needs is read off their rows.  The
 report re-verifies every covering, compares congruence counts, moduli lcm
 and largest prime factor against the embedded expected values, resolves
-prime assignments where the order-m prime lists can be computed, and
-checks every prime shared between digits for residue consistency.
+prime assignments where the order-m prime lists can be computed, checks
+that each modulus has as many order-m primes as the rows index, and checks
+every prime shared between digits for residue consistency.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -197,9 +198,8 @@ class TableBundle:
         counts: dict[int, int] = {}
         for digit in DIGIT_OFFSETS:
             for row in self.rows(digit):
-                if row.rho is not None:
-                    m = row.congruence.modulus
-                    counts[m] = max(counts.get(m, 0), row.rho)
+                if row.rho is not None and row.rho > counts.get(row.congruence.modulus, 0):
+                    counts[row.congruence.modulus] = row.rho
         return counts
 
     def resolved_rows(
@@ -353,10 +353,25 @@ class SharedPrimeCheck:
     consistent: bool
 
 
+@dataclass(frozen=True)
+class OrderCountCheck:
+    """The `found` primes of order m against `needed`, the largest index the
+    rows give m.  status is "enough" when found >= needed, else "short" when
+    the list is complete (a failure) or "unresolved" when it is not; reason
+    says why the list is incomplete."""
+
+    m: int
+    needed: int
+    found: int
+    status: str
+    reason: Optional[str]
+
+
 @dataclass
 class VerificationReport:
     digits: list[DigitReport]
     shared: list[SharedPrimeCheck]
+    order_counts: list[OrderCountCheck]  # one per modulus <= resolve_limit
     seconds: float
     resolve_limit: int
 
@@ -364,7 +379,7 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(d.ok for d in self.digits) and all(
             s.consistent for s in self.shared
-        )
+        ) and all(c.status != "short" for c in self.order_counts)
 
     def lines(self) -> list[str]:
         out = [
@@ -399,6 +414,19 @@ class VerificationReport:
                 f"resolved to probable primes: {len(probable)} "
                 f"({', '.join(probable)})"
             )
+        out.extend(
+            f"m={c.m}: rows need {c.needed} primes of order {c.m}, "
+            f"exactly {c.found} exist{'s' if c.found == 1 else ''}"
+            for c in self.order_counts
+            if c.status == "short"
+        )
+        unresolved = [
+            f"m={c.m} needs {c.needed}, {c.found} found ({c.reason})"
+            for c in self.order_counts
+            if c.status == "unresolved"
+        ]
+        if unresolved:
+            out.append(f"order counts unresolved: {'; '.join(unresolved)}")
         closing = f"total {self.seconds:.2f}s; overall {'OK' if self.ok else 'FAIL'}"
         total = sum(len(r.rows) for r in self.digits)
         unchecked = total - sum(r.resolved for r in self.digits)
@@ -446,6 +474,7 @@ class VerificationReport:
                 }
                 for s in self.shared
             ],
+            "order_counts": [asdict(c) for c in self.order_counts],
         }
 
 
@@ -525,8 +554,12 @@ def reproduce_report(
     values.  Digits are reported in order of value, and shared-prime
     consistency is checked at the end.  Each prime assignment is resolved
     once, for moduli up to resolve_limit and within budget; every count and
-    check reads those rows.
+    check reads those rows.  Each modulus up to resolve_limit gets an
+    OrderCountCheck from the order-m list resolution computed; a "short"
+    one fails the report.
     """
+    if resolve_limit < 0:
+        raise ValueError(f"resolve_limit must be >= 0, got {resolve_limit}")
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
@@ -535,9 +568,17 @@ def reproduce_report(
         for d in DIGIT_OFFSETS
     ]
     shared = _shared_checks({r.digit: r.rows for r in reports})
+    order_counts = []
+    for m, needed in sorted(bundle.order_counts.items()):
+        if m <= resolve_limit:
+            known = primes_of_order(m, budget)
+            found = len(known.primes)
+            status = "enough" if found >= needed else "short" if known.complete else "unresolved"
+            order_counts.append(OrderCountCheck(m, needed, found, status, known.reason))
     return VerificationReport(
         digits=reports,
         shared=shared,
+        order_counts=order_counts,
         seconds=time.perf_counter() - start,
         resolve_limit=resolve_limit,
     )

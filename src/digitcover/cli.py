@@ -155,11 +155,16 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
                 f"digit {digit}: congruence {row.congruence} has no prime index"
             )
         if prime is None:
+            m = row.congruence.modulus
+            known = primes_of_order(m, budget)
+            why = (
+                f"only {len(known.primes)} primes have order {m}"
+                if known.complete
+                else f"the order-{m} prime list is not computable within budget"
+            )
             raise BundleError(
                 f"digit {digit}: cannot resolve the prime for "
-                f"{row.congruence} (index {row.rho}); the order-"
-                f"{row.congruence.modulus} prime list is not computable "
-                "within budget"
+                f"{row.congruence} (index {row.rho}); {why}"
             )
         entries.append(Assignment(row.congruence, prime, rho=row.rho))
     return DigitCovering(digit=digit, entries=tuple(entries))
@@ -394,51 +399,6 @@ def cmd_order_validate(args) -> int:
     return OK if valid else FAIL
 
 
-def cmd_order_counts(args) -> int:
-    bundle = _bundle(args)
-    moduli = [m for m in sorted(bundle.order_counts) if m <= args.limit]
-    if not moduli:
-        print(f"no tabulated modulus <= {args.limit}", file=sys.stderr)
-        return ERROR
-    budget = _budget(args)
-    rows = []
-    unresolved = []
-    for m in moduli:
-        expected = bundle.order_counts[m]
-        computed = primes_of_order(m, budget)
-        # an incomplete factorization that found too few primes decides nothing
-        enough: Optional[bool] = len(computed.primes) >= expected
-        if not enough and not computed.complete:
-            enough = None
-            unresolved.append(m)
-        rows.append(
-            {
-                "m": m,
-                "expected_at_least": expected,
-                "computed": len(computed.primes),
-                "complete": computed.complete,
-                "ok": enough,
-                "reason": computed.reason if enough is None else None,
-            }
-        )
-    ok = all(r["ok"] for r in rows if r["ok"] is not None)
-    payload = {"rows": rows, "ok": ok, "unresolved": unresolved}
-    lines = [f"{'m':>5} {'used':>5} {'found':>6} {'complete':>9} {'ok':>10}"]
-    for r in rows:
-        status = "unresolved" if r["ok"] is None else str(r["ok"])
-        lines.append(
-            f"{r['m']:>5} {r['expected_at_least']:>5} {r['computed']:>6} "
-            f"{str(r['complete']):>9} {status:>10}"
-            + (f"  {r['reason']}" if r["reason"] else "")
-        )
-    checked = len(rows) - len(unresolved)
-    lines.append(f"all rows consistent: {ok} ({checked} of {len(rows)} rows checked)")
-    if unresolved:
-        lines.append("unresolved m: " + ", ".join(map(str, unresolved)))
-    _emit(args, payload, lines)
-    return OK if ok else FAIL
-
-
 def cmd_report(args) -> int:
     bundle = _bundle(args)
     report = reproduce_report(bundle, args.resolve_limit, _budget(args))
@@ -530,12 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     ovalidate = order_sub.add_parser("validate", help="validate an order-table file")
     ovalidate.add_argument("file")
     ovalidate.set_defaults(func=cmd_order_validate)
-    ocounts = order_sub.add_parser(
-        "counts", help="compare computed prime counts with the shipped reference"
-    )
-    ocounts.add_argument("--limit", type=int, default=40, help="largest order to check")
-    ocounts.add_argument("--tables", default=None)
-    ocounts.set_defaults(func=cmd_order_counts)
 
     report = sub.add_parser("report", help="full verification report")
     report.add_argument("--tables", default=None, help="bundle directory")
@@ -543,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolve-limit",
         type=int,
         default=RESOLVE_LIMIT,
-        help="resolve prime assignments for moduli up to this bound",
+        help="resolve prime assignments and check order counts for moduli "
+        "up to this bound (default %(default)s)",
     )
     report.set_defaults(func=cmd_report)
 

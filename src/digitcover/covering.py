@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .arith import FactorBudget, factor
+from .arith import FactorBudget, Factorization, factor
 
 __all__ = [
     "Congruence",
@@ -52,10 +52,12 @@ __all__ = [
 
 NAIVE_LIMIT = 10 ** 8   # largest array marked in one piece: naive scan, unsplittable node
 LEAF_CELLS = 1 << 16    # refinement marks nodes of lcm up to this, splits larger ones
-# lcm_analysis's budget: the verdict never reads the largest prime, so an lcm
-# is not worth seconds of rho.  Rho needs about sqrt(p) iterations to find a
-# prime p, so every lcm whose second-largest prime is below about 10^8 still
-# resolves, far above the split primes (<= LEAF_CELLS) refinement can use.
+# The budget of CoveringSystem.lcm_factorization: the verdict never reads the
+# largest prime, so an lcm is not worth seconds of rho.  Rho needs about
+# sqrt(p) iterations to find a prime p, so every lcm whose second-largest
+# prime is below about 10^8 still resolves.  Its trial division runs to
+# min(10^5, isqrt(lcm)) whatever rho does, so every split prime (<=
+# LEAF_CELLS) is found even when the factorization is incomplete.
 LCM_BUDGET = FactorBudget(rho_iterations=10 ** 4)
 
 
@@ -110,6 +112,12 @@ class CoveringSystem:
             raise ValueError("empty system has no lcm")
         return reduce(math.lcm, (c.modulus for c in self.congruences))
 
+    @cached_property
+    def lcm_factorization(self) -> Factorization:
+        """`factor(lcm, LCM_BUDGET)`, computed once per system: lcm_analysis
+        reads its largest prime, refinement its split primes."""
+        return factor(self.lcm, LCM_BUDGET)
+
     def matches(self, x: int) -> bool:
         return any(c.matches(x) for c in self.congruences)
 
@@ -139,12 +147,9 @@ def lcm_analysis(system: CoveringSystem) -> LcmAnalysis:
     max_prime is None when `factor` cannot finish the lcm within LCM_BUDGET;
     the verdict does not depend on it.
     """
-    ell = system.lcm
-    max_prime: Optional[int] = 1
-    if ell > 1:
-        fac = factor(ell, LCM_BUDGET)
-        max_prime = max(fac.primes()) if fac.complete else None
-    return LcmAnalysis(lcm=ell, max_prime=max_prime, count=len(system))
+    fac = system.lcm_factorization
+    max_prime = max(fac.primes(), default=1) if fac.complete else None
+    return LcmAnalysis(lcm=fac.n, max_prime=max_prime, count=len(system))
 
 
 def _mark_progressions(
@@ -314,15 +319,6 @@ def _least_uncovered(
     return best, cells, splits
 
 
-def _split_primes(ell: int) -> list[int]:
-    """The primes <= LEAF_CELLS of ell, ascending, by trial division alone:
-    it divides out every prime up to min(10^5, isqrt(ell)), and when
-    isqrt(ell) < 10^5 what is left over is 1 or the one prime factor of
-    ell above isqrt(ell)."""
-    trial_only = factor(ell, FactorBudget(rho_iterations=0))
-    return [p for p in trial_only.primes() if p <= LEAF_CELLS]
-
-
 def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReduction]:
     """Reduce and refine the classes u = 0, 1, ..., w - 1 in turn."""
     if not len(system):
@@ -330,7 +326,8 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
     ell = system.lcm
     if w < 1 or ell % w != 0:
         raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
-    primes = _split_primes(ell)  # every class span divides ell
+    # every class span divides ell, so its split primes are ell's
+    primes = [p for p in system.lcm_factorization.primes() if p <= LEAF_CELLS]
     # v = w*t + u meets c = r (mod m) iff g = gcd(m, w) divides r - u and
     # t = (r - u)/g * (w/g)^-1 (mod m/g)
     terms = []

@@ -231,6 +231,11 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     return _primes_of_order_cached(m, budget)
 
 
+def _quoted(text: str) -> str:
+    """repr(text), cut to 40 characters and the length when longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     """Parse an order-table file into its entries keyed by modulus.
 
@@ -246,11 +251,11 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             continue
         head, sep, tail = line.partition(":")
         if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {_quoted(raw)}")
         try:
             m = int(head)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad modulus {head!r}") from None
+            raise ValueError(f"{path}:{lineno}: bad modulus {_quoted(head)}") from None
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
@@ -268,7 +273,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
                         f"{path}:{lineno}: entry of {len(token)} digits exceeds Python's "
                         f"int-string limit of {limit} (sys.get_int_max_str_digits())"
                     ) from None
-                raise ValueError(f"{path}:{lineno}: bad entry {token!r}") from None
+                raise ValueError(f"{path}:{lineno}: bad entry {_quoted(token)}") from None
             entries.extend([value, value] if twice else [value])
         if m in rows:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")

@@ -1,13 +1,13 @@
 import json
 import shutil
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 import sympy
 
 import digitcover.bundle as bundle_module
-import digitcover.covering as covering_module
-from digitcover.arith import DEFAULT_BUDGET, Factorization, factor
+from digitcover.arith import DEFAULT_BUDGET, factor
 from digitcover.bundle import (
     DATA_ROOT,
     RESOLVE_LIMIT,
@@ -333,12 +333,11 @@ class TestMatchesExpected:
     def test_unfactored_lcm_is_not_a_match(self, bundle):
         # an lcm that factor cannot finish leaves the largest prime unknown:
         # "?" in the table, null in JSON, and no match with the expected row;
-        # only lcm_analysis's budget is stuck, so the verifier's trial division
-        # still finds its split primes
+        # the budget runs out only after trial division, which still finds
+        # every split prime, so the verdicts stand
         def stuck(n, budget):
-            if budget is not covering_module.LCM_BUDGET:
-                return factor(n, budget)
-            return Factorization(n=n, factors=[], remainder=n)
+            done = factor(n, budget)
+            return replace(done, remainder=2 ** 128 + 1) if n > 1 else done
 
         with mock.patch("digitcover.covering.factor", side_effect=stuck):
             report = reproduce_report(bundle, 8, DEFAULT_BUDGET)
@@ -347,7 +346,7 @@ class TestMatchesExpected:
         assert report.lines()[1].split()[:4] == ["-9", "232", "14433138720", "?"]
         digits = report.to_dict()["digits"]
         assert digits[0]["max_prime"] is None and not report.ok
-        # the mod-3 digits have lcm 1 and need no factoring
+        # the mod-3 digits have lcm 1, which always factors
         assert all(r.matches_expected for r in report.digits if r.lcm == 1)
 
 

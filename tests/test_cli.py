@@ -1,7 +1,10 @@
+import argparse
 import json
 import re
+import shlex
 import shutil
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +23,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def tables_asking_for_a_third_order_8_prime(tmp_path) -> str:
+    """The shipped tables with d9.txt's row `5 8 2` changed to `5 8 3`."""
+    cov = tmp_path / "coverings"
+    shutil.copytree(DATA_ROOT / "coverings", cov)
+    (cov / "manifest.json").unlink()
+    d9 = cov / "d9.txt"
+    d9.write_text(d9.read_text().replace("\n5 8 2\n", "\n5 8 3\n"))
+    return str(tmp_path)
 
 
 class TestCoverCli:
@@ -222,6 +235,19 @@ class TestConstructCli:
         assert code == 2
         assert "cannot resolve the prime for 25 (mod 210)" in err
 
+    def test_index_past_a_complete_list_names_the_count(self, tmp_path, capsys):
+        # Phi_8(10) = 10001 = 73 * 137, so d9.txt's `5 8 3` asks for a third
+        # order-8 prime that does not exist
+        code, _, err = run(
+            capsys, "construct", "assemble", "--digits", "9", "--tables",
+            tables_asking_for_a_third_order_8_prime(tmp_path),
+        )
+        assert code == 2
+        assert err == (
+            "data error: digit 9: cannot resolve the prime for 5 (mod 8) "
+            "(index 3); only 2 primes have order 8\n"
+        )
+
     def test_row_without_index_is_data_error(self, tmp_path, capsys):
         cov = tmp_path / "coverings"
         shutil.copytree(DATA_ROOT / "coverings", cov)
@@ -373,7 +399,6 @@ class TestTablesWarnings:
         "argv",
         [
             ("report", "--resolve-limit", "8"),
-            ("order", "counts", "--limit", "8"),
             ("construct", "assemble", "--digits", "9"),
         ],
     )
@@ -509,6 +534,24 @@ class TestOrderCli:
         assert err.startswith(f"error: {path}:1: entry of 5000 digits exceeds Python's ")
         assert len(err) < 200 and "7" * 50 not in err
 
+    @pytest.mark.parametrize(
+        "line, quoted",
+        [
+            ("3: 7, " + "x" * 3000, "bad entry 'xxxx"),
+            ("x" * 3000 + ": 7", "bad modulus 'xxxx"),
+            ("x" * 3000, "expected 'm: entries', got 'xxxx"),
+        ],
+        ids=["entry", "modulus", "line"],
+    )
+    def test_validate_quotes_a_prefix_of_a_malformed_token(self, tmp_path, capsys, line, quoted):
+        path = tmp_path / "hostile.txt"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "order", "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: {quoted}" in err
+        assert err.endswith("... (3000 characters)\n") and len(err) < 200
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):
         code, out, err = run(capsys, "order", "primes", m)
@@ -536,19 +579,24 @@ class TestOrderCli:
         }
 
     def test_counts(self, capsys):
-        code, out, _ = run(capsys, "order", "counts", "--limit", "13")
+        code, out, _ = run(capsys, "report", "--resolve-limit", "13")
         assert code == 0
-        assert "all rows consistent: True" in out
+        assert not any(line.startswith(("m=", "order counts")) for line in out.splitlines())
+        code, out, _ = run(capsys, "--format", "json", "report", "--resolve-limit", "13")
+        counts = json.loads(out)["order_counts"]
+        assert [c["m"] for c in counts] == list(range(1, 14))
+        assert {c["status"] for c in counts} == {"enough"}
 
     def test_counts_with_no_modulus_in_range_is_usage_error(self, capsys):
-        for limit in ("0", "-1"):
-            code, out, err = run(capsys, "order", "counts", "--limit", limit)
-            assert code == 2
-            assert out == ""
-            assert f"no tabulated modulus <= {limit}" in err
-        code, out, _ = run(capsys, "order", "counts", "--limit", "1")
+        code, out, err = run(capsys, "report", "--resolve-limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: resolve_limit must be >= 0, got -1\n"
+        code, out, _ = run(capsys, "--format", "json", "report", "--resolve-limit", "1")
         assert code == 0
-        assert out.splitlines()[-1] == "all rows consistent: True (1 of 1 rows checked)"
+        assert json.loads(out)["order_counts"] == [
+            {"m": 1, "needed": 1, "found": 1, "status": "enough", "reason": None}
+        ]
 
     @pytest.fixture
     def needs_two_of_order_3(self, tmp_path):
@@ -560,23 +608,25 @@ class TestOrderCli:
         (cov / "manifest.json").unlink()
         with open(cov / "d9.txt", "a") as f:
             f.write("1 3 2\n")
-        return ["--rho-iterations", "10000", "order", "counts", "--limit", "70",
+        return ["--rho-iterations", "10000", "report", "--resolve-limit", "70",
                 "--tables", str(tmp_path)]
 
     def test_counts_incomplete_row_is_unresolved(self, needs_two_of_order_3, capsys):
         argv = needs_two_of_order_3
         code, out, _ = run(capsys, *argv)
         assert code == 1
-        row = next(line for line in out.splitlines() if line.split()[0] == "3")
-        assert row.split() == ["3", "2", "1", "True", "False"]
-        assert "all rows consistent: False (61 of 62 rows checked)" in out
-        assert "unresolved m: 69" in out
+        lines = out.splitlines()
+        assert "m=3: rows need 2 primes of order 3, exactly 1 exists" in lines
+        assert [line for line in lines if line.startswith("order counts unresolved")] == [
+            next(line for line in lines if line.startswith("order counts unresolved: m=69 "))
+        ]
+        assert "; overall FAIL; " in lines[-1]
         code, out, _ = run(capsys, "--format", "json", *argv)
         payload = json.loads(out)
-        ok = {r["m"]: r["ok"] for r in payload["rows"]}
-        assert ok.pop(3) is False and ok.pop(69) is None
-        assert all(ok.values())
-        assert payload["unresolved"] == [69] and payload["ok"] is False
+        status = {c["m"]: c["status"] for c in payload["order_counts"]}
+        assert status.pop(3) == "short" and status.pop(69) == "unresolved"
+        assert len(status) == 60 and set(status.values()) == {"enough"}
+        assert payload["ok"] is False
 
     def test_primes_prints_exact_prefix_and_reason(self, capsys):
         argv = ["--rho-iterations", "10000", "order", "primes", "69"]
@@ -594,11 +644,13 @@ class TestOrderCli:
     def test_counts_unresolved_row_shows_reason(self, needs_two_of_order_3, capsys):
         argv = needs_two_of_order_3
         code, out, _ = run(capsys, *argv)
-        row = next(line for line in out.splitlines() if line.split()[0] == "69")
-        assert "unresolved  p-1 spent " in row
+        line = next(line for line in out.splitlines() if line.startswith("order counts"))
+        assert line.startswith("order counts unresolved: m=69 needs 3, 1 found (p-1 spent ")
         code, out, _ = run(capsys, "--format", "json", *argv)
-        reasons = {r["m"]: r["reason"] for r in json.loads(out)["rows"]}
-        assert reasons[3] is None and reasons[69].startswith("p-1 spent ")
+        counts = {c["m"]: c for c in json.loads(out)["order_counts"]}
+        assert counts[3]["reason"] is None
+        assert counts[69]["reason"].startswith("p-1 spent ")
+        assert (counts[69]["needed"], counts[69]["found"]) == (3, 1)
 
 
 class TestReportCli:
@@ -614,6 +666,28 @@ class TestReportCli:
         assert closing.endswith(
             "; overall OK; 2477 of 2658 prime assignments not checked (resolve limit 64)"
         )
+
+    def test_report_fails_a_row_past_a_complete_list(self, tmp_path, capsys):
+        tables = tables_asking_for_a_third_order_8_prime(tmp_path)
+        code, out, _ = run(capsys, "report", "--tables", tables)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2] == "m=8: rows need 3 primes of order 8, exactly 2 exist"
+        assert "; overall FAIL; 2478 of 2658 prime assignments not checked" in lines[-1]
+        code, out, _ = run(capsys, "--format", "json", "report", "--tables", tables)
+        payload = json.loads(out)
+        short = [c for c in payload["order_counts"] if c["status"] != "enough"]
+        assert short == [
+            {"m": 8, "needed": 3, "found": 2, "status": "short", "reason": None}
+        ]
+        assert payload["ok"] is False
+
+    def test_shipped_order_counts_are_all_enough(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "report")
+        assert code == 0
+        counts = json.loads(out)["order_counts"]
+        assert len(counts) == 57 and {c["status"] for c in counts} == {"enough"}
+        assert all(c["reason"] is None for c in counts)  # every list is complete
 
     def test_report_json(self, capsys):
         code, out, _ = run(
@@ -635,6 +709,12 @@ class TestReportCli:
             digits = json.loads(out)["digits"]
             resolved.append(sum(r["resolved_assignments"] for r in digits))
         assert resolved == [181, 155]
+        # the count check is per modulus: m = 63's incomplete list already
+        # holds the 3 primes its rows index, though those rows do not resolve
+        counts = {c["m"]: c for c in json.loads(out)["order_counts"]}
+        assert counts[63]["status"] == "enough"
+        assert counts[63]["reason"].startswith("p-1 spent 0 multiplications")
+        assert counts[64]["status"] == "unresolved"
 
     @pytest.mark.parametrize(
         "argv", [["report"], ["order", "primes", "69"], ["order", "primes", "8"]]
@@ -654,3 +734,28 @@ def test_parser_defaults_are_the_library_constants():
     args = build_parser().parse_args(["report"])
     assert args.resolve_limit == RESOLVE_LIMIT
     assert args.rho_iterations == DEFAULT_BUDGET.rho_iterations
+
+
+def test_readme_cli_block_matches_the_parser():
+    # every `digitcover ...` line of README's CLI block parses (brackets mark
+    # optional arguments), and every (command, subcommand) of the parser
+    # appears there, so a deleted or added subcommand cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    parser = build_parser()
+    shown = set()
+    for line in block.splitlines():
+        argv = shlex.split(line.split("#", 1)[0].replace("[", "").replace("]", ""))
+        assert argv[0] == "digitcover", line
+        args = parser.parse_args(argv[1:])
+        shown.add((args.command, getattr(args, "subcommand", None)))
+
+    def subcommands(p):
+        (action,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    pairs = set()
+    for command, sub in subcommands(parser).items():
+        nested = [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]
+        pairs |= {(command, s) for s in subcommands(sub)} if nested else {(command, None)}
+    assert shown == pairs

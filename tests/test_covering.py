@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitcover.covering as covering_module
-from digitcover.arith import primes_up_to
+from digitcover.arith import factor, primes_up_to
 from digitcover.bundle import MOD3_DIGITS, default_bundle
 from digitcover.construction import DIGIT_OFFSETS
 from digitcover.covering import (
@@ -436,7 +436,9 @@ class TestRefinement:
 
     def test_split_primes_match_the_prime_table_rule(self, bundle):
         # the rule before the split primes came from the lcm's factorization:
-        # every prime <= 2^16 of the prime table that divides the lcm
+        # every prime <= 2^16 of the prime table that divides the lcm.  The
+        # lcm factorization finds them all, 2^128 + 1 (unsplit within its
+        # budget) included
         table = primes_up_to(LEAF_CELLS)
         shipped = [bundle.system(d).lcm for d in DIGIT_OFFSETS if d not in MOD3_DIGITS]
         assert len(shipped) == 12
@@ -444,7 +446,24 @@ class TestRefinement:
         lcms = shipped + [1, 8, 2 * 65521, 3 * 65537, 132059 * 133499, 2 ** 128 + 1]
         for ell in lcms:
             expected = [p for p in table if ell % p == 0]
-            assert covering_module._split_primes(ell) == expected, ell
+            fac = CoveringSystem.from_pairs([(0, ell)]).lcm_factorization
+            assert [p for p in fac.primes() if p <= LEAF_CELLS] == expected, ell
+
+    def test_each_lcm_is_factored_once(self, bundle):
+        # lcm_analysis and the verifier read one factorization per system
+        factored = []
+
+        def counted(n, budget):
+            factored.append(n)
+            return factor(n, budget)
+
+        with mock.patch("digitcover.covering.factor", side_effect=counted):
+            for d in DIGIT_OFFSETS:
+                system = bundle.system(d)
+                analysis = lcm_analysis(system)
+                assert is_covering_fast(system).covering
+                assert reduction_profile(system)[0].covered
+                assert factored.pop() == analysis.lcm and not factored, d
 
     def test_d_minus_3_marks_a_tenth_of_the_class_route(self, system_d_minus_3):
         # the w = 1140 class route marked 385,231,385 cells for d = -3
