@@ -399,6 +399,7 @@ class TestTablesWarnings:
         "argv",
         [
             ("report", "--resolve-limit", "8"),
+            ("report", "--resolve-limit", "0"),
             ("construct", "assemble", "--digits", "9"),
         ],
     )
