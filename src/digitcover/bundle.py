@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
 from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
-from .cyclotomic import primes_of_order
+from .cyclotomic import primes_of_order, quoted
 
 __all__ = [
     "TableBundle",
@@ -146,19 +146,19 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
                     digit = int(parts[1])
                 except ValueError:
                     raise BundleError(
-                        f"{path}:{lineno}: bad digit header {raw!r}"
+                        f"{path}:{lineno}: bad digit header {quoted(raw)}"
                     ) from None
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
             raise BundleError(
-                f"{path}:{lineno}: expected 'a m [rho]', got {raw!r}"
+                f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}"
             )
         try:
             numbers = [int(s) for s in parts]
         except ValueError:
             raise BundleError(
-                f"{path}:{lineno}: non-integer field in {raw!r}"
+                f"{path}:{lineno}: non-integer field in {quoted(raw)}"
             ) from None
         a, m = numbers[0], numbers[1]
         rho = numbers[2] if len(numbers) == 3 else None

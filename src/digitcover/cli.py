@@ -364,7 +364,7 @@ def cmd_order_primes(args) -> int:
         "scan_candidates": result.scan_candidates,
         "scan_survivors": result.scan_survivors,
         "remainder_digits": (
-            None if result.remainder is None else len(str(result.remainder))
+            None if result.remainder is None else digit_count(result.remainder)
         ),
     }
     lines = [

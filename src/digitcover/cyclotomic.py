@@ -6,11 +6,15 @@ excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
 This module evaluates those values exactly, as a Moebius product over the
 squarefree divisors of m formed from the primes `factor` finds in m.  It
 lists the order-m primes by scanning that progression below SCAN_BOUND and
-splitting what is left with Pollard's p - 1 method.  It also validates
-externally supplied order tables: `load_order_table` reads one as a dict
-from each modulus to its entries, where an unfactored composite placeholder
-may stand in for up to two unknown primes, and `validate_order_table`
-returns the list of its violations, empty when the table is valid.
+splitting what is left with Pollard's p - 1 method.  For m = 20k with k odd
+the leftover first splits for free at its Aurifeuillian factors (Brent,
+Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits is left
+whole without a primality test.  It also validates externally supplied
+order tables: `load_order_table` reads one as a dict from each modulus to
+its entries, where an unfactored composite placeholder may stand in for up
+to two unknown primes, and `validate_order_table` returns the list of its
+violations, empty when the table is valid.  `quoted` cuts the malformed
+text that parse errors here and in `bundle` quote.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "OrderPrimes",
     "load_order_table",
     "validate_order_table",
+    "quoted",
 ]
 
 
@@ -119,6 +124,11 @@ _CHUNK_FIRST = 1 << 6
 _CHUNK_MAX = 1 << 14
 # Composite cofactors above this size are not split.
 _SPLIT_BIT_LIMIT = 512
+# `is_prime` runs for minutes on a number past this size, so order-m
+# cofactors above it are left untested and table entries above it are
+# classified by a two-base Miller-Rabin probe.  It sits above the largest
+# Phi_m(10) with m <= 1000 (2,512 bits, m = 931).
+_PRIMALITY_BIT_LIMIT = 4096
 
 
 def _pow10_mod(e: int, p: np.ndarray) -> np.ndarray:
@@ -132,6 +142,21 @@ def _pow10_mod(e: int, p: np.ndarray) -> np.ndarray:
         if e:
             base = base * base % p
     return result
+
+
+def _aurifeuillian_factor(m: int) -> int:
+    """C(x) - 10**((k+1)/2) * D(x) at x = 10**k, for m = 20k with k odd.
+
+    Phi_20(x) = C(x)**2 - 10x * D(x)**2 with C = x^4+5x^3+7x^2+5x+1 and
+    D = x^3+2x^2+2x+1 (Brent, Math. Comp. 61, 1993).  For odd k, 10 * 10**k
+    is the square of 10**((k+1)/2), so Phi_20(10**k) is this value times
+    C + 10**((k+1)/2) * D, and Phi_m(10) divides Phi_20(10**k).
+    """
+    k = m // 20
+    x = 10 ** k
+    c = (((x + 5) * x + 7) * x + 5) * x + 1
+    d = ((x + 2) * x + 2) * x + 1
+    return c - 10 ** ((k + 1) // 2) * d
 
 
 @lru_cache(maxsize=None)
@@ -164,13 +189,25 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
                     cofactor //= prime
         k, chunk, limit = stop, min(2 * chunk, _CHUNK_MAX), 1 + stop * step
 
-    # Split what is left: every part below limit**2 is prime.
+    # Split what is left: every part below limit**2 is prime.  For
+    # m = 20k with k odd, the Aurifeuillian gcd splits it first, for free.
+    parts = [cofactor] if cofactor > 1 else []
+    if m % 40 == 20 and cofactor >= limit * limit:
+        half = math.gcd(cofactor, _aurifeuillian_factor(m))
+        if 1 < half < cofactor:
+            parts = [half, cofactor // half]
     rest: list[int] = []
     reasons: list[str] = []
     probable: set[int] = set()
-    parts = [cofactor] if cofactor > 1 else []
     while parts:
         n = parts.pop()
+        if n.bit_length() > _PRIMALITY_BIT_LIMIT:
+            rest.append(n)
+            reasons.append(
+                f"{n.bit_length()}-bit cofactor above the split limit, "
+                "primality not tested"
+            )
+            continue
         kind = PROVEN_PRIME if n < limit * limit else is_prime(n).kind
         if kind != COMPOSITE:
             if not has_order(10, m, n):
@@ -218,11 +255,16 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     10**(m/q) != 1 (mod p) for every prime q | m, proven with `is_prime` and
     `has_order`, and divided out of Phi_m(10) with its multiplicity.  The
     scan stops once the cofactor is below the square of the scanned limit,
-    where it is 1 or prime.  A composite cofactor of at most _SPLIT_BIT_LIMIT
-    bits is split with `pm1_split`, within budget, and each prime it yields
-    is re-checked with `has_order`.  A part counts as prime below the
-    limit squared or when `is_prime` says so, and lands in `probable` when
-    `is_prime` only calls it a probable prime.
+    where it is 1 or prime.  For m = 20k with k odd, Phi_m(10) divides
+    Phi_20(10**k) = (C - 10**((k+1)/2) D)(C + 10**((k+1)/2) D) (Brent,
+    Math. Comp. 61, 1993; see `_aurifeuillian_factor`), so one gcd with the
+    first factor splits the cofactor in two without spending budget.  Each
+    part above _PRIMALITY_BIT_LIMIT bits is left whole, its primality not
+    tested, since `is_prime` runs for minutes there.  A composite part of at
+    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget, and
+    each prime it yields is re-checked with `has_order`.  A part counts as
+    prime below the limit squared or when `is_prime` says so, and lands in
+    `probable` when `is_prime` only calls it a probable prime.
 
     The listed primes below `exact_below` are exactly the order-m primes
     there; the result is complete, and lists them all, iff no composite
@@ -231,7 +273,7 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     return _primes_of_order_cached(m, budget)
 
 
-def _quoted(text: str) -> str:
+def quoted(text: str) -> str:
     """repr(text), cut to 40 characters and the length when longer."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
@@ -251,11 +293,11 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             continue
         head, sep, tail = line.partition(":")
         if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {_quoted(raw)}")
+            raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {quoted(raw)}")
         try:
             m = int(head)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad modulus {_quoted(head)}") from None
+            raise ValueError(f"{path}:{lineno}: bad modulus {quoted(head)}") from None
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
@@ -273,7 +315,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
                         f"{path}:{lineno}: entry of {len(token)} digits exceeds Python's "
                         f"int-string limit of {limit} (sys.get_int_max_str_digits())"
                     ) from None
-                raise ValueError(f"{path}:{lineno}: bad entry {_quoted(token)}") from None
+                raise ValueError(f"{path}:{lineno}: bad entry {quoted(token)}") from None
             entries.extend([value, value] if twice else [value])
         if m in rows:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
@@ -287,10 +329,11 @@ def _is_placeholder(e: int) -> bool:
 
     Entries can run to thousands of digits (load_order_table reads up to
     sys.get_int_max_str_digits(), 4300 by default); classification there
-    only needs to separate composites from primes, so past 4096 bits a
-    two-base Miller-Rabin probe replaces `is_prime`.
+    only needs to separate composites from primes, so past
+    _PRIMALITY_BIT_LIMIT bits a two-base Miller-Rabin probe replaces
+    `is_prime`.
     """
-    if e.bit_length() <= 4096:
+    if e.bit_length() <= _PRIMALITY_BIT_LIMIT:
         return not is_prime(e)
     d, s = _odd_part(e - 1)
     return e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3))

@@ -74,8 +74,16 @@ class Substitution:
 
 
 def digit_count(n: int) -> int:
-    """Number of decimal digits of n >= 0 (0 has one digit)."""
-    return len(str(abs(n)))
+    """Number of decimal digits of |n| (0 has one digit).
+
+    Counted from the bit length, without `str`, so it holds past Python's
+    int-to-string limit: 0.3 < log10(2) makes the first guess a lower bound.
+    """
+    n = abs(n)
+    width = 1 + max(n.bit_length() - 1, 0) * 3 // 10
+    while n >= 10 ** width:
+        width += 1
+    return width
 
 
 def digit_at(n: int, position: int) -> int:

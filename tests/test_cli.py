@@ -14,6 +14,7 @@ from digitcover.arith import DEFAULT_BUDGET, Factorization
 from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT, default_bundle
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
+from digitcover.cyclotomic import cyclotomic_value
 
 D9_FILE = str(DATA_ROOT / "coverings" / "d9.txt")
 D_MINUS_3_FILE = str(DATA_ROOT / "coverings" / "d-3.txt")
@@ -168,6 +169,24 @@ class TestCoverCli:
         assert time.perf_counter() - start < 2.0
         assert code == 0
         assert out.splitlines()[2:] == ["max prime: unresolved", "covering: True"]
+
+    @pytest.mark.parametrize(
+        "line, quoted",
+        [
+            ("# digit " + "x" * 3000, "bad digit header '# digit xxxx"),
+            ("0 2 " + "x" * 3000, "non-integer field in '0 2 xxxx"),
+            ("0 2" + " 1" * 1500, "expected 'a m [rho]', got '0 2 1 1"),
+        ],
+        ids=["header", "field", "fields"],
+    )
+    def test_verify_quotes_a_prefix_of_a_malformed_line(self, tmp_path, capsys, line, quoted):
+        path = tmp_path / "hostile.txt"
+        path.write_text(line + "\n0 1\n")
+        code, out, err = run(capsys, "cover", "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: {quoted}" in err
+        assert err.endswith(f"... ({len(line)} characters)\n") and len(err) < 200
 
 
 class TestConstructCli:
@@ -503,6 +522,23 @@ class TestOrderCli:
         payload = json.loads(out)
         assert payload["primes"][-1] == big and payload["probable"] == [big]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_largest_table_modulus_answers(self, capsys, fmt):
+        # Phi_75240(10) has 17,281 digits, past Python's int-to-string limit
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--format", fmt, "order", "primes", "75240")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and err == ""
+        reason = "57385-bit cofactor above the split limit, primality not tested"
+        if fmt == "text":
+            assert f"complete: False ({reason})" in out
+            return
+        payload = json.loads(out)
+        assert payload["primes"] == ["451441"] and payload["reason"] == reason
+        remainder = cyclotomic_value(75240, 10) // 451441
+        digits = payload["remainder_digits"]
+        assert 10 ** (digits - 1) <= remainder < 10 ** digits
+
     def test_validate(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
         good.write_text("6: 7, 13\n")
@@ -709,7 +745,9 @@ class TestReportCli:
             assert code == 0
             digits = json.loads(out)["digits"]
             resolved.append(sum(r["resolved_assignments"] for r in digits))
-        assert resolved == [181, 155]
+        # without p - 1, m = 60 still completes: the Aurifeuillian gcd
+        # splits its 15-digit cofactor into 4188901 and 39526741
+        assert resolved == [181, 159]
         # the count check is per modulus: m = 63's incomplete list already
         # holds the 3 primes its rows index, though those rows do not resolve
         counts = {c["m"]: c for c in json.loads(out)["order_counts"]}

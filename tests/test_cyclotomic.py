@@ -3,13 +3,24 @@ import math
 import pytest
 import sympy
 
-from digitcover.arith import primes_up_to
+import digitcover.cyclotomic as cyclotomic
+from digitcover.arith import FactorBudget, primes_up_to
 from digitcover.cyclotomic import (
+    _PRIMALITY_BIT_LIMIT,
+    _aurifeuillian_factor,
     cyclotomic_value,
     load_order_table,
     primes_of_order,
     validate_order_table,
 )
+
+# the bench's `orders` band: table moduli m <= 1000 at 10**4 p - 1 multiplications
+BAND_BUDGET = FactorBudget(rho_iterations=10_000)
+
+
+def c_and_d(x):
+    """C and D of Phi_20(x) = C(x)**2 - 10x * D(x)**2 (Brent, Math. Comp. 61, 1993)."""
+    return x ** 4 + 5 * x ** 3 + 7 * x ** 2 + 5 * x + 1, x ** 3 + 2 * x ** 2 + 2 * x + 1
 
 
 class TestCyclotomicValue:
@@ -81,6 +92,77 @@ class TestPrimesOfOrder:
                     # having order m; these are the excluded entries
                     continue
                 assert (value % p == 0) == (order == m), (p, m)
+
+
+class TestAurifeuillianSplit:
+    def test_factors_of_phi_20(self):
+        c, d = c_and_d(10)
+        assert (c - 10 * d, c + 10 * d) == (3541, 27961)
+        assert 3541 * 27961 == cyclotomic_value(20, 10) == 99009901
+        assert _aurifeuillian_factor(20) == 3541
+
+    def test_band_primes_have_order_m(self, bundle):
+        moduli = sorted(m for m in bundle.order_counts if m <= 1000 and m % 40 == 20)
+        assert len(moduli) == 16
+        for m in moduli:
+            result = primes_of_order(m, BAND_BUDGET)
+            qs = sympy.primefactors(m)
+            for p in result.primes:
+                assert sympy.isprime(p), (m, p)
+                # sympy.n_order factors p - 1, which took 45 s on one
+                # 61-digit prime of order 340; past 10**20 the order is
+                # checked from its definition
+                if p < 10 ** 20:
+                    assert sympy.n_order(10, p) == m, (m, p)
+                else:
+                    assert pow(10, m, p) == 1, (m, p)
+                    assert all(pow(10, m // q, p) != 1 for q in qs), (m, p)
+            # the listed primes and the remainder multiply back to Phi_m(10)
+            # freed of the primes of m
+            cofactor = int(sympy.cyclotomic_poly(m, 10))
+            for q in qs:
+                cofactor //= q ** sympy.multiplicity(q, cofactor)
+            listed = math.prod(p ** sympy.multiplicity(p, cofactor) for p in result.primes)
+            assert listed * (result.remainder or 1) == cofactor, m
+
+    @pytest.mark.parametrize("m", [100, 140, 180, 220])
+    def test_split_lists_match_sympy(self, m):
+        # sympy.factorint on the whole of Phi_m(10) took 0.8 s (m = 100),
+        # 0.3 s (140) and 86 s (180), and had not finished after 5 minutes
+        # on the 80 digits of m = 220, whose largest primes have 28 and 32
+        # digits; on the two Aurifeuillian halves it takes under 0.02 s
+        value = int(sympy.cyclotomic_poly(m, 10))
+        k = m // 20
+        c, d = c_and_d(10 ** k)
+        half = math.gcd(value, c - 10 ** ((k + 1) // 2) * d)
+        assert 1 < half < value
+        factors = set(sympy.factorint(half)) | set(sympy.factorint(value // half))
+        result = primes_of_order(m, BAND_BUDGET)
+        assert result.complete and result.reason is None
+        assert list(result.primes) == sorted(p for p in factors if m % p)
+
+    def test_order_140_is_complete(self):
+        result = primes_of_order(140)
+        assert result.complete and len(result.primes) == 5
+
+    def test_is_prime_is_never_called_above_the_bound(self, monkeypatch):
+        sizes = []
+        is_prime = cyclotomic.is_prime
+
+        def counting_is_prime(n):
+            sizes.append(n.bit_length())
+            return is_prime(n)
+
+        monkeypatch.setattr(cyclotomic, "is_prime", counting_is_prime)
+        for m in (5000, 75240):
+            # bypass the cache, which may already hold these results
+            result = cyclotomic._primes_of_order_cached.__wrapped__(m, BAND_BUDGET)
+            bits = result.remainder.bit_length()
+            assert bits > _PRIMALITY_BIT_LIMIT
+            assert result.reason == (
+                f"{bits}-bit cofactor above the split limit, primality not tested"
+            )
+        assert sizes and max(sizes) <= _PRIMALITY_BIT_LIMIT
 
 
 class TestOrderTableFiles:
