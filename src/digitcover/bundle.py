@@ -2,14 +2,17 @@
 
 The package ships one covering file per digit offset d with d not congruent
 to 2 mod 3 (the remaining six digits, `MOD3_DIGITS`, are handled by the
-single congruence 0 mod 1 assigned to the prime 3), and a manifest of
-their sha256 digests.  The files are the bundle's only source: how many
-primes of each order the construction needs is read off their rows.  The
-report re-verifies every covering, compares congruence counts, moduli lcm
-and largest prime factor against the embedded expected values, resolves
-prime assignments where the order-m prime lists can be computed, checks
-that each modulus has as many order-m primes as the rows index, and checks
-every prime shared between digits for residue consistency.
+single congruence 0 mod 1 assigned to the prime 3), `ORDER_PRIMES_FILE`
+with the complete list of order-m primes for each table modulus
+m <= RESOLVE_LIMIT, and a manifest of their sha256 digests.  How many
+primes of each order the construction needs is read off the covering
+rows.  The report re-verifies every covering, compares congruence counts,
+moduli lcm and largest prime factor against the embedded expected values,
+resolves prime assignments where the order-m prime lists are known (a
+shipped list is re-proved on first use, never trusted; any other modulus
+is computed within budget), checks that each modulus has as many order-m
+primes as the rows index, and checks every prime shared between digits
+for residue consistency.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from typing import Iterable, Iterator, Optional, Union
 from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
 from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
-from .cyclotomic import primes_of_order, quoted
+from .cyclotomic import (
+    OrderPrimes,
+    load_order_table,
+    primes_of_order,
+    prove_order_primes,
+    quoted,
+)
 
 __all__ = [
     "TableBundle",
@@ -42,6 +51,7 @@ __all__ = [
     "MOD3_DIGITS",
     "REPEATED_PRIME_DIGITS",
     "DATA_ROOT",
+    "ORDER_PRIMES_FILE",
     "RESOLVE_LIMIT",
 ]
 
@@ -49,6 +59,11 @@ DATA_ROOT = Path(__file__).parent / "data"
 
 # The report resolves prime assignments for moduli up to this bound.
 RESOLVE_LIMIT = 64
+
+# The optional file beside the covering files that lists, in
+# `load_order_table`'s `m: p1, p2, ...` format, every prime of order m for
+# some moduli m; the shipped one covers each table modulus m <= RESOLVE_LIMIT.
+ORDER_PRIMES_FILE = "order_primes.txt"
 
 MOD3_DIGITS = frozenset({-7, -4, -1, 2, 5, 8})
 
@@ -176,10 +191,20 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
 
 @dataclass
 class TableBundle:
-    """All shipped or ingested table data for the 18 digit offsets."""
+    """All shipped or ingested table data for the 18 digit offsets.
+
+    order_rows holds the rows of `order_file` (an ORDER_PRIMES_FILE) as
+    read, unproved; `order_primes` proves each row on first use and keeps
+    the result in _proven, per bundle.
+    """
 
     coverings: dict[int, tuple[CoveringRow, ...]]
     warnings: list[str] = field(default_factory=list)
+    order_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    order_file: Optional[Path] = None
+    _proven: dict[int, OrderPrimes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def system(self, digit: int) -> CoveringSystem:
         return CoveringSystem(tuple(r.congruence for r in self.rows(digit)))
@@ -202,19 +227,33 @@ class TableBundle:
                     counts[row.congruence.modulus] = row.rho
         return counts
 
+    def order_primes(self, m: int, budget: FactorBudget) -> OrderPrimes:
+        """The primes of order m that the rows index: the bundle's row for
+        m, proved by `prove_order_primes` the first time it is asked for,
+        or `primes_of_order(m, budget)` when there is no row.  A row that
+        fails its proof is a BundleError naming the file, m and the check."""
+        if m not in self.order_rows:
+            return primes_of_order(m, budget)
+        if m not in self._proven:
+            try:
+                self._proven[m] = prove_order_primes(m, self.order_rows[m])
+            except ValueError as exc:
+                raise BundleError(f"{self.order_file}: m={m}: {exc}") from None
+        return self._proven[m]
+
     def resolved_rows(
         self, digit: int, resolve_limit: Optional[int], budget: FactorBudget
     ) -> Iterator[tuple[CoveringRow, Optional[int]]]:
         """Each row of `rows(digit)` with its prime, lazily and in order: the
-        rho-th order-m prime from `resolve_assignment`, or None when the row
-        has no index, its modulus exceeds resolve_limit (None sets no limit),
-        or the index lies beyond the proven prefix."""
+        rho-th prime of `order_primes(m, budget)`, or None when the row has
+        no index, its modulus exceeds resolve_limit (None sets no limit), or
+        the index lies beyond the list's exact prefix."""
         for row in self.rows(digit):
             m = row.congruence.modulus
             if row.rho is None or (resolve_limit is not None and m > resolve_limit):
                 yield row, None
             else:
-                yield row, resolve_assignment(m, row.rho, budget)
+                yield row, self.order_primes(m, budget).nth(row.rho)
 
 
 def _check_manifest(path: Path, files: list[Path]) -> None:
@@ -245,24 +284,34 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
 
     Reads every `d*.txt` file in `coverings/`, or in the directory itself
     when it has no `coverings/`.  A file's digit is its `# digit <d>`
-    header, or else the integer after the `d` of its name.  A
-    `manifest.json` beside the files is optional; when present it is a
-    checksum list, `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name
-    exactly the files read, each with its digest.
+    header, or else the integer after the `d` of its name.  An
+    ORDER_PRIMES_FILE beside them is optional; it is parsed here, with
+    `load_order_table`, and each row is proved only when the bundle's
+    `order_primes` first asks for its modulus.  A `manifest.json` beside
+    the files is optional; when present it is a checksum list,
+    `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name exactly the
+    files read, each with its digest.
 
     Raises BundleError on any parse error, when a header disagrees with the
     digit in the file name, when a file's digit is not a digit offset, is
     one of `MOD3_DIGITS` (which take the single congruence 0 mod 1, so no
     table) or was already supplied by another file, when a tabulated digit has no file,
-    or when the manifest is not such a list.  An `order_table.txt` is not
-    read; `order validate` checks such a file on its own.
+    when the ORDER_PRIMES_FILE does not parse, or when the manifest is not
+    such a list.
     """
     root = Path(directory)
     if not root.is_dir():
         raise BundleError(f"{root} is not a directory")
     cov_dir = root / "coverings" if (root / "coverings").is_dir() else root
     paths = sorted(cov_dir.glob("d*.txt"))
-    _check_manifest(cov_dir / "manifest.json", paths)
+    order_file: Optional[Path] = cov_dir / ORDER_PRIMES_FILE
+    if not order_file.is_file():
+        order_file = None
+    _check_manifest(cov_dir / "manifest.json", paths + ([order_file] if order_file else []))
+    try:
+        order_rows = load_order_table(order_file) if order_file else {}
+    except ValueError as exc:
+        raise BundleError(str(exc)) from None
 
     coverings: dict[int, tuple[CoveringRow, ...]] = {}
     files: dict[int, str] = {}  # the file that supplied each digit
@@ -298,7 +347,12 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     ]
     if missing:
         raise BundleError(f"digit coverage gap: no covering table for {missing}")
-    return TableBundle(coverings=coverings, warnings=warnings)
+    return TableBundle(
+        coverings=coverings,
+        warnings=warnings,
+        order_rows=order_rows,
+        order_file=order_file,
+    )
 
 
 @lru_cache(maxsize=1)
@@ -310,17 +364,15 @@ def default_bundle() -> TableBundle:
 def resolve_assignment(
     m: int, rho: int, budget: FactorBudget = DEFAULT_BUDGET
 ) -> Optional[int]:
-    """The rho-th smallest prime with 10 of order m, or None if unknown.
+    """The rho-th smallest prime with 10 of order m, or None if unknown,
+    from `primes_of_order(m, budget)` alone, with no bundle.
 
     Indices are exact within the prefix `primes_of_order` proves: every
     listed prime when the list is complete, else the primes below its
     `exact_below`, under which no order-m prime is missing.  Indices beyond
     that prefix return None rather than guessing.
     """
-    exact = primes_of_order(m, budget).exact
-    if 1 <= rho <= len(exact):
-        return exact[rho - 1]
-    return None
+    return primes_of_order(m, budget).nth(rho)
 
 
 @dataclass
@@ -510,7 +562,7 @@ def _verify_digit(
             (row, prime)
             for row, prime in resolved
             if prime is not None
-            and prime in primes_of_order(row.congruence.modulus, budget).probable
+            and prime in bundle.order_primes(row.congruence.modulus, budget).probable
         ],
     )
 
@@ -553,10 +605,11 @@ def reproduce_report(
     verdict and wall time, each checked against the embedded expected
     values.  Digits are reported in order of value, and shared-prime
     consistency is checked at the end.  Each prime assignment is resolved
-    once, for moduli up to resolve_limit and within budget; every count and
-    check reads those rows.  Each modulus up to resolve_limit gets an
-    OrderCountCheck from the order-m list resolution computed; a "short"
-    one fails the report.
+    once, for moduli up to resolve_limit, from the bundle's order-m lists
+    (`TableBundle.order_primes`: a shipped row is proved, any other modulus
+    is computed within budget); every count and check reads those rows.
+    Each modulus up to resolve_limit gets an OrderCountCheck from the same
+    list; a "short" one fails the report.
     """
     if resolve_limit < 0:
         raise ValueError(f"resolve_limit must be >= 0, got {resolve_limit}")
@@ -571,7 +624,7 @@ def reproduce_report(
     order_counts = []
     for m, needed in sorted(bundle.order_counts.items()):
         if m <= resolve_limit:
-            known = primes_of_order(m, budget)
+            known = bundle.order_primes(m, budget)
             found = len(known.primes)
             status = "enough" if found >= needed else "short" if known.complete else "unresolved"
             order_counts.append(OrderCountCheck(m, needed, found, status, known.reason))

@@ -156,7 +156,7 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
             )
         if prime is None:
             m = row.congruence.modulus
-            known = primes_of_order(m, budget)
+            known = bundle.order_primes(m, budget)
             why = (
                 f"only {len(known.primes)} primes have order {m}"
                 if known.complete

@@ -9,7 +9,9 @@ lists the order-m primes by scanning that progression below SCAN_BOUND and
 splitting what is left with Pollard's p - 1 method.  For m = 20k with k odd
 the leftover first splits for free at its Aurifeuillian factors (Brent,
 Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits is left
-whole without a primality test.  It also validates externally supplied
+whole without a primality test.  `prove_order_primes` instead re-proves a
+claimed complete list of the order-m primes, which costs far less than
+finding them.  It also validates externally supplied
 order tables: `load_order_table` reads one as a dict from each modulus to
 its entries, where an unfactored composite placeholder may stand in for up
 to two unknown primes, and `validate_order_table` returns the list of its
@@ -26,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .arith import (
 __all__ = [
     "cyclotomic_value",
     "primes_of_order",
+    "prove_order_primes",
     "OrderPrimes",
     "load_order_table",
     "validate_order_table",
@@ -115,6 +118,12 @@ class OrderPrimes:
             return self.primes
         return self.primes[: bisect.bisect_left(self.primes, self.exact_below)]
 
+    def nth(self, rho: int) -> Optional[int]:
+        """The rho-th listed prime (1-based) when it lies in the exact
+        prefix, else None."""
+        exact = self.exact
+        return exact[rho - 1] if 1 <= rho <= len(exact) else None
+
 
 # The scan tests p = 1 + k*lcm(2, m) below this bound.  It stays below 2**32,
 # so products of uint64 residues cannot overflow.
@@ -159,14 +168,21 @@ def _aurifeuillian_factor(m: int) -> int:
     return c - 10 ** ((k + 1) // 2) * d
 
 
-@lru_cache(maxsize=None)
-def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
+def _order_cofactor(m: int) -> tuple[int, list[int]]:
+    """Phi_m(10) freed of the primes of m, whose prime factors are exactly
+    the order-m primes, and those primes of m."""
     cofactor = cyclotomic_value(m, 10)  # rejects m < 1 before `factor` sees m
     qs = factor(m).primes()
-    step = math.lcm(2, m)
     for q in qs:
         while cofactor % q == 0:
             cofactor //= q
+    return cofactor, qs
+
+
+@lru_cache(maxsize=None)
+def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
+    cofactor, qs = _order_cofactor(m)
+    step = math.lcm(2, m)
 
     # Scan p = 1 + k*step in chunks.  After a chunk every order-m prime below
     # `limit` is divided out, so a cofactor below limit**2 is 1 or prime.
@@ -271,6 +287,53 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     cofactor remains.
     """
     return _primes_of_order_cached(m, budget)
+
+
+def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
+    """The complete OrderPrimes for m from a claimed list of every order-m
+    prime; ValueError names the first check that fails.
+
+    The checks run in this order: the entries are above 1 and strictly
+    ascend; each divides Phi_m(10) freed of the primes of m, tested before
+    any primality test so that a huge entry costs one division; each passes
+    `is_prime` (a probable prime lands in `probable`, as in
+    `primes_of_order`); 10 has order m modulo each; and dividing every
+    entry out with its multiplicity leaves 1, which proves that no order-m
+    prime is missing.  No budget is spent.
+    """
+    if any(a >= b for a, b in zip([1, *primes], primes)):
+        raise ValueError("entries are not above 1 in strictly ascending order")
+    value, _ = _order_cofactor(m)
+    for p in primes:
+        if value % p:
+            raise ValueError(
+                f"entry {quoted(str(p))} does not divide Phi_{m}(10) freed of the primes of {m}"
+            )
+    probable: set[int] = set()
+    cofactor = value
+    for p in primes:
+        if p.bit_length() > _PRIMALITY_BIT_LIMIT:
+            raise ValueError(f"entry of {p.bit_length()} bits is past the primality test's limit")
+        kind = is_prime(p).kind
+        if kind == COMPOSITE:
+            raise ValueError(f"entry {quoted(str(p))} is not prime")
+        if not has_order(10, m, p):
+            raise ValueError(f"10 does not have order {m} modulo entry {quoted(str(p))}")
+        if kind == PROBABLE_PRIME:
+            probable.add(p)
+        while cofactor % p == 0:
+            cofactor //= p
+    if cofactor != 1:
+        raise ValueError(
+            f"the entries leave a {cofactor.bit_length()}-bit cofactor, so the list is incomplete"
+        )
+    return OrderPrimes(
+        modulus=m,
+        primes=tuple(primes),
+        complete=True,
+        exact_below=value + 1,
+        probable=frozenset(probable),
+    )
 
 
 def quoted(text: str) -> str:

@@ -1,13 +1,15 @@
 import json
 import shutil
+import time
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 import sympy
 
 import digitcover.bundle as bundle_module
-from digitcover.arith import DEFAULT_BUDGET, factor
+from digitcover.arith import DEFAULT_BUDGET, FactorBudget, factor
 from digitcover.bundle import (
     DATA_ROOT,
     RESOLVE_LIMIT,
@@ -15,6 +17,7 @@ from digitcover.bundle import (
     EXPECTED_LCM,
     EXPECTED_MAX_PRIME,
     MOD3_DIGITS,
+    ORDER_PRIMES_FILE,
     REPEATED_PRIME_DIGITS,
     BundleError,
     CoveringRow,
@@ -27,7 +30,7 @@ from digitcover.bundle import (
 )
 from digitcover.construction import DIGIT_OFFSETS, cross_digit_consistency
 from digitcover.covering import Congruence, CoveringSystem
-from digitcover.cyclotomic import primes_of_order
+from digitcover.cyclotomic import OrderPrimes, cyclotomic_value, primes_of_order
 
 # Rows of the default report that rest on a probable prime: (digit, m, rho).
 PROBABLE_ROWS = [(-9, 62, 1), (-6, 58, 2), (-3, 57, 3)]
@@ -90,7 +93,9 @@ class TestIngest:
 
     def test_shipped_manifest_names_the_shipped_files(self):
         digests = json.loads((DATA_ROOT / "coverings" / "manifest.json").read_text())
-        assert sorted(digests["sha256"]) == sorted(f"d{d}.txt" for d in EXPECTED_LCM)
+        assert sorted(digests["sha256"]) == sorted(
+            [f"d{d}.txt" for d in EXPECTED_LCM] + [ORDER_PRIMES_FILE]
+        )
 
     def test_empty_directory_is_gap_error(self, tmp_path):
         with pytest.raises(BundleError, match="coverage gap"):
@@ -108,7 +113,7 @@ class TestIngest:
 
     def test_checksum_mismatch_detected(self, tmp_path):
         cov = copy_tables(tmp_path)
-        digests = {p.name: "0" * 64 for p in cov.glob("d*.txt")}
+        digests = {p.name: "0" * 64 for p in cov.glob("*.txt")}
         (cov / "manifest.json").write_text(json.dumps({"sha256": digests}))
         with pytest.raises(BundleError, match="d-2.txt: checksum mismatch"):
             ingest_tables(tmp_path)
@@ -230,7 +235,7 @@ class TestResolvedRows:
         # resolve the rest
         calls = []
         with mock.patch.object(
-            bundle_module, "resolve_assignment", lambda *a: calls.append(a) or 0
+            bundle, "order_primes", lambda *a: calls.append(a) or primes_of_order(1)
         ):
             rows = bundle.resolved_rows(-3, None, DEFAULT_BUDGET)
             next(rows), next(rows)
@@ -238,11 +243,9 @@ class TestResolvedRows:
 
     def test_report_resolves_each_row_once(self):
         calls = []
-        resolve = bundle_module.resolve_assignment
+        nth = OrderPrimes.nth
         with mock.patch.object(
-            bundle_module,
-            "resolve_assignment",
-            lambda *a: calls.append(a) or resolve(*a),
+            OrderPrimes, "nth", lambda self, rho: calls.append(rho) or nth(self, rho)
         ):
             report = reproduce_report()
         assert len(calls) == 181
@@ -260,6 +263,117 @@ class TestResolveAssignment:
 
     def test_unknown_index_returns_none(self):
         assert resolve_assignment(6, 3) is None  # only two primes of order 6
+
+
+def with_order_row(tmp_path, row: str) -> TableBundle:
+    """The shipped tables, without their manifest, with the order_primes.txt
+    row for row's modulus replaced by row."""
+    path = copy_tables(tmp_path) / ORDER_PRIMES_FILE
+    m = row.split(":")[0]
+    lines = [row if line.split(":")[0] == m else line for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return ingest_tables(tmp_path)
+
+
+class TestShippedOrderPrimes:
+    def test_rows_are_the_computed_lists(self, bundle):
+        # the file lists exactly the table moduli up to the resolve limit,
+        # each with every prime of its order, labelled as primes_of_order does
+        moduli = [m for m in sorted(bundle.order_counts) if m <= RESOLVE_LIMIT]
+        assert sorted(bundle.order_rows) == moduli
+        for m in moduli:
+            known = primes_of_order(m)
+            assert known.complete, m
+            assert bundle.order_rows[m] == known.primes, m
+            proven = bundle.order_primes(m, DEFAULT_BUDGET)
+            assert proven.complete and proven.primes == known.primes, m
+            assert proven.probable == known.probable, m
+        assert sum(len(bundle.order_rows[m]) for m in moduli) == 130
+
+    def test_ingest_proves_nothing(self, tmp_path):
+        copy_tables(tmp_path)
+        with mock.patch.object(bundle_module, "prove_order_primes", side_effect=AssertionError):
+            again = ingest_tables(tmp_path)
+        assert again.order_file == tmp_path / "coverings" / ORDER_PRIMES_FILE
+        assert again.order_rows[8] == (73, 137)
+
+    def test_each_row_is_proved_once_per_bundle(self, tmp_path):
+        copy_tables(tmp_path)
+        again = ingest_tables(tmp_path)
+        calls = []
+        prove = bundle_module.prove_order_primes
+        with mock.patch.object(
+            bundle_module, "prove_order_primes", lambda *a: calls.append(a) or prove(*a)
+        ):
+            first = again.order_primes(8, DEFAULT_BUDGET)
+            assert again.order_primes(8, FactorBudget(rho_iterations=0)) is first
+        assert calls == [(8, (73, 137))]
+
+    def test_a_modulus_without_a_row_is_computed(self, bundle):
+        assert 66 not in bundle.order_rows
+        assert bundle.order_primes(66, DEFAULT_BUDGET) is primes_of_order(66)
+
+    def test_without_the_file_every_modulus_is_computed(self, tmp_path):
+        (copy_tables(tmp_path) / ORDER_PRIMES_FILE).unlink()
+        again = ingest_tables(tmp_path)
+        assert again.order_rows == {} and again.order_file is None
+        assert again.order_primes(8, DEFAULT_BUDGET) is primes_of_order(8)
+
+
+class TestHostileOrderRows:
+    # Phi_6(10) = 91 = 7 * 13
+    @pytest.mark.parametrize(
+        "row, check",
+        [
+            ("6: 91", "entry '91' is not prime"),
+            # 11 has order 2; no prime of another order divides Phi_6(10)
+            ("6: 7, 11, 13", "entry '11' does not divide Phi_6(10)"),
+            ("6: 7", "the entries leave a 4-bit cofactor, so the list is incomplete"),
+            ("6: 7, 7, 13", "not above 1 in strictly ascending order"),
+            ("6: 13, 7", "not above 1 in strictly ascending order"),
+            ("6: 0, 7, 13", "not above 1 in strictly ascending order"),
+        ],
+    )
+    def test_row_fails_its_proof(self, tmp_path, row, check):
+        tables = with_order_row(tmp_path, row)
+        with pytest.raises(BundleError) as info:
+            tables.order_primes(6, DEFAULT_BUDGET)
+        assert str(info.value).startswith(f"{tables.order_file}: m=6: ")
+        assert check in str(info.value)
+
+    def test_huge_entry_costs_one_division(self, tmp_path):
+        tables = with_order_row(tmp_path, f"6: 7, 13, {10 ** 3999 + 1}")
+        start = time.perf_counter()
+        with pytest.raises(BundleError, match=r"m=6: entry '1000.*\(4000 characters\) does not divide"):
+            tables.order_primes(6, DEFAULT_BUDGET)
+        assert time.perf_counter() - start < 1
+
+    def test_entry_past_the_primality_limit(self):
+        # Phi_1237(10) = (10^1237 - 1) / 9 has 4,107 bits, past the 4,096
+        # where is_prime would run for minutes
+        value = cyclotomic_value(1237, 10)
+        tables = TableBundle(coverings={}, order_rows={1237: (value,)}, order_file=Path("x.txt"))
+        with pytest.raises(BundleError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
+            tables.order_primes(1237, DEFAULT_BUDGET)
+
+    def test_report_raises_on_a_bad_row(self, tmp_path):
+        tables = with_order_row(tmp_path, "8: 73")
+        with pytest.raises(BundleError, match=r"order_primes.txt: m=8: the entries leave"):
+            reproduce_report(tables, 8, DEFAULT_BUDGET)
+
+    def test_manifest_omitting_the_file(self, tmp_path):
+        cov = tmp_path / "coverings"
+        shutil.copytree(DATA_ROOT / "coverings", cov)
+        manifest = json.loads((cov / "manifest.json").read_text())
+        del manifest["sha256"][ORDER_PRIMES_FILE]
+        (cov / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=r"omits present ones \['order_primes.txt'\]"):
+            ingest_tables(tmp_path)
+
+    def test_unparseable_file_is_bundle_error(self, tmp_path):
+        (copy_tables(tmp_path) / ORDER_PRIMES_FILE).write_text("6 7 13\n")
+        with pytest.raises(BundleError, match=r"order_primes.txt:1: expected 'm: entries'"):
+            ingest_tables(tmp_path)
 
 
 class TestReport:

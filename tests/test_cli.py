@@ -11,7 +11,7 @@ import pytest
 
 import digitcover.delicate as delicate_module
 from digitcover.arith import DEFAULT_BUDGET, Factorization
-from digitcover.bundle import DATA_ROOT, RESOLVE_LIMIT, default_bundle
+from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE, RESOLVE_LIMIT, default_bundle
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
 from digitcover.cyclotomic import cyclotomic_value
@@ -33,6 +33,16 @@ def tables_asking_for_a_third_order_8_prime(tmp_path) -> str:
     (cov / "manifest.json").unlink()
     d9 = cov / "d9.txt"
     d9.write_text(d9.read_text().replace("\n5 8 2\n", "\n5 8 3\n"))
+    return str(tmp_path)
+
+
+def tables_without_order_primes(tmp_path) -> str:
+    """The shipped tables without order_primes.txt, so that every order-m
+    list is computed within the budget."""
+    cov = tmp_path / "coverings"
+    shutil.copytree(DATA_ROOT / "coverings", cov)
+    (cov / "manifest.json").unlink()
+    (cov / ORDER_PRIMES_FILE).unlink()
     return str(tmp_path)
 
 
@@ -738,10 +748,13 @@ class TestReportCli:
         assert d3["lcm"] == "1486147703040"
         assert d3["congruences"] == 739
 
-    def test_report_honours_rho_iterations(self, capsys):
+    def test_report_honours_rho_iterations(self, capsys, tmp_path):
+        tables = tables_without_order_primes(tmp_path)
         resolved = []
         for budget in ([], ["--rho-iterations", "0"]):
-            code, out, _ = run(capsys, "--format", "json", *budget, "report")
+            code, out, _ = run(
+                capsys, "--format", "json", *budget, "report", "--tables", tables
+            )
             assert code == 0
             digits = json.loads(out)["digits"]
             resolved.append(sum(r["resolved_assignments"] for r in digits))
@@ -754,6 +767,32 @@ class TestReportCli:
         assert counts[63]["status"] == "enough"
         assert counts[63]["reason"].startswith("p-1 spent 0 multiplications")
         assert counts[64]["status"] == "unresolved"
+
+    def test_shipped_order_primes_spend_no_budget(self, capsys):
+        # proving a shipped order-m list spends no budget, so every row up to
+        # m = 64 resolves, and every count is enough, at --rho-iterations 0
+        code, out, _ = run(capsys, "--format", "json", "--rho-iterations", "0", "report")
+        assert code == 0
+        payload = json.loads(out)
+        assert sum(r["resolved_assignments"] for r in payload["digits"]) == 181
+        assert {c["status"] for c in payload["order_counts"]} == {"enough"}
+
+    def test_order_row_failing_its_proof_exits_2(self, capsys, tmp_path):
+        tables = tables_without_order_primes(tmp_path)
+        order_file = Path(tables) / "coverings" / ORDER_PRIMES_FILE
+        order_file.write_text("8: 73, 137, 1000001\n")
+        code, out, err = run(capsys, "report", "--tables", tables)
+        assert code == 2 and out == ""
+        assert err == (
+            f"data error: {order_file}: m=8: entry '1000001' does not divide "
+            "Phi_8(10) freed of the primes of 8\n"
+        )
+
+    def test_shipped_order_primes_validate(self, capsys):
+        shipped = DATA_ROOT / "coverings" / ORDER_PRIMES_FILE
+        code, out, _ = run(capsys, "order", "validate", str(shipped))
+        assert code == 0
+        assert out.splitlines() == ["rows: 57", "valid: True"]
 
     @pytest.mark.parametrize(
         "argv", [["report"], ["order", "primes", "69"], ["order", "primes", "8"]]

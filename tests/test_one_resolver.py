@@ -27,8 +27,11 @@ def callers(name: str) -> set[str]:
     return found
 
 
-def test_resolve_assignment_has_one_caller():
-    assert callers("resolve_assignment") == {"bundle:resolved_rows"}
+def test_rows_reach_their_prime_in_one_place():
+    # resolve_assignment serves (m, rho) pairs without a bundle, for the
+    # benchmark; inside the package only resolved_rows indexes an order-m list
+    assert callers("resolve_assignment") == set()
+    assert callers("nth") == {"bundle:resolved_rows", "bundle:resolve_assignment"}
 
 
 def test_prime_grouping_has_one_definition():
