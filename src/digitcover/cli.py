@@ -385,7 +385,7 @@ def cmd_order_validate(args) -> int:
     table = load_order_table(args.file)
     if not table:
         raise ValueError(f"{args.file}: no order-table rows to validate")
-    violations = validate_order_table(table, _budget(args))
+    violations = validate_order_table(table)
     valid = not violations
     payload = {
         "file": args.file,
@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET.rho_iterations,
         metavar="N",
         help="modular multiplications Pollard's p-1 may spend on each "
-        "composite cofactor when listing order-m primes (default %(default)s)",
+        "composite cofactor when listing order-m primes; read by report, "
+        "construct assemble and order primes (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

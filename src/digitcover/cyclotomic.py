@@ -15,8 +15,10 @@ finding them.  It also validates externally supplied
 order tables: `load_order_table` reads one as a dict from each modulus to
 its entries, where an unfactored composite placeholder may stand in for up
 to two unknown primes, and `validate_order_table` returns the list of its
-violations, empty when the table is valid.  `quoted` cuts the malformed
-text that parse errors here and in `bundle` quote.
+violations, empty when the table is valid.  Validation checks that each
+entry divides Phi_m(10) freed of the primes of m, plus the placeholder
+rules, and factors nothing.  `quoted` cuts the malformed text and entries
+that errors and violations here and in `bundle` quote.
 """
 
 from __future__ import annotations
@@ -346,7 +348,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
 
     One record per line, `m: e1, e2, ..., eL`, each e a decimal integer; a
     trailing `*2` repeats that entry (a placeholder used twice).  Lines
-    starting with `#` are comments.
+    starting with `#` are comments.  A modulus below 1 is an error.
     """
     rows: dict[int, tuple[int, ...]] = {}
     text = Path(path).read_text()
@@ -361,6 +363,8 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             m = int(head)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad modulus {quoted(head)}") from None
+        if m < 1:
+            raise ValueError(f"{path}:{lineno}: modulus {m} must be positive")
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
@@ -402,51 +406,43 @@ def _is_placeholder(e: int) -> bool:
     return e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3))
 
 
-def validate_order_table(
-    table: dict[int, tuple[int, ...]], budget: FactorBudget = DEFAULT_BUDGET
-) -> list[str]:
+def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
     """Run the data-validation checklist on every row of an order table and
-    return its violations; the table is valid iff there are none.
+    return its violations, each as `m=<m>: ...`, rows in ascending m; the
+    table is valid iff there are none.
 
     Per row with modulus m and entries [e1..eL]:
-      1. every entry divides the order-m cyclotomic value at 10;
-      2. every entry is coprime to m;
-      3. at most one composite value Q, appearing at most twice; all other
+      1. every entry is an integer > 1 dividing Phi_m(10) freed of the
+         primes of m, whose prime factors are exactly the order-m primes;
+      2. at most one composite value Q, appearing at most twice; all other
          entries are distinct primes;
-      4. gcd(Q, product of the prime entries) = 1;
-      5. if Q appears twice, Q is not a perfect power.
+      3. gcd(Q, product of the prime entries) = 1;
+      4. if Q appears twice, Q is not a perfect power.
     A composite appearing once or twice is accepted as a placeholder for
     that many unknown prime factors; anything else is a violation.
 
-    Globally, a prime may appear under at most one modulus.  When
-    primes_of_order(m) completes within budget, the row's prime entries
-    must be among the computed primes, and the row may list no more entries
-    than there are computed primes.
-
-    The cross-row violations come first, then each row's as `m=<m>: ...`,
-    rows in ascending m.
+    Check 1 alone makes every prime factor of every entry an order-m prime,
+    so no prime can sit under two moduli, and no factoring budget is spent.
+    With checks 2-4 the row's length is a lower bound on the number of
+    order-m primes: the prime entries are distinct order-m primes, and Q
+    has a prime factor outside them, or two distinct ones when listed twice.
     """
-    cross: list[str] = []
     rows: list[str] = []
-    seen_prime_rows: dict[int, int] = {}
-
     for m in sorted(table):
         entries = table[m]
         violations: list[str] = []
-        value = cyclotomic_value(m, 10)
+        cofactor, _ = _order_cofactor(m)
 
         primes: list[int] = []
         composites: list[int] = []
         for e in entries:
             if e < 2:
-                violations.append(f"entry {e} is not a positive integer > 1")
+                violations.append(f"entry {quoted(str(e))} is not a positive integer > 1")
                 continue
-            if value % e != 0:
+            if cofactor % e != 0:
                 violations.append(
-                    f"entry {e} does not divide the cyclotomic value"
+                    f"entry {quoted(str(e))} does not divide Phi_{m}(10) freed of the primes of {m}"
                 )
-            if math.gcd(e, m) != 1:
-                violations.append(f"entry {e} shares a factor with {m}")
             (composites if _is_placeholder(e) else primes).append(e)
 
         if len(set(primes)) != len(primes):
@@ -454,40 +450,24 @@ def validate_order_table(
         distinct_q = set(composites)
         if len(distinct_q) > 1:
             violations.append(
-                f"more than one composite placeholder: {sorted(distinct_q)}"
+                "more than one composite placeholder: "
+                + ", ".join(quoted(str(q)) for q in sorted(distinct_q))
             )
         elif composites:
             q = composites[0]
             if len(composites) > 2:
                 violations.append(
-                    f"composite placeholder {q} appears {len(composites)} times"
+                    f"composite placeholder {quoted(str(q))} appears {len(composites)} times"
                 )
             if math.gcd(q, math.prod(primes)) != 1:
                 violations.append(
-                    f"placeholder {q} shares a factor with the prime entries"
+                    f"placeholder {quoted(str(q))} shares a factor with the prime entries"
                 )
             if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
                 base, exp = power
                 violations.append(
-                    f"placeholder {q} = {base}**{exp} cannot hold two distinct primes"
-                )
-
-        for p in primes:
-            if p in seen_prime_rows and seen_prime_rows[p] != m:
-                cross.append(
-                    f"prime {p} listed under both m={seen_prime_rows[p]} and m={m}"
-                )
-            seen_prime_rows[p] = m
-
-        known = primes_of_order(m, budget)
-        if known.complete:
-            stray = [p for p in primes if p not in known.primes]
-            if stray:
-                violations.append(f"entries {stray} are not order-{m} primes")
-            if len(entries) > len(known.primes):
-                violations.append(
-                    f"row lists {len(entries)} entries but only "
-                    f"{len(known.primes)} primes have order {m}"
+                    f"placeholder {quoted(str(q))} = {quoted(f'{base}**{exp}')} "
+                    "cannot hold two distinct primes"
                 )
         rows.extend(f"m={m}: {v}" for v in violations)
-    return cross + rows
+    return rows

@@ -599,6 +599,22 @@ class TestOrderCli:
         assert f"{path}:1: {quoted}" in err
         assert err.endswith("... (3000 characters)\n") and len(err) < 200
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_validate_quotes_a_prefix_of_a_failing_entry(self, tmp_path, capsys, fmt):
+        path = tmp_path / "long.txt"
+        path.write_text("3: " + "7" * 4000 + "\n")
+        code, out, _ = run(capsys, "--format", fmt, "order", "validate", str(path))
+        assert code == 1
+        assert "... (4000 characters)" in out and len(out) < 300
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_validate_names_the_line_of_a_nonpositive_modulus(self, tmp_path, capsys, m):
+        path = tmp_path / "orders.txt"
+        path.write_text(f"6: 7, 13\n{m}: 7\n")
+        code, out, err = run(capsys, "order", "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:2: modulus {m} must be positive\n"
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):
         code, out, err = run(capsys, "order", "primes", m)
@@ -606,15 +622,12 @@ class TestOrderCli:
         assert out == ""
         assert err == "error: m must be >= 1\n"
 
-    def test_validate_prints_cross_row_then_row_violations(self, tmp_path, capsys):
+    def test_validate_prints_row_violations_in_ascending_m(self, tmp_path, capsys):
         path = tmp_path / "mixed.txt"
         path.write_text("6: 7, 13\n3: 37, 7\n30: 50851, 520801\n11: 11111111111*2\n")
         violations = [
-            "prime 7 listed under both m=3 and m=6",
-            "m=3: entry 7 does not divide the cyclotomic value",
-            "m=3: entries [7] are not order-3 primes",
-            "m=3: row lists 2 entries but only 1 primes have order 3",
-            "m=30: more than one composite placeholder: [50851, 520801]",
+            "m=3: entry '7' does not divide Phi_3(10) freed of the primes of 3",
+            "m=30: more than one composite placeholder: '50851', '520801'",
         ]
         code, out, _ = run(capsys, "order", "validate", str(path))
         assert code == 1
@@ -787,6 +800,14 @@ class TestReportCli:
             f"data error: {order_file}: m=8: entry '1000001' does not divide "
             "Phi_8(10) freed of the primes of 8\n"
         )
+
+    def test_order_row_with_a_nonpositive_modulus_exits_2(self, capsys, tmp_path):
+        tables = tables_without_order_primes(tmp_path)
+        order_file = Path(tables) / "coverings" / ORDER_PRIMES_FILE
+        order_file.write_text("8: 73, 137\n0: 7\n")
+        code, out, err = run(capsys, "report", "--tables", tables)
+        assert code == 2 and out == ""
+        assert err == f"data error: {order_file}:2: modulus 0 must be positive\n"
 
     def test_shipped_order_primes_validate(self, capsys):
         shipped = DATA_ROOT / "coverings" / ORDER_PRIMES_FILE

@@ -1,21 +1,56 @@
 import math
+import random
 
 import pytest
 import sympy
 
 import digitcover.cyclotomic as cyclotomic
 from digitcover.arith import FactorBudget, primes_up_to
+from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE
 from digitcover.cyclotomic import (
     _PRIMALITY_BIT_LIMIT,
     _aurifeuillian_factor,
     cyclotomic_value,
     load_order_table,
     primes_of_order,
+    quoted,
     validate_order_table,
 )
 
 # the bench's `orders` band: table moduli m <= 1000 at 10**4 p - 1 multiplications
 BAND_BUDGET = FactorBudget(rho_iterations=10_000)
+
+
+def order_primes_by_sympy(m):
+    """The order-m primes: the primes of Phi_m(10) that do not divide m."""
+    return sorted(p for p in sympy.factorint(int(sympy.cyclotomic_poly(m, 10))) if m % p)
+
+
+def random_order_table(rng, order_primes):
+    """A table of one to three rows over the moduli of `order_primes` (a dict
+    from each modulus to its order-m primes).  Each row mixes order-m primes,
+    primes of other orders, products of two order-m primes listed once or
+    twice, multiples and squares."""
+    table = {}
+    for m in rng.sample(sorted(order_primes), rng.randint(1, 3)):
+        own = order_primes[m]
+        entries = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("own", "own", "other", "pair", "multiple", "square"))
+            p = rng.choice(own)
+            if kind == "own":
+                entries.append(p)
+            elif kind == "other":
+                other = rng.choice([k for k in order_primes if k != m])
+                entries.append(rng.choice(order_primes[other]))
+            elif kind == "pair":
+                entries += [p * rng.choice(own)] * rng.randint(1, 2)
+            elif kind == "multiple":
+                entries.append(p * rng.randint(2, 12))
+            else:
+                entries.append(p * p)
+        table[m] = tuple(entries)
+    return table
 
 
 def c_and_d(x):
@@ -199,17 +234,16 @@ class TestValidateOrderTable:
         assert validate_order_table({6: (7, 13)}) == []
 
     def test_composite_without_placeholder_status_fails(self):
-        # 14 = 2 * 7 is read as a placeholder and fails checks 1, 2 and 4
+        # 14 = 2 * 7 is read as a placeholder and fails checks 1 and 3
         assert validate_order_table({6: (7, 14)}) == [
-            "m=6: entry 14 does not divide the cyclotomic value",
-            "m=6: entry 14 shares a factor with 6",
-            "m=6: placeholder 14 shares a factor with the prime entries",
+            "m=6: entry '14' does not divide Phi_6(10) freed of the primes of 6",
+            "m=6: placeholder '14' shares a factor with the prime entries",
         ]
 
     def test_square_placeholder_fails_bullets_4_and_5(self):
         violations = validate_order_table({2: (11, 121, 121)})
-        assert "m=2: placeholder 121 shares a factor with the prime entries" in violations
-        assert "m=2: placeholder 121 = 11**2 cannot hold two distinct primes" in violations
+        assert "m=2: placeholder '121' shares a factor with the prime entries" in violations
+        assert "m=2: placeholder '121' = '11**2' cannot hold two distinct primes" in violations
 
     def test_placeholder_for_unfactored_part_is_accepted(self):
         # order-11 value is 21649 * 513239; pretend it resisted factoring.
@@ -223,30 +257,65 @@ class TestValidateOrderTable:
     def test_two_distinct_placeholders(self):
         # the order-30 value is 211 * 241 * 2161
         assert validate_order_table({30: (211 * 241, 241 * 2161)}) == [
-            f"m=30: more than one composite placeholder: {[211 * 241, 241 * 2161]}"
+            "m=30: more than one composite placeholder: '50851', '520801'"
         ]
 
     def test_placeholder_listed_three_times(self):
         q = 21649 * 513239
         violations = validate_order_table({11: (q, q, q)})
-        assert f"m=11: composite placeholder {q} appears 3 times" in violations
+        assert f"m=11: composite placeholder '{q}' appears 3 times" in violations
 
     def test_wrong_order_prime_caught_by_divisibility(self):
         # 11 has order 2, so it does not divide the order-6 value
         violations = validate_order_table({6: (7, 11)})
-        assert "m=6: entry 11 does not divide the cyclotomic value" in violations
+        assert "m=6: entry '11' does not divide Phi_6(10) freed of the primes of 6" in violations
 
-    def test_prime_under_two_moduli_is_global_violation(self):
-        # cross-row violations come first, then the rows in ascending m
+    def test_prime_under_two_moduli_fails_the_wrong_row(self):
+        # 7 has order 6, so only the m=3 row fails, and it fails check 1
         violations = validate_order_table({6: (7, 13), 3: (37, 7)})
-        assert violations[0] == "prime 7 listed under both m=3 and m=6"
-        assert all(v.startswith("m=3: ") for v in violations[1:])
+        assert violations == ["m=3: entry '7' does not divide Phi_3(10) freed of the primes of 3"]
 
     def test_cross_check_count_bound(self):
-        # claiming three entries for order 2 overruns the computed list [11]
+        # three entries for order 2, where only 11 exists: the placeholder
+        # q twice must hold a prime besides 11, and it shares 11 instead
         q = 11 * 9090911
         violations = validate_order_table({2: (11, q, q)})
-        assert "m=2: row lists 3 entries but only 1 primes have order 2" in violations
+        assert f"m=2: placeholder '{q}' shares a factor with the prime entries" in violations
+
+    def test_accepted_rows_hold_only_order_m_primes(self):
+        # soundness against sympy: in every accepted row each prime factor of
+        # each entry has order m, and the prime entries plus the placeholder's
+        # multiplicity never outnumber the order-m primes
+        order_primes = {m: order_primes_by_sympy(m) for m in range(1, 31)}
+        rng = random.Random(20261019)
+        accepted = with_placeholder = 0
+        for _ in range(4000):
+            table = random_order_table(rng, order_primes)
+            if validate_order_table(table):
+                continue
+            accepted += 1
+            for m, entries in table.items():
+                for e in entries:
+                    assert all(sympy.n_order(10, q) == m for q in sympy.factorint(e)), (m, e)
+                primes = [e for e in entries if sympy.isprime(e)]
+                placeholders = len(entries) - len(primes)
+                with_placeholder += placeholders > 0
+                assert len(primes) + placeholders <= len(order_primes[m]), (m, entries)
+        assert accepted >= 100 and with_placeholder >= 20, (accepted, with_placeholder)
+
+    def test_validation_lists_no_order_m_primes(self, monkeypatch):
+        # membership in Phi_m(10) decides every row without factoring it
+        def refuse(*args):
+            raise RuntimeError("validation listed order-m primes")
+
+        monkeypatch.setattr(cyclotomic, "primes_of_order", refuse)
+        monkeypatch.setattr(cyclotomic, "_primes_of_order_cached", refuse)
+        shipped = load_order_table(DATA_ROOT / "coverings" / ORDER_PRIMES_FILE)
+        assert validate_order_table(shipped) == []
+        q = 21649 * 513239
+        value = cyclotomic_value(2888, 10)
+        assert validate_order_table({11: (q, q), 2888: (value, value)}) == []
+        assert len(validate_order_table({11: (q, q, q), 30: (211 * 241, 241 * 2161)})) == 2
 
     def test_thousand_digit_placeholder(self, tmp_path):
         # the modulus-2888 value itself: a 1368-digit composite standing in
@@ -279,5 +348,8 @@ class TestValidateOrderTable:
         for prime in (mid, big):
             violations = validate_order_table({6: (prime, prime)})
             assert "m=6: repeated prime entry" in violations
-            assert f"m=6: entry {prime} does not divide the cyclotomic value" in violations
+            assert (
+                f"m=6: entry {quoted(str(prime))} does not divide Phi_6(10) freed of the primes of 6"
+                in violations
+            )
             assert not any("placeholder" in v for v in violations)

@@ -36,3 +36,12 @@ def test_rows_reach_their_prime_in_one_place():
 
 def test_prime_grouping_has_one_definition():
     assert callers("prime_uses") == {"bundle:_shared_checks", "construction:assemble"}
+
+
+def test_only_resolution_lists_order_m_primes():
+    # order-table validation decides membership in Phi_m(10) instead
+    assert callers("primes_of_order") == {
+        "bundle:order_primes",
+        "bundle:resolve_assignment",
+        "cli:cmd_order_primes",
+    }
