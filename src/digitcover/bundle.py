@@ -178,9 +178,9 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
         a, m = numbers[0], numbers[1]
         rho = numbers[2] if len(numbers) == 3 else None
         if m < 1:
-            raise BundleError(f"{path}:{lineno}: modulus {m} must be positive")
+            raise BundleError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         if rho is not None and rho < 1:
-            raise BundleError(f"{path}:{lineno}: index {rho} must be >= 1")
+            raise BundleError(f"{path}:{lineno}: index {quoted(str(rho))} must be >= 1")
         if not 0 <= a < m:
             warnings.append(
                 f"{path}:{lineno}: residue {a} normalized to {a % m} (mod {m})"

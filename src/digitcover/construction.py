@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .arith import crt_combine, has_order, is_prime
 from .covering import Congruence, CoveringSystem, is_covering_fast
+from .cyclotomic import quoted
 
 __all__ = [
     "Assignment",
@@ -338,8 +339,10 @@ def load_construction(path: Union[str, Path]) -> Construction:
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 'p a m d rho', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'p a m d rho', got {quoted(raw)}")
         p, a, m, d, rho = map(int, parts)
+        if m < 1:
+            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         per_digit.setdefault(d, []).append(
             Assignment(
                 congruence=Congruence.reduced(a, m),

@@ -4,20 +4,20 @@ The primes p (coprime to 10) for which 10 has multiplicative order m are
 exactly the primes dividing the m-th cyclotomic polynomial evaluated at 10,
 excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
 This module evaluates those values exactly, as a Moebius product over the
-squarefree divisors of m formed from the primes `factor` finds in m.  It
-lists the order-m primes by scanning that progression below SCAN_BOUND and
-splitting what is left with Pollard's p - 1 method.  For m = 20k with k odd
-the leftover first splits for free at its Aurifeuillian factors (Brent,
-Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits is left
-whole without a primality test.  `prove_order_primes` instead re-proves a
-claimed complete list of the order-m primes, which costs far less than
-finding them.  It also validates externally supplied
-order tables: `load_order_table` reads one as a dict from each modulus to
-its entries, where an unfactored composite placeholder may stand in for up
-to two unknown primes, and `validate_order_table` returns the list of its
-violations, empty when the table is valid.  Validation checks that each
-entry divides Phi_m(10) freed of the primes of m, plus the placeholder
-rules, and factors nothing.  `quoted` cuts the malformed text and entries
+squarefree divisors of m formed from the primes `factor` finds in m, for m
+up to _MODULUS_LIMIT.  It lists the order-m primes by scanning that
+progression below SCAN_BOUND and splitting what is left with Pollard's
+p - 1 method.  For m = 20k with k odd the leftover first splits for free at
+its Aurifeuillian factors (Brent, Math. Comp. 61, 1993), and a part above
+_PRIMALITY_BIT_LIMIT bits is left whole without a primality test.
+
+One row check, `_row_check`, serves both uses of an order table (read by
+`load_order_table`): each entry must divide Phi_m(10) freed of the primes
+of m, and an unfactored composite placeholder may stand in for up to two
+unknown primes; nothing is factored.  `validate_order_table` returns every
+row's violations.  `prove_order_primes` re-proves a claimed complete list
+of the order-m primes, far more cheaply than finding them, by that check,
+primality and completeness.  `quoted` cuts the malformed text and entries
 that errors and violations here and in `bundle` quote.
 """
 
@@ -43,7 +43,6 @@ from .arith import (
     _miller_rabin_witness,
     _odd_part,
     factor,
-    has_order,
     is_perfect_power,
     is_prime,
     pm1_split,
@@ -66,10 +65,13 @@ def cyclotomic_value(m: int, x: int) -> int:
     Uses the Moebius product over the squarefree divisors e of m, taken as
     subsets of the primes of m: the term for e is (x**(m/e) - 1), raised to
     -1 when e has an odd number of primes, and the division is performed
-    exactly.
+    exactly.  A modulus above _MODULUS_LIMIT is refused: each term's
+    x**(m/e) grows with m, and no table needs one that large.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > _MODULUS_LIMIT:
+        raise ValueError(f"m must be <= {_MODULUS_LIMIT}, got {quoted(str(m))}")
     if x < 2:
         raise ValueError("x must be >= 2")
     numerator = 1
@@ -127,6 +129,9 @@ class OrderPrimes:
         return exact[rho - 1] if 1 <= rho <= len(exact) else None
 
 
+# The largest modulus `cyclotomic_value` accepts.  The largest table modulus
+# is 75,240; Phi_m(10) took 0.23 s at m = 90,090 and 7.4 s at 10**6.
+_MODULUS_LIMIT = 10 ** 5
 # The scan tests p = 1 + k*lcm(2, m) below this bound.  It stays below 2**32,
 # so products of uint64 residues cannot overflow.
 SCAN_BOUND = 10 ** 6
@@ -173,7 +178,7 @@ def _aurifeuillian_factor(m: int) -> int:
 def _order_cofactor(m: int) -> tuple[int, list[int]]:
     """Phi_m(10) freed of the primes of m, whose prime factors are exactly
     the order-m primes, and those primes of m."""
-    cofactor = cyclotomic_value(m, 10)  # rejects m < 1 before `factor` sees m
+    cofactor = cyclotomic_value(m, 10)  # rejects a bad m before `factor` sees it
     qs = factor(m).primes()
     for q in qs:
         while cofactor % q == 0:
@@ -201,7 +206,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
         candidates += stop - k
         survivors += len(p)
         for prime in map(int, p):
-            if is_prime(prime) and has_order(10, m, prime):
+            if is_prime(prime):
                 found.add(prime)
                 while cofactor % prime == 0:
                     cofactor //= prime
@@ -228,11 +233,6 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
             continue
         kind = PROVEN_PRIME if n < limit * limit else is_prime(n).kind
         if kind != COMPOSITE:
-            if not has_order(10, m, n):
-                raise ArithmeticError(
-                    f"prime {n} divides the order-{m} cyclotomic value at 10 "
-                    f"but 10 does not have order {m} mod {n}"
-                )
             found.add(n)
             if kind == PROBABLE_PRIME:
                 probable.add(n)
@@ -270,8 +270,9 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     Phi_m(10), which is first freed of the primes of m.  The candidates
     p = 1 + k*lcm(2, m) below SCAN_BOUND are scanned in numpy chunks that
     start small and double up to _CHUNK_MAX; p is kept when 10**m = 1 and
-    10**(m/q) != 1 (mod p) for every prime q | m, proven with `is_prime` and
-    `has_order`, and divided out of Phi_m(10) with its multiplicity.  The
+    10**(m/q) != 1 (mod p) for every prime q | m, which is the order-m test
+    itself and exact in uint64 below SCAN_BOUND, proven with `is_prime`, and
+    divided out of Phi_m(10) with its multiplicity.  The
     scan stops once the cofactor is below the square of the scanned limit,
     where it is 1 or prime.  For m = 20k with k odd, Phi_m(10) divides
     Phi_20(10**k) = (C - 10**((k+1)/2) D)(C + 10**((k+1)/2) D) (Brent,
@@ -279,63 +280,17 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     first factor splits the cofactor in two without spending budget.  Each
     part above _PRIMALITY_BIT_LIMIT bits is left whole, its primality not
     tested, since `is_prime` runs for minutes there.  A composite part of at
-    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget, and
-    each prime it yields is re-checked with `has_order`.  A part counts as
-    prime below the limit squared or when `is_prime` says so, and lands in
-    `probable` when `is_prime` only calls it a probable prime.
+    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget.
+    Every part divides the cofactor, so a part that counts as prime has
+    order m; it counts as prime below the limit squared or when `is_prime`
+    says so, and lands in `probable` when `is_prime` only calls it a
+    probable prime.
 
     The listed primes below `exact_below` are exactly the order-m primes
     there; the result is complete, and lists them all, iff no composite
     cofactor remains.
     """
     return _primes_of_order_cached(m, budget)
-
-
-def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
-    """The complete OrderPrimes for m from a claimed list of every order-m
-    prime; ValueError names the first check that fails.
-
-    The checks run in this order: the entries are above 1 and strictly
-    ascend; each divides Phi_m(10) freed of the primes of m, tested before
-    any primality test so that a huge entry costs one division; each passes
-    `is_prime` (a probable prime lands in `probable`, as in
-    `primes_of_order`); 10 has order m modulo each; and dividing every
-    entry out with its multiplicity leaves 1, which proves that no order-m
-    prime is missing.  No budget is spent.
-    """
-    if any(a >= b for a, b in zip([1, *primes], primes)):
-        raise ValueError("entries are not above 1 in strictly ascending order")
-    value, _ = _order_cofactor(m)
-    for p in primes:
-        if value % p:
-            raise ValueError(
-                f"entry {quoted(str(p))} does not divide Phi_{m}(10) freed of the primes of {m}"
-            )
-    probable: set[int] = set()
-    cofactor = value
-    for p in primes:
-        if p.bit_length() > _PRIMALITY_BIT_LIMIT:
-            raise ValueError(f"entry of {p.bit_length()} bits is past the primality test's limit")
-        kind = is_prime(p).kind
-        if kind == COMPOSITE:
-            raise ValueError(f"entry {quoted(str(p))} is not prime")
-        if not has_order(10, m, p):
-            raise ValueError(f"10 does not have order {m} modulo entry {quoted(str(p))}")
-        if kind == PROBABLE_PRIME:
-            probable.add(p)
-        while cofactor % p == 0:
-            cofactor //= p
-    if cofactor != 1:
-        raise ValueError(
-            f"the entries leave a {cofactor.bit_length()}-bit cofactor, so the list is incomplete"
-        )
-    return OrderPrimes(
-        modulus=m,
-        primes=tuple(primes),
-        complete=True,
-        exact_below=value + 1,
-        probable=frozenset(probable),
-    )
 
 
 def quoted(text: str) -> str:
@@ -364,7 +319,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad modulus {quoted(head)}") from None
         if m < 1:
-            raise ValueError(f"{path}:{lineno}: modulus {m} must be positive")
+            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
@@ -390,84 +345,124 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     return rows
 
 
-def _is_placeholder(e: int) -> bool:
-    """Whether a table entry is composite, so a placeholder for unknown
-    prime factors rather than a prime.
-
-    Entries can run to thousands of digits (load_order_table reads up to
-    sys.get_int_max_str_digits(), 4300 by default); classification there
-    only needs to separate composites from primes, so past
-    _PRIMALITY_BIT_LIMIT bits a two-base Miller-Rabin probe replaces
-    `is_prime`.
-    """
+def _primality_kind(e: int) -> str:
+    """`is_prime(e).kind` for a table entry e > 1 up to _PRIMALITY_BIT_LIMIT
+    bits; past it, where `is_prime` runs for minutes, a two-base
+    Miller-Rabin probe tells COMPOSITE from PROBABLE_PRIME."""
     if e.bit_length() <= _PRIMALITY_BIT_LIMIT:
-        return not is_prime(e)
+        return is_prime(e).kind
     d, s = _odd_part(e - 1)
-    return e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3))
+    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3)):
+        return COMPOSITE
+    return PROBABLE_PRIME
 
 
-def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
-    """Run the data-validation checklist on every row of an order table and
-    return its violations, each as `m=<m>: ...`, rows in ascending m; the
-    table is valid iff there are none.
+def _row_check(
+    m: int, entries: Sequence[int], probe: bool = True
+) -> tuple[list[str], dict[int, str], int]:
+    """The violations of one order-table row, the primality kind of each
+    distinct entry that divides, and Phi_m(10) freed of the primes of m.
 
-    Per row with modulus m and entries [e1..eL]:
+    The checks, for modulus m and entries [e1..eL]:
       1. every entry is an integer > 1 dividing Phi_m(10) freed of the
          primes of m, whose prime factors are exactly the order-m primes;
       2. at most one composite value Q, appearing at most twice; all other
          entries are distinct primes;
       3. gcd(Q, product of the prime entries) = 1;
       4. if Q appears twice, Q is not a perfect power.
-    A composite appearing once or twice is accepted as a placeholder for
-    that many unknown prime factors; anything else is a violation.
-
-    Check 1 alone makes every prime factor of every entry an order-m prime,
-    so no prime can sit under two moduli, and no factoring budget is spent.
-    With checks 2-4 the row's length is a lower bound on the number of
-    order-m primes: the prime entries are distinct order-m primes, and Q
-    has a prime factor outside them, or two distinct ones when listed twice.
+    Only the entries that pass check 1 are classified and meet checks 2-4:
+    one that fails it already makes the row invalid, and classifying a huge
+    one costs seconds.  With probe False an entry past _PRIMALITY_BIT_LIMIT
+    bits is not classified either.  With checks 2-4 the row's length is a lower bound
+    on the number of order-m primes, since Q has a prime factor outside the
+    prime entries, or two distinct ones when listed twice.
     """
-    rows: list[str] = []
-    for m in sorted(table):
-        entries = table[m]
-        violations: list[str] = []
-        cofactor, _ = _order_cofactor(m)
-
-        primes: list[int] = []
-        composites: list[int] = []
-        for e in entries:
-            if e < 2:
-                violations.append(f"entry {quoted(str(e))} is not a positive integer > 1")
-                continue
-            if cofactor % e != 0:
-                violations.append(
-                    f"entry {quoted(str(e))} does not divide Phi_{m}(10) freed of the primes of {m}"
-                )
-            (composites if _is_placeholder(e) else primes).append(e)
-
-        if len(set(primes)) != len(primes):
-            violations.append("repeated prime entry")
-        distinct_q = set(composites)
-        if len(distinct_q) > 1:
+    cofactor, _ = _order_cofactor(m)
+    violations: list[str] = []
+    kinds: dict[int, str] = {}
+    primes: list[int] = []
+    composites: list[int] = []
+    for e in entries:
+        if e < 2:
+            violations.append(f"entry {quoted(str(e))} is not a positive integer > 1")
+        elif cofactor % e:
             violations.append(
-                "more than one composite placeholder: "
-                + ", ".join(quoted(str(q)) for q in sorted(distinct_q))
+                f"entry {quoted(str(e))} does not divide Phi_{m}(10) freed of the primes of {m}"
             )
-        elif composites:
-            q = composites[0]
-            if len(composites) > 2:
-                violations.append(
-                    f"composite placeholder {quoted(str(q))} appears {len(composites)} times"
-                )
-            if math.gcd(q, math.prod(primes)) != 1:
-                violations.append(
-                    f"placeholder {quoted(str(q))} shares a factor with the prime entries"
-                )
-            if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
-                base, exp = power
-                violations.append(
-                    f"placeholder {quoted(str(q))} = {quoted(f'{base}**{exp}')} "
-                    "cannot hold two distinct primes"
-                )
-        rows.extend(f"m={m}: {v}" for v in violations)
-    return rows
+        elif probe or e.bit_length() <= _PRIMALITY_BIT_LIMIT:
+            if e not in kinds:
+                kinds[e] = _primality_kind(e)
+            (composites if kinds[e] == COMPOSITE else primes).append(e)
+
+    if len(set(primes)) != len(primes):
+        violations.append("repeated prime entry")
+    distinct_q = set(composites)
+    if len(distinct_q) > 1:
+        violations.append(
+            "more than one composite placeholder: "
+            + ", ".join(quoted(str(q)) for q in sorted(distinct_q))
+        )
+    elif composites:
+        q = composites[0]
+        if len(composites) > 2:
+            violations.append(
+                f"composite placeholder {quoted(str(q))} appears {len(composites)} times"
+            )
+        if math.gcd(q, math.prod(primes)) != 1:
+            violations.append(
+                f"placeholder {quoted(str(q))} shares a factor with the prime entries"
+            )
+        if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
+            base, exp = power
+            violations.append(
+                f"placeholder {quoted(str(q))} = {quoted(f'{base}**{exp}')} "
+                "cannot hold two distinct primes"
+            )
+    return violations, kinds, cofactor
+
+
+def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
+    """The complete OrderPrimes for m from a claimed list of every order-m
+    prime; ValueError names the first check that fails.
+
+    The entries must be above 1 and strictly ascend, and pass `_row_check`
+    without its probe, so a huge entry costs one division; a prime dividing
+    Phi_m(10) and not m has order m.  Each entry must then have at most _PRIMALITY_BIT_LIMIT bits
+    and pass `is_prime` (a probable prime lands in `probable`), and
+    dividing every entry out with its multiplicity must leave 1, which
+    proves that no order-m prime is missing.  No budget is spent.
+    """
+    if any(a >= b for a, b in zip([1, *primes], primes)):
+        raise ValueError("entries are not above 1 in strictly ascending order")
+    violations, kinds, value = _row_check(m, primes, probe=False)
+    if violations:
+        raise ValueError(violations[0])
+    cofactor = value
+    for p in primes:
+        if p.bit_length() > _PRIMALITY_BIT_LIMIT:
+            raise ValueError(f"entry of {p.bit_length()} bits is past the primality test's limit")
+        if kinds[p] == COMPOSITE:
+            raise ValueError(f"entry {quoted(str(p))} is not prime")
+        while cofactor % p == 0:
+            cofactor //= p
+    if cofactor != 1:
+        raise ValueError(
+            f"the entries leave a {cofactor.bit_length()}-bit cofactor, so the list is incomplete"
+        )
+    return OrderPrimes(
+        modulus=m,
+        primes=tuple(primes),
+        complete=True,
+        exact_below=value + 1,
+        probable=frozenset(p for p in primes if kinds[p] == PROBABLE_PRIME),
+    )
+
+
+def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
+    """The violations of `_row_check` on every row of an order table, each
+    as `m=<m>: ...`, rows in ascending m; the table is valid iff there are
+    none.  A composite listed once or twice is a placeholder for that many
+    unknown prime factors.  Check 1 alone puts every prime factor of every
+    entry in order m, so no prime can sit under two moduli, and no budget
+    is spent."""
+    return [f"m={m}: {v}" for m in sorted(table) for v in _row_check(m, table[m])[0]]

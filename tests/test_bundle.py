@@ -355,6 +355,26 @@ class TestHostileOrderRows:
         tables = TableBundle(coverings={}, order_rows={1237: (value,)}, order_file=Path("x.txt"))
         with pytest.raises(BundleError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
             tables.order_primes(1237, DEFAULT_BUDGET)
+        # no primality probe runs first: it took 7.5 s on this 4,297-digit value
+        value = cyclotomic_value(4297, 10)
+        tables = TableBundle(coverings={}, order_rows={4297: (value,)}, order_file=Path("x.txt"))
+        start = time.perf_counter()
+        with pytest.raises(BundleError, match=r"^x.txt: m=4297: entry of 14272 bits is past"):
+            tables.order_primes(4297, DEFAULT_BUDGET)
+        assert time.perf_counter() - start < 1
+
+    def test_modulus_above_the_limit(self, tmp_path):
+        cov = copy_tables(tmp_path)
+        with (cov / ORDER_PRIMES_FILE).open("a") as f:
+            f.write("100001: 7\n")
+        tables = ingest_tables(tmp_path)
+        start = time.perf_counter()
+        with pytest.raises(BundleError) as info:
+            tables.order_primes(100001, DEFAULT_BUDGET)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"{tables.order_file}: m=100001: m must be <= 100000, got '100001'"
+        )
 
     def test_report_raises_on_a_bad_row(self, tmp_path):
         tables = with_order_row(tmp_path, "8: 73")

@@ -198,6 +198,22 @@ class TestCoverCli:
         assert f"{path}:1: {quoted}" in err
         assert err.endswith(f"... ({len(line)} characters)\n") and len(err) < 200
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 -" + "7" * 3000, "modulus '-7777"),
+            ("0 2 -" + "7" * 3000, "index '-7777"),
+        ],
+        ids=["modulus", "index"],
+    )
+    def test_verify_quotes_a_hostile_number(self, tmp_path, capsys, line, message):
+        path = tmp_path / "hostile.txt"
+        path.write_text(line + "\n0 1\n")
+        code, out, err = run(capsys, "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}:1: {message}" in err and "(3001 characters)" in err
+        assert len(err) < 300
+
 
 class TestConstructCli:
     def test_assemble_and_certify_round_trip(self, tmp_path, capsys):
@@ -220,6 +236,23 @@ class TestConstructCli:
         )
         assert code == 0
         assert "101" in out and "certificate valid: True" in out
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("7" * 3000, "expected 'p a m d rho', got '7777"),
+            ("7 0 -" + "7" * 3000 + " 9 1", "modulus '-7777"),
+        ],
+        ids=["line", "modulus"],
+    )
+    def test_certify_quotes_a_hostile_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "hostile.txt"
+        path.write_text(line + "\n")
+        argv = ["--construction", str(path), "--n", "1", "--d", "9", "--k", "1"]
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert code == 2 and out == ""
+        assert f"{path}:1: {message}" in err and "characters)" in err
+        assert len(err) < 300
 
     def test_certify_rejects_off_progression(self, tmp_path, capsys):
         out_file = tmp_path / "mini.txt"
@@ -607,13 +640,29 @@ class TestOrderCli:
         assert code == 1
         assert "... (4000 characters)" in out and len(out) < 300
 
-    @pytest.mark.parametrize("m", ["0", "-3"])
-    def test_validate_names_the_line_of_a_nonpositive_modulus(self, tmp_path, capsys, m):
+    @pytest.mark.parametrize(
+        "m, shown",
+        [("0", "'0'"), ("-3", "'-3'"), ("-" + "7" * 3000, f"'-{'7' * 39}'... (3001 characters)")],
+        ids=["0", "-3", "hostile"],
+    )
+    def test_validate_names_the_line_of_a_nonpositive_modulus(self, tmp_path, capsys, m, shown):
         path = tmp_path / "orders.txt"
         path.write_text(f"6: 7, 13\n{m}: 7\n")
         code, out, err = run(capsys, "order", "validate", str(path))
         assert code == 2 and out == ""
-        assert err == f"error: {path}:2: modulus {m} must be positive\n"
+        assert err == f"error: {path}:2: modulus {shown} must be positive\n" and len(err) < 300
+
+    @pytest.mark.parametrize("command", ["primes", "validate"])
+    def test_modulus_above_the_limit_is_refused(self, tmp_path, capsys, command):
+        # 10**m alone would need gigabytes for a modulus of a few more digits
+        path = tmp_path / "orders.txt"
+        path.write_text("1000000: 7\n")
+        arg = "1000001" if command == "primes" else str(path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "order", command, arg)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: m must be <= 100000, got '1000")
 
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):
@@ -807,7 +856,7 @@ class TestReportCli:
         order_file.write_text("8: 73, 137\n0: 7\n")
         code, out, err = run(capsys, "report", "--tables", tables)
         assert code == 2 and out == ""
-        assert err == f"data error: {order_file}:2: modulus 0 must be positive\n"
+        assert err == f"data error: {order_file}:2: modulus '0' must be positive\n"
 
     def test_shipped_order_primes_validate(self, capsys):
         shipped = DATA_ROOT / "coverings" / ORDER_PRIMES_FILE

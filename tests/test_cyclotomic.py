@@ -1,18 +1,21 @@
 import math
 import random
+import time
 
 import pytest
 import sympy
 
 import digitcover.cyclotomic as cyclotomic
-from digitcover.arith import FactorBudget, primes_up_to
+from digitcover.arith import COMPOSITE, PROBABLE_PRIME, FactorBudget, primes_up_to
 from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE
 from digitcover.cyclotomic import (
     _PRIMALITY_BIT_LIMIT,
     _aurifeuillian_factor,
+    _primality_kind,
     cyclotomic_value,
     load_order_table,
     primes_of_order,
+    prove_order_primes,
     quoted,
     validate_order_table,
 )
@@ -86,6 +89,11 @@ class TestCyclotomicValue:
             cyclotomic_value(0, 10)
         with pytest.raises(ValueError):
             cyclotomic_value(3, 1)
+        # 10**m alone would need gigabytes for a modulus of a few more digits
+        with pytest.raises(ValueError, match=r"^m must be <= 100000, got '100001'$"):
+            cyclotomic_value(100_001, 10)
+        with pytest.raises(ValueError, match=r"got '1000.*\(4001 characters\)$"):
+            cyclotomic_value(10 ** 4000, 10)
 
 
 class TestPrimesOfOrder:
@@ -127,6 +135,67 @@ class TestPrimesOfOrder:
                     # having order m; these are the excluded entries
                     continue
                 assert (value % p == 0) == (order == m), (p, m)
+
+
+def perturbed_row(rng, m, order_primes):
+    """The order-m primes of `order_primes` (a dict from each modulus to its
+    order-m primes), left alone or perturbed once or twice: an entry
+    dropped or duplicated, the row reversed, a prime of another order added,
+    two primes merged into their product, an entry multiplied or squared,
+    or 0 prefixed.  Entries are re-sorted except after a reversal."""
+    row = list(order_primes[m])
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        kind = rng.choice(
+            ("drop", "duplicate", "reverse", "other", "merge", "multiply", "square", "zero")
+        )
+        i = rng.randrange(len(row)) if row else None
+        if kind == "reverse":
+            row.reverse()
+            continue
+        if kind == "zero":
+            row.insert(0, 0)
+            continue
+        if i is None:
+            continue
+        if kind == "drop":
+            del row[i]
+        elif kind == "duplicate":
+            row.append(row[i])
+        elif kind == "other":
+            other = rng.choice([k for k in order_primes if k != m])
+            row.append(rng.choice(order_primes[other]))
+        elif kind == "merge" and len(row) > 1:
+            j = rng.choice([j for j in range(len(row)) if j != i])
+            row = [e for k, e in enumerate(row) if k not in (i, j)] + [row[i] * row[j]]
+        elif kind == "multiply":
+            row[i] *= rng.randint(2, 12)
+        elif kind == "square":
+            row[i] *= row[i]
+        row.sort()
+    return row
+
+
+class TestProveOrderPrimes:
+    def test_proof_accepts_exactly_the_true_rows(self):
+        # oracle: a row is proved iff it is the ascending list of sympy's
+        # prime factors of Phi_m(10) freed of the primes of m
+        order_primes = {m: order_primes_by_sympy(m) for m in range(1, 31)}
+        rng = random.Random(20261025)
+        accepted = rejected = 0
+        for _ in range(3000):
+            m = rng.randint(1, 30)
+            row = perturbed_row(rng, m, order_primes)
+            try:
+                result = prove_order_primes(m, row)
+            except ValueError:
+                assert row != order_primes[m], (m, row)
+                rejected += 1
+                continue
+            assert row == order_primes[m], (m, row)
+            assert result.primes == tuple(row) and result.complete
+            assert result.probable == primes_of_order(m).probable
+            accepted += 1
+        assert accepted >= 500 and rejected >= 1500, (accepted, rejected)
 
 
 class TestAurifeuillianSplit:
@@ -234,16 +303,22 @@ class TestValidateOrderTable:
         assert validate_order_table({6: (7, 13)}) == []
 
     def test_composite_without_placeholder_status_fails(self):
-        # 14 = 2 * 7 is read as a placeholder and fails checks 1 and 3
+        # 14 = 2 * 7 fails check 1, and an entry failing it is not classified
         assert validate_order_table({6: (7, 14)}) == [
             "m=6: entry '14' does not divide Phi_6(10) freed of the primes of 6",
-            "m=6: placeholder '14' shares a factor with the prime entries",
+        ]
+        # 91 = 7 * 13 = Phi_6(10) divides, is read as a placeholder, and fails check 3
+        assert validate_order_table({6: (7, 91)}) == [
+            "m=6: placeholder '91' shares a factor with the prime entries",
         ]
 
     def test_square_placeholder_fails_bullets_4_and_5(self):
-        violations = validate_order_table({2: (11, 121, 121)})
-        assert "m=2: placeholder '121' shares a factor with the prime entries" in violations
-        assert "m=2: placeholder '121' = '11**2' cannot hold two distinct primes" in violations
+        # Phi_1(10) = 9: the placeholder 9 twice divides, shares 3 and is 3**2
+        assert validate_order_table({1: (3, 9, 9)}) == [
+            "m=1: placeholder '9' shares a factor with the prime entries",
+            "m=1: placeholder '9' = '3**2' cannot hold two distinct primes",
+        ]
+        assert len(validate_order_table({2: (11, 121, 121)})) == 2  # 121 does not divide 11
 
     def test_placeholder_for_unfactored_part_is_accepted(self):
         # order-11 value is 21649 * 513239; pretend it resisted factoring.
@@ -276,11 +351,16 @@ class TestValidateOrderTable:
         assert violations == ["m=3: entry '7' does not divide Phi_3(10) freed of the primes of 3"]
 
     def test_cross_check_count_bound(self):
-        # three entries for order 2, where only 11 exists: the placeholder
-        # q twice must hold a prime besides 11, and it shares 11 instead
+        # three entries for order 6, where only 7 and 13 exist: the
+        # placeholder 91 twice must hold a prime besides 7, and it shares 7
+        assert validate_order_table({6: (7, 91, 91)}) == [
+            "m=6: placeholder '91' shares a factor with the prime entries"
+        ]
+        # three entries for order 2, where only 11 exists
         q = 11 * 9090911
-        violations = validate_order_table({2: (11, q, q)})
-        assert f"m=2: placeholder '{q}' shares a factor with the prime entries" in violations
+        assert validate_order_table({2: (11, q, q)}) == [
+            f"m=2: entry '{q}' does not divide Phi_2(10) freed of the primes of 2"
+        ] * 2
 
     def test_accepted_rows_hold_only_order_m_primes(self):
         # soundness against sympy: in every accepted row each prime factor of
@@ -321,8 +401,6 @@ class TestValidateOrderTable:
         # the modulus-2888 value itself: a 1368-digit composite standing in
         # for two unknown prime factors; validation must stay fast at that
         # size (trial division only, quick compositeness probe)
-        import time
-
         value = cyclotomic_value(2888, 10)
         assert len(str(value)) == 1368
         path = tmp_path / "orders.txt"
@@ -338,18 +416,27 @@ class TestValidateOrderTable:
         assert elapsed < 60
 
     def test_large_primes_are_read_as_primes(self):
-        # 2**4423 - 1 (a Mersenne prime, 4423 bits) takes the two-base
-        # probe used past 4096 bits, and 2**89 - 1 lies above the
-        # deterministic Miller-Rabin bound, where is_prime calls it probable.
-        # Listed twice, each is a repeated prime entry; a composite reading
-        # would make it a placeholder instead.
+        # 2**4423 - 1 (a Mersenne prime, 4423 bits) takes the two-base probe
+        # used past 4096 bits, where is_prime would run for minutes
         big = 2 ** 4423 - 1
-        mid = 2 ** 89 - 1
-        for prime in (mid, big):
-            violations = validate_order_table({6: (prime, prime)})
-            assert "m=6: repeated prime entry" in violations
-            assert (
-                f"m=6: entry {quoted(str(prime))} does not divide Phi_6(10) freed of the primes of 6"
-                in violations
-            )
-            assert not any("placeholder" in v for v in violations)
+        assert _primality_kind(big) == PROBABLE_PRIME
+        assert _primality_kind(big * (2 ** 89 - 1)) == COMPOSITE
+        # the order-41 prime lies above the deterministic Miller-Rabin bound,
+        # where is_prime calls it probable; listed twice it is a repeated
+        # prime entry, where a composite reading would make it a placeholder
+        prime = 201763709900322803748657942361
+        assert _primality_kind(prime) == PROBABLE_PRIME
+        assert validate_order_table({41: (prime, prime)}) == ["m=41: repeated prime entry"]
+        # neither Mersenne prime divides Phi_6(10), so each row fails check 1 twice
+        for other in (2 ** 89 - 1, big):
+            assert len(validate_order_table({6: (other, other)})) == 2
+
+    def test_huge_entry_that_does_not_divide_is_not_classified(self):
+        # classifying 4,000 sevens by the probe took 6.4 s; check 1 alone
+        # decides the row
+        start = time.perf_counter()
+        violations = validate_order_table({3: (int("7" * 4000),)})
+        assert time.perf_counter() - start < 1
+        assert violations == [
+            f"m=3: entry {quoted('7' * 4000)} does not divide Phi_3(10) freed of the primes of 3"
+        ]

@@ -45,3 +45,9 @@ def test_only_resolution_lists_order_m_primes():
         "bundle:resolve_assignment",
         "cli:cmd_order_primes",
     }
+
+
+def test_only_construction_tests_orders():
+    # a prime dividing Phi_m(10) and not m has order m, and the scan's
+    # numpy filter is has_order's own test, so cyclotomic needs none
+    assert callers("has_order") == {"construction:validate"}
