@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .arith import crt_combine, has_order, is_prime
 from .covering import Congruence, CoveringSystem, is_covering_fast
-from .cyclotomic import quoted
+from .cyclotomic import parse_int, quoted
 
 __all__ = [
     "Assignment",
@@ -329,20 +329,21 @@ def load_construction(path: Union[str, Path]) -> Construction:
     per_digit: dict[int, list[Assignment]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
+        where = f"{path}:{lineno}"
         if not line or line.startswith("#"):
             continue
         if line.startswith("A="):
-            a_value = int(line[2:])
+            a_value = parse_int(line[2:], where, "A")
             continue
         if line.startswith("B="):
-            b_value = int(line[2:])
+            b_value = parse_int(line[2:], where, "B")
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 'p a m d rho', got {quoted(raw)}")
-        p, a, m, d, rho = map(int, parts)
+            raise ValueError(f"{where}: expected 'p a m d rho', got {quoted(raw)}")
+        p, a, m, d, rho = map(parse_int, parts, [where] * 5, ("p", "a", "m", "d", "rho"))
         if m < 1:
-            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
+            raise ValueError(f"{where}: modulus {quoted(str(m))} must be positive")
         per_digit.setdefault(d, []).append(
             Assignment(
                 congruence=Congruence.reduced(a, m),

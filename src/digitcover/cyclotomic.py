@@ -12,13 +12,14 @@ its Aurifeuillian factors (Brent, Math. Comp. 61, 1993), and a part above
 _PRIMALITY_BIT_LIMIT bits is left whole without a primality test.
 
 One row check, `_row_check`, serves both uses of an order table (read by
-`load_order_table`): each entry must divide Phi_m(10) freed of the primes
-of m, and an unfactored composite placeholder may stand in for up to two
-unknown primes; nothing is factored.  `validate_order_table` returns every
-row's violations.  `prove_order_primes` re-proves a claimed complete list
-of the order-m primes, far more cheaply than finding them, by that check,
-primality and completeness.  `quoted` cuts the malformed text and entries
-that errors and violations here and in `bundle` quote.
+`load_order_table`): a row lists pairwise-coprime divisors of Phi_m(10)
+freed of the primes of m, a value listed twice being a composite shown to
+hold two order-m primes, so its length bounds the order-m primes from
+below; nothing is factored or tested for primality.  `validate_order_table`
+returns every row's violations.  `prove_order_primes` re-proves a claimed
+complete list of the order-m primes, far more cheaply than finding them,
+by that check, primality and completeness.  `quoted` and `parse_int` quote
+malformed text and read integer fields for the loaders here and elsewhere.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .arith import (
     PROBABLE_PRIME,
     PROVEN_PRIME,
     FactorBudget,
-    _miller_rabin_witness,
-    _odd_part,
     factor,
     is_perfect_power,
     is_prime,
@@ -56,6 +55,7 @@ __all__ = [
     "load_order_table",
     "validate_order_table",
     "quoted",
+    "parse_int",
 ]
 
 
@@ -140,10 +140,9 @@ _CHUNK_FIRST = 1 << 6
 _CHUNK_MAX = 1 << 14
 # Composite cofactors above this size are not split.
 _SPLIT_BIT_LIMIT = 512
-# `is_prime` runs for minutes on a number past this size, so order-m
-# cofactors above it are left untested and table entries above it are
-# classified by a two-base Miller-Rabin probe.  It sits above the largest
-# Phi_m(10) with m <= 1000 (2,512 bits, m = 931).
+# `is_prime` runs for minutes past this size: order-m cofactors above it
+# are left untested, and a proof refuses entries above it.  It sits above
+# the largest Phi_m(10) with m <= 1000 (2,512 bits, m = 931).
 _PRIMALITY_BIT_LIMIT = 4096
 
 
@@ -298,11 +297,27 @@ def quoted(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def parse_int(token: str, where: str, name: str) -> int:
+    """int(token); else ValueError `<where>: bad <name> <quoted token>`, or
+    one naming Python's int-string limit when a digit string passes it."""
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(token) > limit and token.isdigit():
+            raise ValueError(
+                f"{where}: {name} of {len(token)} digits exceeds Python's "
+                f"int-string limit of {limit} (sys.get_int_max_str_digits())"
+            ) from None
+        raise ValueError(f"{where}: bad {name} {quoted(token)}") from None
+
+
 def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     """Parse an order-table file into its entries keyed by modulus.
 
     One record per line, `m: e1, e2, ..., eL`, each e a decimal integer; a
-    trailing `*2` repeats that entry (a placeholder used twice).  Lines
+    trailing `*2` repeats that entry, marking a composite that holds two
+    distinct order-m primes.  Lines
     starting with `#` are comments.  A modulus below 1 is an error.
     """
     rows: dict[int, tuple[int, ...]] = {}
@@ -314,10 +329,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
         head, sep, tail = line.partition(":")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {quoted(raw)}")
-        try:
-            m = int(head)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad modulus {quoted(head)}") from None
+        m = parse_int(head, f"{path}:{lineno}", "modulus")
         if m < 1:
             raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         entries: list[int] = []
@@ -328,16 +340,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
             twice = token.endswith("*2")
             if twice:
                 token = token[:-2].strip()
-            try:
-                value = int(token)
-            except ValueError:
-                limit = sys.get_int_max_str_digits()
-                if limit and len(token) > limit and token.isdigit():
-                    raise ValueError(
-                        f"{path}:{lineno}: entry of {len(token)} digits exceeds Python's "
-                        f"int-string limit of {limit} (sys.get_int_max_str_digits())"
-                    ) from None
-                raise ValueError(f"{path}:{lineno}: bad entry {quoted(token)}") from None
+            value = parse_int(token, f"{path}:{lineno}", "entry")
             entries.extend([value, value] if twice else [value])
         if m in rows:
             raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
@@ -345,43 +348,25 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     return rows
 
 
-def _primality_kind(e: int) -> str:
-    """`is_prime(e).kind` for a table entry e > 1 up to _PRIMALITY_BIT_LIMIT
-    bits; past it, where `is_prime` runs for minutes, a two-base
-    Miller-Rabin probe tells COMPOSITE from PROBABLE_PRIME."""
-    if e.bit_length() <= _PRIMALITY_BIT_LIMIT:
-        return is_prime(e).kind
-    d, s = _odd_part(e - 1)
-    if e % 2 == 0 or e % 3 == 0 or any(_miller_rabin_witness(e, a, d, s) for a in (2, 3)):
-        return COMPOSITE
-    return PROBABLE_PRIME
-
-
-def _row_check(
-    m: int, entries: Sequence[int], probe: bool = True
-) -> tuple[list[str], dict[int, str], int]:
-    """The violations of one order-table row, the primality kind of each
-    distinct entry that divides, and Phi_m(10) freed of the primes of m.
+def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
+    """One order-table row's violations, and Phi_m(10) freed of m's primes.
 
     The checks, for modulus m and entries [e1..eL]:
       1. every entry is an integer > 1 dividing Phi_m(10) freed of the
          primes of m, whose prime factors are exactly the order-m primes;
-      2. at most one composite value Q, appearing at most twice; all other
-         entries are distinct primes;
-      3. gcd(Q, product of the prime entries) = 1;
-      4. if Q appears twice, Q is not a perfect power.
-    Only the entries that pass check 1 are classified and meet checks 2-4:
-    one that fails it already makes the row invalid, and classifying a huge
-    one costs seconds.  With probe False an entry past _PRIMALITY_BIT_LIMIT
-    bits is not classified either.  With checks 2-4 the row's length is a lower bound
-    on the number of order-m primes, since Q has a prime factor outside the
-    prime entries, or two distinct ones when listed twice.
+      2. each new value is coprime to the product of the earlier ones, so
+         distinct entries are pairwise coprime and no value appears thrice;
+      3. a value listed twice is composite by a base-2 Fermat witness and
+         not a perfect power, so it holds two distinct primes.
+    An entry failing check 1 meets no other.  No entry is tested for
+    primality, and a valid row's length is a lower bound on the order-m
+    primes: each value holds one no other entry holds, or two if listed twice.
     """
     cofactor, _ = _order_cofactor(m)
     violations: list[str] = []
-    kinds: dict[int, str] = {}
-    primes: list[int] = []
-    composites: list[int] = []
+    seen: set[int] = set()
+    marked: set[int] = set()
+    product = 1
     for e in entries:
         if e < 2:
             violations.append(f"entry {quoted(str(e))} is not a positive integer > 1")
@@ -389,60 +374,49 @@ def _row_check(
             violations.append(
                 f"entry {quoted(str(e))} does not divide Phi_{m}(10) freed of the primes of {m}"
             )
-        elif probe or e.bit_length() <= _PRIMALITY_BIT_LIMIT:
-            if e not in kinds:
-                kinds[e] = _primality_kind(e)
-            (composites if kinds[e] == COMPOSITE else primes).append(e)
-
-    if len(set(primes)) != len(primes):
-        violations.append("repeated prime entry")
-    distinct_q = set(composites)
-    if len(distinct_q) > 1:
-        violations.append(
-            "more than one composite placeholder: "
-            + ", ".join(quoted(str(q)) for q in sorted(distinct_q))
-        )
-    elif composites:
-        q = composites[0]
-        if len(composites) > 2:
-            violations.append(
-                f"composite placeholder {quoted(str(q))} appears {len(composites)} times"
-            )
-        if math.gcd(q, math.prod(primes)) != 1:
-            violations.append(
-                f"placeholder {quoted(str(q))} shares a factor with the prime entries"
-            )
-        if len(composites) == 2 and (power := is_perfect_power(q)) is not None:
-            base, exp = power
-            violations.append(
-                f"placeholder {quoted(str(q))} = {quoted(f'{base}**{exp}')} "
-                "cannot hold two distinct primes"
-            )
-    return violations, kinds, cofactor
+        elif e in seen and e not in marked:
+            marked.add(e)
+            if pow(2, e - 1, e) == 1:
+                violations.append(
+                    f"entry {quoted(str(e))} listed twice is a base-2 probable prime"
+                )
+            elif is_perfect_power(e):
+                violations.append(f"entry {quoted(str(e))} listed twice is a perfect power")
+        else:
+            if math.gcd(e, product) != 1:
+                violations.append(f"entry {quoted(str(e))} shares a factor with an earlier entry")
+            seen.add(e)
+            product *= e
+    return violations, cofactor
 
 
 def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
     """The complete OrderPrimes for m from a claimed list of every order-m
     prime; ValueError names the first check that fails.
 
-    The entries must be above 1 and strictly ascend, and pass `_row_check`
-    without its probe, so a huge entry costs one division; a prime dividing
-    Phi_m(10) and not m has order m.  Each entry must then have at most _PRIMALITY_BIT_LIMIT bits
-    and pass `is_prime` (a probable prime lands in `probable`), and
-    dividing every entry out with its multiplicity must leave 1, which
-    proves that no order-m prime is missing.  No budget is spent.
+    The entries must be above 1 and strictly ascend, and pass `_row_check`,
+    which costs one division for a huge entry; a prime dividing Phi_m(10)
+    and not m has order m.  Each entry must then have at most
+    _PRIMALITY_BIT_LIMIT bits and pass `is_prime` (a probable prime lands in
+    `probable`), and dividing every entry out with its multiplicity must
+    leave 1, which proves that no order-m prime is missing.  No budget is
+    spent.
     """
     if any(a >= b for a, b in zip([1, *primes], primes)):
         raise ValueError("entries are not above 1 in strictly ascending order")
-    violations, kinds, value = _row_check(m, primes, probe=False)
+    violations, value = _row_check(m, primes)
     if violations:
         raise ValueError(violations[0])
     cofactor = value
+    probable: set[int] = set()
     for p in primes:
         if p.bit_length() > _PRIMALITY_BIT_LIMIT:
             raise ValueError(f"entry of {p.bit_length()} bits is past the primality test's limit")
-        if kinds[p] == COMPOSITE:
+        kind = is_prime(p).kind
+        if kind == COMPOSITE:
             raise ValueError(f"entry {quoted(str(p))} is not prime")
+        if kind == PROBABLE_PRIME:
+            probable.add(p)
         while cofactor % p == 0:
             cofactor //= p
     if cofactor != 1:
@@ -454,15 +428,15 @@ def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
         primes=tuple(primes),
         complete=True,
         exact_below=value + 1,
-        probable=frozenset(p for p in primes if kinds[p] == PROBABLE_PRIME),
+        probable=frozenset(probable),
     )
 
 
 def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
     """The violations of `_row_check` on every row of an order table, each
     as `m=<m>: ...`, rows in ascending m; the table is valid iff there are
-    none.  A composite listed once or twice is a placeholder for that many
-    unknown prime factors.  Check 1 alone puts every prime factor of every
-    entry in order m, so no prime can sit under two moduli, and no budget
-    is spent."""
+    none, and then each row's length bounds its modulus's order-m primes
+    from below.  Check 1 alone puts every prime factor of every entry in
+    order m, so no prime can sit under two moduli; nothing is factored or
+    tested for primality, and no budget is spent."""
     return [f"m={m}: {v}" for m in sorted(table) for v in _row_check(m, table[m])[0]]

@@ -254,6 +254,19 @@ class TestConstructCli:
         assert f"{path}:1: {message}" in err and "characters)" in err
         assert len(err) < 300
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("x 0 7 9 1", "bad p 'x'"), ("7 0 7 9 y", "bad rho 'y'"), ("A=x", "bad A 'x'")],
+        ids=["p", "rho", "A"],
+    )
+    def test_certify_names_the_line_of_a_bad_integer(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n" + line + "\n")
+        argv = ["--construction", str(path), "--n", "1", "--d", "9", "--k", "1"]
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:2: {message}\n"
+
     def test_certify_rejects_off_progression(self, tmp_path, capsys):
         out_file = tmp_path / "mini.txt"
         run(capsys, "construct", "assemble", "--digits", "9", "--out", str(out_file))
@@ -676,7 +689,7 @@ class TestOrderCli:
         path.write_text("6: 7, 13\n3: 37, 7\n30: 50851, 520801\n11: 11111111111*2\n")
         violations = [
             "m=3: entry '7' does not divide Phi_3(10) freed of the primes of 3",
-            "m=30: more than one composite placeholder: '50851', '520801'",
+            "m=30: entry '520801' shares a factor with an earlier entry",
         ]
         code, out, _ = run(capsys, "order", "validate", str(path))
         assert code == 1

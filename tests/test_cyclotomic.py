@@ -6,12 +6,11 @@ import pytest
 import sympy
 
 import digitcover.cyclotomic as cyclotomic
-from digitcover.arith import COMPOSITE, PROBABLE_PRIME, FactorBudget, primes_up_to
+from digitcover.arith import FactorBudget, primes_up_to
 from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE
 from digitcover.cyclotomic import (
     _PRIMALITY_BIT_LIMIT,
     _aurifeuillian_factor,
-    _primality_kind,
     cyclotomic_value,
     load_order_table,
     primes_of_order,
@@ -32,14 +31,18 @@ def order_primes_by_sympy(m):
 def random_order_table(rng, order_primes):
     """A table of one to three rows over the moduli of `order_primes` (a dict
     from each modulus to its order-m primes).  Each row mixes order-m primes,
-    primes of other orders, products of two order-m primes listed once or
-    twice, multiples and squares."""
+    primes of other orders, products of two order-m primes (distinct where
+    there are two) listed once or twice, two coprime composites, an order-m
+    prime or a power of one listed twice, multiples and squares."""
     table = {}
     for m in rng.sample(sorted(order_primes), rng.randint(1, 3)):
         own = order_primes[m]
         entries = []
         for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(("own", "own", "other", "pair", "multiple", "square"))
+            kind = rng.choice(
+                ("own", "own", "other", "pair", "pair", "pair", "coprime", "twice", "power",
+                 "multiple", "square")
+            )
             p = rng.choice(own)
             if kind == "own":
                 entries.append(p)
@@ -47,7 +50,18 @@ def random_order_table(rng, order_primes):
                 other = rng.choice([k for k in order_primes if k != m])
                 entries.append(rng.choice(order_primes[other]))
             elif kind == "pair":
-                entries += [p * rng.choice(own)] * rng.randint(1, 2)
+                q = rng.choice([q for q in own if q != p] or own)
+                entries += [p * q] * rng.randint(1, 2)
+            elif kind == "coprime" and len(own) > 1:
+                # the order-m primes cut in two, a lone prime squared
+                shuffled = rng.sample(own, len(own))
+                cut = rng.randint(1, len(own) - 1)
+                for part in (shuffled[:cut], shuffled[cut:]):
+                    entries.append(math.prod(part) if len(part) > 1 else part[0] ** 2)
+            elif kind == "twice":
+                entries += [p, p]
+            elif kind == "power":
+                entries += [p ** rng.randint(2, 3)] * 2
             elif kind == "multiple":
                 entries.append(p * rng.randint(2, 12))
             else:
@@ -272,7 +286,7 @@ class TestAurifeuillianSplit:
 class TestOrderTableFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "orders.txt"
-        # a placeholder used twice is written once, with *2
+        # a value listed twice (a composite mark) is written once, with *2
         path.write_text(
             "6: 7, 13\n11: 21649, 513239\n2888: 717897987691852588770249*2\n"
         )
@@ -303,42 +317,46 @@ class TestValidateOrderTable:
         assert validate_order_table({6: (7, 13)}) == []
 
     def test_composite_without_placeholder_status_fails(self):
-        # 14 = 2 * 7 fails check 1, and an entry failing it is not classified
+        # 14 = 2 * 7 fails check 1, and an entry failing it meets no other check
         assert validate_order_table({6: (7, 14)}) == [
             "m=6: entry '14' does not divide Phi_6(10) freed of the primes of 6",
         ]
-        # 91 = 7 * 13 = Phi_6(10) divides, is read as a placeholder, and fails check 3
+        # 91 = 7 * 13 = Phi_6(10) divides, and fails check 2 against 7
         assert validate_order_table({6: (7, 91)}) == [
-            "m=6: placeholder '91' shares a factor with the prime entries",
+            "m=6: entry '91' shares a factor with an earlier entry",
         ]
 
     def test_square_placeholder_fails_bullets_4_and_5(self):
-        # Phi_1(10) = 9: the placeholder 9 twice divides, shares 3 and is 3**2
+        # Phi_1(10) = 9: 9 twice divides, shares 3 and is 3**2
         assert validate_order_table({1: (3, 9, 9)}) == [
-            "m=1: placeholder '9' shares a factor with the prime entries",
-            "m=1: placeholder '9' = '3**2' cannot hold two distinct primes",
+            "m=1: entry '9' shares a factor with an earlier entry",
+            "m=1: entry '9' listed twice is a perfect power",
         ]
         assert len(validate_order_table({2: (11, 121, 121)})) == 2  # 121 does not divide 11
 
     def test_placeholder_for_unfactored_part_is_accepted(self):
         # order-11 value is 21649 * 513239; pretend it resisted factoring.
-        # Read as a prime, q twice would be a repeated prime entry.
+        # Listed twice, it needs a base-2 Fermat witness, which it has.
         q = 21649 * 513239
         assert validate_order_table({11: (q, q)}) == []
 
     def test_repeated_prime_entry(self):
-        assert "m=6: repeated prime entry" in validate_order_table({6: (7, 7, 13)})
+        assert validate_order_table({6: (7, 7, 13)}) == [
+            "m=6: entry '7' listed twice is a base-2 probable prime"
+        ]
 
     def test_two_distinct_placeholders(self):
-        # the order-30 value is 211 * 241 * 2161
+        # the order-30 value is 211 * 241 * 2161: the pair shares 241
         assert validate_order_table({30: (211 * 241, 241 * 2161)}) == [
-            "m=30: more than one composite placeholder: '50851', '520801'"
+            "m=30: entry '520801' shares a factor with an earlier entry"
         ]
+        # coprime composites are valid, each listed once or twice
+        assert validate_order_table({29: (3191 * 16763, 43037 * 62003, 43037 * 62003)}) == []
 
     def test_placeholder_listed_three_times(self):
         q = 21649 * 513239
         violations = validate_order_table({11: (q, q, q)})
-        assert f"m=11: composite placeholder '{q}' appears 3 times" in violations
+        assert violations == [f"m=11: entry '{q}' shares a factor with an earlier entry"]
 
     def test_wrong_order_prime_caught_by_divisibility(self):
         # 11 has order 2, so it does not divide the order-6 value
@@ -351,10 +369,10 @@ class TestValidateOrderTable:
         assert violations == ["m=3: entry '7' does not divide Phi_3(10) freed of the primes of 3"]
 
     def test_cross_check_count_bound(self):
-        # three entries for order 6, where only 7 and 13 exist: the
-        # placeholder 91 twice must hold a prime besides 7, and it shares 7
+        # three entries for order 6, where only 7 and 13 exist: 91 twice
+        # must hold two primes besides 7, and it shares 7
         assert validate_order_table({6: (7, 91, 91)}) == [
-            "m=6: placeholder '91' shares a factor with the prime entries"
+            "m=6: entry '91' shares a factor with an earlier entry"
         ]
         # three entries for order 2, where only 11 exists
         q = 11 * 9090911
@@ -364,32 +382,68 @@ class TestValidateOrderTable:
 
     def test_accepted_rows_hold_only_order_m_primes(self):
         # soundness against sympy: in every accepted row each prime factor of
-        # each entry has order m, and the prime entries plus the placeholder's
-        # multiplicity never outnumber the order-m primes
+        # each entry has order m, and the row's length, a value listed twice
+        # counted twice, never outnumbers the order-m primes
         order_primes = {m: order_primes_by_sympy(m) for m in range(1, 31)}
         rng = random.Random(20261019)
-        accepted = with_placeholder = 0
-        for _ in range(4000):
+        accepted = with_mark = 0
+        for _ in range(8000):
             table = random_order_table(rng, order_primes)
             if validate_order_table(table):
                 continue
-            accepted += 1
             for m, entries in table.items():
                 for e in entries:
                     assert all(sympy.n_order(10, q) == m for q in sympy.factorint(e)), (m, e)
-                primes = [e for e in entries if sympy.isprime(e)]
-                placeholders = len(entries) - len(primes)
-                with_placeholder += placeholders > 0
-                assert len(primes) + placeholders <= len(order_primes[m]), (m, entries)
-        assert accepted >= 100 and with_placeholder >= 20, (accepted, with_placeholder)
+                accepted += 1
+                with_mark += len(set(entries)) < len(entries)
+                assert len(entries) <= len(order_primes[m]), (m, entries)
+        assert accepted >= 100 and with_mark >= 50, (accepted, with_mark)
+
+    def test_every_planted_fault_is_rejected(self):
+        # a valid row (distinct order-m primes, then one product of two more
+        # listed twice) gains one fault: a prime listed twice, a perfect
+        # power listed twice, an entry sharing a prime with another, or a
+        # non-divisor; the row check must reject every one
+        order_primes = {m: order_primes_by_sympy(m) for m in range(1, 31)}
+        rng = random.Random(20261026)
+        faults = dict.fromkeys(("prime twice", "power twice", "shared", "non-divisor"), 0)
+        # sharing a prime between two distinct entries needs two primes
+        two_or_more = [m for m, primes in order_primes.items() if len(primes) > 1]
+        for _ in range(2000):
+            fault = rng.choice(list(faults))
+            m = rng.choice(two_or_more if fault == "shared" else list(order_primes))
+            own = rng.sample(order_primes[m], len(order_primes[m]))
+            row = own[: rng.randint(0, len(own))]
+            if len(own) - len(row) > 1 and rng.random() < 0.5:
+                row += [own[-1] * own[-2]] * 2
+            p, q = own[0], own[-1]
+            if fault == "shared":
+                row = [e for e in row if math.gcd(e, p * q) == 1] + [p * q]
+            assert validate_order_table({m: tuple(row)}) == [], (m, row)
+            if fault == "prime twice":
+                bad = [p, p]
+            elif fault == "power twice":
+                bad = [p ** rng.randint(2, 3)] * 2
+            elif fault == "shared":
+                bad = [rng.choice((p, q))]
+            else:
+                other = rng.choice([k for k in order_primes if k != m])
+                bad = [rng.choice([p * rng.choice((2, 5, 10)), *order_primes[other]])]
+            faults[fault] += 1
+            row += bad
+            rng.shuffle(row)
+            assert validate_order_table({m: tuple(row)}), (fault, m, row)
+        assert min(faults.values()) >= 400, faults
 
     def test_validation_lists_no_order_m_primes(self, monkeypatch):
-        # membership in Phi_m(10) decides every row without factoring it
+        # membership in Phi_m(10), gcds and Fermat witnesses decide every row
+        # without factoring it or testing an entry for primality
         def refuse(*args):
-            raise RuntimeError("validation listed order-m primes")
+            raise RuntimeError("validation listed order-m primes or tested primality")
 
         monkeypatch.setattr(cyclotomic, "primes_of_order", refuse)
         monkeypatch.setattr(cyclotomic, "_primes_of_order_cached", refuse)
+        monkeypatch.setattr(cyclotomic, "is_prime", refuse)
         shipped = load_order_table(DATA_ROOT / "coverings" / ORDER_PRIMES_FILE)
         assert validate_order_table(shipped) == []
         q = 21649 * 513239
@@ -400,7 +454,7 @@ class TestValidateOrderTable:
     def test_thousand_digit_placeholder(self, tmp_path):
         # the modulus-2888 value itself: a 1368-digit composite standing in
         # for two unknown prime factors; validation must stay fast at that
-        # size (trial division only, quick compositeness probe)
+        # size (one division, one gcd, one base-2 Fermat witness)
         value = cyclotomic_value(2888, 10)
         assert len(str(value)) == 1368
         path = tmp_path / "orders.txt"
@@ -411,29 +465,26 @@ class TestValidateOrderTable:
         start = time.perf_counter()
         violations = validate_order_table(table)
         elapsed = time.perf_counter() - start
-        # read as a prime, the value twice would be a repeated prime entry
         assert violations == []
         assert elapsed < 60
 
     def test_large_primes_are_read_as_primes(self):
-        # 2**4423 - 1 (a Mersenne prime, 4423 bits) takes the two-base probe
-        # used past 4096 bits, where is_prime would run for minutes
-        big = 2 ** 4423 - 1
-        assert _primality_kind(big) == PROBABLE_PRIME
-        assert _primality_kind(big * (2 ** 89 - 1)) == COMPOSITE
         # the order-41 prime lies above the deterministic Miller-Rabin bound,
-        # where is_prime calls it probable; listed twice it is a repeated
-        # prime entry, where a composite reading would make it a placeholder
+        # where is_prime calls it probable; listed twice it has no base-2
+        # Fermat witness, so it cannot stand for two primes
         prime = 201763709900322803748657942361
-        assert _primality_kind(prime) == PROBABLE_PRIME
-        assert validate_order_table({41: (prime, prime)}) == ["m=41: repeated prime entry"]
-        # neither Mersenne prime divides Phi_6(10), so each row fails check 1 twice
-        for other in (2 ** 89 - 1, big):
+        assert validate_order_table({41: (prime, prime)}) == [
+            f"m=41: entry '{prime}' listed twice is a base-2 probable prime"
+        ]
+        # 2**4423 - 1 (a Mersenne prime, 4423 bits), where is_prime would run
+        # for minutes: neither Mersenne prime divides Phi_6(10), so each row
+        # fails check 1 twice
+        for other in (2 ** 89 - 1, 2 ** 4423 - 1):
             assert len(validate_order_table({6: (other, other)})) == 2
 
     def test_huge_entry_that_does_not_divide_is_not_classified(self):
-        # classifying 4,000 sevens by the probe took 6.4 s; check 1 alone
-        # decides the row
+        # an entry failing check 1 meets no other check, so 4,000 sevens
+        # cost one division
         start = time.perf_counter()
         violations = validate_order_table({3: (int("7" * 4000),)})
         assert time.perf_counter() - start < 1

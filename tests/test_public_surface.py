@@ -39,14 +39,8 @@ UNREAD_FIELDS = {
 }
 
 # Private names that one package module imports from another, each with its
-# reason, as (importing module, name):
-PRIVATE_IMPORTS = {
-    # cyclotomic classifies order-table entries past 4096 bits by a two-base
-    # Miller-Rabin probe on these: 0.37 s on 2^4423 - 1 on a 2-vCPU host,
-    # where is_prime takes 23 s
-    ("cyclotomic.py", "_miller_rabin_witness"),
-    ("cyclotomic.py", "_odd_part"),
-}
+# reason, as (importing module, name); none at present:
+PRIVATE_IMPORTS: set[tuple[str, str]] = set()
 
 
 def exported(tree: ast.Module) -> list[str]:
