@@ -55,6 +55,7 @@ __all__ = [
     "prime_flags",
     "primes_up_to",
     "pm1_split",
+    "residues_mod",
 ]
 
 _SMALL_PRIMES = (
@@ -522,13 +523,25 @@ def _divide_out(n: int, p: int, counts: dict[int, int]) -> int:
     return n
 
 
+def residues_mod(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod each of `moduli`, a uint64 array of values below 2^32, for
+    n >= 0: n's top bits down to a 32-bit limb boundary (at most 64) are
+    reduced first, then each lower limb is folded in.  A residue r < 2^32
+    keeps (r << 32) | limb below 2^64, so no step wraps."""
+    shift = max(n.bit_length() - 64, 0)
+    shift += -shift % 32
+    residues = np.uint64(n >> shift) % moduli
+    for low in range(shift - 32, -1, -32):
+        residues = ((residues << np.uint64(32)) | np.uint64(n >> low & 0xFFFFFFFF)) % moduli
+    return residues
+
+
 def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n >= 1 within budget: trial division, then Pollard p - 1 sized
     by the cofactor, then Pollard rho (Brent).
 
     Trial division divides out every prime up to min(trial_bound, isqrt(n)),
-    found by one numpy sweep of n modulo all of them at once: the top 64
-    bits of n first, then each lower 32-bit limb folded in.
+    found by one `residues_mod` sweep of n modulo all of them at once.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -548,16 +561,9 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     limit = budget.trial_bound
     top = min(limit, math.isqrt(n))
     table = _prime_table(top)
+    # every table prime is at most MAX_TRIAL_BOUND < 2^32, as the sweep needs
     words = table.words[: bisect.bisect_right(table.primes, top)]
-    # n's top bits down to a 32-bit limb boundary (at most 64), then each
-    # lower limb: r < p <= MAX_TRIAL_BOUND < 2^24, so (r << 32) | limb < 2^56
-    # fits in uint64
-    shift = max(n.bit_length() - 64, 0)
-    shift += -shift % 32
-    residues = np.uint64(n >> shift) % words
-    for low in range(shift - 32, -1, -32):
-        residues = ((residues << np.uint64(32)) | np.uint64(n >> low & 0xFFFFFFFF)) % words
-    for i in np.flatnonzero(residues == 0).tolist():
+    for i in np.flatnonzero(residues_mod(n, words) == 0).tolist():
         n = _divide_out(n, table.primes[i], counts)
 
     unresolved: list[int] = []

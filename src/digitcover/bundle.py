@@ -31,6 +31,7 @@ from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
 from .cyclotomic import (
     OrderPrimes,
     load_order_table,
+    parse_int,
     primes_of_order,
     prove_order_primes,
     quoted,
@@ -141,11 +142,19 @@ class ParsedCovering:
     warnings: list[str] = field(default_factory=list)
 
 
+def _int_field(token: str, where: str, name: str) -> int:
+    """`parse_int`, its ValueError raised as a BundleError."""
+    try:
+        return parse_int(token, where, name)
+    except ValueError as exc:
+        raise BundleError(str(exc)) from None
+
+
 def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     """Parse a covering file: optional `# digit <d>` header, then one
-    `a m [rho]` line per congruence.  Residues outside [0, m) are
-    normalized with a warning; anything else malformed raises BundleError
-    with the offending location."""
+    `a m [rho]` line per congruence, each number read by `parse_int`.
+    Residues outside [0, m) are normalized with a warning; anything else
+    malformed raises BundleError with the offending location."""
     path = Path(path)
     digit: Optional[int] = None
     rows: list[CoveringRow] = []
@@ -157,26 +166,17 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "digit":
-                try:
-                    digit = int(parts[1])
-                except ValueError:
-                    raise BundleError(
-                        f"{path}:{lineno}: bad digit header {quoted(raw)}"
-                    ) from None
+                digit = _int_field(parts[1], f"{path}:{lineno}", "digit")
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise BundleError(
-                f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}"
-            )
-        try:
-            numbers = [int(s) for s in parts]
-        except ValueError:
-            raise BundleError(
-                f"{path}:{lineno}: non-integer field in {quoted(raw)}"
-            ) from None
-        a, m = numbers[0], numbers[1]
-        rho = numbers[2] if len(numbers) == 3 else None
+            raise BundleError(f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}")
+        try:  # plain int first: every shipped row passes here
+            a, m, *rest = map(int, parts)
+        except ValueError:  # parse_int names the field that fails
+            where = [f"{path}:{lineno}"] * 3
+            a, m, *rest = map(_int_field, parts, where, ("residue", "modulus", "index"))
+        rho = rest[0] if rest else None
         if m < 1:
             raise BundleError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         if rho is not None and rho < 1:

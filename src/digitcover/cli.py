@@ -39,7 +39,7 @@ from .covering import (
     profile_verdict,
     reduction_profile,
 )
-from .cyclotomic import load_order_table, primes_of_order, validate_order_table
+from .cyclotomic import load_order_table, parse_int, primes_of_order, validate_order_table
 from .delicate import (
     digit_count,
     find_first_digitally_delicate,
@@ -57,6 +57,16 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _int(token: str, flag: str) -> int:
+    """A numeric argument, read by `parse_int` under its flag's name."""
+    return parse_int(token, flag, "integer")
+
+
+def _ints(text: str, flag: str) -> list[int]:
+    """A comma-separated list of numeric arguments, read as `_int` reads one."""
+    return [_int(s.strip(), flag) for s in text.split(",") if s.strip()]
 
 
 def _budget(args) -> FactorBudget:
@@ -172,7 +182,7 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
 
 def cmd_construct_assemble(args) -> int:
     budget = _budget(args)
-    digits = [int(s) for s in args.digits.split(",") if s.strip()]
+    digits = _ints(args.digits, "--digits")
     bundle = _bundle(args)
     coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
     construction = assemble(coverings)
@@ -202,8 +212,8 @@ def cmd_construct_assemble(args) -> int:
 
 
 def cmd_construct_certify(args) -> int:
+    n, d, k = _int(args.n, "--n"), _int(args.d, "--d"), _int(args.k, "--k")
     construction = load_construction(args.construction)
-    n, d, k = int(args.n), int(args.d), int(args.k)
     # the value printed below has about k + 1 digits: refuse, before 10**k
     # is built, a k whose value str() could not print
     limit = sys.get_int_max_str_digits()
@@ -242,7 +252,7 @@ def _witness(payload: dict, lines: list[str], failure) -> None:
 
 
 def cmd_delicate_check(args) -> int:
-    n = int(args.n)
+    n = _int(args.n, "n")
     if args.widely is not None and args.widely < 1:
         raise ValueError("window must be >= 1")
     if not is_prime(n):
@@ -274,7 +284,7 @@ def cmd_delicate_check(args) -> int:
 
 
 def cmd_delicate_scan(args) -> int:
-    bound = int(args.bound)
+    bound = _int(args.bound, "--bound")
     found = find_first_digitally_delicate(bound)
     payload = {"bound": str(bound), "first": None if found is None else str(found)}
     lines = [str(found) if found is not None else "none"]
@@ -283,7 +293,7 @@ def cmd_delicate_scan(args) -> int:
 
 
 def cmd_delicate_stable(args) -> int:
-    n = int(args.n)
+    n = _int(args.n, "n")
     require_stable_candidate(n)
     failure = first_failure(n)
     stable = failure is None
@@ -296,8 +306,8 @@ def cmd_delicate_stable(args) -> int:
 
 
 def _parse_instance(args) -> GrahamInstance:
-    primes = tuple(int(s) for s in args.primes.split(",") if s.strip())
-    return GrahamInstance(a=int(args.a), b=int(args.b), primes=primes)
+    primes = tuple(_ints(args.primes, "--primes"))
+    return GrahamInstance(a=_int(args.a, "--a"), b=_int(args.b, "--b"), primes=primes)
 
 
 def cmd_graham_verify(args) -> int:
@@ -353,7 +363,7 @@ def cmd_graham_reduce(args) -> int:
 
 
 def cmd_order_primes(args) -> int:
-    result = primes_of_order(int(args.m), _budget(args))
+    result = primes_of_order(_int(args.m, "m"), _budget(args))
     payload = {
         "m": result.modulus,
         "primes": [str(p) for p in result.primes],

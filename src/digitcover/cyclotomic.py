@@ -7,9 +7,12 @@ This module evaluates those values exactly, as a Moebius product over the
 squarefree divisors of m formed from the primes `factor` finds in m, for m
 up to _MODULUS_LIMIT.  It lists the order-m primes by scanning that
 progression below SCAN_BOUND and splitting what is left with Pollard's
-p - 1 method.  For m = 20k with k odd the leftover first splits for free at
-its Aurifeuillian factors (Brent, Math. Comp. 61, 1993), and a part above
-_PRIMALITY_BIT_LIMIT bits is left whole without a primality test.
+p - 1 method.  The scan keeps a candidate that divides the cofactor, by one
+`residues_mod` sweep, while the cofactor has at most _SWEEP_BITS bits per
+bit of m, and one in which 10 has order m past that size.  For m = 20k
+with k odd the leftover first splits for free at its Aurifeuillian factors
+(Brent, Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits
+is left whole without a primality test.
 
 One row check, `_row_check`, serves both uses of an order table (read by
 `load_order_table`): a row lists pairwise-coprime divisors of Phi_m(10)
@@ -45,6 +48,7 @@ from .arith import (
     is_perfect_power,
     is_prime,
     pm1_split,
+    residues_mod,
 )
 
 __all__ = [
@@ -99,9 +103,11 @@ class OrderPrimes:
     every other listed prime is proven.  complete is True iff
     no composite cofactor is left, and then every order-m prime is listed;
     otherwise `remainder` is the product of the composite cofactors and
-    `reason` says why each was not split.  scan_candidates and
-    scan_survivors count the candidates the scan tested and those that
-    passed its order filter.
+    `reason` says why each was not split.  scan_candidates counts the
+    candidates the scan tested, and scan_survivors those it passed to
+    `is_prime`: each order-m prime, plus, while the scan sweeps the
+    cofactor, each composite candidate dividing it (m = 2 keeps 11 alone,
+    where the order test also passes 33 and 99).
     """
 
     modulus: int
@@ -138,11 +144,19 @@ SCAN_BOUND = 10 ** 6
 # Candidates per scan chunk: the first chunk, and the cap the doubling stops at.
 _CHUNK_FIRST = 1 << 6
 _CHUNK_MAX = 1 << 14
+# The scan keeps the candidates that divide the cofactor, by one limb
+# sweep, while it has at most this many bits per bit of m; past that the
+# sweep costs more than the order test, whose numpy products grow with
+# log2(m) and the primes of m.  Scan time on the table moduli was flat for
+# 48 to 64; the order test alone took 4.5x as long for m <= 64 and 1.35x
+# for 65 <= m <= 1000, and the sweep alone 4.7x for m > 1000.
+_SWEEP_BITS = 56
 # Composite cofactors above this size are not split.
 _SPLIT_BIT_LIMIT = 512
 # `is_prime` runs for minutes past this size: order-m cofactors above it
-# are left untested, and a proof refuses entries above it.  It sits above
-# the largest Phi_m(10) with m <= 1000 (2,512 bits, m = 931).
+# are left untested, a proof refuses entries above it, and a row check
+# refuses a value listed twice above it.  It sits above the largest
+# Phi_m(10) with m <= 1000 (2,512 bits, m = 931).
 _PRIMALITY_BIT_LIMIT = 4096
 
 
@@ -199,9 +213,12 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
     while cofactor >= limit * limit and k <= last:
         stop = min(k + chunk, last + 1)
         p = 1 + np.uint64(step) * np.arange(k, stop, dtype=np.uint64)
-        p = p[_pow10_mod(m, p) == 1]
-        for q in qs:
-            p = p[_pow10_mod(m // q, p) != 1]
+        if cofactor.bit_length() <= _SWEEP_BITS * m.bit_length():
+            p = p[residues_mod(cofactor, p) == 0]
+        else:
+            p = p[_pow10_mod(m, p) == 1]
+            for q in qs:
+                p = p[_pow10_mod(m // q, p) != 1]
         candidates += stop - k
         survivors += len(p)
         for prime in map(int, p):
@@ -268,10 +285,14 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     Every such prime is 1 (mod lcm(2, m)) and divides the cyclotomic value
     Phi_m(10), which is first freed of the primes of m.  The candidates
     p = 1 + k*lcm(2, m) below SCAN_BOUND are scanned in numpy chunks that
-    start small and double up to _CHUNK_MAX; p is kept when 10**m = 1 and
-    10**(m/q) != 1 (mod p) for every prime q | m, which is the order-m test
-    itself and exact in uint64 below SCAN_BOUND, proven with `is_prime`, and
-    divided out of Phi_m(10) with its multiplicity.  The
+    start small and double up to _CHUNK_MAX.  While the cofactor has at
+    most _SWEEP_BITS bits per bit of m, p is kept when `residues_mod` finds
+    that it divides the cofactor; past that size, the sweep costing more,
+    p is kept when 10**m = 1 and 10**(m/q) != 1 (mod p) for every prime
+    q | m, which is the order-m test itself.  Both are exact in uint64
+    below SCAN_BOUND and keep the same primes, since a prime divides the
+    cofactor iff 10 has order m mod it.  A kept p is proven with
+    `is_prime` and divided out of Phi_m(10) with its multiplicity.  The
     scan stops once the cofactor is below the square of the scanned limit,
     where it is 1 or prime.  For m = 20k with k odd, Phi_m(10) divides
     Phi_20(10**k) = (C - 10**((k+1)/2) D)(C + 10**((k+1)/2) D) (Brent,
@@ -356,8 +377,9 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
          primes of m, whose prime factors are exactly the order-m primes;
       2. each new value is coprime to the product of the earlier ones, so
          distinct entries are pairwise coprime and no value appears thrice;
-      3. a value listed twice is composite by a base-2 Fermat witness and
-         not a perfect power, so it holds two distinct primes.
+      3. a value listed twice has at most _PRIMALITY_BIT_LIMIT bits, is
+         composite by a base-2 Fermat witness and is not a perfect power, so
+         it holds two distinct primes.
     An entry failing check 1 meets no other.  No entry is tested for
     primality, and a valid row's length is a lower bound on the order-m
     primes: each value holds one no other entry holds, or two if listed twice.
@@ -376,7 +398,12 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
             )
         elif e in seen and e not in marked:
             marked.add(e)
-            if pow(2, e - 1, e) == 1:
+            if e.bit_length() > _PRIMALITY_BIT_LIMIT:
+                violations.append(
+                    f"entry of {e.bit_length()} bits listed twice is past the "
+                    f"{_PRIMALITY_BIT_LIMIT}-bit limit of the composite test"
+                )
+            elif pow(2, e - 1, e) == 1:
                 violations.append(
                     f"entry {quoted(str(e))} listed twice is a base-2 probable prime"
                 )

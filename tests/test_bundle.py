@@ -73,7 +73,7 @@ class TestParseCoveringFile:
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0 two\n")
-        with pytest.raises(BundleError, match="non-integer"):
+        with pytest.raises(BundleError, match="x.txt:1: bad modulus 'two'"):
             parse_covering_file(path)
 
     def test_rho_optional(self, tmp_path):

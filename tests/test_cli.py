@@ -181,22 +181,32 @@ class TestCoverCli:
         assert out.splitlines()[2:] == ["max prime: unresolved", "covering: True"]
 
     @pytest.mark.parametrize(
-        "line, quoted",
+        "line, quoted, length",
         [
-            ("# digit " + "x" * 3000, "bad digit header '# digit xxxx"),
-            ("0 2 " + "x" * 3000, "non-integer field in '0 2 xxxx"),
-            ("0 2" + " 1" * 1500, "expected 'a m [rho]', got '0 2 1 1"),
+            ("# digit " + "x" * 3000, "bad digit 'xxxx", 3000),
+            ("0 2 " + "x" * 3000, "bad index 'xxxx", 3000),
+            ("0 2" + " 1" * 1500, "expected 'a m [rho]', got '0 2 1 1", 3003),
         ],
         ids=["header", "field", "fields"],
     )
-    def test_verify_quotes_a_prefix_of_a_malformed_line(self, tmp_path, capsys, line, quoted):
+    def test_verify_quotes_a_prefix_of_a_malformed_line(
+        self, tmp_path, capsys, line, quoted, length
+    ):
         path = tmp_path / "hostile.txt"
         path.write_text(line + "\n0 1\n")
         code, out, err = run(capsys, "cover", "verify", str(path))
         assert code == 2
         assert out == ""
         assert f"{path}:1: {quoted}" in err
-        assert err.endswith(f"... ({len(line)} characters)\n") and len(err) < 200
+        assert err.endswith(f"... ({length} characters)\n") and len(err) < 200
+
+    def test_verify_names_a_field_past_the_int_string_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text("0 1\n0 " + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"data error: {path}:2: modulus of 5000 digits exceeds Python's ")
+        assert "int-string limit" in err and len(err) < 200 and "7" * 50 not in err
 
     @pytest.mark.parametrize(
         "line, message",
@@ -266,6 +276,30 @@ class TestConstructCli:
         code, out, err = run(capsys, "construct", "certify", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {path}:2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "certify", "--construction", "c.txt",
+              "--n", "x", "--d", "9", "--k", "1"], "--n: bad integer 'x'"),
+            (["construct", "certify", "--construction", "c.txt",
+              "--n", "1", "--d", "9", "--k", "1.5"], "--k: bad integer '1.5'"),
+            (["construct", "assemble", "--digits", "9,x"], "--digits: bad integer 'x'"),
+            (["delicate", "check", "x"], "n: bad integer 'x'"),
+            (["delicate", "stable", "x"], "n: bad integer 'x'"),
+            (["delicate", "scan", "--bound", "1e6"], "--bound: bad integer '1e6'"),
+            (["graham", "verify", "--a", "x", "--b", "1", "--primes", "2"],
+             "--a: bad integer 'x'"),
+            (["graham", "reduce", "--a", "1", "--b", "1", "--primes", "2,y"],
+             "--primes: bad integer 'y'"),
+            (["order", "primes", "x"], "m: bad integer 'x'"),
+        ],
+        ids=["n", "k", "digits", "check", "stable", "bound", "a", "primes", "m"],
+    )
+    def test_numeric_argument_errors_name_the_argument(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_certify_rejects_off_progression(self, tmp_path, capsys):
         out_file = tmp_path / "mini.txt"

@@ -447,26 +447,42 @@ class TestValidateOrderTable:
         shipped = load_order_table(DATA_ROOT / "coverings" / ORDER_PRIMES_FILE)
         assert validate_order_table(shipped) == []
         q = 21649 * 513239
-        value = cyclotomic_value(2888, 10)
-        assert validate_order_table({11: (q, q), 2888: (value, value)}) == []
+        value = cyclotomic_value(2584, 10)
+        assert validate_order_table({11: (q, q), 2584: (value, value)}) == []
+        large = cyclotomic_value(2888, 10)
+        assert len(validate_order_table({2888: (large, large)})) == 1
         assert len(validate_order_table({11: (q, q, q), 30: (211 * 241, 241 * 2161)})) == 2
 
     def test_thousand_digit_placeholder(self, tmp_path):
-        # the modulus-2888 value itself: a 1368-digit composite standing in
+        # the modulus-2584 value itself: a 1153-digit composite standing in
         # for two unknown prime factors; validation must stay fast at that
         # size (one division, one gcd, one base-2 Fermat witness)
-        value = cyclotomic_value(2888, 10)
-        assert len(str(value)) == 1368
+        value = cyclotomic_value(2584, 10)
+        assert len(str(value)) == 1153 and value.bit_length() <= _PRIMALITY_BIT_LIMIT
         path = tmp_path / "orders.txt"
-        path.write_text(f"2888: {value}*2\n")
+        path.write_text(f"2584: {value}*2\n")
         table = load_order_table(path)
-        assert table == {2888: (value, value)}
+        assert table == {2584: (value, value)}
 
         start = time.perf_counter()
         violations = validate_order_table(table)
         elapsed = time.perf_counter() - start
         assert violations == []
         assert elapsed < 60
+
+    @pytest.mark.parametrize("m", [2888, 4297])
+    def test_mark_past_the_primality_limit_is_refused_by_size(self, m):
+        # the whole value listed twice: 4,544 and 14,272 bits, where the
+        # Fermat witness and the perfect-power test took 1-10 s
+        value = cyclotomic_value(m, 10)
+        assert value.bit_length() > _PRIMALITY_BIT_LIMIT
+        start = time.perf_counter()
+        violations = validate_order_table({m: (value, value)})
+        assert time.perf_counter() - start < 1
+        assert violations == [
+            f"m={m}: entry of {value.bit_length()} bits listed twice is past the "
+            f"{_PRIMALITY_BIT_LIMIT}-bit limit of the composite test"
+        ]
 
     def test_large_primes_are_read_as_primes(self):
         # the order-41 prime lies above the deterministic Miller-Rabin bound,

@@ -1,6 +1,7 @@
 """Every table row reaches its prime through one function: the report, its
 shared-prime check and `construct assemble` all consume that resolver, so
-they cannot resolve a row differently."""
+they cannot resolve a row differently.  Likewise one limb sweep,
+`residues_mod`, reduces a big integer modulo many small ones."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,29 @@ def test_only_construction_tests_orders():
     # a prime dividing Phi_m(10) and not m has order m, and the scan's
     # numpy filter is has_order's own test, so cyclotomic needs none
     assert callers("has_order") == {"construction:validate"}
+
+
+def limb_folds() -> set[str]:
+    """`module:function` for every package function that folds an integer
+    into 32-bit limbs: a 32-bit shift or the 0xFFFFFFFF limb mask."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                shift = isinstance(node, ast.BinOp) and isinstance(
+                    node.op, (ast.LShift, ast.RShift)
+                ) and any(getattr(c, "value", None) == 32 for c in ast.walk(node.right))
+                mask = isinstance(node, ast.Constant) and node.value == 0xFFFFFFFF
+                if shift or mask:
+                    found.add(f"{path.stem}:{func.name}")
+    return found
+
+
+def test_one_residue_sweep():
+    # trial division and the order-m scan reduce a big integer modulo many
+    # small ones through the same limb fold
+    assert callers("residues_mod") == {"arith:factor", "cyclotomic:_primes_of_order_cached"}
+    assert limb_folds() == {"arith:residues_mod"}

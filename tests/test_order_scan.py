@@ -1,12 +1,14 @@
 """Order-m primes by the scan of p = 1 (mod lcm(2, m)) and the p - 1 split
 of what is left, against sympy as an independent oracle."""
 
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from digitcover import cyclotomic
 from digitcover.arith import FactorBudget, _prime_stream, pm1_split, primes_up_to
 from digitcover.bundle import default_bundle, resolve_assignment
 from digitcover.cyclotomic import SCAN_BOUND, _pow10_mod, cyclotomic_value, primes_of_order
@@ -90,6 +92,31 @@ def test_scan_counters():
     # the cofactor is 1 after the first chunk, so the scan stops there
     assert result.scan_candidates == 64 and result.scan_survivors == 2
     assert result.exact_below == 1 + 65 * 8
+
+
+def test_sweep_and_order_test_keep_the_same_primes(monkeypatch):
+    # each kernel forced on moduli from both sides of the size rule: only
+    # the count of candidates passed to is_prime may differ, and the sweep
+    # passes no more than the order test
+    scan = cyclotomic._primes_of_order_cached.__wrapped__
+    moduli = [2, 6, 8, 43, 69, 140, 211, 331, 931, 5000]
+    swept = [m for m in moduli
+             if cyclotomic._order_cofactor(m)[0].bit_length()
+             <= cyclotomic._SWEEP_BITS * m.bit_length()]
+    assert 3 <= len(swept) <= len(moduli) - 3
+    survivors = {}
+    for m in moduli:
+        results = []
+        for bits in (0, 10 ** 9):  # the order test always, the sweep always
+            monkeypatch.setattr(cyclotomic, "_SWEEP_BITS", bits)
+            results.append(scan(m, SMALL_BUDGET))
+        order_test, sweep = results
+        assert dataclasses.replace(sweep, scan_survivors=0) == dataclasses.replace(
+            order_test, scan_survivors=0), m
+        assert sweep.scan_survivors <= order_test.scan_survivors, m
+        survivors[m] = (order_test.scan_survivors, sweep.scan_survivors)
+    # the sweep drops composite candidates: 33 and 99 for m = 2
+    assert survivors[2] == (3, 1) and survivors[6] == (4, 3)
 
 
 def test_prime_stream_matches_sieve_across_segments():

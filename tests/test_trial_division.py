@@ -1,9 +1,10 @@
 """Trial division in `factor` against sympy as an independent oracle, at and
 around the trial bound, plus the invariant that an incomplete factorization
 still lists every prime below the bound.  `factor` sweeps n modulo the
-table's primes with numpy, folding in 32-bit limbs past n's top 64 bits;
-the sweep is checked on both sides of 2^64, 2^96 and 2^128 and at the bit
-lengths where a limb is added.  (`resolve_assignment`
+table's primes with `residues_mod`, which folds in 32-bit limbs past n's
+top 64 bits; the sweep is checked on both sides of 2^64, 2^96 and 2^128
+and at the bit lengths where a limb is added, and `residues_mod` alone
+against Python's % for moduli up to 2^32 - 1.  (`resolve_assignment`
 no longer relies on it: order-m primes come from the scan in
 `primes_of_order`, whose exact prefix is tested in test_order_scan.py.)"""
 
@@ -11,9 +12,10 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from digitcover.arith import MAX_TRIAL_BOUND, FactorBudget, factor, primes_up_to
+from digitcover.arith import MAX_TRIAL_BOUND, FactorBudget, factor, primes_up_to, residues_mod
 
 sympy = pytest.importorskip("sympy")
 
@@ -150,3 +152,16 @@ def test_word_sweep_matches_block_walk_and_sympy(bound, rho_iterations):
             assert found == {p: e for p, e in factorint(n).items() if p <= bound}, (bound, n)
         if rho_iterations:
             assert result.complete, (bound, n)
+
+
+def test_residues_mod_matches_python_mod_up_to_2_32():
+    # a residue below 2^32 shifted a limb up, plus the limb, stays below 2^64
+    rng = random.Random(32)
+    moduli = [1, 2, 3, 2 ** 31, 2 ** 32 - 5, 2 ** 32 - 1]
+    moduli += [rng.randrange(2, 2 ** 32) for _ in range(300)]
+    words = np.array(moduli, dtype=np.uint64)
+    inputs = [0, 1, 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 64, 2 ** 96 - 1, 2 ** 96, 2 ** 128 + 1]
+    for bits in (63, 64, 65, 95, 96, 97, 4000):
+        inputs += [2 ** (bits - 1), 2 ** bits - 1, rng.getrandbits(bits) | 2 ** (bits - 1)]
+    for n in inputs:
+        assert residues_mod(n, words).tolist() == [n % q for q in moduli], n
