@@ -27,7 +27,10 @@ stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
 prime factors p are known to have a given factor of p - 1: the order-m
 primes of `cyclotomic` all have lcm(2, m) | p - 1, and every odd prime has
 2 | p - 1.  Its primes come from the cached table and then a segmented
-sieve, so no prime list grows past the table.
+sieve, so no prime list grows past the table.  A budget of 10**6
+multiplications or more first runs the schedule of a 10**4 budget and
+runs its own schedule only if that finds nothing, so a factor within
+easy reach costs what it costs at 10**4.
 """
 
 from __future__ import annotations
@@ -297,7 +300,8 @@ class FactorBudget:
         attempt, and also a cap on the modular multiplications of the
         p - 1 pass before rho; for `primes_of_order`, the modular
         multiplications that `pm1_split` may spend on each composite
-        cofactor.
+        cofactor.  From 10**6 up, `pm1_split` spends the first 10**4 of
+        them on each base as a budget of 10**4 would.
     rho_restarts: for `factor`, rho attempts with distinct polynomial
         constants per cofactor; for `primes_of_order`, the p - 1 bases tried
         on a cofactor whose gcd collapses to the whole cofactor.
@@ -383,6 +387,10 @@ _PM1_BLOCK = 64
 _PM1_GIANT = 210
 # Baby steps r that stage 2 can meet: those 48, and one each for q <= 7.
 _PM1_RESIDUES = 52
+# The budget of the first pass of pm1_split, run on each base when the
+# budget is at least 100 times as large, so the pass costs at most 1%.  Its
+# stage 1 stops at min(10**4 / 4, 25 * sqrt(10**4)) = 2,500.
+_PM1_PROBE = 10_000
 
 
 def _prime_stream() -> Iterator[int]:
@@ -418,6 +426,79 @@ def _stage_two_fit(block: list[int], v: int, small: dict[int, int], room: int) -
     return len(block)
 
 
+def _pm1_pass(
+    n: int, base: int, known: int, spent: int, bound: int, stop: int, limit: int
+) -> tuple[int, int]:
+    """One pass of `pm1_split` on base: (g, spent) from x = base**known.
+    Stage 1 raises x to the prime powers q**e <= bound while spent < stop,
+    and stage 2 takes the primes that follow while spent stays within
+    limit, until gcd g != 1."""
+    x = pow(base, known, n)
+    spent += known.bit_length()
+    primes = _prime_stream()
+    # stage 1: x <- x**(q**e), gcd(x - 1, n) once per block; a block
+    # takes prime powers while its exponent fits the budget left
+    g = 1
+    while g == 1 and spent < stop:
+        powers, exponent = [], 1
+        for q in primes:
+            pe = q
+            while pe * q <= bound:
+                pe *= q
+            powers.append(pe)
+            exponent *= pe
+            if len(powers) == _PM1_BLOCK or spent + exponent.bit_length() >= limit:
+                break
+        y = pow(x, exponent, n)
+        spent += exponent.bit_length()
+        g = math.gcd(y - 1, n)
+        if g == n:
+            for pe in powers:
+                x = pow(x, pe, n)
+                g = math.gcd(x - 1, n)
+                if g != 1:
+                    break
+        x = y
+    # stage 2: x**(v*W) - x**r for each next prime q = v*W - r
+    fits = spent + _PM1_GIANT.bit_length() < limit
+    if fits:
+        giant = pow(x, _PM1_GIANT, n)
+        spent += _PM1_GIANT.bit_length()
+    small: dict[int, int] = {}
+    v, xv = 0, 1
+    while g == 1 and fits:
+        block = list(itertools.islice(primes, _PM1_BLOCK))
+        # a prime costs its giant steps, one product and at most 8 for a
+        # new x**r; the block that may not fit keeps the primes that do
+        room = limit - spent
+        fresh = min(len(block), _PM1_RESIDUES - len(small))
+        if len(block) + 8 * fresh - v - (-block[-1] // _PM1_GIANT) > room:
+            keep = _stage_two_fit(block, v, small, room)
+            fits = keep == len(block)
+            del block[keep:]
+        start, acc = (v, xv), 1
+        for q in block:
+            while v * _PM1_GIANT < q:
+                v, xv = v + 1, xv * giant % n
+                spent += 1
+            r = v * _PM1_GIANT - q
+            if r not in small:
+                small[r] = pow(x, r, n)
+                spent += r.bit_length()
+            acc = acc * (xv - small[r]) % n
+        spent += len(block)
+        g = math.gcd(acc, n)
+        if g == n:
+            v, xv = start
+            for q in block:
+                while v * _PM1_GIANT < q:
+                    v, xv = v + 1, xv * giant % n
+                g = math.gcd(xv - small[v * _PM1_GIANT - q], n)
+                if g != 1:
+                    break
+    return g, spent
+
+
 def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], int]:
     """A proper factor of the composite n by Pollard's p - 1 method, or None,
     with the modular multiplications spent (a power with exponent e counts
@@ -438,76 +519,38 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
     exponent's bit length fits the budget left, and stage 2 takes a prime
     only if its multiplications fit, so spent exceeds rho_iterations by at
     most the bits of one prime power.
+
+    A budget of at least 100 * _PM1_PROBE = 10**6 first runs, on each base,
+    the schedule of a _PM1_PROBE budget: stage 1 to 2,500 multiplications,
+    then stage 2 until _PM1_PROBE are spent.  So a factor within easy reach
+    costs what it costs at 10**4, not a 25,000-multiplication stage 1
+    first.  If that first pass finds nothing, the full pass starts over
+    from b**known; its stage 1 stops where it would have stopped without
+    the first passes, which count in spent, so its stage 2 reaches up to
+    _PM1_PROBE multiplications fewer primes.  A smaller budget runs its own
+    schedule alone.
     """
     limit = budget.rho_iterations
     stage_one = min(limit // 4, 25 * math.isqrt(limit))
-    spent = 0
+    probe = limit >= 100 * _PM1_PROBE
+    spent = probed = 0
     for base in _SMALL_PRIMES[1 : 1 + budget.rho_restarts]:
         if spent + known.bit_length() > limit:
             break
-        x = pow(base, known, n)
-        spent += known.bit_length()
-        primes = _prime_stream()
-        # stage 1: x <- x**(q**e), gcd(x - 1, n) once per block; a block
-        # takes prime powers while its exponent fits the budget left
-        g = 1
-        while g == 1 and spent < stage_one:
-            powers, exponent = [], 1
-            for q in primes:
-                pe = q
-                while pe * q <= limit:
-                    pe *= q
-                powers.append(pe)
-                exponent *= pe
-                if len(powers) == _PM1_BLOCK or spent + exponent.bit_length() >= limit:
-                    break
-            y = pow(x, exponent, n)
-            spent += exponent.bit_length()
-            g = math.gcd(y - 1, n)
+        if probe:
+            start = spent
+            g, spent = _pm1_pass(
+                n, base, known, spent, _PM1_PROBE, start + _PM1_PROBE // 4,
+                min(start + _PM1_PROBE, limit),
+            )
+            probed += spent - start
             if g == n:
-                for pe in powers:
-                    x = pow(x, pe, n)
-                    g = math.gcd(x - 1, n)
-                    if g != 1:
-                        break
-            x = y
-        # stage 2: x**(v*W) - x**r for each next prime q = v*W - r
-        fits = spent + _PM1_GIANT.bit_length() < limit
-        if fits:
-            giant = pow(x, _PM1_GIANT, n)
-            spent += _PM1_GIANT.bit_length()
-        small: dict[int, int] = {}
-        v, xv = 0, 1
-        while g == 1 and fits:
-            block = list(itertools.islice(primes, _PM1_BLOCK))
-            # a prime costs its giant steps, one product and at most 8 for a
-            # new x**r; the block that may not fit keeps the primes that do
-            room = limit - spent
-            fresh = min(len(block), _PM1_RESIDUES - len(small))
-            if len(block) + 8 * fresh - v - (-block[-1] // _PM1_GIANT) > room:
-                keep = _stage_two_fit(block, v, small, room)
-                fits = keep == len(block)
-                del block[keep:]
-            start, acc = (v, xv), 1
-            for q in block:
-                while v * _PM1_GIANT < q:
-                    v, xv = v + 1, xv * giant % n
-                    spent += 1
-                r = v * _PM1_GIANT - q
-                if r not in small:
-                    small[r] = pow(x, r, n)
-                    spent += r.bit_length()
-                acc = acc * (xv - small[r]) % n
-            spent += len(block)
-            g = math.gcd(acc, n)
-            if g == n:
-                v, xv = start
-                for q in block:
-                    while v * _PM1_GIANT < q:
-                        v, xv = v + 1, xv * giant % n
-                    g = math.gcd(xv - small[v * _PM1_GIANT - q], n)
-                    if g != 1:
-                        break
+                continue
+            if g != 1:
+                return g, spent
+            if spent + known.bit_length() > limit:
+                break
+        g, spent = _pm1_pass(n, base, known, spent, limit, stage_one + probed, limit)
         if 1 < g < n:
             return g, spent
     return None, spent

@@ -152,7 +152,8 @@ def _int_field(token: str, where: str, name: str) -> int:
 
 def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     """Parse a covering file: optional `# digit <d>` header, then one
-    `a m [rho]` line per congruence, each number read by `parse_int`.
+    `a m [rho]` line per congruence, each number read by `parse_int`.  A
+    comment whose first word is `digit` must be exactly that header.
     Residues outside [0, m) are normalized with a warning; anything else
     malformed raises BundleError with the offending location."""
     path = Path(path)
@@ -165,7 +166,11 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "digit":
+            if parts[:1] == ["digit"]:
+                if len(parts) != 2:
+                    raise BundleError(
+                        f"{path}:{lineno}: expected '# digit <d>', got {quoted(raw)}"
+                    )
                 digit = _int_field(parts[1], f"{path}:{lineno}", "digit")
             continue
         parts = line.split()

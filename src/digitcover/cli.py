@@ -373,6 +373,7 @@ def cmd_order_primes(args) -> int:
         "reason": result.reason,
         "scan_candidates": result.scan_candidates,
         "scan_survivors": result.scan_survivors,
+        "pm1_multiplications": result.pm1_multiplications,
         "remainder_digits": (
             None if result.remainder is None else digit_count(result.remainder)
         ),
@@ -386,6 +387,8 @@ def cmd_order_primes(args) -> int:
         f"complete: {result.complete}"
         + ("" if result.complete else f" ({result.reason})"),
         f"every order-{result.modulus} prime below {result.exact_below} is listed",
+        f"scan candidates: {result.scan_candidates}; "
+        f"p-1 multiplications: {result.pm1_multiplications}",
     ]
     _emit(args, payload, lines)
     return OK

@@ -107,7 +107,9 @@ class OrderPrimes:
     candidates the scan tested, and scan_survivors those it passed to
     `is_prime`: each order-m prime, plus, while the scan sweeps the
     cofactor, each composite candidate dividing it (m = 2 keeps 11 alone,
-    where the order test also passes 33 and 99).
+    where the order test also passes 33 and 99).  pm1_multiplications sums
+    the multiplications `pm1_split` spent on the cofactor's parts, and is 0
+    for a list proven by `prove_order_primes`.
     """
 
     modulus: int
@@ -119,6 +121,7 @@ class OrderPrimes:
     reason: Optional[str] = None
     scan_candidates: int = 0
     scan_survivors: int = 0
+    pm1_multiplications: int = 0
 
     @property
     def exact(self) -> tuple[int, ...]:
@@ -238,6 +241,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
     rest: list[int] = []
     reasons: list[str] = []
     probable: set[int] = set()
+    multiplications = 0
     while parts:
         n = parts.pop()
         if n.bit_length() > _PRIMALITY_BIT_LIMIT:
@@ -259,6 +263,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
             )
         else:
             d, spent = pm1_split(n, step, budget)
+            multiplications += spent
             if d is None:
                 rest.append(n)
                 reasons.append(
@@ -276,6 +281,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
         reason="; ".join(reasons) or None,
         scan_candidates=candidates,
         scan_survivors=survivors,
+        pm1_multiplications=multiplications,
     )
 
 
@@ -300,7 +306,10 @@ def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrime
     first factor splits the cofactor in two without spending budget.  Each
     part above _PRIMALITY_BIT_LIMIT bits is left whole, its primality not
     tested, since `is_prime` runs for minutes there.  A composite part of at
-    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget.
+    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget: a
+    budget of 10**6 multiplications or more, the default included, first
+    runs the 10**4 schedule, which finds every split of the table moduli
+    m <= 64, and pm1_multiplications sums what the splits spent.
     Every part divides the cofactor, so a part that counts as prime has
     order m; it counts as prime below the limit squared or when `is_prime`
     says so, and lands in `probable` when `is_prime` only calls it a

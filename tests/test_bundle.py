@@ -144,6 +144,13 @@ class TestIngest:
         with pytest.raises(BundleError, match="d9.txt: header digit 8 disagrees with the name's digit 9"):
             ingest_tables(tmp_path)
 
+    def test_malformed_digit_header(self, tmp_path):
+        # read as a comment, it would let the name's digit stand in for it
+        cov = copy_tables(tmp_path)
+        (cov / "d9.txt").write_text("# digit 9 x\n0 1 1\n")
+        with pytest.raises(BundleError, match=r"d9.txt:1: expected '# digit <d>', got '# digit 9 x'$"):
+            ingest_tables(tmp_path)
+
     def test_file_for_a_mod3_digit(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d2.txt").write_text("# digit 2\n0 2 1\n1 2 1\n")

@@ -169,6 +169,16 @@ class TestCoverCli:
         payload = json.loads(out)
         assert payload["max_prime"] is None and payload["covering"] is True
 
+    @pytest.mark.parametrize("header", ["# digit 1x 2", "# digit", "#digit 1 2"])
+    def test_verify_rejects_a_malformed_digit_header(self, tmp_path, capsys, header):
+        # a comment whose first word is `digit` is the header or an error,
+        # never a plain comment that leaves the digit unset
+        path = tmp_path / "header.txt"
+        path.write_text(header + "\n0 1\n")
+        code, out, err = run(capsys, "--format", "json", "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"data error: {path}:1: expected '# digit <d>', got {header!r}\n"
+
     def test_unfactorable_lcm_gives_up_quickly(self, tmp_path, capsys):
         # lcm_analysis factors at a small rho budget, so the default one
         # (seconds on 2^128 + 1) is never spent on the largest prime
@@ -790,12 +800,25 @@ class TestOrderCli:
         assert code == 0
         assert "complete: False (p-1 spent " in out
         assert "every order-69 prime below 1000087 is listed" in out
+        assert f"scan candidates: {(10 ** 6 - 2) // 138}; p-1 multiplications: " in out
         code, out, _ = run(capsys, "--format", "json", *argv)
         payload = json.loads(out)
         assert payload["primes"] == ["277"] and payload["exact_below"] == 1000087
         assert payload["reason"].endswith("multiplications on a 42-digit cofactor")
         assert payload["scan_candidates"] == (10 ** 6 - 2) // 138
         assert payload["scan_survivors"] >= 1
+        assert payload["reason"] == (
+            f"p-1 spent {payload['pm1_multiplications']} multiplications on a 42-digit cofactor"
+        )
+
+    def test_primes_counts_pm1_multiplications(self, capsys):
+        # Phi_37(10) leaves 2028119 * 247629013 * 2212394296770203368013:
+        # two splits, found within the default budget's 10**4 first pass
+        code, out, _ = run(capsys, "order", "primes", "37")
+        assert code == 0
+        assert out.splitlines()[-1] == "scan candidates: 13513; p-1 multiplications: 6919"
+        code, out, _ = run(capsys, "--format", "json", "order", "primes", "37")
+        assert json.loads(out)["pm1_multiplications"] == 6919
 
     def test_counts_unresolved_row_shows_reason(self, needs_two_of_order_3, capsys):
         argv = needs_two_of_order_3

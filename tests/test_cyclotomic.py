@@ -150,6 +150,17 @@ class TestPrimesOfOrder:
                     continue
                 assert (value % p == 0) == (order == m), (p, m)
 
+    def test_pm1_multiplications_on_the_table_moduli(self, bundle):
+        # the 12 splits of the table moduli m <= 64 each end within the
+        # 10**4 first pass of the default budget (121,883 without it); the
+        # band m <= 1000 at 10**4 runs that schedule alone
+        low = [m for m in bundle.order_counts if m <= 64]
+        assert sum(primes_of_order(m).pm1_multiplications for m in low) == 34_244
+        band = [m for m in bundle.order_counts if m <= 1000]
+        spent = sum(primes_of_order(m, BAND_BUDGET).pm1_multiplications for m in band)
+        assert spent == 1_356_222
+        assert prove_order_primes(8, [73, 137]).pm1_multiplications == 0
+
 
 def perturbed_row(rng, m, order_primes):
     """The order-m primes of `order_primes` (a dict from each modulus to its

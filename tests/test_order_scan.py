@@ -8,8 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from digitcover import cyclotomic
-from digitcover.arith import FactorBudget, _prime_stream, pm1_split, primes_up_to
+from digitcover import arith, cyclotomic
+from digitcover.arith import (
+    DEFAULT_BUDGET,
+    FactorBudget,
+    _prime_stream,
+    pm1_split,
+    primes_up_to,
+)
 from digitcover.bundle import default_bundle, resolve_assignment
 from digitcover.cyclotomic import SCAN_BOUND, _pow10_mod, cyclotomic_value, primes_of_order
 from digitcover.delicate import find_first_digitally_delicate, is_digitally_delicate
@@ -155,6 +161,61 @@ class TestPm1Split:
         # block (64 terms and a few giant steps) may run past it
         assert 10_000 <= spent <= 10_000 + 2 * 64
         assert pm1_split(n, 2, FactorBudget(rho_iterations=0)) == (None, 0)
+
+    # (n, rho_restarts) of the tests above, and (d, spent) at budgets 0, 100,
+    # 10**4, 10**5 and 999,999: below 10**6 each budget runs its own
+    # schedule alone, unchanged from before the 10**4 first pass
+    @pytest.mark.parametrize("n, restarts, expected", [
+        (211 * 859, 1, [(None, 0), (211, 100), (211, 596), (211, 947), (211, 1054)]),
+        (272039 * 167633, 1,
+         [(None, 0), (None, 100), (272039, 4570), (272039, 9081), (272039, 17425)]),
+        (11 * 31, 1, [(None, 0), (None, 100), (None, 596), (None, 947), (None, 1054)]),
+        (11 * 31, 2, [(None, 0), (None, 100), (31, 1192), (31, 1894), (31, 2108)]),
+        (2000000579 * 2000001743, 4,
+         [(None, 0), (None, 100), (None, 10_000), (None, 100_000), (None, 999_999)]),
+    ])
+    def test_budgets_below_a_million_are_pinned(self, n, restarts, expected):
+        budgets = (0, 100, 10_000, 100_000, 999_999)
+        assert [
+            pm1_split(n, 2, FactorBudget(rho_iterations=b, rho_restarts=restarts))
+            for b in budgets
+        ] == expected
+
+    def test_large_budget_finds_an_easy_factor_first(self):
+        # what Phi_37(10) leaves after the scan; 2028119 - 1 = 2*37*27407.
+        # The 10**4 schedule finds it after 6,318 multiplications, and the
+        # default budget runs that schedule first instead of spending 25,000
+        # on stage 1 (26,898 in all)
+        n = 2028119 * 2212394296770203368013
+        assert pm1_split(n, 74, FactorBudget(rho_iterations=10_000)) == (2028119, 6318)
+        assert pm1_split(n, 74, DEFAULT_BUDGET) == (2028119, 6318)
+
+    def test_large_budget_still_separates_in_one_block(self):
+        d, spent = pm1_split(272039 * 167633, 2, DEFAULT_BUDGET)
+        assert d == 272039 and spent == 4570
+
+    def test_large_budget_is_spent_and_reported(self, monkeypatch):
+        # the first pass counts in spent, which still ends within the
+        # budget plus one prime power; and the primes the two passes pull
+        # (about 900,000) are let go block by block, not held until the end
+        live = [0, 0]
+
+        class Prime(int):
+            def __del__(self):
+                live[0] -= 1
+
+        def counted(stream=arith._prime_stream):
+            for q in stream():
+                live[0] += 1
+                live[1] = max(live)
+                yield Prime(q)
+
+        monkeypatch.setattr(arith, "_prime_stream", counted)
+        n = 2000000579 * 2000001743
+        d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=10 ** 6))
+        assert d is None
+        assert 10 ** 6 <= spent <= 10 ** 6 + 128
+        assert live[1] < 1_000
 
 
 def test_first_delicate_scan_equals_predicate_loop():
