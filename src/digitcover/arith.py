@@ -459,8 +459,9 @@ def _pm1_pass(
                 if g != 1:
                     break
         x = y
-    # stage 2: x**(v*W) - x**r for each next prime q = v*W - r
-    fits = spent + _PM1_GIANT.bit_length() < limit
+    # stage 2, only when stage 1 found nothing: x**(v*W) - x**r for each
+    # next prime q = v*W - r
+    fits = g == 1 and spent + _PM1_GIANT.bit_length() < limit
     if fits:
         giant = pow(x, _PM1_GIANT, n)
         spent += _PM1_GIANT.bit_length()

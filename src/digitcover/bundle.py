@@ -39,7 +39,6 @@ from .cyclotomic import (
 
 __all__ = [
     "TableBundle",
-    "BundleError",
     "ingest_tables",
     "default_bundle",
     "parse_covering_file",
@@ -125,10 +124,6 @@ REPEATED_PRIME_DIGITS = {
 }
 
 
-class BundleError(ValueError):
-    """Malformed or incomplete table data; str() carries file:line context."""
-
-
 @dataclass(frozen=True)
 class CoveringRow:
     congruence: Congruence
@@ -142,20 +137,12 @@ class ParsedCovering:
     warnings: list[str] = field(default_factory=list)
 
 
-def _int_field(token: str, where: str, name: str) -> int:
-    """`parse_int`, its ValueError raised as a BundleError."""
-    try:
-        return parse_int(token, where, name)
-    except ValueError as exc:
-        raise BundleError(str(exc)) from None
-
-
 def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     """Parse a covering file: optional `# digit <d>` header, then one
     `a m [rho]` line per congruence, each number read by `parse_int`.  A
     comment whose first word is `digit` must be exactly that header.
     Residues outside [0, m) are normalized with a warning; anything else
-    malformed raises BundleError with the offending location."""
+    malformed raises ValueError with the offending location."""
     path = Path(path)
     digit: Optional[int] = None
     rows: list[CoveringRow] = []
@@ -168,24 +155,24 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
             parts = line[1:].split()
             if parts[:1] == ["digit"]:
                 if len(parts) != 2:
-                    raise BundleError(
+                    raise ValueError(
                         f"{path}:{lineno}: expected '# digit <d>', got {quoted(raw)}"
                     )
-                digit = _int_field(parts[1], f"{path}:{lineno}", "digit")
+                digit = parse_int(parts[1], f"{path}:{lineno}", "digit")
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise BundleError(f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}")
+            raise ValueError(f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}")
         try:  # plain int first: every shipped row passes here
             a, m, *rest = map(int, parts)
         except ValueError:  # parse_int names the field that fails
             where = [f"{path}:{lineno}"] * 3
-            a, m, *rest = map(_int_field, parts, where, ("residue", "modulus", "index"))
+            a, m, *rest = map(parse_int, parts, where, ("residue", "modulus", "index"))
         rho = rest[0] if rest else None
         if m < 1:
-            raise BundleError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
+            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
         if rho is not None and rho < 1:
-            raise BundleError(f"{path}:{lineno}: index {quoted(str(rho))} must be >= 1")
+            raise ValueError(f"{path}:{lineno}: index {quoted(str(rho))} must be >= 1")
         if not 0 <= a < m:
             warnings.append(
                 f"{path}:{lineno}: residue {a} normalized to {a % m} (mod {m})"
@@ -218,7 +205,7 @@ class TableBundle:
         if digit in MOD3_DIGITS:
             return (CoveringRow(Congruence(0, 1), 1),)
         if digit not in self.coverings:
-            raise BundleError(f"no covering table for digit {digit}")
+            raise ValueError(f"no covering table for digit {digit}")
         return self.coverings[digit]
 
     @cached_property
@@ -236,15 +223,24 @@ class TableBundle:
         """The primes of order m that the rows index: the bundle's row for
         m, proved by `prove_order_primes` the first time it is asked for,
         or `primes_of_order(m, budget)` when there is no row.  A row that
-        fails its proof is a BundleError naming the file, m and the check."""
+        fails its proof is a ValueError naming the file, m and the check."""
         if m not in self.order_rows:
             return primes_of_order(m, budget)
         if m not in self._proven:
             try:
                 self._proven[m] = prove_order_primes(m, self.order_rows[m])
             except ValueError as exc:
-                raise BundleError(f"{self.order_file}: m={m}: {exc}") from None
+                raise ValueError(f"{self.order_file}: m={m}: {exc}") from None
         return self._proven[m]
+
+    def order_check(self, m: int, needed: int, budget: FactorBudget) -> OrderCountCheck:
+        """`order_primes(m, budget)` against needed primes: "enough" when it
+        lists that many, else "short" when the list is complete (a failure)
+        or "unresolved" when it is not."""
+        known = self.order_primes(m, budget)
+        found = len(known.primes)
+        status = "enough" if found >= needed else "short" if known.complete else "unresolved"
+        return OrderCountCheck(m, needed, found, status, known.reason)
 
     def resolved_rows(
         self, digit: int, resolve_limit: Optional[int], budget: FactorBudget
@@ -269,19 +265,19 @@ def _check_manifest(path: Path, files: list[Path]) -> None:
     try:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise BundleError(f"{path}: invalid JSON: {exc}") from None
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     digests = manifest.get("sha256") if isinstance(manifest, dict) else None
     if not isinstance(digests, dict):
-        raise BundleError(f"{path}: expected an object with a 'sha256' table")
+        raise ValueError(f"{path}: expected an object with a 'sha256' table")
     names = {p.name for p in files}
     if set(digests) != names:
-        raise BundleError(
+        raise ValueError(
             f"{path}: names absent files {sorted(set(digests) - names)} "
             f"and omits present ones {sorted(names - set(digests))}"
         )
     for p in files:
         if hashlib.sha256(p.read_bytes()).hexdigest() != digests[p.name]:
-            raise BundleError(f"{p.name}: checksum mismatch")
+            raise ValueError(f"{p.name}: checksum mismatch")
 
 
 def ingest_tables(directory: Union[str, Path]) -> TableBundle:
@@ -297,7 +293,7 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name exactly the
     files read, each with its digest.
 
-    Raises BundleError on any parse error, when a header disagrees with the
+    Raises ValueError on any parse error, when a header disagrees with the
     digit in the file name, when a file's digit is not a digit offset, is
     one of `MOD3_DIGITS` (which take the single congruence 0 mod 1, so no
     table) or was already supplied by another file, when a tabulated digit has no file,
@@ -306,17 +302,14 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     """
     root = Path(directory)
     if not root.is_dir():
-        raise BundleError(f"{root} is not a directory")
+        raise ValueError(f"{root} is not a directory")
     cov_dir = root / "coverings" if (root / "coverings").is_dir() else root
     paths = sorted(cov_dir.glob("d*.txt"))
     order_file: Optional[Path] = cov_dir / ORDER_PRIMES_FILE
     if not order_file.is_file():
         order_file = None
     _check_manifest(cov_dir / "manifest.json", paths + ([order_file] if order_file else []))
-    try:
-        order_rows = load_order_table(order_file) if order_file else {}
-    except ValueError as exc:
-        raise BundleError(str(exc)) from None
+    order_rows = load_order_table(order_file) if order_file else {}
 
     coverings: dict[int, tuple[CoveringRow, ...]] = {}
     files: dict[int, str] = {}  # the file that supplied each digit
@@ -330,18 +323,18 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
             named = None
         digit = named if parsed.digit is None else parsed.digit
         if digit is None:
-            raise BundleError(f"{path}: no digit header and unrecognized name")
+            raise ValueError(f"{path}: no digit header and unrecognized name")
         if named is not None and named != digit:
-            raise BundleError(
+            raise ValueError(
                 f"{path.name}: header digit {digit} disagrees with the name's digit {named}"
             )
         if digit not in DIGIT_OFFSETS or digit in MOD3_DIGITS:
-            raise BundleError(
+            raise ValueError(
                 f"{path.name}: digit {digit} is not a digit offset with a table "
                 "(-9..-1, 1..9, not 2 mod 3)"
             )
         if digit in files:
-            raise BundleError(
+            raise ValueError(
                 f"{path.name}: digit {digit} is already supplied by {files[digit]}"
             )
         files[digit] = path.name
@@ -351,7 +344,7 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
         d for d in DIGIT_OFFSETS if d not in coverings and d not in MOD3_DIGITS
     ]
     if missing:
-        raise BundleError(f"digit coverage gap: no covering table for {missing}")
+        raise ValueError(f"digit coverage gap: no covering table for {missing}")
     return TableBundle(
         coverings=coverings,
         warnings=warnings,
@@ -412,10 +405,9 @@ class SharedPrimeCheck:
 
 @dataclass(frozen=True)
 class OrderCountCheck:
-    """The `found` primes of order m against `needed`, the largest index the
-    rows give m.  status is "enough" when found >= needed, else "short" when
-    the list is complete (a failure) or "unresolved" when it is not; reason
-    says why the list is incomplete."""
+    """The `found` primes of order m against `needed`, with the status that
+    `TableBundle.order_check` gives them; reason says why the list is
+    incomplete."""
 
     m: int
     needed: int
@@ -588,14 +580,12 @@ def _shared_checks(
     ]
 
 
-def shared_prime_checks(
-    bundle: TableBundle, resolve_limit: int, budget: FactorBudget = DEFAULT_BUDGET
-) -> list[SharedPrimeCheck]:
-    """Resolve assignments up to the modulus limit within budget and check
-    every prime used by more than one digit for offset-residue
+def shared_prime_checks(bundle: TableBundle, resolve_limit: int) -> list[SharedPrimeCheck]:
+    """Resolve assignments up to the modulus limit within DEFAULT_BUDGET and
+    check every prime used by more than one digit for offset-residue
     consistency."""
     return _shared_checks(
-        {d: bundle.resolved_rows(d, resolve_limit, budget) for d in DIGIT_OFFSETS}
+        {d: bundle.resolved_rows(d, resolve_limit, DEFAULT_BUDGET) for d in DIGIT_OFFSETS}
     )
 
 
@@ -626,13 +616,11 @@ def reproduce_report(
         for d in DIGIT_OFFSETS
     ]
     shared = _shared_checks({r.digit: r.rows for r in reports})
-    order_counts = []
-    for m, needed in sorted(bundle.order_counts.items()):
-        if m <= resolve_limit:
-            known = bundle.order_primes(m, budget)
-            found = len(known.primes)
-            status = "enough" if found >= needed else "short" if known.complete else "unresolved"
-            order_counts.append(OrderCountCheck(m, needed, found, status, known.reason))
+    order_counts = [
+        bundle.order_check(m, needed, budget)
+        for m, needed in sorted(bundle.order_counts.items())
+        if m <= resolve_limit
+    ]
     return VerificationReport(
         digits=reports,
         shared=shared,

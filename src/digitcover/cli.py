@@ -17,7 +17,6 @@ from . import __version__
 from .arith import DEFAULT_BUDGET, FactorBudget, is_prime
 from .bundle import (
     RESOLVE_LIMIT,
-    BundleError,
     TableBundle,
     default_bundle,
     ingest_tables,
@@ -161,18 +160,17 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
     entries = []
     for row, prime in bundle.resolved_rows(digit, None, budget):
         if row.rho is None:
-            raise BundleError(
+            raise ValueError(
                 f"digit {digit}: congruence {row.congruence} has no prime index"
             )
         if prime is None:
-            m = row.congruence.modulus
-            known = bundle.order_primes(m, budget)
+            check = bundle.order_check(row.congruence.modulus, row.rho, budget)
             why = (
-                f"only {len(known.primes)} primes have order {m}"
-                if known.complete
-                else f"the order-{m} prime list is not computable within budget"
+                f"only {check.found} primes have order {check.m}"
+                if check.status == "short"
+                else f"the order-{check.m} prime list is incomplete ({check.reason})"
             )
-            raise BundleError(
+            raise ValueError(
                 f"digit {digit}: cannot resolve the prime for "
                 f"{row.congruence} (index {row.rho}); {why}"
             )
@@ -256,8 +254,7 @@ def cmd_delicate_check(args) -> int:
     if args.widely is not None and args.widely < 1:
         raise ValueError("window must be >= 1")
     if not is_prime(n):
-        print(f"{n} is not prime", file=sys.stderr)
-        return ERROR
+        raise ValueError(f"{n} is not prime")
     # one walk: the written digits first, then the leading zeros of --widely
     leading_zeros = 0 if args.widely is None else args.widely + 1
     failure = first_failure(n, leading_zeros)
@@ -524,9 +521,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BundleError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

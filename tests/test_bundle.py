@@ -19,7 +19,6 @@ from digitcover.bundle import (
     MOD3_DIGITS,
     ORDER_PRIMES_FILE,
     REPEATED_PRIME_DIGITS,
-    BundleError,
     CoveringRow,
     TableBundle,
     ingest_tables,
@@ -67,13 +66,13 @@ class TestParseCoveringFile:
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0 2\nbroken line here\n")
-        with pytest.raises(BundleError, match="x.txt:2"):
+        with pytest.raises(ValueError, match="x.txt:2"):
             parse_covering_file(path)
 
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("0 two\n")
-        with pytest.raises(BundleError, match="x.txt:1: bad modulus 'two'"):
+        with pytest.raises(ValueError, match="x.txt:1: bad modulus 'two'"):
             parse_covering_file(path)
 
     def test_rho_optional(self, tmp_path):
@@ -98,7 +97,7 @@ class TestIngest:
         )
 
     def test_empty_directory_is_gap_error(self, tmp_path):
-        with pytest.raises(BundleError, match="coverage gap"):
+        with pytest.raises(ValueError, match="coverage gap"):
             ingest_tables(tmp_path)
 
     def test_round_trip(self, tmp_path, bundle):
@@ -115,46 +114,46 @@ class TestIngest:
         cov = copy_tables(tmp_path)
         digests = {p.name: "0" * 64 for p in cov.glob("*.txt")}
         (cov / "manifest.json").write_text(json.dumps({"sha256": digests}))
-        with pytest.raises(BundleError, match="d-2.txt: checksum mismatch"):
+        with pytest.raises(ValueError, match="d-2.txt: checksum mismatch"):
             ingest_tables(tmp_path)
 
     def test_manifest_naming_a_missing_file(self, tmp_path):
         cov = tmp_path / "coverings"
         shutil.copytree(DATA_ROOT / "coverings", cov)
         (cov / "d9.txt").unlink()
-        with pytest.raises(BundleError, match=r"names absent files \['d9.txt'\] and omits present ones \[\]"):
+        with pytest.raises(ValueError, match=r"names absent files \['d9.txt'\] and omits present ones \[\]"):
             ingest_tables(tmp_path)
 
     def test_manifest_omitting_a_present_file(self, tmp_path):
         cov = tmp_path / "coverings"
         shutil.copytree(DATA_ROOT / "coverings", cov)
         shutil.copy(cov / "d9.txt", cov / "d09.txt")
-        with pytest.raises(BundleError, match=r"names absent files \[\] and omits present ones \['d09.txt'\]"):
+        with pytest.raises(ValueError, match=r"names absent files \[\] and omits present ones \['d09.txt'\]"):
             ingest_tables(tmp_path)
 
     def test_manifest_without_checksums(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "manifest.json").write_text(json.dumps({"mod3_digits": []}))
-        with pytest.raises(BundleError, match="expected an object with a 'sha256' table"):
+        with pytest.raises(ValueError, match="expected an object with a 'sha256' table"):
             ingest_tables(tmp_path)
 
     def test_header_disagreeing_with_file_name(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d9.txt").write_text("# digit 8\n0 1 1\n")
-        with pytest.raises(BundleError, match="d9.txt: header digit 8 disagrees with the name's digit 9"):
+        with pytest.raises(ValueError, match="d9.txt: header digit 8 disagrees with the name's digit 9"):
             ingest_tables(tmp_path)
 
     def test_malformed_digit_header(self, tmp_path):
         # read as a comment, it would let the name's digit stand in for it
         cov = copy_tables(tmp_path)
         (cov / "d9.txt").write_text("# digit 9 x\n0 1 1\n")
-        with pytest.raises(BundleError, match=r"d9.txt:1: expected '# digit <d>', got '# digit 9 x'$"):
+        with pytest.raises(ValueError, match=r"d9.txt:1: expected '# digit <d>', got '# digit 9 x'$"):
             ingest_tables(tmp_path)
 
     def test_file_for_a_mod3_digit(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d2.txt").write_text("# digit 2\n0 2 1\n1 2 1\n")
-        with pytest.raises(BundleError, match="d2.txt: digit 2 is not a digit offset with a table"):
+        with pytest.raises(ValueError, match="d2.txt: digit 2 is not a digit offset with a table"):
             ingest_tables(tmp_path)
 
     def test_order_counts_follow_the_rows(self, tmp_path, bundle):
@@ -172,7 +171,7 @@ class TestIngest:
     def test_glob_unrecognized_name(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "dx.txt").write_text("0 1 1\n")
-        with pytest.raises(BundleError, match="dx.txt: no digit header and unrecognized name"):
+        with pytest.raises(ValueError, match="dx.txt: no digit header and unrecognized name"):
             ingest_tables(tmp_path)
 
     def test_manifest_and_glob_routes_agree(self, tmp_path, bundle):
@@ -192,20 +191,20 @@ class TestIngest:
     def test_glob_digit_outside_offsets(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d12.txt").write_text("0 1 1\n")
-        with pytest.raises(BundleError, match="d12.txt: digit 12 is not a digit offset"):
+        with pytest.raises(ValueError, match="d12.txt: digit 12 is not a digit offset"):
             ingest_tables(tmp_path)
 
     def test_glob_digit_supplied_twice(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d09.txt").write_text("0 2 1\n1 2 1\n")
-        with pytest.raises(BundleError, match="d9.txt: digit 9 is already supplied by d09.txt"):
+        with pytest.raises(ValueError, match="d9.txt: digit 9 is already supplied by d09.txt"):
             ingest_tables(tmp_path)
 
     def test_bad_manifest_json(self, tmp_path):
         cov = tmp_path / "coverings"
         cov.mkdir()
         (cov / "manifest.json").write_text("{")
-        with pytest.raises(BundleError, match="invalid JSON"):
+        with pytest.raises(ValueError, match="invalid JSON"):
             ingest_tables(tmp_path)
 
 
@@ -223,7 +222,7 @@ class TestResolvedRows:
             )
 
     def test_unknown_digit_is_bundle_error(self, bundle):
-        with pytest.raises(BundleError, match="no covering table for digit 0"):
+        with pytest.raises(ValueError, match="no covering table for digit 0"):
             bundle.rows(0)
 
     def test_limit_and_missing_index_give_none(self, bundle):
@@ -343,7 +342,7 @@ class TestHostileOrderRows:
     )
     def test_row_fails_its_proof(self, tmp_path, row, check):
         tables = with_order_row(tmp_path, row)
-        with pytest.raises(BundleError) as info:
+        with pytest.raises(ValueError) as info:
             tables.order_primes(6, DEFAULT_BUDGET)
         assert str(info.value).startswith(f"{tables.order_file}: m=6: ")
         assert check in str(info.value)
@@ -351,7 +350,7 @@ class TestHostileOrderRows:
     def test_huge_entry_costs_one_division(self, tmp_path):
         tables = with_order_row(tmp_path, f"6: 7, 13, {10 ** 3999 + 1}")
         start = time.perf_counter()
-        with pytest.raises(BundleError, match=r"m=6: entry '1000.*\(4000 characters\) does not divide"):
+        with pytest.raises(ValueError, match=r"m=6: entry '1000.*\(4000 characters\) does not divide"):
             tables.order_primes(6, DEFAULT_BUDGET)
         assert time.perf_counter() - start < 1
 
@@ -360,13 +359,13 @@ class TestHostileOrderRows:
         # where is_prime would run for minutes
         value = cyclotomic_value(1237, 10)
         tables = TableBundle(coverings={}, order_rows={1237: (value,)}, order_file=Path("x.txt"))
-        with pytest.raises(BundleError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
+        with pytest.raises(ValueError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
             tables.order_primes(1237, DEFAULT_BUDGET)
         # no primality probe runs first: it took 7.5 s on this 4,297-digit value
         value = cyclotomic_value(4297, 10)
         tables = TableBundle(coverings={}, order_rows={4297: (value,)}, order_file=Path("x.txt"))
         start = time.perf_counter()
-        with pytest.raises(BundleError, match=r"^x.txt: m=4297: entry of 14272 bits is past"):
+        with pytest.raises(ValueError, match=r"^x.txt: m=4297: entry of 14272 bits is past"):
             tables.order_primes(4297, DEFAULT_BUDGET)
         assert time.perf_counter() - start < 1
 
@@ -376,7 +375,7 @@ class TestHostileOrderRows:
             f.write("100001: 7\n")
         tables = ingest_tables(tmp_path)
         start = time.perf_counter()
-        with pytest.raises(BundleError) as info:
+        with pytest.raises(ValueError) as info:
             tables.order_primes(100001, DEFAULT_BUDGET)
         assert time.perf_counter() - start < 1
         assert str(info.value) == (
@@ -385,7 +384,7 @@ class TestHostileOrderRows:
 
     def test_report_raises_on_a_bad_row(self, tmp_path):
         tables = with_order_row(tmp_path, "8: 73")
-        with pytest.raises(BundleError, match=r"order_primes.txt: m=8: the entries leave"):
+        with pytest.raises(ValueError, match=r"order_primes.txt: m=8: the entries leave"):
             reproduce_report(tables, 8, DEFAULT_BUDGET)
 
     def test_manifest_omitting_the_file(self, tmp_path):
@@ -394,12 +393,12 @@ class TestHostileOrderRows:
         manifest = json.loads((cov / "manifest.json").read_text())
         del manifest["sha256"][ORDER_PRIMES_FILE]
         (cov / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match=r"omits present ones \['order_primes.txt'\]"):
+        with pytest.raises(ValueError, match=r"omits present ones \['order_primes.txt'\]"):
             ingest_tables(tmp_path)
 
     def test_unparseable_file_is_bundle_error(self, tmp_path):
         (copy_tables(tmp_path) / ORDER_PRIMES_FILE).write_text("6 7 13\n")
-        with pytest.raises(BundleError, match=r"order_primes.txt:1: expected 'm: entries'"):
+        with pytest.raises(ValueError, match=r"order_primes.txt:1: expected 'm: entries'"):
             ingest_tables(tmp_path)
 
 

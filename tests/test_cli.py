@@ -177,7 +177,7 @@ class TestCoverCli:
         path.write_text(header + "\n0 1\n")
         code, out, err = run(capsys, "--format", "json", "cover", "verify", str(path))
         assert code == 2 and out == ""
-        assert err == f"data error: {path}:1: expected '# digit <d>', got {header!r}\n"
+        assert err == f"error: {path}:1: expected '# digit <d>', got {header!r}\n"
 
     def test_unfactorable_lcm_gives_up_quickly(self, tmp_path, capsys):
         # lcm_analysis factors at a small rho budget, so the default one
@@ -215,7 +215,7 @@ class TestCoverCli:
         path.write_text("0 1\n0 " + "7" * 5000 + "\n")
         code, out, err = run(capsys, "cover", "verify", str(path))
         assert code == 2 and out == ""
-        assert err.startswith(f"data error: {path}:2: modulus of 5000 digits exceeds Python's ")
+        assert err.startswith(f"error: {path}:2: modulus of 5000 digits exceeds Python's ")
         assert "int-string limit" in err and len(err) < 200 and "7" * 50 not in err
 
     @pytest.mark.parametrize(
@@ -363,9 +363,35 @@ class TestConstructCli:
         )
         assert code == 2
         assert err == (
-            "data error: digit 9: cannot resolve the prime for 5 (mod 8) "
+            "error: digit 9: cannot resolve the prime for 5 (mod 8) "
             "(index 3); only 2 primes have order 8\n"
         )
+
+    @pytest.mark.parametrize(
+        "tables, budget, digit, m, status, reason, why",
+        [
+            (tables_asking_for_a_third_order_8_prime, (), "9", 8, "short", None,
+             "only 2 primes have order 8"),
+            # without order_primes.txt and p - 1, Phi_40(10) keeps a 16-digit
+            # cofactor, so the second order-40 prime of d6.txt's `8 40 2` is unknown
+            (tables_without_order_primes, ("--rho-iterations", "0"), "6", 40, "unresolved",
+             "p-1 spent 0 multiplications on a 16-digit cofactor",
+             "the order-40 prime list is incomplete "
+             "(p-1 spent 0 multiplications on a 16-digit cofactor)"),
+        ],
+        ids=["short", "unresolved"],
+    )
+    def test_assemble_gives_the_reports_verdict(
+        self, tmp_path, capsys, tables, budget, digit, m, status, reason, why
+    ):
+        tables = tables(tmp_path)
+        _, out, _ = run(capsys, "--format", "json", *budget, "report", "--tables", tables)
+        check = next(c for c in json.loads(out)["order_counts"] if c["m"] == m)
+        assert (check["status"], check["reason"]) == (status, reason)
+        code, _, err = run(
+            capsys, *budget, "construct", "assemble", "--digits", digit, "--tables", tables
+        )
+        assert code == 2 and err.endswith(f"; {why}\n")
 
     def test_row_without_index_is_data_error(self, tmp_path, capsys):
         cov = tmp_path / "coverings"
@@ -416,9 +442,9 @@ class TestDelicateCli:
         assert "10294001" in out
 
     def test_check_composite_input_is_error(self, capsys):
-        code, _, err = run(capsys, "delicate", "check", "294002")
-        assert code == 2
-        assert "not prime" in err
+        code, out, err = run(capsys, "delicate", "check", "294002")
+        assert code == 2 and out == ""
+        assert err == "error: 294002 is not prime\n"
 
     def test_check_non_delicate_prints_witness(self, capsys):
         code, out, _ = run(capsys, "delicate", "check", "101")
@@ -816,9 +842,9 @@ class TestOrderCli:
         # two splits, found within the default budget's 10**4 first pass
         code, out, _ = run(capsys, "order", "primes", "37")
         assert code == 0
-        assert out.splitlines()[-1] == "scan candidates: 13513; p-1 multiplications: 6919"
+        assert out.splitlines()[-1] == "scan candidates: 13513; p-1 multiplications: 6911"
         code, out, _ = run(capsys, "--format", "json", "order", "primes", "37")
-        assert json.loads(out)["pm1_multiplications"] == 6919
+        assert json.loads(out)["pm1_multiplications"] == 6911
 
     def test_counts_unresolved_row_shows_reason(self, needs_two_of_order_3, capsys):
         argv = needs_two_of_order_3
@@ -916,7 +942,7 @@ class TestReportCli:
         code, out, err = run(capsys, "report", "--tables", tables)
         assert code == 2 and out == ""
         assert err == (
-            f"data error: {order_file}: m=8: entry '1000001' does not divide "
+            f"error: {order_file}: m=8: entry '1000001' does not divide "
             "Phi_8(10) freed of the primes of 8\n"
         )
 
@@ -926,7 +952,7 @@ class TestReportCli:
         order_file.write_text("8: 73, 137\n0: 7\n")
         code, out, err = run(capsys, "report", "--tables", tables)
         assert code == 2 and out == ""
-        assert err == f"data error: {order_file}:2: modulus '0' must be positive\n"
+        assert err == f"error: {order_file}:2: modulus '0' must be positive\n"
 
     def test_shipped_order_primes_validate(self, capsys):
         shipped = DATA_ROOT / "coverings" / ORDER_PRIMES_FILE

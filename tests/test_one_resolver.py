@@ -1,6 +1,7 @@
 """Every table row reaches its prime through one function: the report, its
 shared-prime check and `construct assemble` all consume that resolver, so
-they cannot resolve a row differently.  Likewise one limb sweep,
+they cannot resolve a row differently, and one verdict says whether an
+order-m list holds the primes the rows index.  Likewise one limb sweep,
 `residues_mod`, reduces a big integer modulo many small ones."""
 
 import ast
@@ -33,6 +34,13 @@ def test_rows_reach_their_prime_in_one_place():
     # benchmark; inside the package only resolved_rows indexes an order-m list
     assert callers("resolve_assignment") == set()
     assert callers("nth") == {"bundle:resolved_rows", "bundle:resolve_assignment"}
+
+
+def test_order_lists_get_one_verdict():
+    # the report's order counts and construct assemble's message both read
+    # TableBundle.order_check's enough/short/unresolved
+    assert callers("OrderCountCheck") == {"bundle:order_check"}
+    assert callers("order_check") == {"bundle:reproduce_report", "cli:_build_digit_covering"}
 
 
 def test_prime_grouping_has_one_definition():

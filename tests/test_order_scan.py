@@ -157,20 +157,22 @@ class TestPm1Split:
         n = 2000000579 * 2000001743
         d, spent = pm1_split(n, 2, SMALL_BUDGET)
         assert d is None
-        # the budget is checked before each block of 64 primes, so the last
-        # block (64 terms and a few giant steps) may run past it
-        assert 10_000 <= spent <= 10_000 + 2 * 64
+        # a stage-1 block stops once its exponent reaches the budget left,
+        # and stage 2 takes only the primes that fit, so spent ends within
+        # the budget plus the 14 bits of one prime power q**e <= 10**4
+        assert 10_000 <= spent <= 10_000 + (10_000).bit_length()
         assert pm1_split(n, 2, FactorBudget(rho_iterations=0)) == (None, 0)
 
     # (n, rho_restarts) of the tests above, and (d, spent) at budgets 0, 100,
     # 10**4, 10**5 and 999,999: below 10**6 each budget runs its own
-    # schedule alone, unchanged from before the 10**4 first pass
+    # schedule alone, and a stage 1 that ends with a gcd other than 1
+    # spends nothing on stage 2
     @pytest.mark.parametrize("n, restarts, expected", [
-        (211 * 859, 1, [(None, 0), (211, 100), (211, 596), (211, 947), (211, 1054)]),
+        (211 * 859, 1, [(None, 0), (211, 100), (211, 588), (211, 939), (211, 1046)]),
         (272039 * 167633, 1,
-         [(None, 0), (None, 100), (272039, 4570), (272039, 9081), (272039, 17425)]),
-        (11 * 31, 1, [(None, 0), (None, 100), (None, 596), (None, 947), (None, 1054)]),
-        (11 * 31, 2, [(None, 0), (None, 100), (31, 1192), (31, 1894), (31, 2108)]),
+         [(None, 0), (None, 100), (272039, 4570), (272039, 9081), (272039, 17417)]),
+        (11 * 31, 1, [(None, 0), (None, 100), (None, 588), (None, 939), (None, 1046)]),
+        (11 * 31, 2, [(None, 0), (None, 100), (31, 1176), (31, 1878), (31, 2092)]),
         (2000000579 * 2000001743, 4,
          [(None, 0), (None, 100), (None, 10_000), (None, 100_000), (None, 999_999)]),
     ])
