@@ -104,10 +104,6 @@ class PrimalityVerdict:
     def __bool__(self) -> bool:
         return self.kind != COMPOSITE
 
-    @property
-    def proven(self) -> bool:
-        return self.kind == PROVEN_PRIME
-
 
 def prime_flags(n: int) -> np.ndarray:
     """Sieve of Eratosthenes over 0..n: a uint8 array whose entry i is 1 iff

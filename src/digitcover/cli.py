@@ -194,7 +194,10 @@ def cmd_construct_assemble(args) -> int:
             {"prime": str(p), "residue": str(r)}
             for p, r in construction.residue_constraints
         ],
-        "probable_primes": sorted(str(p) for p in construction.probable_primes),
+        "probable_primes": sorted({  # as labelled by the rows' order-m lists
+            str(e.prime) for cov in coverings for e in cov.entries
+            if e.prime in bundle.order_primes(e.congruence.modulus, budget).probable
+        }),
     }
     lines = [
         f"A={construction.modulus}",

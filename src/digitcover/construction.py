@@ -1,13 +1,14 @@
-"""Binding covering systems to prime assignments, per substituted digit,
+"""Binding covering systems to divisor assignments, per substituted digit,
 and assembling the arithmetic progression whose every element stays
 composite under each substitution.
 
-For a digit offset d and a congruence k = a (mod m) assigned a prime p
-with 10 of order m mod p, forcing the progression offset into the residue
--d * 10**a mod p makes p divide n + d * 10**k for every progression
-element n and every exponent k in the congruence class.  A covering system
-per digit extends this to every k, and the CRT glues all the per-prime
-residues into a single progression.
+For a digit offset d and a congruence k = a (mod m) assigned an order-m
+divisor q (`cyclotomic.order_divisor_violation`; prime or not), forcing
+the progression offset into the residue -d * 10**a mod q makes q divide
+n + d * 10**k for every progression element n and every exponent k in the
+congruence class.  A covering system per digit extends this to every k,
+and the CRT glues all the per-divisor residues into a single progression,
+refusing divisors that share a prime but pin different residues.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import crt_combine, has_order, is_prime
+from .arith import crt_combine, is_prime
 from .covering import Congruence, CoveringSystem, is_covering_fast
-from .cyclotomic import parse_int, quoted
+from .cyclotomic import order_cofactor, order_divisor_violation, parse_int, quoted
 
 __all__ = [
     "Assignment",
@@ -66,8 +67,9 @@ def prime_uses(uses: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int
 
 @dataclass(frozen=True)
 class Assignment:
-    """One covering congruence with its assigned prime (and, when the
-    assignment came from an ordered table, the prime's index there)."""
+    """One covering congruence with its assigned order-m divisor, m its
+    modulus, in `prime` (a prime when it came from an ordered table, whose
+    index there is `rho`)."""
 
     congruence: Congruence
     prime: int
@@ -76,7 +78,7 @@ class Assignment:
 
 @dataclass(frozen=True)
 class DigitCovering:
-    """A covering system for one digit offset with a prime per congruence."""
+    """A covering system for one digit offset with a divisor per congruence."""
 
     digit: int
     entries: tuple[Assignment, ...]
@@ -92,16 +94,21 @@ class DigitCovering:
         return CoveringSystem(tuple(e.congruence for e in self.entries))
 
     def validate(self) -> None:
-        """Raise ValueError unless primes are distinct, each prime's order
-        equals its congruence modulus, and the congruences form a covering."""
-        primes = [e.prime for e in self.entries]
-        if len(set(primes)) != len(primes):
+        """Raise ValueError unless the divisors are distinct, each is an
+        order-m divisor of its modulus m (`order_divisor_violation`, one
+        `order_cofactor` per distinct m), and the congruences cover."""
+        divisors = [e.prime for e in self.entries]
+        if len(set(divisors)) != len(divisors):
             raise ValueError(f"digit {self.digit}: repeated prime assignment")
+        cofactors: dict[int, int] = {}
         for e in self.entries:
-            if not has_order(10, e.congruence.modulus, e.prime):
+            m = e.congruence.modulus
+            if m not in cofactors:
+                cofactors[m] = order_cofactor(m)
+            why = order_divisor_violation(e.prime, m, cofactors[m])
+            if why:
                 raise ValueError(
-                    f"digit {self.digit}: 10 does not have order "
-                    f"{e.congruence.modulus} mod the assigned prime {e.prime}"
+                    f"digit {self.digit}: {e.congruence} needs a divisor of order {m}: {why}"
                 )
         verdict = is_covering_fast(self.system)
         if not verdict:
@@ -114,18 +121,18 @@ class DigitCovering:
 @dataclass(frozen=True)
 class Construction:
     """An assembled progression: every element n = offset (mod modulus) has
-    n + d * 10**k divisible by an assigned prime, for every covered digit d
-    and every k >= 0.
+    n + d * 10**k divisible by an assigned divisor, for every covered digit
+    d and every k >= 0.
 
-    modulus is the squarefree product of the assigned primes; offset is the
-    least CRT solution exceeding every assigned prime, coprime to modulus.
+    modulus is the lcm of the assigned divisors (their product when they
+    are distinct primes); offset is the least CRT solution exceeding every
+    assigned divisor, coprime to modulus.
     """
 
     digits: dict[int, DigitCovering]
     modulus: int  # the A of the progression A*n + B
     offset: int   # the B
-    residue_constraints: tuple[tuple[int, int], ...]  # (prime, offset mod prime)
-    probable_primes: frozenset[int] = frozenset()
+    residue_constraints: tuple[tuple[int, int], ...]  # (divisor, offset mod divisor)
 
     def element(self, index: int) -> int:
         """The index-th progression element modulus*index + offset."""
@@ -135,11 +142,12 @@ class Construction:
 def assemble(coverings: Sequence[DigitCovering]) -> Construction:
     """Glue per-digit coverings into one Construction.
 
-    Validates every covering, checks that any prime shared between digits
-    pins a single offset residue, solves the CRT system, and picks the
-    least offset exceeding the largest assigned prime.  Raises ValueError
-    on an empty digit set, inconsistent sharing, wrong prime orders, or a
-    residue that would make a prime divide the offset.
+    Validates every covering, derives each divisor's offset residue, solves
+    the CRT system, and picks the least offset exceeding the largest
+    assigned divisor.  No divisor is tested for primality.  Raises
+    ValueError on an empty digit set, an invalid covering, a residue
+    sharing a factor with its divisor (which would then divide every
+    offset), or two divisors sharing a prime with different residues.
     """
     if not coverings:
         raise ValueError("nothing to cover: empty digit set")
@@ -150,64 +158,43 @@ def assemble(coverings: Sequence[DigitCovering]) -> Construction:
         cov.validate()
         by_digit[cov.digit] = cov
 
-    uses = prime_uses(
-        (cov.digit, e.congruence.residue, e.prime)
-        for cov in by_digit.values()
-        for e in cov.entries
-    )
-
-    probable: set[int] = set()
-    constraints: list[tuple[int, int]] = []
-    for p in sorted(uses):
-        verdict = is_prime(p)
-        if not verdict:
-            raise ValueError(f"assigned value {p} is composite")
-        if not verdict.proven:
-            probable.add(p)
-        if not cross_digit_consistency(p, uses[p]):
-            raise ValueError(
-                f"prime {p} is shared with inconsistent offset residues: "
-                + ", ".join(
-                    f"(d={d}, a={a}) -> {derive_b_residue(d, a, p)}"
-                    for d, a in uses[p]
+    constraints: dict[int, int] = {}
+    residue, modulus = 0, 1
+    for d, cov in by_digit.items():
+        for e in cov.entries:
+            q, a = e.prime, e.congruence.residue
+            r = derive_b_residue(d, a, q)
+            if math.gcd(r, q) != 1:
+                raise ValueError(
+                    f"divisor {q} would share a factor with the offset (d={d}, a={a}); "
+                    "the progression could contain no primes"
                 )
-            )
-        d0, a0 = uses[p][0]
-        r = derive_b_residue(d0, a0, p)
-        if r == 0:
-            raise ValueError(
-                f"prime {p} would divide the offset (d={d0}, a={a0}); "
-                "the progression could contain no primes"
-            )
-        constraints.append((p, r))
+            try:
+                residue, modulus = crt_combine([(residue, modulus), (r, q)])
+            except ValueError:
+                raise ValueError(
+                    f"divisor {q} (d={d}, a={a}) pins the offset to {r} mod {q}, "
+                    "inconsistent with the divisors before it"
+                ) from None
+            constraints.setdefault(q, r)
 
-    modulus = math.prod(p for p, _ in constraints)
-    residue, crt_mod = crt_combine([(r, p) for p, r in constraints])
-    if crt_mod != modulus:
-        raise ArithmeticError(
-            f"CRT modulus {crt_mod} differs from the prime product {modulus}"
-        )
-    max_prime = max(p for p, _ in constraints)
-    offset = residue if residue > max_prime else residue + modulus * (
-        (max_prime - residue) // modulus + 1
-    )
-    if math.gcd(modulus, offset) != 1:
-        raise ArithmeticError(f"offset {offset} shares a factor with {modulus}")
+    # the least value = residue (mod modulus) above every divisor
+    offset = residue + modulus * ((max(constraints) - residue) // modulus + 1)
     return Construction(
         digits=by_digit,
         modulus=modulus,
         offset=offset,
-        residue_constraints=tuple(constraints),
-        probable_primes=frozenset(probable),
+        residue_constraints=tuple(sorted(constraints.items())),
     )
 
 
 @dataclass(frozen=True)
 class DivisorCertificate:
-    """Why n + d * 10**k is composite: the assigned prime divides it.
+    """Why n + d * 10**k is composite: the assigned divisor `prime`,
+    prime or not, divides it.
 
-    `check` is the one test of that claim: the prime divides the value, the
-    value exceeds the prime in magnitude, and the congruence matches k.
+    `check` is the one test of that claim: the divisor divides the value,
+    the value exceeds it in magnitude, and the congruence matches k.
     """
 
     prime: int
@@ -228,7 +215,7 @@ def substitution_divisor(
     construction: Construction, n: int, d: int, k: int
 ) -> DivisorCertificate:
     """The certificate of the congruence that matches k for digit d: its
-    prime should divide n + d * 10**k, which `DivisorCertificate.check`
+    divisor should divide n + d * 10**k, which `DivisorCertificate.check`
     tests.
 
     Requires n in the progression (n = offset mod modulus), d among the
@@ -278,8 +265,8 @@ def verify_property_star_sample(
 
     Draws `samples` progression elements, and for every covered digit d and
     exponent k <= k_max checks the certificate of `substitution_divisor`:
-    its prime divides n + d * 10**k and the magnitude exceeds the prime (so
-    divisibility proves compositeness).  Up to SPOT_CHECKS values, drawn at
+    its divisor divides n + d * 10**k and the magnitude exceeds the divisor
+    (so divisibility proves compositeness).  Up to SPOT_CHECKS values, drawn at
     random, are additionally checked to be composite with the primality
     test.  Stops at the first failure.
     """
@@ -311,7 +298,7 @@ def verify_property_star_sample(
 
 def write_construction(construction: Construction, path: Union[str, Path]) -> None:
     """Text export: A= and B= lines, then one `p a m d rho` line per
-    constraint."""
+    assignment, p its divisor."""
     lines = [f"A={construction.modulus}", f"B={construction.offset}"]
     for d in sorted(construction.digits):
         for e in construction.digits[d].entries:

@@ -14,15 +14,18 @@ with k odd the leftover first splits for free at its Aurifeuillian factors
 (Brent, Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits
 is left whole without a primality test.
 
-One row check, `_row_check`, serves both uses of an order table (read by
-`load_order_table`): a row lists pairwise-coprime divisors of Phi_m(10)
-freed of the primes of m, a value listed twice being a composite shown to
-hold two order-m primes, so its length bounds the order-m primes from
-below; nothing is factored or tested for primality.  `validate_order_table`
-returns every row's violations.  `prove_order_primes` re-proves a claimed
-complete list of the order-m primes, far more cheaply than finding them,
-by that check, primality and completeness.  `quoted` and `parse_int` quote
-malformed text and read integer fields for the loaders here and elsewhere.
+One rule, `order_divisor_violation`, says what may stand for an order-m
+prime, in order tables and constructions alike: a divisor > 1 of
+`order_cofactor(m)`, Phi_m(10) freed of the primes of m, whose primes all
+have order m.  One row check, `_row_check`, serves both uses of an order
+table (read by `load_order_table`): a row lists pairwise-coprime order-m
+divisors, a value listed twice being a composite shown to hold two order-m
+primes, so its length bounds the order-m primes from below; nothing is
+factored or tested for primality.  `validate_order_table` returns every
+row's violations.  `prove_order_primes` re-proves a claimed complete list of
+the order-m primes, far more cheaply than finding them, by that check,
+primality and completeness.  `quoted` and `parse_int` quote malformed text
+and read integer fields for the loaders here and elsewhere.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from .arith import (
 
 __all__ = [
     "cyclotomic_value",
+    "order_cofactor",
+    "order_divisor_violation",
     "primes_of_order",
     "prove_order_primes",
     "OrderPrimes",
@@ -191,20 +196,31 @@ def _aurifeuillian_factor(m: int) -> int:
     return c - 10 ** ((k + 1) // 2) * d
 
 
-def _order_cofactor(m: int) -> tuple[int, list[int]]:
+def order_cofactor(m: int) -> int:
     """Phi_m(10) freed of the primes of m, whose prime factors are exactly
-    the order-m primes, and those primes of m."""
+    the order-m primes."""
     cofactor = cyclotomic_value(m, 10)  # rejects a bad m before `factor` sees it
-    qs = factor(m).primes()
-    for q in qs:
+    for q in factor(m).primes():
         while cofactor % q == 0:
             cofactor //= q
-    return cofactor, qs
+    return cofactor
+
+
+def order_divisor_violation(q: int, m: int, cofactor: int) -> Optional[str]:
+    """Why q is not an order-m divisor, a divisor > 1 of `cofactor`, which
+    is `order_cofactor(m)`; None when it is.  Each prime of such a q has
+    order m, so q divides n + d * 10**k for every k = a (mod m) once
+    n = -d * 10**a modulo q, prime or not."""
+    if q < 2:
+        return f"{quoted(str(q))} is not a positive integer > 1"
+    if cofactor % q:
+        return f"{quoted(str(q))} does not divide Phi_{m}(10) freed of the primes of {m}"
+    return None
 
 
 @lru_cache(maxsize=None)
 def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
-    cofactor, qs = _order_cofactor(m)
+    cofactor, qs = order_cofactor(m), factor(m).primes()
     step = math.lcm(2, m)
 
     # Scan p = 1 + k*step in chunks.  After a chunk every order-m prime below
@@ -382,8 +398,8 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
     """One order-table row's violations, and Phi_m(10) freed of m's primes.
 
     The checks, for modulus m and entries [e1..eL]:
-      1. every entry is an integer > 1 dividing Phi_m(10) freed of the
-         primes of m, whose prime factors are exactly the order-m primes;
+      1. every entry is an order-m divisor (`order_divisor_violation`),
+         whose prime factors are all order-m primes;
       2. each new value is coprime to the product of the earlier ones, so
          distinct entries are pairwise coprime and no value appears thrice;
       3. a value listed twice has at most _PRIMALITY_BIT_LIMIT bits, is
@@ -393,18 +409,15 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
     primality, and a valid row's length is a lower bound on the order-m
     primes: each value holds one no other entry holds, or two if listed twice.
     """
-    cofactor, _ = _order_cofactor(m)
+    cofactor = order_cofactor(m)
     violations: list[str] = []
     seen: set[int] = set()
     marked: set[int] = set()
     product = 1
     for e in entries:
-        if e < 2:
-            violations.append(f"entry {quoted(str(e))} is not a positive integer > 1")
-        elif cofactor % e:
-            violations.append(
-                f"entry {quoted(str(e))} does not divide Phi_{m}(10) freed of the primes of {m}"
-            )
+        why = order_divisor_violation(e, m, cofactor)
+        if why:
+            violations.append(f"entry {why}")
         elif e in seen and e not in marked:
             marked.add(e)
             if e.bit_length() > _PRIMALITY_BIT_LIMIT:

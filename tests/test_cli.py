@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -10,8 +11,14 @@ from unittest import mock
 import pytest
 
 import digitcover.delicate as delicate_module
-from digitcover.arith import DEFAULT_BUDGET, Factorization
-from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE, RESOLVE_LIMIT, default_bundle
+from digitcover.arith import DEFAULT_BUDGET, FactorBudget, Factorization
+from digitcover.bundle import (
+    DATA_ROOT,
+    ORDER_PRIMES_FILE,
+    RESOLVE_LIMIT,
+    default_bundle,
+    ingest_tables,
+)
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
 from digitcover.cyclotomic import cyclotomic_value
@@ -408,6 +415,25 @@ class TestConstructCli:
         code, _, err = run(capsys, "construct", "assemble", "--digits", "0")
         assert code == 2
         assert "no covering table for digit 0" in err
+
+    def test_shipped_progression_is_pinned(self, capsys):
+        # the 8-digit progression of the shipped tables, byte for byte
+        code, out, _ = run(
+            capsys, "--format", "json", "construct", "assemble",
+            "--digits", "9,6,2,5,8,-1,-4,-7",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["A"]) == 107
+        assert payload["B"] == (
+            "219861401505648497895856082652372726397494890076768305244712173253"
+            "12329227055223284206920175063137115323981"
+        )
+        assert len(payload["constraints"]) == 24
+        assert payload["probable_primes"] == []
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a7e11ae17b77e749ca41eb026496d09fd1febcc00a67c4032b7ae05984b73e31"
+        )
 
     def test_assembled_primes_are_the_report_rows(self, tmp_path, capsys):
         out_file = tmp_path / "mini.txt"
@@ -919,12 +945,17 @@ class TestReportCli:
         # without p - 1, m = 60 still completes: the Aurifeuillian gcd
         # splits its 15-digit cofactor into 4188901 and 39526741
         assert resolved == [181, 159]
-        # the count check is per modulus: m = 63's incomplete list already
-        # holds the 3 primes its rows index, though those rows do not resolve
+        # the count check is per modulus: m = 63's list is incomplete, yet
+        # holds the 3 primes its rows index, all below its exact bound
+        # 1,000,063, so those rows resolve
         counts = {c["m"]: c for c in json.loads(out)["order_counts"]}
         assert counts[63]["status"] == "enough"
         assert counts[63]["reason"].startswith("p-1 spent 0 multiplications")
         assert counts[64]["status"] == "unresolved"
+        rows = ingest_tables(tables).resolved_rows(1, None, FactorBudget(rho_iterations=0))
+        assert [(row.rho, prime) for row, prime in rows if row.congruence.modulus == 63] == [
+            (1, 10837), (2, 23311), (3, 45613)
+        ]
 
     def test_shipped_order_primes_spend_no_budget(self, capsys):
         # proving a shipped order-m list spends no budget, so every row up to

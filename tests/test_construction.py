@@ -88,6 +88,36 @@ class TestAssemble:
         with pytest.raises(ValueError, match="empty"):
             assemble([])
 
+    def test_composite_order_divisor_assembles(self):
+        # Phi_1(10) = 9 = 3**2 divides n + 5 * 10**k for every k once
+        # n = -5 (mod 9), though 9 is not prime
+        c = assemble([DigitCovering(5, (Assignment(Congruence(0, 1), 9),))])
+        assert (c.modulus, c.offset) == (9, 13)
+        assert verify_property_star_sample(c, samples=5, k_max=40).ok
+
+    def test_non_member_rejected(self):
+        # 33 = 3 * 11 does not divide Phi_2(10) = 11
+        bad = DigitCovering(9, (Assignment(Congruence(0, 2), 33),))
+        with pytest.raises(ValueError, match="order"):
+            assemble([bad])
+
+    def test_divisor_sharing_a_factor_with_its_residue_rejected(self):
+        # Phi_6(10) = 91 = 7 * 13, and 7 divides 7 * 10**k: B would have
+        # to be 0 mod 7
+        cov = DigitCovering(
+            7, (Assignment(Congruence(0, 1), 3), Assignment(Congruence(0, 6), 91))
+        )
+        with pytest.raises(ValueError, match="divisor 91 would share a factor"):
+            assemble([cov])
+
+    def test_divisors_sharing_a_prime_inconsistently_rejected(self):
+        # 9 for d = 5 pins B = 4 (mod 9), so B = 1 (mod 3); 3 for d = 4
+        # pins B = 2 (mod 3)
+        five = DigitCovering(5, (Assignment(Congruence(0, 1), 9),))
+        four = DigitCovering(4, (Assignment(Congruence(0, 1), 3),))
+        with pytest.raises(ValueError, match="inconsistent"):
+            assemble([five, four])
+
     def test_wrong_order_rejected(self):
         bad = DigitCovering(9, (Assignment(Congruence(0, 2), 7),))
         with pytest.raises(ValueError, match="order"):

@@ -1,8 +1,10 @@
 """Every table row reaches its prime through one function: the report, its
 shared-prime check and `construct assemble` all consume that resolver, so
 they cannot resolve a row differently, and one verdict says whether an
-order-m list holds the primes the rows index.  Likewise one limb sweep,
-`residues_mod`, reduces a big integer modulo many small ones."""
+order-m list holds the primes the rows index.  One rule, membership in
+Phi_m(10) freed of the primes of m, says whether a value may stand for an
+order-m prime, in order tables and constructions alike.  Likewise one limb
+sweep, `residues_mod`, reduces a big integer modulo many small ones."""
 
 import ast
 from pathlib import Path
@@ -44,7 +46,9 @@ def test_order_lists_get_one_verdict():
 
 
 def test_prime_grouping_has_one_definition():
-    assert callers("prime_uses") == {"bundle:_shared_checks", "construction:assemble"}
+    # assemble groups nothing: crt_combine refuses divisors that share a
+    # prime with different residues
+    assert callers("prime_uses") == {"bundle:_shared_checks"}
 
 
 def test_only_resolution_lists_order_m_primes():
@@ -57,9 +61,31 @@ def test_only_resolution_lists_order_m_primes():
 
 
 def test_only_construction_tests_orders():
-    # a prime dividing Phi_m(10) and not m has order m, and the scan's
-    # numpy filter is has_order's own test, so cyclotomic needs none
-    assert callers("has_order") == {"construction:validate"}
+    # a prime dividing Phi_m(10) and not m has order m, so constructions and
+    # order tables test membership there, and the scan's numpy filter is
+    # has_order's own test; has_order serves only the benchmark
+    assert callers("has_order") == set()
+
+
+def test_order_membership_has_one_definition():
+    assert callers("order_divisor_violation") == {
+        "cyclotomic:_row_check",
+        "construction:validate",
+    }
+    assert callers("order_cofactor") == {
+        "cyclotomic:_primes_of_order_cached",
+        "cyclotomic:_row_check",
+        "construction:validate",
+    }
+
+
+def test_construction_proves_no_primes():
+    # an order-m divisor serves whether or not it is prime; only the
+    # property-(*) sample's spot checks test primality
+    testers = callers("is_prime") | callers("has_order")
+    assert {c for c in testers if c.startswith("construction:")} == {
+        "construction:verify_property_star_sample"
+    }
 
 
 def limb_folds() -> set[str]:
