@@ -3,7 +3,8 @@ and assembling the arithmetic progression whose every element stays
 composite under each substitution.
 
 For a digit offset d and a congruence k = a (mod m) assigned an order-m
-divisor q (`cyclotomic.order_divisor_violation`; prime or not), forcing
+divisor q (`cyclotomic.order_divisor_violation`, decided by gcd and `pow`
+from the primes of m, with no Phi_m(10); prime or not), forcing
 the progression offset into the residue -d * 10**a mod q makes q divide
 n + d * 10**k for every progression element n and every exponent k in the
 congruence class.  A covering system per digit extends this to every k,
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import crt_combine, is_prime
+from .arith import DEFAULT_BUDGET, crt_combine, is_prime
 from .covering import Congruence, CoveringSystem, is_covering_fast
-from .cyclotomic import order_cofactor, order_divisor_violation, parse_int, quoted
+from .cyclotomic import order_divisor_violation, parse_int, quoted
 
 __all__ = [
     "Assignment",
@@ -95,17 +96,15 @@ class DigitCovering:
 
     def validate(self) -> None:
         """Raise ValueError unless the divisors are distinct, each is an
-        order-m divisor of its modulus m (`order_divisor_violation`, one
-        `order_cofactor` per distinct m), and the congruences cover."""
+        order-m divisor of its modulus m (`order_divisor_violation`: a few
+        modular powers and `factor(m)` per divisor), and the congruences
+        cover."""
         divisors = [e.prime for e in self.entries]
         if len(set(divisors)) != len(divisors):
             raise ValueError(f"digit {self.digit}: repeated prime assignment")
-        cofactors: dict[int, int] = {}
         for e in self.entries:
             m = e.congruence.modulus
-            if m not in cofactors:
-                cofactors[m] = order_cofactor(m)
-            why = order_divisor_violation(e.prime, m, cofactors[m])
+            why = order_divisor_violation(e.prime, m)
             if why:
                 raise ValueError(
                     f"digit {self.digit}: {e.congruence} needs a divisor of order {m}: {why}"
@@ -311,7 +310,9 @@ def write_construction(construction: Construction, path: Union[str, Path]) -> No
 
 def load_construction(path: Union[str, Path]) -> Construction:
     """Parse the write_construction format and re-assemble, verifying the
-    stored A and B against the recomputed ones."""
+    stored A and B against the recomputed ones.  A modulus below 1 or from
+    DEFAULT_BUDGET.trial_bound**2 = 10**10 on is an error naming its line,
+    as in `load_order_table`."""
     a_value = b_value = None
     per_digit: dict[int, list[Assignment]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -331,6 +332,10 @@ def load_construction(path: Union[str, Path]) -> Construction:
         p, a, m, d, rho = map(parse_int, parts, [where] * 5, ("p", "a", "m", "d", "rho"))
         if m < 1:
             raise ValueError(f"{where}: modulus {quoted(str(m))} must be positive")
+        if m >= DEFAULT_BUDGET.trial_bound ** 2:
+            raise ValueError(
+                f"{where}: modulus {quoted(str(m))} must be below {DEFAULT_BUDGET.trial_bound ** 2}"
+            )
         per_digit.setdefault(d, []).append(
             Assignment(
                 congruence=Congruence.reduced(a, m),

@@ -15,17 +15,21 @@ with k odd the leftover first splits for free at its Aurifeuillian factors
 is left whole without a primality test.
 
 One rule, `order_divisor_violation`, says what may stand for an order-m
-prime, in order tables and constructions alike: a divisor > 1 of
-`order_cofactor(m)`, Phi_m(10) freed of the primes of m, whose primes all
-have order m.  One row check, `_row_check`, serves both uses of an order
-table (read by `load_order_table`): a row lists pairwise-coprime order-m
-divisors, a value listed twice being a composite shown to hold two order-m
-primes, so its length bounds the order-m primes from below; nothing is
-factored or tested for primality.  `validate_order_table` returns every
-row's violations.  `prove_order_primes` re-proves a claimed complete list of
-the order-m primes, far more cheaply than finding them, by that check,
-primality and completeness.  `quoted` and `parse_int` quote malformed text
-and read integer fields for the loaders here and elsewhere.
+prime, in order tables and constructions alike: a divisor > 1 of Phi_m(10)
+freed of the primes of m, whose primes all have order m.  It decides that
+by gcd and `pow` alone, from the primes of m, without computing Phi_m(10),
+so it serves any modulus the loaders accept: below 10**10, where `factor`
+finds the primes of m by trial division.  One row check, `_row_check`,
+serves both uses of an order table (read by `load_order_table`): a row
+lists pairwise-coprime order-m divisors, a value listed twice being a
+composite shown to hold two order-m primes, so its length bounds the
+order-m primes from below; no entry is factored or tested for primality.
+`validate_order_table` returns every row's violations.  `prove_order_primes`
+re-proves a claimed complete list of the order-m primes, far more cheaply
+than finding them, by that check, primality and completeness, the last
+against `_order_cofactor(m)`, Phi_m(10) freed of the primes of m, for m up
+to _MODULUS_LIMIT.  `quoted` and `parse_int` quote malformed text and read
+integer fields for the loaders here and elsewhere.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .arith import (
 
 __all__ = [
     "cyclotomic_value",
-    "order_cofactor",
     "order_divisor_violation",
     "primes_of_order",
     "prove_order_primes",
@@ -196,7 +199,7 @@ def _aurifeuillian_factor(m: int) -> int:
     return c - 10 ** ((k + 1) // 2) * d
 
 
-def order_cofactor(m: int) -> int:
+def _order_cofactor(m: int) -> int:
     """Phi_m(10) freed of the primes of m, whose prime factors are exactly
     the order-m primes."""
     cofactor = cyclotomic_value(m, 10)  # rejects a bad m before `factor` sees it
@@ -206,21 +209,29 @@ def order_cofactor(m: int) -> int:
     return cofactor
 
 
-def order_divisor_violation(q: int, m: int, cofactor: int) -> Optional[str]:
-    """Why q is not an order-m divisor, a divisor > 1 of `cofactor`, which
-    is `order_cofactor(m)`; None when it is.  Each prime of such a q has
-    order m, so q divides n + d * 10**k for every k = a (mod m) once
+def order_divisor_violation(q: int, m: int) -> Optional[str]:
+    """Why q is not an order-m divisor, a divisor > 1 of Phi_m(10) freed of
+    the primes of m; None when it is.
+
+    q is one iff 10**m = 1 (mod q) and gcd(q, 10**(m/r) - 1) = 1 for every
+    prime r | m: then every prime p of q has order m, so m divides p - 1
+    and p does not divide m, and q divides 10**m - 1, whose primes of order
+    m all sit in Phi_m(10) with their full multiplicity.  That
+    costs a few modular powers and `factor(m)`, however large q is.  Such a
+    q divides n + d * 10**k for every k = a (mod m) once
     n = -d * 10**a modulo q, prime or not."""
     if q < 2:
         return f"{quoted(str(q))} is not a positive integer > 1"
-    if cofactor % q:
+    if pow(10, m, q) != 1 or any(
+        math.gcd(q, pow(10, m // r, q) - 1) != 1 for r in factor(m).primes()
+    ):
         return f"{quoted(str(q))} does not divide Phi_{m}(10) freed of the primes of {m}"
     return None
 
 
 @lru_cache(maxsize=None)
 def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
-    cofactor, qs = order_cofactor(m), factor(m).primes()
+    cofactor, qs = _order_cofactor(m), factor(m).primes()
     step = math.lcm(2, m)
 
     # Scan p = 1 + k*step in chunks.  After a chunk every order-m prime below
@@ -364,7 +375,9 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     One record per line, `m: e1, e2, ..., eL`, each e a decimal integer; a
     trailing `*2` repeats that entry, marking a composite that holds two
     distinct order-m primes.  Lines
-    starting with `#` are comments.  A modulus below 1 is an error.
+    starting with `#` are comments.  A modulus below 1 or from
+    DEFAULT_BUDGET.trial_bound**2 = 10**10 on is an error: below that bound
+    `factor` finds the primes of m by trial division alone.
     """
     rows: dict[int, tuple[int, ...]] = {}
     text = Path(path).read_text()
@@ -378,6 +391,11 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
         m = parse_int(head, f"{path}:{lineno}", "modulus")
         if m < 1:
             raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
+        if m >= DEFAULT_BUDGET.trial_bound ** 2:
+            raise ValueError(
+                f"{path}:{lineno}: modulus {quoted(str(m))} must be below "
+                f"{DEFAULT_BUDGET.trial_bound ** 2}"
+            )
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
@@ -394,8 +412,8 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     return rows
 
 
-def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
-    """One order-table row's violations, and Phi_m(10) freed of m's primes.
+def _row_check(m: int, entries: Sequence[int]) -> list[str]:
+    """One order-table row's violations.
 
     The checks, for modulus m and entries [e1..eL]:
       1. every entry is an order-m divisor (`order_divisor_violation`),
@@ -409,13 +427,12 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
     primality, and a valid row's length is a lower bound on the order-m
     primes: each value holds one no other entry holds, or two if listed twice.
     """
-    cofactor = order_cofactor(m)
     violations: list[str] = []
     seen: set[int] = set()
     marked: set[int] = set()
     product = 1
     for e in entries:
-        why = order_divisor_violation(e, m, cofactor)
+        why = order_divisor_violation(e, m)
         if why:
             violations.append(f"entry {why}")
         elif e in seen and e not in marked:
@@ -436,16 +453,17 @@ def _row_check(m: int, entries: Sequence[int]) -> tuple[list[str], int]:
                 violations.append(f"entry {quoted(str(e))} shares a factor with an earlier entry")
             seen.add(e)
             product *= e
-    return violations, cofactor
+    return violations
 
 
 def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
     """The complete OrderPrimes for m from a claimed list of every order-m
     prime; ValueError names the first check that fails.
 
-    The entries must be above 1 and strictly ascend, and pass `_row_check`,
-    which costs one division for a huge entry; a prime dividing Phi_m(10)
-    and not m has order m.  Each entry must then have at most
+    m must be at most _MODULUS_LIMIT, where `_order_cofactor` computes
+    Phi_m(10) freed of the primes of m.  The entries must be above 1 and
+    strictly ascend, and pass `_row_check`, which costs a few modular
+    powers for a huge entry.  Each entry must then have at most
     _PRIMALITY_BIT_LIMIT bits and pass `is_prime` (a probable prime lands in
     `probable`), and dividing every entry out with its multiplicity must
     leave 1, which proves that no order-m prime is missing.  No budget is
@@ -453,7 +471,8 @@ def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
     """
     if any(a >= b for a, b in zip([1, *primes], primes)):
         raise ValueError("entries are not above 1 in strictly ascending order")
-    violations, value = _row_check(m, primes)
+    value = _order_cofactor(m)
+    violations = _row_check(m, primes)
     if violations:
         raise ValueError(violations[0])
     cofactor = value
@@ -486,6 +505,7 @@ def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
     as `m=<m>: ...`, rows in ascending m; the table is valid iff there are
     none, and then each row's length bounds its modulus's order-m primes
     from below.  Check 1 alone puts every prime factor of every entry in
-    order m, so no prime can sit under two moduli; nothing is factored or
-    tested for primality, and no budget is spent."""
-    return [f"m={m}: {v}" for m in sorted(table) for v in _row_check(m, table[m])[0]]
+    order m, so no prime can sit under two moduli; no Phi_m(10) is
+    computed, nothing is factored but m, nothing is tested for primality,
+    and no budget is spent."""
+    return [f"m={m}: {v}" for m in sorted(table) for v in _row_check(m, table[m])]

@@ -281,6 +281,30 @@ class TestConstructCli:
         assert f"{path}:1: {message}" in err and "characters)" in err
         assert len(err) < 300
 
+    def test_certify_checks_a_modulus_past_the_primes_limit(self, tmp_path, capsys):
+        # 400001 does not have order 200000, and no Phi_200000(10) is computed
+        path = tmp_path / "c.txt"
+        path.write_text("400001 0 200000 9 1\n")
+        argv = ["--construction", str(path), "--n", "1", "--d", "9", "--k", "1"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: digit 9: ") and err.endswith(
+            "needs a divisor of order 200000: '400001' does not divide "
+            "Phi_200000(10) freed of the primes of 200000\n"
+        )
+
+    def test_certify_refuses_a_modulus_from_ten_to_the_ten(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("# header\n7 0 10000000000 9 1\n")
+        argv = ["--construction", str(path), "--n", "1", "--d", "9", "--k", "1"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:2: modulus '10000000000' must be below 10000000000\n"
+
     @pytest.mark.parametrize(
         "line, message",
         [("x 0 7 9 1", "bad p 'x'"), ("7 0 7 9 y", "bad rho 'y'"), ("A=x", "bad A 'x'")],
@@ -763,15 +787,34 @@ class TestOrderCli:
 
     @pytest.mark.parametrize("command", ["primes", "validate"])
     def test_modulus_above_the_limit_is_refused(self, tmp_path, capsys, command):
-        # 10**m alone would need gigabytes for a modulus of a few more digits
+        # `order primes` needs 10**m, gigabytes for a modulus of a few more
+        # digits; `order validate` needs the primes of m, which trial
+        # division alone finds below 10**10
         path = tmp_path / "orders.txt"
-        path.write_text("1000000: 7\n")
+        path.write_text("10000000000: 7\n")
         arg = "1000001" if command == "primes" else str(path)
         start = time.perf_counter()
         code, out, err = run(capsys, "order", command, arg)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err.startswith("error: m must be <= 100000, got '1000")
+        if command == "primes":
+            assert err.startswith("error: m must be <= 100000, got '1000")
+        else:
+            assert err == f"error: {path}:1: modulus '10000000000' must be below 10000000000\n"
+
+    def test_validate_checks_a_modulus_past_the_primes_limit(self, tmp_path, capsys):
+        # membership needs no Phi_m(10): 2800001 has order 200000, 7 has order 6
+        path = tmp_path / "orders.txt"
+        path.write_text("200000: 2800001\n1000000: 7\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "order", "validate", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out.splitlines() == [
+            "rows: 2",
+            "valid: False",
+            "  m=1000000: entry '7' does not divide Phi_1000000(10) freed of the primes of 1000000",
+        ]
 
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_primes_of_a_nonpositive_order_is_usage_error(self, capsys, m):

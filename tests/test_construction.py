@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,31 @@ from digitcover.construction import (
 from digitcover.covering import Congruence
 
 from conftest import build_mini_construction
+
+# (m, p) with p an order-m prime, for moduli just below 10**5, where
+# computing Phi_m(10) takes about 0.07 s each
+ORDER_PRIMES_NEAR_1E5 = [
+    (99006, 198013),
+    (99010, 891091),
+    (99014, 1188169),
+    (99016, 99017),
+    (99018, 693127),
+    (99022, 99023),
+    (99031, 3565117),
+    (99041, 198083),
+    (99045, 1584721),
+    (99047, 594283),
+    (99049, 396197),
+    (99060, 495301),
+    (99065, 792521),
+    (99073, 396293),
+    (99080, 1387121),
+    (99092, 495461),
+    (99093, 1585489),
+    (99096, 990961),
+    (99100, 693701),
+    (99102, 99103),
+]
 
 
 class TestDeriveResidue:
@@ -269,3 +295,14 @@ class TestExportFormat:
         path.write_text(tampered)
         with pytest.raises(ValueError, match="disagrees"):
             load_construction(path)
+
+    def test_moduli_near_ten_to_the_five_load_fast(self, tmp_path):
+        # the order rule computes no Phi_m(10), so 20 moduli near 10**5 cost
+        # milliseconds; 3 has order 1 and covers digit 5 alone
+        path = tmp_path / "construction.txt"
+        lines = ["3 0 1 5 0"] + [f"{p} 0 {m} 5 0" for m, p in ORDER_PRIMES_NEAR_1E5]
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        construction = load_construction(path)
+        assert time.perf_counter() - start < 0.5
+        assert construction.modulus == 3 * math.prod(p for _, p in ORDER_PRIMES_NEAR_1E5)

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 import digitcover.cyclotomic as cyclotomic
-from digitcover.arith import FactorBudget, primes_up_to
+from digitcover.arith import FactorBudget, factor, primes_up_to
 from digitcover.bundle import DATA_ROOT, ORDER_PRIMES_FILE
 from digitcover.cyclotomic import (
     _PRIMALITY_BIT_LIMIT,
@@ -221,6 +221,45 @@ class TestProveOrderPrimes:
             assert result.probable == primes_of_order(m).probable
             accepted += 1
         assert accepted >= 500 and rejected >= 1500, (accepted, rejected)
+
+
+class TestOrderDivisorRule:
+    def test_membership_matches_the_cyclotomic_value(self):
+        # oracle: q is an order-m divisor iff q > 1 divides Phi_m(10) freed
+        # of the primes of m, which the rule decides without computing it
+        rng = random.Random(20261031)
+        kinds = dict.fromkeys(("member", "composite", "prime of m", "random"), 0)
+        members = 0
+        for _ in range(6000):
+            m = rng.randint(1, 120)
+            cofactor = cyclotomic._order_cofactor(m)
+            # a divisor of the cofactor: some listed primes divided out of it
+            q = cofactor
+            for p in primes_of_order(m, BAND_BUDGET).primes:
+                if rng.random() < 0.5:
+                    while q % p == 0:
+                        q //= p
+            kind = rng.choice(list(kinds))
+            if kind == "composite":
+                q *= rng.choice((rng.randint(2, 12), q))
+            elif kind == "prime of m":
+                q *= rng.choice(factor(m).primes() or [1]) ** rng.randint(1, 2)
+            elif kind == "random":
+                q = rng.randint(-2, 10 ** rng.randint(1, 30))
+            kinds[kind] += 1
+            member = q > 1 and cofactor % q == 0
+            members += member
+            assert (cyclotomic.order_divisor_violation(q, m) is None) == member, (m, q)
+        assert min(kinds.values()) >= 1400 and 1000 <= members <= 5000, (kinds, members)
+
+    def test_base_10_wieferich_square(self):
+        # 10**486 = 1 (mod 487**2), so 487**2 divides Phi_486(10) and 487**3 does not
+        cofactor = cyclotomic._order_cofactor(486)
+        assert cofactor % 487 ** 2 == 0 and cofactor % 487 ** 3
+        assert cyclotomic.order_divisor_violation(487 ** 2, 486) is None
+        assert cyclotomic.order_divisor_violation(487 ** 3, 486) == (
+            "'115501303' does not divide Phi_486(10) freed of the primes of 486"
+        )
 
 
 class TestAurifeuillianSplit:
@@ -447,27 +486,29 @@ class TestValidateOrderTable:
         assert min(faults.values()) >= 400, faults
 
     def test_validation_lists_no_order_m_primes(self, monkeypatch):
-        # membership in Phi_m(10), gcds and Fermat witnesses decide every row
-        # without factoring it or testing an entry for primality
+        # the order rule's gcds and modular powers and the Fermat witnesses
+        # decide every row without computing Phi_m(10), factoring an entry
+        # or testing one for primality
         def refuse(*args):
-            raise RuntimeError("validation listed order-m primes or tested primality")
+            raise RuntimeError("validation listed order-m primes, computed Phi_m(10) "
+                               "or tested primality")
 
+        value, large = cyclotomic_value(2584, 10), cyclotomic_value(2888, 10)
         monkeypatch.setattr(cyclotomic, "primes_of_order", refuse)
         monkeypatch.setattr(cyclotomic, "_primes_of_order_cached", refuse)
         monkeypatch.setattr(cyclotomic, "is_prime", refuse)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_value", refuse)
         shipped = load_order_table(DATA_ROOT / "coverings" / ORDER_PRIMES_FILE)
         assert validate_order_table(shipped) == []
         q = 21649 * 513239
-        value = cyclotomic_value(2584, 10)
         assert validate_order_table({11: (q, q), 2584: (value, value)}) == []
-        large = cyclotomic_value(2888, 10)
         assert len(validate_order_table({2888: (large, large)})) == 1
         assert len(validate_order_table({11: (q, q, q), 30: (211 * 241, 241 * 2161)})) == 2
 
     def test_thousand_digit_placeholder(self, tmp_path):
         # the modulus-2584 value itself: a 1153-digit composite standing in
         # for two unknown prime factors; validation must stay fast at that
-        # size (one division, one gcd, one base-2 Fermat witness)
+        # size (a few modular powers, one gcd, one base-2 Fermat witness)
         value = cyclotomic_value(2584, 10)
         assert len(str(value)) == 1153 and value.bit_length() <= _PRIMALITY_BIT_LIMIT
         path = tmp_path / "orders.txt"
@@ -511,7 +552,7 @@ class TestValidateOrderTable:
 
     def test_huge_entry_that_does_not_divide_is_not_classified(self):
         # an entry failing check 1 meets no other check, so 4,000 sevens
-        # cost one division
+        # cost one modular power
         start = time.perf_counter()
         violations = validate_order_table({3: (int("7" * 4000),)})
         assert time.perf_counter() - start < 1

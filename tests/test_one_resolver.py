@@ -2,8 +2,9 @@
 shared-prime check and `construct assemble` all consume that resolver, so
 they cannot resolve a row differently, and one verdict says whether an
 order-m list holds the primes the rows index.  One rule, membership in
-Phi_m(10) freed of the primes of m, says whether a value may stand for an
-order-m prime, in order tables and constructions alike.  Likewise one limb
+Phi_m(10) freed of the primes of m, decided by gcd and `pow`, says whether
+a value may stand for an order-m prime, in order tables and constructions
+alike.  Likewise one limb
 sweep, `residues_mod`, reduces a big integer modulo many small ones."""
 
 import ast
@@ -52,7 +53,7 @@ def test_prime_grouping_has_one_definition():
 
 
 def test_only_resolution_lists_order_m_primes():
-    # order-table validation decides membership in Phi_m(10) instead
+    # order-table validation decides membership in Phi_m(10) by gcd and pow instead
     assert callers("primes_of_order") == {
         "bundle:order_primes",
         "bundle:resolve_assignment",
@@ -61,9 +62,10 @@ def test_only_resolution_lists_order_m_primes():
 
 
 def test_only_construction_tests_orders():
-    # a prime dividing Phi_m(10) and not m has order m, so constructions and
-    # order tables test membership there, and the scan's numpy filter is
-    # has_order's own test; has_order serves only the benchmark
+    # constructions and order tables test membership in Phi_m(10) freed of
+    # the primes of m by gcd and pow, without computing it, through
+    # order_divisor_violation; the scan's numpy filter is has_order's own
+    # test, and has_order serves only the benchmark
     assert callers("has_order") == set()
 
 
@@ -72,10 +74,10 @@ def test_order_membership_has_one_definition():
         "cyclotomic:_row_check",
         "construction:validate",
     }
-    assert callers("order_cofactor") == {
+    # Phi_m(10) itself serves only the scan and the completeness of a proof
+    assert callers("_order_cofactor") == {
         "cyclotomic:_primes_of_order_cached",
-        "cyclotomic:_row_check",
-        "construction:validate",
+        "cyclotomic:prove_order_primes",
     }
 
 

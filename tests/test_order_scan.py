@@ -107,7 +107,7 @@ def test_sweep_and_order_test_keep_the_same_primes(monkeypatch):
     scan = cyclotomic._primes_of_order_cached.__wrapped__
     moduli = [2, 6, 8, 43, 69, 140, 211, 331, 931, 5000]
     swept = [m for m in moduli
-             if cyclotomic.order_cofactor(m).bit_length()
+             if cyclotomic._order_cofactor(m).bit_length()
              <= cyclotomic._SWEEP_BITS * m.bit_length()]
     assert 3 <= len(swept) <= len(moduli) - 3
     survivors = {}
