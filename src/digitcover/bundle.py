@@ -6,13 +6,7 @@ single congruence 0 mod 1 assigned to the prime 3), `ORDER_PRIMES_FILE`
 with the complete list of order-m primes for each table modulus
 m <= RESOLVE_LIMIT, and a manifest of their sha256 digests.  How many
 primes of each order the construction needs is read off the covering
-rows.  The report re-verifies every covering, compares congruence counts,
-moduli lcm and largest prime factor against the embedded expected values,
-resolves prime assignments where the order-m prime lists are known (a
-shipped list is re-proved on first use, never trusted; any other modulus
-is computed within budget), checks that each modulus has as many order-m
-primes as the rows index, and checks every prime shared between digits
-for residue consistency.
+rows.  `reproduce_report` re-verifies all of it.
 """
 
 from __future__ import annotations
@@ -29,12 +23,11 @@ from .arith import FactorBudget, DEFAULT_BUDGET
 from .covering import Congruence, CoveringSystem, is_covering_fast, lcm_analysis
 from .construction import DIGIT_OFFSETS, cross_digit_consistency, prime_uses
 from .cyclotomic import (
+    LineReader,
     OrderPrimes,
     load_order_table,
-    parse_int,
     primes_of_order,
     prove_order_primes,
-    quoted,
 )
 
 __all__ = [
@@ -139,44 +132,31 @@ class ParsedCovering:
 
 def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     """Parse a covering file: optional `# digit <d>` header, then one
-    `a m [rho]` line per congruence, each number read by `parse_int`.  A
-    comment whose first word is `digit` must be exactly that header.
-    Residues outside [0, m) are normalized with a warning; anything else
-    malformed raises ValueError with the offending location."""
-    path = Path(path)
+    `a m [rho]` line per congruence, read by `LineReader` with no modulus
+    bound.  A comment whose first word is `digit` must be exactly that
+    header, and appear once.  Residues outside [0, m) are normalized with a
+    warning; anything else malformed raises ValueError with the offending
+    location."""
+    lines = LineReader(path, modulus_bound=None)
     digit: Optional[int] = None
     rows: list[CoveringRow] = []
     warnings: list[str] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line in lines:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["digit"]:
                 if len(parts) != 2:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected '# digit <d>', got {quoted(raw)}"
-                    )
-                digit = parse_int(parts[1], f"{path}:{lineno}", "digit")
+                    raise lines.expected("# digit <d>")
+                digit = lines.header("# digit", parts[1], "digit")
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ValueError(f"{path}:{lineno}: expected 'a m [rho]', got {quoted(raw)}")
-        try:  # plain int first: every shipped row passes here
-            a, m, *rest = map(int, parts)
-        except ValueError:  # parse_int names the field that fails
-            where = [f"{path}:{lineno}"] * 3
-            a, m, *rest = map(parse_int, parts, where, ("residue", "modulus", "index"))
-        rho = rest[0] if rest else None
-        if m < 1:
-            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
-        if rho is not None and rho < 1:
-            raise ValueError(f"{path}:{lineno}: index {quoted(str(rho))} must be >= 1")
+            raise lines.expected("a m [rho]")
+        a, m, *rest = map(lines.number, parts, ("residue", "modulus", "index"))
+        m = lines.modulus(m)
+        rho = lines.index(rest[0]) if rest else None
         if not 0 <= a < m:
-            warnings.append(
-                f"{path}:{lineno}: residue {a} normalized to {a % m} (mod {m})"
-            )
+            warnings.append(f"{lines.where}: residue {a} normalized to {a % m} (mod {m})")
         rows.append(CoveringRow(Congruence.reduced(a, m), rho))
     return ParsedCovering(digit=digit, rows=rows, warnings=warnings)
 
@@ -232,6 +212,10 @@ class TableBundle:
             except ValueError as exc:
                 raise ValueError(f"{self.order_file}: m={m}: {exc}") from None
         return self._proven[m]
+
+    def is_probable(self, m: int, prime: int, budget: FactorBudget) -> bool:
+        """Whether `order_primes(m, budget)` labels prime a probable prime."""
+        return prime in self.order_primes(m, budget).probable
 
     def order_check(self, m: int, needed: int, budget: FactorBudget) -> OrderCountCheck:
         """`order_primes(m, budget)` against needed primes: "enough" when it
@@ -293,12 +277,10 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name exactly the
     files read, each with its digest.
 
-    Raises ValueError on any parse error, when a header disagrees with the
-    digit in the file name, when a file's digit is not a digit offset, is
-    one of `MOD3_DIGITS` (which take the single congruence 0 mod 1, so no
-    table) or was already supplied by another file, when a tabulated digit has no file,
-    when the ORDER_PRIMES_FILE does not parse, or when the manifest is not
-    such a list.
+    Raises ValueError on a parse error in any file, a header that
+    disagrees with its file name, a digit that is not a digit offset with
+    a table (`MOD3_DIGITS` take the single congruence 0 mod 1) or that two
+    files supply, a tabulated digit with no file, or a bad manifest.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -362,14 +344,9 @@ def default_bundle() -> TableBundle:
 def resolve_assignment(
     m: int, rho: int, budget: FactorBudget = DEFAULT_BUDGET
 ) -> Optional[int]:
-    """The rho-th smallest prime with 10 of order m, or None if unknown,
-    from `primes_of_order(m, budget)` alone, with no bundle.
-
-    Indices are exact within the prefix `primes_of_order` proves: every
-    listed prime when the list is complete, else the primes below its
-    `exact_below`, under which no order-m prime is missing.  Indices beyond
-    that prefix return None rather than guessing.
-    """
+    """The rho-th smallest prime with 10 of order m, from
+    `primes_of_order(m, budget)` alone, with no bundle; None when rho lies
+    beyond the list's exact prefix (`OrderPrimes.nth`)."""
     return primes_of_order(m, budget).nth(rho)
 
 
@@ -558,8 +535,7 @@ def _verify_digit(
         probable=[
             (row, prime)
             for row, prime in resolved
-            if prime is not None
-            and prime in bundle.order_primes(row.congruence.modulus, budget).probable
+            if prime is not None and bundle.is_probable(row.congruence.modulus, prime, budget)
         ],
     )
 

@@ -196,7 +196,7 @@ def cmd_construct_assemble(args) -> int:
         ],
         "probable_primes": sorted({  # as labelled by the rows' order-m lists
             str(e.prime) for cov in coverings for e in cov.entries
-            if e.prime in bundle.order_primes(e.congruence.modulus, budget).probable
+            if bundle.is_probable(e.congruence.modulus, e.prime, budget)
         }),
     }
     lines = [

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import DEFAULT_BUDGET, crt_combine, is_prime
+from .arith import crt_combine, is_prime
 from .covering import Congruence, CoveringSystem, is_covering_fast
-from .cyclotomic import order_divisor_violation, parse_int, quoted
+from .cyclotomic import LineReader, order_divisor_violation
 
 __all__ = [
     "Assignment",
@@ -301,46 +301,35 @@ def write_construction(construction: Construction, path: Union[str, Path]) -> No
     lines = [f"A={construction.modulus}", f"B={construction.offset}"]
     for d in sorted(construction.digits):
         for e in construction.digits[d].entries:
-            rho = e.rho if e.rho is not None else 0
             lines.append(
-                f"{e.prime} {e.congruence.residue} {e.congruence.modulus} {d} {rho}"
+                f"{e.prime} {e.congruence.residue} {e.congruence.modulus} {d} {e.rho or 0}"
             )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_construction(path: Union[str, Path]) -> Construction:
     """Parse the write_construction format and re-assemble, verifying the
-    stored A and B against the recomputed ones.  A modulus below 1 or from
-    DEFAULT_BUDGET.trial_bound**2 = 10**10 on is an error naming its line,
-    as in `load_order_table`."""
-    a_value = b_value = None
+    stored A and B against the recomputed ones.  Lines are read by
+    `LineReader`: each modulus is below MODULUS_BOUND, rho is 0 (no index)
+    or at least 1, and `A=` and `B=` appear once each."""
+    stored: dict[str, int] = {}
     per_digit: dict[int, list[Assignment]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        where = f"{path}:{lineno}"
-        if not line or line.startswith("#"):
+    lines = LineReader(path)
+    for line in lines:
+        if line.startswith("#"):
             continue
-        if line.startswith("A="):
-            a_value = parse_int(line[2:], where, "A")
-            continue
-        if line.startswith("B="):
-            b_value = parse_int(line[2:], where, "B")
+        if line.startswith(("A=", "B=")):
+            stored[line[0]] = lines.header(line[:2], line[2:], line[0])
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ValueError(f"{where}: expected 'p a m d rho', got {quoted(raw)}")
-        p, a, m, d, rho = map(parse_int, parts, [where] * 5, ("p", "a", "m", "d", "rho"))
-        if m < 1:
-            raise ValueError(f"{where}: modulus {quoted(str(m))} must be positive")
-        if m >= DEFAULT_BUDGET.trial_bound ** 2:
-            raise ValueError(
-                f"{where}: modulus {quoted(str(m))} must be below {DEFAULT_BUDGET.trial_bound ** 2}"
-            )
+            raise lines.expected("p a m d rho")
+        p, a, m, d, rho = map(lines.number, parts, ("p", "a", "m", "d", "rho"))
         per_digit.setdefault(d, []).append(
             Assignment(
-                congruence=Congruence.reduced(a, m),
+                congruence=Congruence.reduced(a, lines.modulus(m)),
                 prime=p,
-                rho=rho or None,
+                rho=lines.index(rho, "rho") if rho else None,
             )
         )
     coverings = [
@@ -348,12 +337,7 @@ def load_construction(path: Union[str, Path]) -> Construction:
         for d, entries in sorted(per_digit.items())
     ]
     construction = assemble(coverings)
-    if a_value is not None and construction.modulus != a_value:
-        raise ValueError(
-            f"stored A={a_value} disagrees with recomputed {construction.modulus}"
-        )
-    if b_value is not None and construction.offset != b_value:
-        raise ValueError(
-            f"stored B={b_value} disagrees with recomputed {construction.offset}"
-        )
+    for key, value in (("A", construction.modulus), ("B", construction.offset)):
+        if stored.get(key, value) != value:
+            raise ValueError(f"stored {key}={stored[key]} disagrees with recomputed {value}")
     return construction

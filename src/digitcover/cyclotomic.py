@@ -3,33 +3,19 @@
 The primes p (coprime to 10) for which 10 has multiplicative order m are
 exactly the primes dividing the m-th cyclotomic polynomial evaluated at 10,
 excluding primes dividing m, and every one of them is 1 (mod lcm(2, m)).
-This module evaluates those values exactly, as a Moebius product over the
-squarefree divisors of m formed from the primes `factor` finds in m, for m
-up to _MODULUS_LIMIT.  It lists the order-m primes by scanning that
+`cyclotomic_value` evaluates Phi_m(x) exactly for m up to _MODULUS_LIMIT,
+and `primes_of_order` lists the order-m primes by scanning that
 progression below SCAN_BOUND and splitting what is left with Pollard's
-p - 1 method.  The scan keeps a candidate that divides the cofactor, by one
-`residues_mod` sweep, while the cofactor has at most _SWEEP_BITS bits per
-bit of m, and one in which 10 has order m past that size.  For m = 20k
-with k odd the leftover first splits for free at its Aurifeuillian factors
-(Brent, Math. Comp. 61, 1993), and a part above _PRIMALITY_BIT_LIMIT bits
-is left whole without a primality test.
+p - 1 method.
 
 One rule, `order_divisor_violation`, says what may stand for an order-m
 prime, in order tables and constructions alike: a divisor > 1 of Phi_m(10)
-freed of the primes of m, whose primes all have order m.  It decides that
-by gcd and `pow` alone, from the primes of m, without computing Phi_m(10),
-so it serves any modulus the loaders accept: below 10**10, where `factor`
-finds the primes of m by trial division.  One row check, `_row_check`,
-serves both uses of an order table (read by `load_order_table`): a row
-lists pairwise-coprime order-m divisors, a value listed twice being a
-composite shown to hold two order-m primes, so its length bounds the
-order-m primes from below; no entry is factored or tested for primality.
-`validate_order_table` returns every row's violations.  `prove_order_primes`
-re-proves a claimed complete list of the order-m primes, far more cheaply
-than finding them, by that check, primality and completeness, the last
-against `_order_cofactor(m)`, Phi_m(10) freed of the primes of m, for m up
-to _MODULUS_LIMIT.  `quoted` and `parse_int` quote malformed text and read
-integer fields for the loaders here and elsewhere.
+freed of the primes of m, decided by gcd and `pow` alone.  One row check,
+`_row_check`, serves `validate_order_table` and `prove_order_primes`, which
+re-proves a claimed complete list of the order-m primes far more cheaply
+than finding them.  `LineReader` gives the covering, order-table and
+construction loaders their lines and the field rules they share, with
+`quoted` and `parse_int` for malformed text and integer fields.
 """
 
 from __future__ import annotations
@@ -41,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,7 +54,16 @@ __all__ = [
     "validate_order_table",
     "quoted",
     "parse_int",
+    "LineReader",
+    "MODULUS_BOUND",
 ]
+
+
+@lru_cache(maxsize=1024)
+def _primes_of(m: int) -> tuple[int, ...]:
+    """The primes of m, ascending: one `factor(m)` serves the Moebius
+    product, the order cofactor, the scan and every table entry under m."""
+    return tuple(factor(m).primes())
 
 
 def cyclotomic_value(m: int, x: int) -> int:
@@ -88,7 +83,7 @@ def cyclotomic_value(m: int, x: int) -> int:
         raise ValueError("x must be >= 2")
     numerator = 1
     denominator = 1
-    qs = factor(m).primes()
+    qs = _primes_of(m)
     for size in range(len(qs) + 1):
         for subset in itertools.combinations(qs, size):
             term = x ** (m // math.prod(subset)) - 1
@@ -203,7 +198,7 @@ def _order_cofactor(m: int) -> int:
     """Phi_m(10) freed of the primes of m, whose prime factors are exactly
     the order-m primes."""
     cofactor = cyclotomic_value(m, 10)  # rejects a bad m before `factor` sees it
-    for q in factor(m).primes():
+    for q in _primes_of(m):
         while cofactor % q == 0:
             cofactor //= q
     return cofactor
@@ -216,14 +211,14 @@ def order_divisor_violation(q: int, m: int) -> Optional[str]:
     q is one iff 10**m = 1 (mod q) and gcd(q, 10**(m/r) - 1) = 1 for every
     prime r | m: then every prime p of q has order m, so m divides p - 1
     and p does not divide m, and q divides 10**m - 1, whose primes of order
-    m all sit in Phi_m(10) with their full multiplicity.  That
-    costs a few modular powers and `factor(m)`, however large q is.  Such a
-    q divides n + d * 10**k for every k = a (mod m) once
-    n = -d * 10**a modulo q, prime or not."""
+    m all sit in Phi_m(10) with their full multiplicity.  That costs a few
+    modular powers and the primes of m, however large q is.  Such a q
+    divides n + d * 10**k for every k = a (mod m) once n = -d * 10**a
+    modulo q, prime or not."""
     if q < 2:
         return f"{quoted(str(q))} is not a positive integer > 1"
     if pow(10, m, q) != 1 or any(
-        math.gcd(q, pow(10, m // r, q) - 1) != 1 for r in factor(m).primes()
+        math.gcd(q, pow(10, m // r, q) - 1) != 1 for r in _primes_of(m)
     ):
         return f"{quoted(str(q))} does not divide Phi_{m}(10) freed of the primes of {m}"
     return None
@@ -231,7 +226,7 @@ def order_divisor_violation(q: int, m: int) -> Optional[str]:
 
 @lru_cache(maxsize=None)
 def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
-    cofactor, qs = _order_cofactor(m), factor(m).primes()
+    cofactor, qs = _order_cofactor(m), _primes_of(m)
     step = math.lcm(2, m)
 
     # Scan p = 1 + k*step in chunks.  After a chunk every order-m prime below
@@ -315,32 +310,27 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
 def primes_of_order(m: int, budget: FactorBudget = DEFAULT_BUDGET) -> OrderPrimes:
     """Primes p with multiplicative order of 10 mod p equal to m, ascending.
 
-    Every such prime is 1 (mod lcm(2, m)) and divides the cyclotomic value
-    Phi_m(10), which is first freed of the primes of m.  The candidates
-    p = 1 + k*lcm(2, m) below SCAN_BOUND are scanned in numpy chunks that
-    start small and double up to _CHUNK_MAX.  While the cofactor has at
-    most _SWEEP_BITS bits per bit of m, p is kept when `residues_mod` finds
-    that it divides the cofactor; past that size, the sweep costing more,
-    p is kept when 10**m = 1 and 10**(m/q) != 1 (mod p) for every prime
-    q | m, which is the order-m test itself.  Both are exact in uint64
-    below SCAN_BOUND and keep the same primes, since a prime divides the
-    cofactor iff 10 has order m mod it.  A kept p is proven with
-    `is_prime` and divided out of Phi_m(10) with its multiplicity.  The
+    Every such prime is 1 (mod lcm(2, m)) and divides Phi_m(10) freed of
+    the primes of m.  The candidates p = 1 + k*lcm(2, m) below SCAN_BOUND
+    are scanned in numpy chunks that double from _CHUNK_FIRST up to
+    _CHUNK_MAX.  While the cofactor has at most _SWEEP_BITS bits per bit of
+    m, p is kept when `residues_mod` finds that it divides the cofactor;
+    past that size, where the sweep costs more, p is kept when 10**m = 1
+    and 10**(m/q) != 1 (mod p) for every prime q | m.  Both tests are exact
+    in uint64 below SCAN_BOUND and keep the same primes, since a prime
+    divides the cofactor iff 10 has order m mod it.  A kept p is
+    proven with `is_prime` and divided out with its multiplicity, and the
     scan stops once the cofactor is below the square of the scanned limit,
-    where it is 1 or prime.  For m = 20k with k odd, Phi_m(10) divides
-    Phi_20(10**k) = (C - 10**((k+1)/2) D)(C + 10**((k+1)/2) D) (Brent,
-    Math. Comp. 61, 1993; see `_aurifeuillian_factor`), so one gcd with the
-    first factor splits the cofactor in two without spending budget.  Each
-    part above _PRIMALITY_BIT_LIMIT bits is left whole, its primality not
-    tested, since `is_prime` runs for minutes there.  A composite part of at
-    most _SPLIT_BIT_LIMIT bits is split with `pm1_split`, within budget: a
-    budget of 10**6 multiplications or more, the default included, first
-    runs the 10**4 schedule, which finds every split of the table moduli
-    m <= 64, and pm1_multiplications sums what the splits spent.
-    Every part divides the cofactor, so a part that counts as prime has
-    order m; it counts as prime below the limit squared or when `is_prime`
-    says so, and lands in `probable` when `is_prime` only calls it a
-    probable prime.
+    where it is 1 or prime.  For m = 20k with k odd, one gcd with
+    `_aurifeuillian_factor(m)` (Brent, Math. Comp. 61, 1993) splits the
+    cofactor in two without spending budget.  A part above
+    _PRIMALITY_BIT_LIMIT bits is left whole and untested, since `is_prime`
+    runs for minutes there.  A composite part of at most _SPLIT_BIT_LIMIT
+    bits is split with `pm1_split` within budget (a budget of 10**6 or
+    more, the default included, first runs the 10**4 schedule, which splits
+    every table modulus m <= 64), and pm1_multiplications sums what the
+    splits spent.  A part counts as prime below the limit squared or when
+    `is_prime` says so, and lands in `probable` on a probable-prime verdict.
 
     The listed primes below `exact_below` are exactly the order-m primes
     there; the result is complete, and lists them all, iff no composite
@@ -369,45 +359,96 @@ def parse_int(token: str, where: str, name: str) -> int:
         raise ValueError(f"{where}: bad {name} {quoted(token)}") from None
 
 
+# Order tables and constructions refuse a modulus from here on: below it
+# `factor` finds the primes of m by trial division alone.
+MODULUS_BOUND = DEFAULT_BUDGET.trial_bound ** 2
+
+
+class LineReader:
+    """The stripped non-blank lines of a text file, and the field rules
+    that covering, order-table and construction files share, each raising
+    ValueError at `where`, `<file>:<line>`, built only then.
+
+    Iterating yields each line and keeps its number in `lineno`.  A
+    modulus is at least 1 and below modulus_bound (None sets no bound), an
+    index is at least 1, and a header key claims one line only.
+    """
+
+    def __init__(self, path: Union[str, Path], modulus_bound: Optional[int] = MODULUS_BOUND):
+        self.path = path
+        self.modulus_bound = modulus_bound
+        self.lineno = 0
+        self.raw = ""
+        self._headers: dict[str, int] = {}
+
+    def __iter__(self) -> Iterator[str]:
+        for self.lineno, self.raw in enumerate(Path(self.path).read_text().splitlines(), 1):
+            line = self.raw.strip()
+            if line:
+                yield line
+
+    @property
+    def where(self) -> str:
+        return f"{self.path}:{self.lineno}"
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self.where}: {message}")
+
+    def expected(self, form: str) -> ValueError:
+        return self.error(f"expected {form!r}, got {quoted(self.raw)}")
+
+    def number(self, token: str, name: str) -> int:
+        try:  # plain int first: `parse_int` would need `where` up front
+            return int(token)
+        except ValueError:
+            return parse_int(token, self.where, name)
+
+    def modulus(self, m: int) -> int:
+        if m < 1:
+            raise self.error(f"modulus {quoted(str(m))} must be positive")
+        if self.modulus_bound is not None and m >= self.modulus_bound:
+            raise self.error(f"modulus {quoted(str(m))} must be below {self.modulus_bound}")
+        return m
+
+    def index(self, rho: int, name: str = "index") -> int:
+        if rho < 1:
+            raise self.error(f"{name} {quoted(str(rho))} must be >= 1")
+        return rho
+
+    def header(self, key: str, token: str, name: str) -> int:
+        """The value of a header line, which the first line with key claims."""
+        first = self._headers.setdefault(key, self.lineno)
+        if first != self.lineno:
+            raise self.error(f"repeated {key!r} header, first on line {first}")
+        return self.number(token, name)
+
+
 def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
     """Parse an order-table file into its entries keyed by modulus.
 
     One record per line, `m: e1, e2, ..., eL`, each e a decimal integer; a
     trailing `*2` repeats that entry, marking a composite that holds two
-    distinct order-m primes.  Lines
-    starting with `#` are comments.  A modulus below 1 or from
-    DEFAULT_BUDGET.trial_bound**2 = 10**10 on is an error: below that bound
-    `factor` finds the primes of m by trial division alone.
+    distinct order-m primes.  Lines starting with `#` are comments.  The
+    modulus meets `LineReader`'s rule, below MODULUS_BOUND; a modulus
+    listed twice is an error.
     """
     rows: dict[int, tuple[int, ...]] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = LineReader(path)
+    for line in lines:
+        if line.startswith("#"):
             continue
         head, sep, tail = line.partition(":")
         if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'm: entries', got {quoted(raw)}")
-        m = parse_int(head, f"{path}:{lineno}", "modulus")
-        if m < 1:
-            raise ValueError(f"{path}:{lineno}: modulus {quoted(str(m))} must be positive")
-        if m >= DEFAULT_BUDGET.trial_bound ** 2:
-            raise ValueError(
-                f"{path}:{lineno}: modulus {quoted(str(m))} must be below "
-                f"{DEFAULT_BUDGET.trial_bound ** 2}"
-            )
+            raise lines.expected("m: entries")
+        m = lines.modulus(lines.number(head, "modulus"))
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()
-            if not token:
-                continue
-            twice = token.endswith("*2")
-            if twice:
-                token = token[:-2].strip()
-            value = parse_int(token, f"{path}:{lineno}", "entry")
-            entries.extend([value, value] if twice else [value])
+            if token:
+                value = lines.number(token.removesuffix("*2").strip(), "entry")
+                entries += [value] * (2 if token.endswith("*2") else 1)
         if m in rows:
-            raise ValueError(f"{path}:{lineno}: duplicate modulus {m}")
+            raise lines.error(f"duplicate modulus {m}")
         rows[m] = tuple(entries)
     return rows
 
@@ -503,9 +544,7 @@ def prove_order_primes(m: int, primes: Sequence[int]) -> OrderPrimes:
 def validate_order_table(table: dict[int, tuple[int, ...]]) -> list[str]:
     """The violations of `_row_check` on every row of an order table, each
     as `m=<m>: ...`, rows in ascending m; the table is valid iff there are
-    none, and then each row's length bounds its modulus's order-m primes
-    from below.  Check 1 alone puts every prime factor of every entry in
-    order m, so no prime can sit under two moduli; no Phi_m(10) is
-    computed, nothing is factored but m, nothing is tested for primality,
-    and no budget is spent."""
+    none.  Check 1 puts every prime of every entry in order m, so no prime
+    can sit under two moduli; nothing is factored but m and no budget is
+    spent."""
     return [f"m={m}: {v}" for m in sorted(table) for v in _row_check(m, table[m])]

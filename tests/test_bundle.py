@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 import digitcover.bundle as bundle_module
+import digitcover.cyclotomic as cyclotomic
 from digitcover.arith import DEFAULT_BUDGET, FactorBudget, factor
 from digitcover.bundle import (
     DATA_ROOT,
@@ -417,6 +418,22 @@ class TestReport:
             else:
                 assert d in MOD3_DIGITS and r.lcm == 1
         assert [r.digit for r in report.digits] == sorted(by_digit)
+
+    def test_each_modulus_is_factored_once(self):
+        # the Moebius product, the order cofactor, the scan and every order
+        # row's entries read one factorization of m: a cold report factors
+        # each of the 57 table moduli m <= 64 once
+        factored = []
+
+        def counted(n, budget=DEFAULT_BUDGET):
+            factored.append(n)
+            return factor(n, budget)
+
+        cyclotomic._primes_of.cache_clear()
+        cyclotomic._primes_of_order_cached.cache_clear()
+        with mock.patch("digitcover.cyclotomic.factor", side_effect=counted):
+            assert reproduce_report(ingest_tables(DATA_ROOT)).ok
+        assert len(factored) == len(set(factored)) == 57
 
     def test_shared_primes_consistent(self, bundle):
         checks = shared_prime_checks(bundle, resolve_limit=64)

@@ -186,6 +186,14 @@ class TestCoverCli:
         assert code == 2 and out == ""
         assert err == f"error: {path}:1: expected '# digit <d>', got {header!r}\n"
 
+    def test_verify_refuses_a_second_digit_header(self, tmp_path, capsys):
+        # a second header is an error, not a new digit for the rows after it
+        path = tmp_path / "header.txt"
+        path.write_text("# digit 9\n0 2\n# digit 4\n1 2\n")
+        code, out, err = run(capsys, "--format", "json", "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:3: repeated '# digit' header, first on line 1\n"
+
     def test_unfactorable_lcm_gives_up_quickly(self, tmp_path, capsys):
         # lcm_analysis factors at a small rho budget, so the default one
         # (seconds on 2^128 + 1) is never spent on the largest prime
@@ -280,6 +288,25 @@ class TestConstructCli:
         assert code == 2 and out == ""
         assert f"{path}:1: {message}" in err and "characters)" in err
         assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("11 0 2 9 1\n", "11 0 2 9 -3\n"), "9: rho '-3' must be >= 1"),
+            (("A=", "A=12345\nA=", 1), "2: repeated 'A=' header, first on line 1"),
+        ],
+        ids=["rho", "A"],
+    )
+    def test_certify_refuses_an_edited_assembly(self, tmp_path, capsys, edit, message):
+        # a negative index and a second A= line are errors, not data
+        path = tmp_path / "mini.txt"
+        argv = ["--digits", "9,2,5,8,-1,-4,-7", "--out", str(path)]
+        assert run(capsys, "construct", "assemble", *argv)[0] == 0
+        path.write_text(path.read_text().replace(*edit))
+        argv = ["--construction", str(path), "--n", "8523682", "--d", "9", "--k", "3"]
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:{message}\n"
 
     def test_certify_checks_a_modulus_past_the_primes_limit(self, tmp_path, capsys):
         # 400001 does not have order 200000, and no Phi_200000(10) is computed

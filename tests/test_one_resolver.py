@@ -5,7 +5,9 @@ order-m list holds the primes the rows index.  One rule, membership in
 Phi_m(10) freed of the primes of m, decided by gcd and `pow`, says whether
 a value may stand for an order-m prime, in order tables and constructions
 alike.  Likewise one limb
-sweep, `residues_mod`, reduces a big integer modulo many small ones."""
+sweep, `residues_mod`, reduces a big integer modulo many small ones, and
+one reader, `LineReader`, gives every input file's loader its lines and
+field rules."""
 
 import ast
 from pathlib import Path
@@ -37,6 +39,11 @@ def test_rows_reach_their_prime_in_one_place():
     # benchmark; inside the package only resolved_rows indexes an order-m list
     assert callers("resolve_assignment") == set()
     assert callers("nth") == {"bundle:resolved_rows", "bundle:resolve_assignment"}
+
+
+def test_probable_primes_are_labelled_in_one_place():
+    # the report's probable rows and construct assemble's probable_primes
+    assert callers("is_probable") == {"bundle:_verify_digit", "cli:cmd_construct_assemble"}
 
 
 def test_order_lists_get_one_verdict():
@@ -114,3 +121,29 @@ def test_one_residue_sweep():
     # small ones through the same limb fold
     assert callers("residues_mod") == {"arith:factor", "cyclotomic:_primes_of_order_cached"}
     assert limb_folds() == {"arith:residues_mod"}
+
+
+def test_loaders_read_lines_only_through_the_reader():
+    # covering files, order tables and constructions share one line loop,
+    # one location format and one set of field rules
+    assert callers("LineReader") == {
+        "bundle:parse_covering_file",
+        "cyclotomic:load_order_table",
+        "construction:load_construction",
+    }
+    assert callers("splitlines") == {"cyclotomic:__iter__"}
+    assert callers("read_text") == {"cyclotomic:__iter__", "bundle:_check_manifest"}
+    assert callers("parse_int") == {"cyclotomic:number", "cli:_int"}
+
+
+def test_one_modulus_bound():
+    # MODULUS_BOUND is the one spelling of the loaders' bound
+    squares = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and getattr(node.left, "attr", None) == "trial_bound"
+    ]
+    assert len(squares) == 1 and squares[0].startswith("cyclotomic:")
