@@ -301,6 +301,9 @@ class FactorBudget:
     rho_restarts: for `factor`, rho attempts with distinct polynomial
         constants per cofactor; for `primes_of_order`, the p - 1 bases tried
         on a cofactor whose gcd collapses to the whole cofactor.
+
+    `pm1_split` reads no budget: `primes_of_order` passes it these two
+    numbers as its multiplications and bases, and `factor` its cap and 1.
     """
 
     trial_bound: int = 100_000
@@ -496,26 +499,26 @@ def _pm1_pass(
     return g, spent
 
 
-def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], int]:
+def pm1_split(n: int, known: int, multiplications: int, bases: int) -> tuple[Optional[int], int]:
     """A proper factor of the composite n by Pollard's p - 1 method, or None,
     with the modular multiplications spent (a power with exponent e counts
     e.bit_length()).
 
     Every prime p | n must have known | p - 1, so each base b starts as
-    b**known.  Stage 1 raises x to the prime powers q**e <= rho_iterations
-    of ascending primes while it has spent less than min(rho_iterations/4,
-    25*sqrt(rho_iterations)), so that a larger budget mostly buys a longer
+    b**known.  Stage 1 raises x to the prime powers q**e <= multiplications
+    of ascending primes while it has spent less than min(multiplications/4,
+    25*sqrt(multiplications)), so that a larger budget mostly buys a longer
     stage 2.  Stage 2 takes the next primes one at a time: for q = v*W - r
     with W = _PM1_GIANT and 0 <= r < W, x**q = 1 iff x**(v*W) = x**r, so it
     multiplies the x**(v*W) - x**r together, one multiplication per prime
     plus one per giant step.  Both stages take one gcd per block of
     _PM1_BLOCK primes.  A block whose gcd is all of n is redone prime by
     prime; if one prime still catches every factor, the next base is tried,
-    up to rho_restarts bases.  The budget of rho_iterations multiplications
+    up to `bases` bases (3, 5, 7, ...).  The budget of `multiplications`
     covers all bases.  A stage-1 block takes prime powers only while its
     exponent's bit length fits the budget left, and stage 2 takes a prime
-    only if its multiplications fit, so spent exceeds rho_iterations by at
-    most the bits of one prime power.
+    only if its multiplications fit, so spent exceeds `multiplications` by
+    at most the bits of one prime power.
 
     A budget of at least 100 * _PM1_PROBE = 10**6 first runs, on each base,
     the schedule of a _PM1_PROBE budget: stage 1 to 2,500 multiplications,
@@ -527,11 +530,11 @@ def pm1_split(n: int, known: int, budget: FactorBudget) -> tuple[Optional[int], 
     _PM1_PROBE multiplications fewer primes.  A smaller budget runs its own
     schedule alone.
     """
-    limit = budget.rho_iterations
+    limit = multiplications
     stage_one = min(limit // 4, 25 * math.isqrt(limit))
     probe = limit >= 100 * _PM1_PROBE
     spent = probed = 0
-    for base in _SMALL_PRIMES[1 : 1 + budget.rho_restarts]:
+    for base in _SMALL_PRIMES[1 : 1 + bases]:
         if spent + known.bit_length() > limit:
             break
         if probe:
@@ -610,8 +613,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m < limit * limit or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
@@ -621,7 +622,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             stack.extend([base] * exp)
             continue
         cap = min(math.isqrt(math.isqrt(m)) // 4, budget.rho_iterations)
-        d, _ = pm1_split(m, 2, FactorBudget(rho_iterations=cap, rho_restarts=1))
+        d, _ = pm1_split(m, 2, cap, 1)
         if d is None:
             d = _brent_rho(m, budget)
         if d is None:

@@ -6,7 +6,10 @@ single congruence 0 mod 1 assigned to the prime 3), `ORDER_PRIMES_FILE`
 with the complete list of order-m primes for each table modulus
 m <= RESOLVE_LIMIT, and a manifest of their sha256 digests.  How many
 primes of each order the construction needs is read off the covering
-rows.  `reproduce_report` re-verifies all of it.
+rows.  `reproduce_report` re-verifies all of it: every covering and,
+whatever the resolve limit, every order-m row.  A modulus without a row
+gets its list from `primes_of_order` within the bundle's one budget,
+`TableBundle.budget`.
 """
 
 from __future__ import annotations
@@ -167,13 +170,15 @@ class TableBundle:
 
     order_rows holds the rows of `order_file` (an ORDER_PRIMES_FILE) as
     read, unproved; `order_primes` proves each row on first use and keeps
-    the result in _proven, per bundle.
+    the result in _proven, per bundle.  budget is the one budget within
+    which `order_primes` computes the list of a modulus without a row.
     """
 
     coverings: dict[int, tuple[CoveringRow, ...]]
     warnings: list[str] = field(default_factory=list)
     order_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
     order_file: Optional[Path] = None
+    budget: FactorBudget = DEFAULT_BUDGET
     _proven: dict[int, OrderPrimes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -199,13 +204,13 @@ class TableBundle:
                     counts[row.congruence.modulus] = row.rho
         return counts
 
-    def order_primes(self, m: int, budget: FactorBudget) -> OrderPrimes:
+    def order_primes(self, m: int) -> OrderPrimes:
         """The primes of order m that the rows index: the bundle's row for
         m, proved by `prove_order_primes` the first time it is asked for,
-        or `primes_of_order(m, budget)` when there is no row.  A row that
+        or `primes_of_order(m, self.budget)` when there is no row.  A row that
         fails its proof is a ValueError naming the file, m and the check."""
         if m not in self.order_rows:
-            return primes_of_order(m, budget)
+            return primes_of_order(m, self.budget)
         if m not in self._proven:
             try:
                 self._proven[m] = prove_order_primes(m, self.order_rows[m])
@@ -213,32 +218,32 @@ class TableBundle:
                 raise ValueError(f"{self.order_file}: m={m}: {exc}") from None
         return self._proven[m]
 
-    def is_probable(self, m: int, prime: int, budget: FactorBudget) -> bool:
-        """Whether `order_primes(m, budget)` labels prime a probable prime."""
-        return prime in self.order_primes(m, budget).probable
+    def is_probable(self, m: int, prime: int) -> bool:
+        """Whether `order_primes(m)` labels prime a probable prime."""
+        return prime in self.order_primes(m).probable
 
-    def order_check(self, m: int, needed: int, budget: FactorBudget) -> OrderCountCheck:
-        """`order_primes(m, budget)` against needed primes: "enough" when it
-        lists that many, else "short" when the list is complete (a failure)
-        or "unresolved" when it is not."""
-        known = self.order_primes(m, budget)
+    def order_check(self, m: int, needed: int) -> OrderCountCheck:
+        """`order_primes(m)` against needed primes: "enough" when it lists
+        that many, else "short" when the list is complete (a failure) or
+        "unresolved" when it is not."""
+        known = self.order_primes(m)
         found = len(known.primes)
         status = "enough" if found >= needed else "short" if known.complete else "unresolved"
         return OrderCountCheck(m, needed, found, status, known.reason)
 
     def resolved_rows(
-        self, digit: int, resolve_limit: Optional[int], budget: FactorBudget
+        self, digit: int, resolve_limit: Optional[int] = None
     ) -> Iterator[tuple[CoveringRow, Optional[int]]]:
         """Each row of `rows(digit)` with its prime, lazily and in order: the
-        rho-th prime of `order_primes(m, budget)`, or None when the row has
-        no index, its modulus exceeds resolve_limit (None sets no limit), or
+        rho-th prime of `order_primes(m)`, or None when the row has no
+        index, its modulus exceeds resolve_limit (None sets no limit), or
         the index lies beyond the list's exact prefix."""
         for row in self.rows(digit):
             m = row.congruence.modulus
             if row.rho is None or (resolve_limit is not None and m > resolve_limit):
                 yield row, None
             else:
-                yield row, self.order_primes(m, budget).nth(row.rho)
+                yield row, self.order_primes(m).nth(row.rho)
 
 
 def _check_manifest(path: Path, files: list[Path]) -> None:
@@ -504,12 +509,7 @@ class VerificationReport:
         }
 
 
-def _verify_digit(
-    bundle: TableBundle,
-    digit: int,
-    rows: Iterable[tuple[CoveringRow, Optional[int]]],
-    budget: FactorBudget,
-) -> DigitReport:
+def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitReport:
     start = time.perf_counter()
     system = bundle.system(digit)
     analysis = lcm_analysis(system)
@@ -517,7 +517,7 @@ def _verify_digit(
     # resolved after lcm_analysis: its `factor` sieves arith's shared prime
     # table to the 10^5 trial bound in one step, where resolving first would
     # sieve 2^16 for p - 1 and then regrow the table
-    resolved = list(rows)
+    resolved = list(bundle.resolved_rows(digit, resolve_limit))
     actual = (analysis.count, analysis.lcm, analysis.max_prime)
     tables = (EXPECTED_CONGRUENCE_COUNTS, EXPECTED_LCM, EXPECTED_MAX_PRIME)
     return DigitReport(
@@ -535,7 +535,7 @@ def _verify_digit(
         probable=[
             (row, prime)
             for row, prime in resolved
-            if prime is not None and bundle.is_probable(row.congruence.modulus, prime, budget)
+            if prime is not None and bundle.is_probable(row.congruence.modulus, prime)
         ],
     )
 
@@ -557,18 +557,13 @@ def _shared_checks(
 
 
 def shared_prime_checks(bundle: TableBundle, resolve_limit: int) -> list[SharedPrimeCheck]:
-    """Resolve assignments up to the modulus limit within DEFAULT_BUDGET and
-    check every prime used by more than one digit for offset-residue
-    consistency."""
-    return _shared_checks(
-        {d: bundle.resolved_rows(d, resolve_limit, DEFAULT_BUDGET) for d in DIGIT_OFFSETS}
-    )
+    """Resolve assignments up to the modulus limit and check every prime
+    used by more than one digit for offset-residue consistency."""
+    return _shared_checks({d: bundle.resolved_rows(d, resolve_limit) for d in DIGIT_OFFSETS})
 
 
 def reproduce_report(
-    bundle: Optional[TableBundle] = None,
-    resolve_limit: int = RESOLVE_LIMIT,
-    budget: FactorBudget = DEFAULT_BUDGET,
+    bundle: Optional[TableBundle] = None, resolve_limit: int = RESOLVE_LIMIT
 ) -> VerificationReport:
     """Re-verify every shipped covering and compare with the expected data.
 
@@ -578,25 +573,26 @@ def reproduce_report(
     consistency is checked at the end.  Each prime assignment is resolved
     once, for moduli up to resolve_limit, from the bundle's order-m lists
     (`TableBundle.order_primes`: a shipped row is proved, any other modulus
-    is computed within budget); every count and check reads those rows.
-    Each modulus up to resolve_limit gets an OrderCountCheck from the same
-    list; a "short" one fails the report.
+    is computed within the bundle's budget); every count and check reads
+    those rows.  Each modulus up to resolve_limit gets an OrderCountCheck
+    from the same list; a "short" one fails the report.  Every row of the
+    bundle's ORDER_PRIMES_FILE is proved, whatever resolve_limit is, and a
+    row that fails its proof raises ValueError.
     """
     if resolve_limit < 0:
         raise ValueError(f"resolve_limit must be >= 0, got {resolve_limit}")
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
-    reports = [
-        _verify_digit(bundle, d, bundle.resolved_rows(d, resolve_limit, budget), budget)
-        for d in DIGIT_OFFSETS
-    ]
+    reports = [_verify_digit(bundle, d, resolve_limit) for d in DIGIT_OFFSETS]
     shared = _shared_checks({r.digit: r.rows for r in reports})
     order_counts = [
-        bundle.order_check(m, needed, budget)
+        bundle.order_check(m, needed)
         for m, needed in sorted(bundle.order_counts.items())
         if m <= resolve_limit
     ]
+    for m in bundle.order_rows:
+        bundle.order_primes(m)
     return VerificationReport(
         digits=reports,
         shared=shared,

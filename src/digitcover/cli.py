@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: cover, construct, delicate, graham, order, report.
-All numeric input and output is decimal strings.  Exit codes: 0 success,
+Numeric input is decimal.  JSON output prints counts, digit offsets,
+indices and moduli below 10^10 as numbers, and every other integer as a
+decimal string.  Exit codes: 0 success,
 1 verification failure (a witness is printed when one exists), 2 data or
 usage error.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import __version__
@@ -76,7 +79,7 @@ def _bundle(args) -> TableBundle:
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
     for w in bundle.warnings:
         print(w, file=sys.stderr)
-    return bundle
+    return replace(bundle, budget=_budget(args))
 
 
 def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
@@ -123,7 +126,7 @@ def cmd_cover_verify(args) -> int:
         splits = sum(r.splits for r in profile)
         payload["profile"] = {
             "w": w,
-            "max_span": max_span,
+            "max_span": str(max_span),
             "max_span_classes": top,
             "cells_spanned": str(spanned),
             "cells_marked": str(marked),
@@ -156,15 +159,15 @@ def cmd_cover_verify(args) -> int:
     return OK if verdict.covering else FAIL
 
 
-def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCovering:
+def _build_digit_covering(bundle: TableBundle, digit: int) -> DigitCovering:
     entries = []
-    for row, prime in bundle.resolved_rows(digit, None, budget):
+    for row, prime in bundle.resolved_rows(digit):
         if row.rho is None:
             raise ValueError(
                 f"digit {digit}: congruence {row.congruence} has no prime index"
             )
         if prime is None:
-            check = bundle.order_check(row.congruence.modulus, row.rho, budget)
+            check = bundle.order_check(row.congruence.modulus, row.rho)
             why = (
                 f"only {check.found} primes have order {check.m}"
                 if check.status == "short"
@@ -179,10 +182,9 @@ def _build_digit_covering(bundle: TableBundle, digit: int, budget) -> DigitCover
 
 
 def cmd_construct_assemble(args) -> int:
-    budget = _budget(args)
     digits = _ints(args.digits, "--digits")
     bundle = _bundle(args)
-    coverings = [_build_digit_covering(bundle, d, budget) for d in digits]
+    coverings = [_build_digit_covering(bundle, d) for d in digits]
     construction = assemble(coverings)
     if args.out:
         write_construction(construction, args.out)
@@ -196,7 +198,7 @@ def cmd_construct_assemble(args) -> int:
         ],
         "probable_primes": sorted({  # as labelled by the rows' order-m lists
             str(e.prime) for cov in coverings for e in cov.entries
-            if bundle.is_probable(e.congruence.modulus, e.prime, budget)
+            if bundle.is_probable(e.congruence.modulus, e.prime)
         }),
     }
     lines = [
@@ -318,9 +320,11 @@ def cmd_graham_verify(args) -> int:
         "b": str(instance.b),
         "primes": [str(p) for p in instance.primes],
         "product": str(instance.product),
-        "period_lcm": report.period_lcm,
+        "period_lcm": str(report.period_lcm),
         "covered": report.covered,
-        "uncovered_index": report.uncovered_index,
+        "uncovered_index": (
+            None if report.uncovered_index is None else str(report.uncovered_index)
+        ),
         "terms_exceed_primes": report.terms_exceed_primes,
         "periods": {
             str(p): {"period": rp.period, "zeros": sorted(rp.zero_indices)}
@@ -414,7 +418,7 @@ def cmd_order_validate(args) -> int:
 
 def cmd_report(args) -> int:
     bundle = _bundle(args)
-    report = reproduce_report(bundle, args.resolve_limit, _budget(args))
+    report = reproduce_report(bundle, args.resolve_limit)
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL
 

@@ -311,15 +311,17 @@ def load_construction(path: Union[str, Path]) -> Construction:
     """Parse the write_construction format and re-assemble, verifying the
     stored A and B against the recomputed ones.  Lines are read by
     `LineReader`: each modulus is below MODULUS_BOUND, rho is 0 (no index)
-    or at least 1, and `A=` and `B=` appear once each."""
-    stored: dict[str, int] = {}
+    or at least 1, and `A=` and `B=` appear once each.  An error from
+    assembling names the file, and a stored value that disagrees names
+    its line."""
+    stored: dict[str, tuple[int, str]] = {}  # key -> (value, its line)
     per_digit: dict[int, list[Assignment]] = {}
     lines = LineReader(path)
     for line in lines:
         if line.startswith("#"):
             continue
         if line.startswith(("A=", "B=")):
-            stored[line[0]] = lines.header(line[:2], line[2:], line[0])
+            stored[line[0]] = (lines.header(line[:2], line[2:], line[0]), lines.where)
             continue
         parts = line.split()
         if len(parts) != 5:
@@ -332,12 +334,15 @@ def load_construction(path: Union[str, Path]) -> Construction:
                 rho=lines.index(rho, "rho") if rho else None,
             )
         )
-    coverings = [
-        DigitCovering(digit=d, entries=tuple(entries))
-        for d, entries in sorted(per_digit.items())
-    ]
-    construction = assemble(coverings)
+    try:
+        construction = assemble([
+            DigitCovering(digit=d, entries=tuple(entries))
+            for d, entries in sorted(per_digit.items())
+        ])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for key, value in (("A", construction.modulus), ("B", construction.offset)):
-        if stored.get(key, value) != value:
-            raise ValueError(f"stored {key}={stored[key]} disagrees with recomputed {value}")
+        found, where = stored.get(key, (value, ""))
+        if found != value:
+            raise ValueError(f"{where}: stored {key}={found} disagrees with recomputed {value}")
     return construction

@@ -284,7 +284,7 @@ def _primes_of_order_cached(m: int, budget: FactorBudget) -> OrderPrimes:
                 f"{n.bit_length()}-bit cofactor above the split limit, not attempted"
             )
         else:
-            d, spent = pm1_split(n, step, budget)
+            d, spent = pm1_split(n, step, budget.rho_iterations, budget.rho_restarts)
             multiplications += spent
             if d is None:
                 rest.append(n)

@@ -369,7 +369,7 @@ class TestPm1Budget:
             p, q = rng.choice(primes), rng.choice(primes)
             n = p * q
             cap = math.isqrt(math.isqrt(n)) // 4
-            d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=cap, rho_restarts=1))
+            d, spent = pm1_split(n, 2, cap, 1)
             assert spent <= cap + cap.bit_length(), (n, cap, spent)
             if d is not None:
                 assert 1 < d < n and n % d == 0
@@ -379,7 +379,7 @@ class TestPm1Budget:
     @pytest.mark.parametrize("cap", [0, 1, 5, 20, 79, 1_000, 10_000])
     def test_spent_stays_within_small_caps(self, cap):
         n = 100_003 * 100_019
-        d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=cap, rho_restarts=4))
+        d, spent = pm1_split(n, 2, cap, 4)
         assert spent <= cap + cap.bit_length(), (cap, spent)
 
 

@@ -211,7 +211,7 @@ class TestIngest:
 
 class TestResolvedRows:
     def test_mod3_digit_is_one_row_resolving_to_3(self, bundle):
-        assert list(bundle.resolved_rows(2, RESOLVE_LIMIT, DEFAULT_BUDGET)) == [
+        assert list(bundle.resolved_rows(2, RESOLVE_LIMIT)) == [
             (CoveringRow(Congruence(0, 1), 1), 3)
         ]
         assert bundle.system(2) == CoveringSystem((Congruence(0, 1),))
@@ -227,15 +227,15 @@ class TestResolvedRows:
             bundle.rows(0)
 
     def test_limit_and_missing_index_give_none(self, bundle):
-        rows = list(bundle.resolved_rows(9, 4, DEFAULT_BUDGET))
+        rows = list(bundle.resolved_rows(9, 4))
         assert [p for _, p in rows] == [11, 101, None, None]
-        assert [p for _, p in bundle.resolved_rows(9, None, DEFAULT_BUDGET)] == [
+        assert [p for _, p in bundle.resolved_rows(9, None)] == [
             11, 101, 73, 137
         ]
         unindexed = TableBundle(
             coverings={9: (CoveringRow(Congruence(0, 2)), CoveringRow(Congruence(1, 2), 1))},
         )
-        assert [p for _, p in unindexed.resolved_rows(9, None, DEFAULT_BUDGET)] == [None, 11]
+        assert [p for _, p in unindexed.resolved_rows(9, None)] == [None, 11]
 
     def test_lazy(self, bundle):
         # d = -3 lists moduli up to 75,240; taking the first rows must not
@@ -244,7 +244,7 @@ class TestResolvedRows:
         with mock.patch.object(
             bundle, "order_primes", lambda *a: calls.append(a) or primes_of_order(1)
         ):
-            rows = bundle.resolved_rows(-3, None, DEFAULT_BUDGET)
+            rows = bundle.resolved_rows(-3, None)
             next(rows), next(rows)
         assert len(calls) == 2
 
@@ -292,7 +292,7 @@ class TestShippedOrderPrimes:
             known = primes_of_order(m)
             assert known.complete, m
             assert bundle.order_rows[m] == known.primes, m
-            proven = bundle.order_primes(m, DEFAULT_BUDGET)
+            proven = bundle.order_primes(m)
             assert proven.complete and proven.primes == known.primes, m
             assert proven.probable == known.probable, m
         assert sum(len(bundle.order_rows[m]) for m in moduli) == 130
@@ -312,19 +312,22 @@ class TestShippedOrderPrimes:
         with mock.patch.object(
             bundle_module, "prove_order_primes", lambda *a: calls.append(a) or prove(*a)
         ):
-            first = again.order_primes(8, DEFAULT_BUDGET)
-            assert again.order_primes(8, FactorBudget(rho_iterations=0)) is first
+            first = again.order_primes(8)
+            assert again.order_primes(8) is first
         assert calls == [(8, (73, 137))]
 
     def test_a_modulus_without_a_row_is_computed(self, bundle):
         assert 66 not in bundle.order_rows
-        assert bundle.order_primes(66, DEFAULT_BUDGET) is primes_of_order(66)
+        assert bundle.order_primes(66) is primes_of_order(66)
+        # within the bundle's own budget
+        small = FactorBudget(rho_iterations=10_000)
+        assert replace(bundle, budget=small).order_primes(66) is primes_of_order(66, small)
 
     def test_without_the_file_every_modulus_is_computed(self, tmp_path):
         (copy_tables(tmp_path) / ORDER_PRIMES_FILE).unlink()
         again = ingest_tables(tmp_path)
         assert again.order_rows == {} and again.order_file is None
-        assert again.order_primes(8, DEFAULT_BUDGET) is primes_of_order(8)
+        assert again.order_primes(8) is primes_of_order(8)
 
 
 class TestHostileOrderRows:
@@ -344,7 +347,7 @@ class TestHostileOrderRows:
     def test_row_fails_its_proof(self, tmp_path, row, check):
         tables = with_order_row(tmp_path, row)
         with pytest.raises(ValueError) as info:
-            tables.order_primes(6, DEFAULT_BUDGET)
+            tables.order_primes(6)
         assert str(info.value).startswith(f"{tables.order_file}: m=6: ")
         assert check in str(info.value)
 
@@ -352,7 +355,7 @@ class TestHostileOrderRows:
         tables = with_order_row(tmp_path, f"6: 7, 13, {10 ** 3999 + 1}")
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"m=6: entry '1000.*\(4000 characters\) does not divide"):
-            tables.order_primes(6, DEFAULT_BUDGET)
+            tables.order_primes(6)
         assert time.perf_counter() - start < 1
 
     def test_entry_past_the_primality_limit(self):
@@ -361,13 +364,13 @@ class TestHostileOrderRows:
         value = cyclotomic_value(1237, 10)
         tables = TableBundle(coverings={}, order_rows={1237: (value,)}, order_file=Path("x.txt"))
         with pytest.raises(ValueError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
-            tables.order_primes(1237, DEFAULT_BUDGET)
+            tables.order_primes(1237)
         # no primality probe runs first: it took 7.5 s on this 4,297-digit value
         value = cyclotomic_value(4297, 10)
         tables = TableBundle(coverings={}, order_rows={4297: (value,)}, order_file=Path("x.txt"))
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"^x.txt: m=4297: entry of 14272 bits is past"):
-            tables.order_primes(4297, DEFAULT_BUDGET)
+            tables.order_primes(4297)
         assert time.perf_counter() - start < 1
 
     def test_modulus_above_the_limit(self, tmp_path):
@@ -377,7 +380,7 @@ class TestHostileOrderRows:
         tables = ingest_tables(tmp_path)
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
-            tables.order_primes(100001, DEFAULT_BUDGET)
+            tables.order_primes(100001)
         assert time.perf_counter() - start < 1
         assert str(info.value) == (
             f"{tables.order_file}: m=100001: m must be <= 100000, got '100001'"
@@ -386,7 +389,7 @@ class TestHostileOrderRows:
     def test_report_raises_on_a_bad_row(self, tmp_path):
         tables = with_order_row(tmp_path, "8: 73")
         with pytest.raises(ValueError, match=r"order_primes.txt: m=8: the entries leave"):
-            reproduce_report(tables, 8, DEFAULT_BUDGET)
+            reproduce_report(tables, 8)
 
     def test_manifest_omitting_the_file(self, tmp_path):
         cov = tmp_path / "coverings"
@@ -473,7 +476,7 @@ class TestReportProbableAssignments:
         assert with_probable == [-9, -6, -3]
 
     def test_no_line_when_none_resolved(self, bundle):
-        report = reproduce_report(bundle, 8, DEFAULT_BUDGET)
+        report = reproduce_report(bundle, 8)
         assert not any(r.probable for r in report.digits)
         assert not any(line.startswith("resolved to probable") for line in report.lines())
 
@@ -482,9 +485,21 @@ class TestMatchesExpected:
     def test_changed_table_fails_the_expected_counts(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d9.txt").write_text("# digit 9\n0 2 1\n1 2\n")
-        report = reproduce_report(ingest_tables(tmp_path), 8, DEFAULT_BUDGET)
+        report = reproduce_report(ingest_tables(tmp_path), 8)
         d9 = next(r for r in report.digits if r.digit == 9)
         assert d9.covering and not d9.matches_expected
+        assert not report.ok
+
+    def test_lines_name_the_witness_and_the_inconsistent_prime(self, tmp_path):
+        # 1 mod 2 leaves 0 uncovered, and pins 11 to the offset residue 9,
+        # where digits -9 and -2 pin it to 2
+        (copy_tables(tmp_path) / "d9.txt").write_text("# digit 9\n1 2 1\n")
+        report = reproduce_report(ingest_tables(tmp_path), 8)
+        lines = report.lines()
+        assert lines[lines.index("    uncovered witness: 0") - 1].split()[:5] == [
+            "9", "1", "2", "2", "False"
+        ]
+        assert "    INCONSISTENT prime 11: uses ((-9, 1), (-2, 0), (9, 1))" in lines
         assert not report.ok
 
     def test_unfactored_lcm_is_not_a_match(self, bundle):
@@ -497,7 +512,7 @@ class TestMatchesExpected:
             return replace(done, remainder=2 ** 128 + 1) if n > 1 else done
 
         with mock.patch("digitcover.covering.factor", side_effect=stuck):
-            report = reproduce_report(bundle, 8, DEFAULT_BUDGET)
+            report = reproduce_report(bundle, 8)
         d9 = next(r for r in report.digits if r.digit == 9)
         assert d9.covering and d9.max_prime is None and not d9.matches_expected
         assert report.lines()[1].split()[:4] == ["-9", "232", "14433138720", "?"]

@@ -5,6 +5,7 @@ import re
 import shlex
 import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -101,6 +102,22 @@ class TestCoverCli:
         )
         code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
         assert "cells marked: 8 of 8 spanned" in out
+
+    def test_profile_prints_max_span_as_a_string(self, tmp_path, capsys):
+        # a span can pass 2^53, where a JSON number loses digits
+        path = tmp_path / "wide.txt"
+        path.write_text("0 2\n1 1152921504606846976\n")
+        code, out, _ = run(capsys, "--format", "json", "cover", "verify", str(path), "--profile")
+        payload = json.loads(out)
+        assert payload["lcm"] == "1152921504606846976"
+        assert payload["profile"]["max_span"] == "1152921504606846976"
+
+    def test_verify_prints_the_normalized_residue_warning(self, tmp_path, capsys):
+        path = tmp_path / "wrapped.txt"
+        path.write_text("0 2\n3 2\n")
+        code, out, err = run(capsys, "cover", "verify", str(path))
+        assert code == 0 and "covering: True" in out
+        assert err == f"{path}:2: residue 3 normalized to 1 (mod 2)\n"
 
     def test_profile_counts_splits(self, capsys):
         # d = -3 split 623 nodes when each child was charged its full lcm
@@ -294,11 +311,14 @@ class TestConstructCli:
         [
             (("11 0 2 9 1\n", "11 0 2 9 -3\n"), "9: rho '-3' must be >= 1"),
             (("A=", "A=12345\nA=", 1), "2: repeated 'A=' header, first on line 1"),
+            (("A=33333333", "A=12345"), "1: stored A=12345 disagrees with recomputed 33333333"),
+            (("B=8523682", "B=8523683"), "2: stored B=8523683 disagrees with recomputed 8523682"),
         ],
-        ids=["rho", "A"],
+        ids=["rho", "A", "stored-A", "stored-B"],
     )
     def test_certify_refuses_an_edited_assembly(self, tmp_path, capsys, edit, message):
-        # a negative index and a second A= line are errors, not data
+        # a negative index, a second A= line and a stored value that the
+        # rows do not give are errors, not data, named by their line
         path = tmp_path / "mini.txt"
         argv = ["--digits", "9,2,5,8,-1,-4,-7", "--out", str(path)]
         assert run(capsys, "construct", "assemble", *argv)[0] == 0
@@ -307,6 +327,24 @@ class TestConstructCli:
         code, out, err = run(capsys, "construct", "certify", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {path}:{message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A=1\nB=2\n", "nothing to cover: empty digit set"),
+            ("11 0 2 10 1\n", "digit offset must be in [-9..-1, 1..9], got 10"),
+        ],
+        ids=["empty", "digit"],
+    )
+    def test_certify_names_the_file_that_fails_to_assemble(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        argv = ["--construction", str(path), "--n", "1", "--d", "9", "--k", "1"]
+        code, out, err = run(capsys, "construct", "certify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
 
     def test_certify_checks_a_modulus_past_the_primes_limit(self, tmp_path, capsys):
         # 400001 does not have order 200000, and no Phi_200000(10) is computed
@@ -317,7 +355,7 @@ class TestConstructCli:
         code, out, err = run(capsys, "construct", "certify", *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err.startswith("error: digit 9: ") and err.endswith(
+        assert err.startswith(f"error: {path}: digit 9: ") and err.endswith(
             "needs a divisor of order 200000: '400001' does not divide "
             "Phi_200000(10) freed of the primes of 200000\n"
         )
@@ -502,7 +540,7 @@ class TestConstructCli:
             ]
             reported = [
                 (row.congruence, row.rho, prime)
-                for row, prime in bundle.resolved_rows(d, RESOLVE_LIMIT, DEFAULT_BUDGET)
+                for row, prime in bundle.resolved_rows(d, RESOLVE_LIMIT)
             ]
             assert assigned == reported, d
 
@@ -669,6 +707,16 @@ class TestGrahamCli:
         assert code == 1
         assert "uncovered index 0" in out
 
+    def test_json_prints_the_period_lcm_and_index_as_strings(self, capsys):
+        argv = ("graham", "verify", "--a", "106276436867", "--b", "35256392432")
+        code, out, _ = run(capsys, "--format", "json", *argv, "--primes", self.PRIMES)
+        payload = json.loads(out)
+        assert code == 0 and isinstance(payload["period_lcm"], str)
+        assert payload["uncovered_index"] is None
+        code, out, _ = run(capsys, "--format", "json", *argv, "--primes", "2,3")
+        payload = json.loads(out)
+        assert code == 1 and isinstance(payload["uncovered_index"], str)
+
     def test_verify_huge_period_lcm(self, capsys):
         # period lcm 16,843,844,304: decided without an array that large
         primes = "10007,10009,10037,10039,10061"
@@ -679,8 +727,8 @@ class TestGrahamCli:
         )
         assert time.perf_counter() - start < 1
         payload = json.loads(out)
-        assert code == 1 and payload["period_lcm"] == 16843844304
-        assert payload["covered"] is False and payload["uncovered_index"] == 0
+        assert code == 1 and payload["period_lcm"] == "16843844304"
+        assert payload["covered"] is False and payload["uncovered_index"] == "0"
 
     def test_verify_beyond_verifier_limit_exits_2(self, capsys):
         code, _, err = run(
@@ -1022,7 +1070,8 @@ class TestReportCli:
         assert counts[63]["status"] == "enough"
         assert counts[63]["reason"].startswith("p-1 spent 0 multiplications")
         assert counts[64]["status"] == "unresolved"
-        rows = ingest_tables(tables).resolved_rows(1, None, FactorBudget(rho_iterations=0))
+        bundle = replace(ingest_tables(tables), budget=FactorBudget(rho_iterations=0))
+        rows = bundle.resolved_rows(1)
         assert [(row.rho, prime) for row, prime in rows if row.congruence.modulus == 63] == [
             (1, 10837), (2, 23311), (3, 45613)
         ]
@@ -1045,6 +1094,20 @@ class TestReportCli:
         assert err == (
             f"error: {order_file}: m=8: entry '1000001' does not divide "
             "Phi_8(10) freed of the primes of 8\n"
+        )
+
+    @pytest.mark.parametrize("limit", [[], ["--resolve-limit", "8"]])
+    def test_every_order_row_is_proved_whatever_the_limit(self, capsys, tmp_path, limit):
+        # m = 60 lies above resolve limit 8, and its row is proved all the same
+        tables = tables_without_order_primes(tmp_path)
+        order_file = Path(tables) / "coverings" / ORDER_PRIMES_FILE
+        shipped = (DATA_ROOT / "coverings" / ORDER_PRIMES_FILE).read_text()
+        order_file.write_text(re.sub(r"(?m)^60:.*$", "60: 61", shipped))
+        code, out, err = run(capsys, "report", "--tables", tables, *limit)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {order_file}: m=60: the entries leave a 48-bit cofactor, "
+            "so the list is incomplete\n"
         )
 
     def test_order_row_with_a_nonpositive_modulus_exits_2(self, capsys, tmp_path):

@@ -114,6 +114,18 @@ class TestAssemble:
         with pytest.raises(ValueError, match="empty"):
             assemble([])
 
+    def test_covering_needs_a_digit_offset_and_an_assignment(self):
+        three = (Assignment(Congruence(0, 1), 3),)
+        with pytest.raises(ValueError, match=r"^digit offset must be in \[-9..-1, 1..9\], got 0$"):
+            DigitCovering(0, three)
+        with pytest.raises(ValueError, match="^digit 5: no assignments$"):
+            DigitCovering(5, ())
+
+    def test_digit_supplied_twice_rejected(self):
+        five = DigitCovering(5, (Assignment(Congruence(0, 1), 3),))
+        with pytest.raises(ValueError, match="^digit 5 supplied twice$"):
+            assemble([five, five])
+
     def test_composite_order_divisor_assembles(self):
         # Phi_1(10) = 9 = 3**2 divides n + 5 * 10**k for every k once
         # n = -5 (mod 9), though 9 is not prime
@@ -229,6 +241,10 @@ class TestSubstitutionDivisor:
             substitution_divisor(
                 mini_construction, mini_construction.offset, 4, 0
             )
+
+    def test_negative_exponent_rejected(self, mini_construction):
+        with pytest.raises(ValueError, match="^exponent k must be >= 0$"):
+            substitution_divisor(mini_construction, mini_construction.offset, 9, -1)
 
     def test_off_progression_rejected(self, mini_construction):
         with pytest.raises(ValueError, match="not an element"):

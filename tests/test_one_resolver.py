@@ -5,9 +5,9 @@ order-m list holds the primes the rows index.  One rule, membership in
 Phi_m(10) freed of the primes of m, decided by gcd and `pow`, says whether
 a value may stand for an order-m prime, in order tables and constructions
 alike.  Likewise one limb
-sweep, `residues_mod`, reduces a big integer modulo many small ones, and
-one reader, `LineReader`, gives every input file's loader its lines and
-field rules."""
+sweep, `residues_mod`, reduces a big integer modulo many small ones, one
+reader, `LineReader`, gives every input file's loader its lines and field
+rules, and a factoring budget is chosen in three places only."""
 
 import ast
 from pathlib import Path
@@ -147,3 +147,25 @@ def test_one_modulus_bound():
         and getattr(node.left, "attr", None) == "trial_bound"
     ]
     assert len(squares) == 1 and squares[0].startswith("cyclotomic:")
+
+
+def test_budgets_are_chosen_in_three_places():
+    # DEFAULT_BUDGET, covering's LCM_BUDGET and --rho-iterations: a bundle
+    # carries its own budget, and pm1_split takes the two numbers it spends
+    built = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FactorBudget":
+                    name = getattr(stmt, "name", None) or ast.unparse(stmt.targets[0])
+                    built.append(f"{path.stem}:{name}")
+    assert sorted(built) == ["arith:DEFAULT_BUDGET", "cli:_budget", "covering:LCM_BUDGET"]
+    # resolve_assignment serves the benchmark's (m, rho, budget) calls
+    takers = {
+        f"{path.stem}:{func.name}"
+        for path in (PACKAGE / "bundle.py", PACKAGE / "cli.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        and any(getattr(a, "arg", None) == "budget" for a in ast.walk(func.args))
+    }
+    assert takers == {"bundle:resolve_assignment"}

@@ -10,7 +10,6 @@ import pytest
 
 from digitcover import arith, cyclotomic
 from digitcover.arith import (
-    DEFAULT_BUDGET,
     FactorBudget,
     _prime_stream,
     pm1_split,
@@ -134,34 +133,34 @@ class TestPm1Split:
     def test_stage_one_block_redone_prime_by_prime(self):
         # 210 = 2*3*5*7 and 858 = 2*3*11*13: the first block catches both
         # primes, so only the prime-by-prime redo separates them
-        budget = FactorBudget(rho_iterations=10_000, rho_restarts=1)
-        d, _ = pm1_split(211 * 859, 2, budget)
+        d, _ = pm1_split(211 * 859, 2, 10_000, 1)
         assert d in (211, 859)
 
     def test_stage_two_block_redone_prime_by_prime(self):
         # p - 1 = 2*13*10463 and 2*8*10477: both need one stage-2 prime,
         # and both primes fall in the same block of 64
-        budget = FactorBudget(rho_iterations=10_000, rho_restarts=1)
-        d, _ = pm1_split(272039 * 167633, 2, budget)
+        d, _ = pm1_split(272039 * 167633, 2, 10_000, 1)
         assert d in (272039, 167633)
 
     def test_collapse_moves_to_next_base(self):
         # base 3 catches 11 and 31 at the same prime even prime by prime
-        one = FactorBudget(rho_iterations=10_000, rho_restarts=1)
-        two = FactorBudget(rho_iterations=10_000, rho_restarts=2)
-        assert pm1_split(11 * 31, 2, one)[0] is None
-        assert pm1_split(11 * 31, 2, two)[0] in (11, 31)
+        assert pm1_split(11 * 31, 2, 10_000, 1)[0] is None
+        assert pm1_split(11 * 31, 2, 10_000, 2)[0] in (11, 31)
+        # from 10**6 up the collapse comes in the first pass, and the next
+        # base runs its own first pass
+        assert pm1_split(11 * 31, 2, 10 ** 6, 1) == (None, 588)
+        assert pm1_split(11 * 31, 2, 10 ** 6, 2) == (31, 1176)
 
     def test_budget_is_spent_and_reported(self):
         # safe primes: p - 1 = 2 * (a prime above 10**9), out of reach
         n = 2000000579 * 2000001743
-        d, spent = pm1_split(n, 2, SMALL_BUDGET)
+        d, spent = pm1_split(n, 2, 10_000, 4)
         assert d is None
         # a stage-1 block stops once its exponent reaches the budget left,
         # and stage 2 takes only the primes that fit, so spent ends within
         # the budget plus the 14 bits of one prime power q**e <= 10**4
         assert 10_000 <= spent <= 10_000 + (10_000).bit_length()
-        assert pm1_split(n, 2, FactorBudget(rho_iterations=0)) == (None, 0)
+        assert pm1_split(n, 2, 0, 4) == (None, 0)
 
     # (n, rho_restarts) of the tests above, and (d, spent) at budgets 0, 100,
     # 10**4, 10**5 and 999,999: below 10**6 each budget runs its own
@@ -179,7 +178,7 @@ class TestPm1Split:
     def test_budgets_below_a_million_are_pinned(self, n, restarts, expected):
         budgets = (0, 100, 10_000, 100_000, 999_999)
         assert [
-            pm1_split(n, 2, FactorBudget(rho_iterations=b, rho_restarts=restarts))
+            pm1_split(n, 2, b, restarts)
             for b in budgets
         ] == expected
 
@@ -189,11 +188,11 @@ class TestPm1Split:
         # default budget runs that schedule first instead of spending 25,000
         # on stage 1 (26,898 in all)
         n = 2028119 * 2212394296770203368013
-        assert pm1_split(n, 74, FactorBudget(rho_iterations=10_000)) == (2028119, 6318)
-        assert pm1_split(n, 74, DEFAULT_BUDGET) == (2028119, 6318)
+        assert pm1_split(n, 74, 10_000, 4) == (2028119, 6318)
+        assert pm1_split(n, 74, 10 ** 6, 4) == (2028119, 6318)
 
     def test_large_budget_still_separates_in_one_block(self):
-        d, spent = pm1_split(272039 * 167633, 2, DEFAULT_BUDGET)
+        d, spent = pm1_split(272039 * 167633, 2, 10 ** 6, 4)
         assert d == 272039 and spent == 4570
 
     def test_large_budget_is_spent_and_reported(self, monkeypatch):
@@ -214,7 +213,7 @@ class TestPm1Split:
 
         monkeypatch.setattr(arith, "_prime_stream", counted)
         n = 2000000579 * 2000001743
-        d, spent = pm1_split(n, 2, FactorBudget(rho_iterations=10 ** 6))
+        d, spent = pm1_split(n, 2, 10 ** 6, 4)
         assert d is None
         assert 10 ** 6 <= spent <= 10 ** 6 + 128
         assert live[1] < 1_000
