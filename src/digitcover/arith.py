@@ -4,11 +4,15 @@ Everything here is plain Python int arithmetic (arbitrary precision, exact).
 All functions are pure and safe to call from multiple threads.
 
 `factor` trial-divides by primes only, drawn from one sieved prime table
-that is built on first use (never at import, and to at least 2^16) and
-grows when a larger bound is asked for.  One numpy sweep of n modulo the
-table's primes, held as uint64, finds every prime that divides n: it
-reduces n's top 64 bits, then folds in its lower 32-bit limbs one at a
-time.  `is_perfect_power` takes its prime exponents from the same table.
+that is built on first use (never sieved at import, and to at least 2^16)
+and grows when a larger bound is asked for.  One numpy pass over the
+table's primes, held as uint64, finds every prime that divides n.  Below
+2^64 it divides nothing: the table also holds each odd prime's inverse mod
+2^64 and (2^64 - 1) // p, and p | n iff n times that inverse, wrapped to 64
+bits, is at most that limit (Granlund & Montgomery 1994).  From 2^64 up it
+reduces n's top 64 bits modulo the primes, then folds in its lower 32-bit
+limbs one at a time.  `is_perfect_power` takes its prime exponents from
+the same table.
 A composite cofactor then gets a short Pollard p - 1 pass sized by the
 cofactor, about a quarter of the multiplications Brent rho expects to
 need, and rho only if that finds nothing.
@@ -134,15 +138,35 @@ def primes_up_to(n: int) -> list[int]:
 _SEGMENT = 1 << 16
 
 
+# n below this bound is one uint64 word, and `factor` finds its table primes
+# by multiplying with their inverses mod 2^64 instead of dividing.
+_WORD_BOUND = 1 << 64
+
+
 class _PrimeTable(NamedTuple):
     bound: int
     primes: list[int]  # every prime <= bound, ascending
-    words: np.ndarray  # the primes as uint64, for the residue sweep of `factor`
+    words: np.ndarray  # the primes as uint64, for `residues_mod` when n >= 2^64
+    inverses: np.ndarray  # 1/p mod 2^64 for the odd primes, primes[1:], as uint64
+    limits: np.ndarray  # (2^64 - 1) // p for the same odd primes
+
+
+def _build_table(bound: int) -> _PrimeTable:
+    """The table of every prime <= bound.  Each inverse takes five wrapping
+    Newton steps x <- x * (2 - p*x) from x = p, exact since p*p = 1 (mod 8)
+    and each step doubles the correct low bits, 3 to 96."""
+    primes = primes_up_to(bound)
+    words = np.array(primes, np.uint64)
+    odd = words[1:]
+    inverses = odd.copy()
+    for _ in range(5):
+        inverses *= np.uint64(2) - odd * inverses
+    return _PrimeTable(bound, primes, words, inverses, np.uint64(_WORD_BOUND - 1) // odd)
 
 
 # Replaced whole when it grows, so concurrent readers always see one
 # consistent table.
-_table = _PrimeTable(0, [], np.zeros(0, np.uint64))
+_table = _build_table(0)
 
 
 def _prime_table(bound: int) -> _PrimeTable:
@@ -152,8 +176,7 @@ def _prime_table(bound: int) -> _PrimeTable:
     table = _table
     if table[0] < bound:
         top = max(bound, 2 * table[0], _SEGMENT)
-        primes = primes_up_to(top)
-        table = _table = _PrimeTable(top, primes, np.array(primes, np.uint64))
+        table = _table = _build_table(top)
     return table
 
 
@@ -579,12 +602,29 @@ def residues_mod(n: int, moduli: np.ndarray) -> np.ndarray:
     return residues
 
 
+def _trial_primes(n: int, table: _PrimeTable, count: int) -> list[int]:
+    """The primes among the first `count` of the table that divide n >= 0,
+    ascending.  Below 2^64, 2 by n % 2 and each odd p by the exact test
+    n * (1/p) mod 2^64 <= (2^64 - 1) // p (Granlund & Montgomery 1994), one
+    wrapping uint64 multiply and compare; from 2^64 up, one `residues_mod`
+    sweep, whose moduli are below 2^32 since MAX_TRIAL_BOUND is."""
+    if n >= _WORD_BOUND:
+        residues = residues_mod(n, table.words[:count])
+        return [table.primes[i] for i in np.flatnonzero(residues == 0).tolist()]
+    odd = max(count - 1, 0)  # not count - 1, which slices [:-1] when count is 0
+    flags = np.uint64(n) * table.inverses[:odd] <= table.limits[:odd]
+    hits = [2] if count and n % 2 == 0 else []
+    return hits + [table.primes[i + 1] for i in np.flatnonzero(flags).tolist()]
+
+
 def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n >= 1 within budget: trial division, then Pollard p - 1 sized
     by the cofactor, then Pollard rho (Brent).
 
     Trial division divides out every prime up to min(trial_bound, isqrt(n)),
-    found by one `residues_mod` sweep of n modulo all of them at once.
+    found by `_trial_primes` in one numpy pass over all of them: below 2^64
+    a multiply by each prime's inverse mod 2^64 and a compare, no division;
+    from 2^64 up one `residues_mod` sweep.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -604,10 +644,8 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     limit = budget.trial_bound
     top = min(limit, math.isqrt(n))
     table = _prime_table(top)
-    # every table prime is at most MAX_TRIAL_BOUND < 2^32, as the sweep needs
-    words = table.words[: bisect.bisect_right(table.primes, top)]
-    for i in np.flatnonzero(residues_mod(n, words) == 0).tolist():
-        n = _divide_out(n, table.primes[i], counts)
+    for p in _trial_primes(n, table, bisect.bisect_right(table.primes, top)):
+        n = _divide_out(n, p, counts)
 
     unresolved: list[int] = []
     stack = [n] if n > 1 else []

@@ -31,6 +31,7 @@ from .cyclotomic import (
     load_order_table,
     primes_of_order,
     prove_order_primes,
+    quoted,
 )
 
 __all__ = [
@@ -137,9 +138,9 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     """Parse a covering file: optional `# digit <d>` header, then one
     `a m [rho]` line per congruence, read by `LineReader` with no modulus
     bound.  A comment whose first word is `digit` must be exactly that
-    header, and appear once.  Residues outside [0, m) are normalized with a
-    warning; anything else malformed raises ValueError with the offending
-    location."""
+    header, appear once and name one of DIGIT_OFFSETS.  Residues outside
+    [0, m) are normalized with a warning; anything else malformed raises
+    ValueError with the offending location."""
     lines = LineReader(path, modulus_bound=None)
     digit: Optional[int] = None
     rows: list[CoveringRow] = []
@@ -151,6 +152,10 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
                 if len(parts) != 2:
                     raise lines.expected("# digit <d>")
                 digit = lines.header("# digit", parts[1], "digit")
+                if digit not in DIGIT_OFFSETS:
+                    raise lines.error(
+                        f"digit {quoted(parts[1])} is not a digit offset (-9..-1, 1..9)"
+                    )
             continue
         parts = line.split()
         if len(parts) not in (2, 3):

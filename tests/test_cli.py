@@ -203,6 +203,18 @@ class TestCoverCli:
         assert code == 2 and out == ""
         assert err == f"error: {path}:1: expected '# digit <d>', got {header!r}\n"
 
+    @pytest.mark.parametrize("digit", ["99999999999999999999", "0"])
+    def test_verify_rejects_a_header_digit_that_is_no_offset(self, tmp_path, capsys, digit):
+        # the header's digit is printed as a JSON number, so it must be one
+        # of the 18 offsets, checked where the header is read
+        path = tmp_path / "header.txt"
+        path.write_text(f"# digit {digit}\n0 1\n")
+        code, out, err = run(capsys, "--format", "json", "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {path}:1: digit '{digit}' is not a digit offset (-9..-1, 1..9)\n"
+        )
+
     def test_verify_refuses_a_second_digit_header(self, tmp_path, capsys):
         # a second header is an error, not a new digit for the rows after it
         path = tmp_path / "header.txt"

@@ -117,9 +117,11 @@ def limb_folds() -> set[str]:
 
 
 def test_one_residue_sweep():
-    # trial division and the order-m scan reduce a big integer modulo many
-    # small ones through the same limb fold
-    assert callers("residues_mod") == {"arith:factor", "cyclotomic:_primes_of_order_cached"}
+    # trial division from 2^64 up and the order-m scan reduce a big integer
+    # modulo many small ones through the same limb fold
+    assert callers("residues_mod") == {
+        "arith:_trial_primes", "cyclotomic:_primes_of_order_cached"
+    }
     assert limb_folds() == {"arith:residues_mod"}
 
 

@@ -1,20 +1,26 @@
 """Trial division in `factor` against sympy as an independent oracle, at and
 around the trial bound, plus the invariant that an incomplete factorization
-still lists every prime below the bound.  `factor` sweeps n modulo the
-table's primes with `residues_mod`, which folds in 32-bit limbs past n's
-top 64 bits; the sweep is checked on both sides of 2^64, 2^96 and 2^128
-and at the bit lengths where a limb is added, and `residues_mod` alone
-against Python's % for moduli up to 2^32 - 1.  (`resolve_assignment`
+still lists every prime below the bound.  Below 2^64 `factor` finds the
+table primes that divide n by multiplying with their inverses mod 2^64;
+that test is checked against `residues_mod` on seeded and edge inputs and
+at every short prefix of the table, and the inverses on whole tables.
+From 2^64 up `factor` sweeps n modulo the table's primes with
+`residues_mod`, which folds in 32-bit limbs past n's top 64 bits; the
+sweep is checked on both sides of 2^64, 2^96 and 2^128 and at the bit
+lengths where a limb is added, and `residues_mod` alone against Python's
+% for moduli up to 2^32 - 1.  (`resolve_assignment`
 no longer relies on it: order-m primes come from the scan in
 `primes_of_order`, whose exact prefix is tested in test_order_scan.py.)"""
 
 import functools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from digitcover import arith
 from digitcover.arith import MAX_TRIAL_BOUND, FactorBudget, factor, primes_up_to, residues_mod
 
 sympy = pytest.importorskip("sympy")
@@ -165,3 +171,61 @@ def test_residues_mod_matches_python_mod_up_to_2_32():
         inputs += [2 ** (bits - 1), 2 ** bits - 1, rng.getrandbits(bits) | 2 ** (bits - 1)]
     for n in inputs:
         assert residues_mod(n, words).tolist() == [n % q for q in moduli], n
+
+
+WORD_EDGES = [1, 2, 2 ** 63, 2 ** 64 - 1, 3 * 2 ** 61, 99991 ** 2, 99991 * 99989,
+              65521 * 65519 * 3]
+
+
+def swept_primes(n, table, count):
+    """The table primes among the first count that `residues_mod` says divide n."""
+    residues = residues_mod(n, table.words[:count])
+    return [table.primes[i] for i in np.flatnonzero(residues == 0).tolist()]
+
+
+@pytest.mark.parametrize("trial_bound", [0, 2, 3, 100_000])
+def test_inverse_test_flags_what_the_residue_sweep_flags(trial_bound):
+    # prefixes of 0, 1, 2 and 9,592 primes; with 0 or 1 the odd prefix is
+    # empty, which a slice to count - 1 would turn into nearly every prime
+    table = arith._prime_table(100_000)
+    count = len(primes_up_to(trial_bound))
+    assert count == {0: 0, 2: 1, 3: 2, 100_000: 9592}[trial_bound]
+    rng = random.Random(trial_bound)
+    small = primes_up_to(1000)
+    inputs = WORD_EDGES + [rng.getrandbits(64) for _ in range(16_000)]
+    for _ in range(4_000):  # smooth ones, so that many primes divide
+        n = math.prod(rng.choice(small) for _ in range(rng.randint(1, 6)))
+        inputs.append(n * rng.randrange(1, 2 ** 64 // n))
+    flagged = 0
+    for n in inputs:
+        assert n < 2 ** 64
+        hits = arith._trial_primes(n, table, count)
+        assert hits == swept_primes(n, table, count), (trial_bound, n)
+        flagged += len(hits)
+    assert (flagged > 0) == (count > 0)
+
+
+def test_trial_bound_zero_leaves_n_whole():
+    # with rho off, a composite that is no perfect power stays whole
+    for n in (2 ** 64 - 1, 3 * 2 ** 61, 99991 * 99989, 65521 * 65519 * 3):
+        assert factor(n, FactorBudget(trial_bound=0, rho_iterations=0)).remainder == n
+
+
+@pytest.mark.parametrize("bound", [1 << 16, 10 ** 6])
+def test_table_inverses_and_limits(bound):
+    table = arith._build_table(bound)
+    odd = table.words[1:]
+    assert table.primes[0] == 2 and len(odd) == len(table.inverses) == len(table.limits)
+    assert (odd * table.inverses == 1).all()
+    assert table.limits.tolist() == [(2 ** 64 - 1) // p for p in table.primes[1:]]
+
+
+def test_residue_sweep_only_from_2_64_up():
+    sweep = mock.Mock(wraps=residues_mod)
+    with mock.patch.object(arith, "residues_mod", sweep):
+        for n in WORD_EDGES:
+            factor(n)
+        assert sweep.call_count == 0
+        for n in (2 ** 64, 2 ** 64 + 1):
+            factor(n)
+        assert sweep.call_count == 2
