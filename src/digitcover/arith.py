@@ -744,21 +744,20 @@ def is_perfect_power(n: int) -> Optional[tuple[int, int]]:
     """(base, exp) with base**exp = n and exp >= 2 maximal, else None.
 
     Exponents are searched through prime values up to log2(n) only, since
-    any k-th power is a q-th power for each prime q dividing k.
+    any k-th power is a q-th power for each prime q dividing k.  One
+    ascending pass takes each exact q-th root while one exists: a q'-th
+    power for q' < q that appears after a q-th root was taken means n
+    itself was already a q'-th power, found at q'.
     """
     if n < 4:
         return None
     base, exp = n, 1
-    progress = True
-    while progress:
-        progress = False
-        max_k = base.bit_length()
-        primes = _prime_table(max_k).primes
-        for q in primes[: bisect.bisect_right(primes, max_k)]:
+    max_k = n.bit_length()
+    primes = _prime_table(max_k).primes
+    for q in primes[: bisect.bisect_right(primes, max_k)]:
+        r = iroot(base, q)
+        while r ** q == base:
+            base, exp = r, exp * q
             r = iroot(base, q)
-            if r ** q == base:
-                base, exp = r, exp * q
-                progress = True
-                break
     return (base, exp) if exp >= 2 else None
 

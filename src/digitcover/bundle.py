@@ -29,6 +29,7 @@ from .cyclotomic import (
     LineReader,
     OrderPrimes,
     load_order_table,
+    parse_int,
     primes_of_order,
     prove_order_primes,
     quoted,
@@ -164,7 +165,7 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
         m = lines.modulus(m)
         rho = lines.index(rest[0]) if rest else None
         if not 0 <= a < m:
-            warnings.append(f"{lines.where}: residue {a} normalized to {a % m} (mod {m})")
+            warnings.append(f"{lines}: residue {a} normalized to {a % m} (mod {m})")
         rows.append(CoveringRow(Congruence.reduced(a, m), rho))
     return ParsedCovering(digit=digit, rows=rows, warnings=warnings)
 
@@ -310,12 +311,14 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
         parsed = parse_covering_file(path)
         warnings.extend(parsed.warnings)
         try:
-            named: Optional[int] = int(path.stem[1:])
+            named: Optional[int] = parse_int(
+                path.stem[1:], f"{path}: no digit header and unrecognized name", "digit"
+            )
         except ValueError:
+            if parsed.digit is None:
+                raise
             named = None
         digit = named if parsed.digit is None else parsed.digit
-        if digit is None:
-            raise ValueError(f"{path}: no digit header and unrecognized name")
         if named is not None and named != digit:
             raise ValueError(
                 f"{path.name}: header digit {digit} disagrees with the name's digit {named}"

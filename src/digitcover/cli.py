@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: cover, construct, delicate, graham, order, report.
-Numeric input is decimal.  JSON output prints counts, digit offsets,
-indices and moduli below 10^10 as numbers, and every other integer as a
-decimal string.  Exit codes: 0 success,
+Numeric input is decimal, read by `cyclotomic.parse_int`.  JSON output
+prints counts, digit offsets, indices and moduli below 10^10 as numbers,
+and every other integer as a decimal string.  Exit codes: 0 success,
 1 verification failure (a witness is printed when one exists), 2 data or
 usage error.
 """
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
 
 from . import __version__
 from .arith import DEFAULT_BUDGET, FactorBudget, is_prime
@@ -61,9 +61,9 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _int(token: str, flag: str) -> int:
-    """A numeric argument, read by `parse_int` under its flag's name."""
-    return parse_int(token, flag, "integer")
+def _int(token: Union[str, int], flag: str) -> int:
+    """A flag's int default, or its text read by `parse_int` under its name."""
+    return token if isinstance(token, int) else parse_int(token, flag, "integer")
 
 
 def _ints(text: str, flag: str) -> list[int]:
@@ -72,7 +72,7 @@ def _ints(text: str, flag: str) -> list[int]:
 
 
 def _budget(args) -> FactorBudget:
-    return FactorBudget(rho_iterations=args.rho_iterations)
+    return FactorBudget(rho_iterations=_int(args.rho_iterations, "--rho-iterations"))
 
 
 def _bundle(args) -> TableBundle:
@@ -91,13 +91,14 @@ def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
 
 
 def cmd_cover_verify(args) -> int:
+    w = _int(args.w, "--w")
     system, digit = _load_system(args.file)
     analysis = lcm_analysis(system)
-    profile = reduction_profile(system, w=args.w) if args.profile else None
+    profile = reduction_profile(system, w=w) if args.profile else None
     if profile is not None:
         verdict = profile_verdict(profile)
     else:
-        verdict = is_covering_fast(system, w=args.w)
+        verdict = is_covering_fast(system, w=w)
     max_prime = analysis.max_prime
 
     payload = {
@@ -256,12 +257,13 @@ def _witness(payload: dict, lines: list[str], failure) -> None:
 
 def cmd_delicate_check(args) -> int:
     n = _int(args.n, "n")
-    if args.widely is not None and args.widely < 1:
+    widely = None if args.widely is None else _int(args.widely, "--widely")
+    if widely is not None and widely < 1:
         raise ValueError("window must be >= 1")
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
     # one walk: the written digits first, then the leading zeros of --widely
-    leading_zeros = 0 if args.widely is None else args.widely + 1
+    leading_zeros = 0 if widely is None else widely + 1
     failure = first_failure(n, leading_zeros)
     delicate = failure is None or failure[0].position >= digit_count(n)
     payload = {"n": str(n), "digitally_delicate": delicate}
@@ -269,13 +271,13 @@ def cmd_delicate_check(args) -> int:
     code = OK if delicate else FAIL
     if not delicate:
         _witness(payload, lines, failure)
-    if args.widely is not None and delicate:
-        payload["window"] = args.widely
+    if widely is not None and delicate:
+        payload["window"] = widely
         payload["window_passed"] = failure is None
         if failure is None:
             lines.append(
                 f"no prime under any substitution through "
-                f"{args.widely + 1} leading zeros (not a proof)"
+                f"{widely + 1} leading zeros (not a proof)"
             )
         else:
             payload["witness"] = str(failure[1])
@@ -417,8 +419,8 @@ def cmd_order_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = _bundle(args)
-    report = reproduce_report(bundle, args.resolve_limit)
+    limit = _int(args.resolve_limit, "--resolve-limit")
+    report = reproduce_report(_bundle(args), limit)
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL
 
@@ -437,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rho-iterations",
-        type=int,
         default=DEFAULT_BUDGET.rho_iterations,
         metavar="N",
         help="modular multiplications Pollard's p-1 may spend on each "
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
     verify = cover_sub.add_parser("verify", help="verify a covering file")
     verify.add_argument("file")
-    verify.add_argument("--w", type=int, default=1, help="class modulus (default %(default)s)")
+    verify.add_argument("--w", default=1, help="class modulus (default %(default)s)")
     verify.add_argument("--profile", action="store_true", help="per-class reductions")
     verify.set_defaults(func=cmd_cover_verify)
 
@@ -474,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("n")
     check.add_argument(
         "--widely",
-        type=int,
-        default=None,
         metavar="K",
         help="also test K+1 leading-zero positions",
     )
@@ -513,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--tables", default=None, help="bundle directory")
     report.add_argument(
         "--resolve-limit",
-        type=int,
         default=RESOLVE_LIMIT,
         help="resolve prime assignments and check order counts for moduli "
         "up to this bound (default %(default)s)",

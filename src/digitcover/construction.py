@@ -321,7 +321,7 @@ def load_construction(path: Union[str, Path]) -> Construction:
         if line.startswith("#"):
             continue
         if line.startswith(("A=", "B=")):
-            stored[line[0]] = (lines.header(line[:2], line[2:], line[0]), lines.where)
+            stored[line[0]] = (lines.header(line[:2], line[2:].strip(), line[0]), str(lines))
             continue
         parts = line.split()
         if len(parts) != 5:

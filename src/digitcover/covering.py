@@ -17,11 +17,11 @@ modulus w > 1, each residue class u mod w keeps only the congruences
 consistent with it, needs lcm'/delta representatives (lcm' the lcm of the
 survivors, delta = gcd(w, lcm')), and is refined on its own; the paper's
 reduction is w = 60q, q the largest prime of the lcm.  reduction_profile
-lists the classes of the same w.  The split primes come once per system
-from the factorization of its lcm.  For every w a failing system's
-witness is the least uncovered integer.  The naive scan over [0, lcm),
-is_covering_naive, is kept as the reference the verifier is tested
-against.
+lists the classes of the same w, up to PROFILE_CLASSES of them.  The
+split primes come once per system from the factorization of its lcm.
+For every w a failing system's witness is the least uncovered integer.
+The naive scan over [0, lcm), is_covering_naive, is kept as the
+reference the verifier is tested against.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ __all__ = [
     "profile_verdict",
     "LEAF_CELLS",
     "NAIVE_LIMIT",
+    "PROFILE_CLASSES",
 ]
 
 NAIVE_LIMIT = 10 ** 8   # largest array marked in one piece: naive scan, unsplittable node
 LEAF_CELLS = 1 << 16    # refinement marks nodes of lcm up to this, splits larger ones
+PROFILE_CLASSES = 1 << 16  # most classes reduction_profile keeps; is_covering_fast streams any w
 # The budget of CoveringSystem.lcm_factorization: the verdict never reads the
 # largest prime, so an lcm is not worth seconds of rho.  Rho needs about
 # sqrt(p) iterations to find a prime p, so every lcm whose second-largest
@@ -386,5 +388,11 @@ def is_covering_fast(system: CoveringSystem, w: int = 1) -> CoverVerdict:
 
 def reduction_profile(system: CoveringSystem, w: int = 1) -> list[ResidueClassReduction]:
     """Per-class reductions for every u in [0, w), each refined: the
-    classes is_covering_fast(system, w) decides."""
+    classes is_covering_fast(system, w) decides.  Raises ValueError for w
+    above PROFILE_CLASSES before building any class."""
+    if w > PROFILE_CLASSES:
+        raise ValueError(
+            f"w={w} exceeds the profile limit of {PROFILE_CLASSES} classes, "
+            "since a profile keeps every class"
+        )
     return list(_reductions(system, w))

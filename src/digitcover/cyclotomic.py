@@ -344,19 +344,19 @@ def quoted(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def parse_int(token: str, where: str, name: str) -> int:
-    """int(token); else ValueError `<where>: bad <name> <quoted token>`, or
-    one naming Python's int-string limit when a digit string passes it."""
+def parse_int(token: str, where: object, name: str) -> int:
+    """The integer a decimal token spells, an optional `+` or `-` then ASCII
+    digits 0-9; else ValueError `<where>: bad <name> <quoted token>`, or one
+    naming Python's int-string limit.  str(where) is taken only to raise."""
+    if not (token.isascii() and (token.isdigit() or token[1:].isdigit() and token[0] in "+-")):
+        raise ValueError(f"{where}: bad {name} {quoted(token)}")
     try:
         return int(token)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and len(token) > limit and token.isdigit():
-            raise ValueError(
-                f"{where}: {name} of {len(token)} digits exceeds Python's "
-                f"int-string limit of {limit} (sys.get_int_max_str_digits())"
-            ) from None
-        raise ValueError(f"{where}: bad {name} {quoted(token)}") from None
+    except ValueError:  # more digits than the int-string limit
+        raise ValueError(
+            f"{where}: {name} of {len(token.lstrip('+-'))} digits exceeds Python's int-string "
+            f"limit of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())"
+        ) from None
 
 
 # Order tables and constructions refuse a modulus from here on: below it
@@ -367,7 +367,7 @@ MODULUS_BOUND = DEFAULT_BUDGET.trial_bound ** 2
 class LineReader:
     """The stripped non-blank lines of a text file, and the field rules
     that covering, order-table and construction files share, each raising
-    ValueError at `where`, `<file>:<line>`, built only then.
+    ValueError at the reader's str(), `<file>:<line>`, built only then.
 
     Iterating yields each line and keeps its number in `lineno`.  A
     modulus is at least 1 and below modulus_bound (None sets no bound), an
@@ -387,21 +387,17 @@ class LineReader:
             if line:
                 yield line
 
-    @property
-    def where(self) -> str:
+    def __str__(self) -> str:
         return f"{self.path}:{self.lineno}"
 
     def error(self, message: str) -> ValueError:
-        return ValueError(f"{self.where}: {message}")
+        return ValueError(f"{self}: {message}")
 
     def expected(self, form: str) -> ValueError:
         return self.error(f"expected {form!r}, got {quoted(self.raw)}")
 
     def number(self, token: str, name: str) -> int:
-        try:  # plain int first: `parse_int` would need `where` up front
-            return int(token)
-        except ValueError:
-            return parse_int(token, self.where, name)
+        return parse_int(token, self, name)
 
     def modulus(self, m: int) -> int:
         if m < 1:
@@ -440,7 +436,7 @@ def load_order_table(path: Union[str, Path]) -> dict[int, tuple[int, ...]]:
         head, sep, tail = line.partition(":")
         if not sep:
             raise lines.expected("m: entries")
-        m = lines.modulus(lines.number(head, "modulus"))
+        m = lines.modulus(lines.number(head.strip(), "modulus"))
         entries: list[int] = []
         for token in tail.split(","):
             token = token.strip()

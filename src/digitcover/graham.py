@@ -17,6 +17,7 @@ from functools import reduce
 
 from .arith import is_prime
 from .covering import CoveringSystem, is_covering_fast
+from .cyclotomic import quoted
 
 __all__ = [
     "GrahamInstance",
@@ -40,11 +41,24 @@ EXPLICIT_TERMS = 50
 
 @dataclass(frozen=True)
 class GrahamInstance:
-    """Seeds and prime set for a compositeness cover of the recurrence."""
+    """Seeds and prime set for a compositeness cover of the recurrence.
+
+    Raises ValueError unless the prime set is non-empty and its entries
+    are distinct primes.
+    """
 
     a: int
     b: int
     primes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.primes:
+            raise ValueError("prime set must be nonempty")
+        for i, p in enumerate(self.primes):
+            if p in self.primes[:i]:
+                raise ValueError(f"prime set lists {quoted(str(p))} twice")
+            if not is_prime(p):
+                raise ValueError(f"prime set: {quoted(str(p))} is not prime")
 
     @property
     def product(self) -> int:
@@ -112,8 +126,6 @@ def verify_cover(instance: GrahamInstance) -> CoverReport:
     the terms u(2), ..., u(EXPLICIT_TERMS - 1) exceed max(primes), so the
     divisibility actually proves them composite.
     """
-    if not instance.primes:
-        raise ValueError("prime set must be nonempty")
     periods = {
         p: recurrence_period(p, instance.a, instance.b) for p in instance.primes
     }

@@ -22,6 +22,7 @@ from digitcover.bundle import (
 )
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
+from digitcover.covering import PROFILE_CLASSES, CoveringSystem, reduction_profile
 from digitcover.cyclotomic import cyclotomic_value
 
 D9_FILE = str(DATA_ROOT / "coverings" / "d9.txt")
@@ -159,6 +160,42 @@ class TestCoverCli:
         assert code == 0
         assert "max span 14325696 at u in [75, 303, 531, 759, 987]" in out
 
+    def test_profile_at_the_papers_w_prints_what_it_printed(self, capsys):
+        # w = 60 * 19 for d = -3; past w = 100 the classes are not listed
+        code, out, _ = run(
+            capsys, "cover", "verify", D_MINUS_3_FILE, "--w", "1140", "--profile"
+        )
+        assert code == 0
+        assert out == (
+            "congruences: 739\n"
+            "lcm: 1486147703040\n"
+            "max prime: 19\n"
+            "covering: True\n"
+            "profile: w=1140, max span 14325696 at u in [75, 303, 531, 759, 987]\n"
+            "cells marked: 18637307 of 385231385 spanned\n"
+            "splits: 478\n"
+        )
+
+    def test_profile_refuses_more_classes_than_it_keeps(self, tmp_path, capsys):
+        # a profile keeps every class, about 0.8 KB each; without --profile
+        # the classes of the same w stream through the verifier
+        path = tmp_path / "wide.txt"
+        path.write_text("0 1\n0 65537\n")
+        argv = ("cover", "verify", str(path), "--w", "65537")
+        with mock.patch("digitcover.covering._reductions") as reductions:
+            code, out, err = run(capsys, *argv, "--profile")
+        assert reductions.call_count == 0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: w=65537 exceeds the profile limit of 65536 classes, "
+            "since a profile keeps every class\n"
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "covering: True" in out
+        with mock.patch("digitcover.covering._reductions", return_value=iter(())) as reductions:
+            assert reduction_profile(CoveringSystem.from_pairs([(0, 1)]), PROFILE_CLASSES) == []
+        assert reductions.call_count == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "cover", "verify", D9_FILE)
         assert code == 0
@@ -261,6 +298,14 @@ class TestCoverCli:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}:2: modulus of 5000 digits exceeds Python's ")
         assert "int-string limit" in err and len(err) < 200 and "7" * 50 not in err
+
+    def test_a_signed_field_past_the_int_string_limit_names_the_limit(self, tmp_path, capsys):
+        # the sign is no digit: it neither counts nor makes the field a bad one
+        path = tmp_path / "long.txt"
+        path.write_text("-" + "7" * 5000 + " 2\n")
+        code, out, err = run(capsys, "cover", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:1: residue of 5000 digits exceeds Python's ")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -758,6 +803,22 @@ class TestGrahamCli:
         assert code == 2
         assert err.startswith("error: ") and "10000000" in err
 
+    @pytest.mark.parametrize("command", ["verify", "reduce"])
+    @pytest.mark.parametrize(
+        "primes, message",
+        [
+            ("0", "prime set: '0' is not prime"),
+            ("-3", "prime set: '-3' is not prime"),
+            ("4", "prime set: '4' is not prime"),
+            (",", "prime set must be nonempty"),
+            ("3,3", "prime set lists '3' twice"),
+        ],
+    )
+    def test_prime_set_is_checked_by_both_commands(self, capsys, command, primes, message):
+        code, out, err = run(capsys, "graham", command, "--a", "1", "--b", "1", "--primes", primes)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_reduce(self, capsys):
         code, out, _ = run(
             capsys,
@@ -1148,6 +1209,85 @@ class TestReportCli:
     def test_missing_tables_dir_is_error(self, capsys):
         code, _, err = run(capsys, "report", "--tables", "/nonexistent-path")
         assert code == 2
+
+
+# Each kind of entry point that reads an integer, as a function of a token:
+# the arguments that feed it the token, and the `<where>: bad <name>` it
+# must name when the token is no decimal.
+INTEGER_ENTRY_POINTS = {
+    "positional": lambda tmp_path, token: (["order", "primes", token], "m: bad integer"),
+    "--n": lambda tmp_path, token: (
+        ["construct", "certify", "--construction", "c.txt",
+         "--n", token, "--d", "9", "--k", "1"],
+        "--n: bad integer",
+    ),
+    "--rho-iterations": lambda tmp_path, token: (
+        ["--rho-iterations", token, "order", "primes", "3"], "--rho-iterations: bad integer"
+    ),
+    "--w": lambda tmp_path, token: (["cover", "verify", D9_FILE, "--w", token], "--w: bad integer"),
+    "--widely": lambda tmp_path, token: (
+        ["delicate", "check", "294001", "--widely", token], "--widely: bad integer"
+    ),
+    "--resolve-limit": lambda tmp_path, token: (
+        ["report", "--resolve-limit", token], "--resolve-limit: bad integer"
+    ),
+    "covering field": lambda tmp_path, token: file_entry(
+        tmp_path / "cov.txt", f"0 {token}\n", ["cover", "verify"], "1: bad modulus"
+    ),
+    "order-table entry": lambda tmp_path, token: file_entry(
+        tmp_path / "orders.txt", f"9: {token}\n", ["order", "validate"], "1: bad entry"
+    ),
+    "construction field": lambda tmp_path, token: file_entry(
+        tmp_path / "c.txt",
+        f"{token} 0 7 9 1\n",
+        ["construct", "certify", "--n", "1", "--d", "9", "--k", "1", "--construction"],
+        "1: bad p",
+    ),
+    "file name": lambda tmp_path, token: name_entry(tmp_path, token),
+}
+# Whitespace separates the fields of a file, so a token with a space
+# reaches no file field; a file name keeps it.
+FILE_FIELDS = {"covering field", "order-table entry", "construction field"}
+
+
+def file_entry(path, text, argv, where):
+    path.write_text(text)
+    return argv + [str(path)], f"{path}:{where}"
+
+
+def name_entry(tmp_path, token):
+    """A header-less covering file named d<token>.txt beside the shipped ones."""
+    cov = tmp_path / "coverings"
+    shutil.copytree(DATA_ROOT / "coverings", cov)
+    (cov / "manifest.json").unlink()
+    path = cov / f"d{token}.txt"
+    path.write_text("0 1 1\n")
+    argv = ["construct", "assemble", "--digits", "9", "--tables", str(tmp_path)]
+    return argv, f"{path}: no digit header and unrecognized name: bad digit"
+
+
+@pytest.mark.parametrize(
+    "kind, token",
+    [
+        (kind, token)
+        for kind in INTEGER_ENTRY_POINTS
+        for token in ("1_0", "\u0663", " 7")  # "\u0663" is ARABIC-INDIC DIGIT THREE
+        if not (kind in FILE_FIELDS and token == " 7")
+    ],
+)
+def test_every_integer_is_ascii_decimal(tmp_path, capsys, kind, token):
+    argv, bad = INTEGER_ENTRY_POINTS[kind](tmp_path, token)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad} {token!r}\n"
+
+
+@pytest.mark.parametrize("token", ["+7", "-3"])
+@pytest.mark.parametrize("kind", INTEGER_ENTRY_POINTS)
+def test_a_signed_integer_still_parses(tmp_path, capsys, kind, token):
+    argv, _ = INTEGER_ENTRY_POINTS[kind](tmp_path, token)
+    _, _, err = run(capsys, *argv)
+    assert ": bad " not in err
 
 
 def test_parser_defaults_are_the_library_constants():

@@ -7,7 +7,8 @@ a value may stand for an order-m prime, in order tables and constructions
 alike.  Likewise one limb
 sweep, `residues_mod`, reduces a big integer modulo many small ones, one
 reader, `LineReader`, gives every input file's loader its lines and field
-rules, and a factoring budget is chosen in three places only."""
+rules, one parser, `parse_int`, turns every text the program reads into an
+integer, and a factoring budget is chosen in three places only."""
 
 import ast
 from pathlib import Path
@@ -135,7 +136,27 @@ def test_loaders_read_lines_only_through_the_reader():
     }
     assert callers("splitlines") == {"cyclotomic:__iter__"}
     assert callers("read_text") == {"cyclotomic:__iter__", "bundle:_check_manifest"}
-    assert callers("parse_int") == {"cyclotomic:number", "cli:_int"}
+    assert callers("parse_int") == {"cyclotomic:number", "cli:_int", "bundle:ingest_tables"}
+
+
+def test_text_becomes_an_integer_in_one_place():
+    # file fields, command-line arguments and the digit in a covering file's
+    # name all go through parse_int's one decimal rule; every other int()
+    # converts a numpy scalar
+    assert callers("int") == {
+        "cyclotomic:parse_int",
+        "covering:is_covering_naive",
+        "covering:_least_uncovered",
+        "delicate:find_first_digitally_delicate",
+    }
+    # argparse's own int() would accept what parse_int refuses, and print
+    # its usage block instead of the one error line
+    (build,) = [
+        f for f in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(f, ast.FunctionDef) and f.name == "build_parser"
+    ]
+    types = [k for k in ast.walk(build) if isinstance(k, ast.keyword) and k.arg == "type"]
+    assert types == []
 
 
 def test_one_modulus_bound():
