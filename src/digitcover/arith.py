@@ -24,7 +24,9 @@ enumeration of the base-2 strong pseudoprimes below 2^64, checked against
 the Lucas test, leaves none that passes both.  The Lucas test computes only
 V, by a ladder on (V_k, V_k+1, Q^k).  Above 2^64 Miller-Rabin on the first
 13 prime bases proves primality up to about 3.3e24 (Sorenson-Webster), and
-past that a verdict is labeled probable.
+past that the same base-2 and Lucas pair is the whole test: a pass is
+labeled probable, since no composite passing both is known, but none is
+ruled out either.
 
 `pm1_split` is Pollard's p - 1 method (Pollard 1974) with a prime-by-prime
 stage 2 (after Montgomery, Math. Comp. 48, 1987), for composites whose
@@ -42,7 +44,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -82,8 +83,6 @@ _BPSW_BOUND = 1 << 64
 # (Sorenson-Webster: first 13 prime bases).
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
-# Random Miller-Rabin rounds behind a probable-prime verdict.
-_RANDOM_ROUNDS = 64
 
 COMPOSITE = "composite"
 PROBABLE_PRIME = "probable-prime"
@@ -266,11 +265,9 @@ def is_prime(n: int) -> PrimalityVerdict:
     prime: that pair has no pseudoprime below 2^64, verified against
     Feitsma's enumeration of the base-2 strong pseudoprimes there.  From
     2^64 to a fixed bound near 3.3e24 the first 13 prime bases decide
-    (Sorenson-Webster).  Above it, a probable-prime verdict rests on base 2,
-    strong Lucas and _RANDOM_ROUNDS Miller-Rabin rounds with
-    deterministically derived bases; such verdicts are labeled, never
-    silently treated as proven.  n - 1 = d * 2**s is split once for all
-    bases.
+    (Sorenson-Webster).  Above it, base 2 and strong Lucas alone decide,
+    as below 2^64, but a pass is labeled probable-prime, never silently
+    treated as proven.  n - 1 = d * 2**s is split once for all bases.
 
     The verdict is truthy exactly when n is (probably) prime.
     """
@@ -294,14 +291,7 @@ def is_prime(n: int) -> PrimalityVerdict:
         return PrimalityVerdict(PROVEN_PRIME)
     if not _strong_lucas_prp(n):
         return PrimalityVerdict(COMPOSITE)
-    if n < _BPSW_BOUND:
-        return PrimalityVerdict(PROVEN_PRIME)
-    rng = random.Random(n)
-    for _ in range(_RANDOM_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        if _miller_rabin_witness(n, a, d, s):
-            return PrimalityVerdict(COMPOSITE, witness=a, witness_kind="mr-base")
-    return PrimalityVerdict(PROBABLE_PRIME)
+    return PrimalityVerdict(PROVEN_PRIME if n < _BPSW_BOUND else PROBABLE_PRIME)
 
 
 MAX_TRIAL_BOUND = 10 ** 7

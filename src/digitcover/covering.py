@@ -326,7 +326,9 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
     if not len(system):
         raise ValueError("cannot verify an empty system")
     ell = system.lcm
-    if w < 1 or ell % w != 0:
+    if w < 1:
+        raise ValueError(f"the class count w must be at least 1, got {w}")
+    if ell % w != 0:
         raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
     # every class span divides ell, so its split primes are ell's
     primes = [p for p in system.lcm_factorization.primes() if p <= LEAF_CELLS]

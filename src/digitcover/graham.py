@@ -39,12 +39,20 @@ PERIOD_PRIME_LIMIT = 10 ** 7
 EXPLICIT_TERMS = 50
 
 
+def _check_period_bound(p: int) -> None:
+    if p > PERIOD_PRIME_LIMIT:
+        raise ValueError(
+            f"prime {p} exceeds the recurrence period limit {PERIOD_PRIME_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class GrahamInstance:
     """Seeds and prime set for a compositeness cover of the recurrence.
 
     Raises ValueError unless the prime set is non-empty and its entries
-    are distinct primes.
+    are distinct primes of at most PERIOD_PRIME_LIMIT.  The bound is
+    checked before the primality test, so a huge entry costs no test.
     """
 
     a: int
@@ -57,6 +65,7 @@ class GrahamInstance:
         for i, p in enumerate(self.primes):
             if p in self.primes[:i]:
                 raise ValueError(f"prime set lists {quoted(str(p))} twice")
+            _check_period_bound(p)
             if not is_prime(p):
                 raise ValueError(f"prime set: {quoted(str(p))} is not prime")
 
@@ -81,10 +90,7 @@ def recurrence_period(p: int, a: int, b: int) -> RecurrencePeriod:
 
     Raises ValueError unless p is a prime of at most PERIOD_PRIME_LIMIT.
     """
-    if p > PERIOD_PRIME_LIMIT:
-        raise ValueError(
-            f"prime {p} exceeds the recurrence period limit {PERIOD_PRIME_LIMIT}"
-        )
+    _check_period_bound(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     start = (a % p, b % p)
@@ -121,10 +127,10 @@ def verify_cover(instance: GrahamInstance) -> CoverReport:
     Index j is covered iff u(j) = 0 mod p for some p, which only depends on
     j mod period(p), so is_covering_fast decides it on the zero-index
     congruences and uncovered_index is the least uncovered index (0 when no
-    prime has a zero).  Raises ValueError for a prime above
-    PERIOD_PRIME_LIMIT or beyond the verifier's limits.  Also checks that
-    the terms u(2), ..., u(EXPLICIT_TERMS - 1) exceed max(primes), so the
-    divisibility actually proves them composite.
+    prime has a zero).  Raises ValueError for periods beyond the verifier's
+    limits (the instance already bounds its primes by PERIOD_PRIME_LIMIT).
+    Also checks that the terms u(2), ..., u(EXPLICIT_TERMS - 1) exceed
+    max(primes), so the divisibility actually proves them composite.
     """
     periods = {
         p: recurrence_period(p, instance.a, instance.b) for p in instance.primes

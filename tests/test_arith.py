@@ -23,7 +23,6 @@ from digitcover.arith import (
     primes_up_to,
     _DETERMINISTIC_BASES,
     _DETERMINISTIC_BOUND,
-    _RANDOM_ROUNDS,
     _SMALL_PRIMES,
     _SMALL_PRODUCT,
     _miller_rabin_witness,
@@ -311,7 +310,36 @@ class TestIsPrime:
             assert tuple(calls) == _DETERMINISTIC_BASES
             calls.clear()
             assert is_prime(2 ** 127 - 1).kind == "probable-prime"
-            assert len(calls) == 1 + _RANDOM_ROUNDS and calls[0] == 2
+            assert calls == [2]
+
+    def test_lucas_alone_rejects_cipolla_pseudoprimes_past_the_proven_range(self):
+        # (4^p + 1)/5 for prime p > 5 is a base-2 pseudoprime (Cipolla
+        # 1904), and a strong one for each p here; from p = 43 up it lies
+        # past _DETERMINISTIC_BOUND, where base 2 and the strong Lucas test
+        # are the whole test
+        numbers = [(4 ** p + 1) // 5 for p in sympy.primerange(43, 400)]
+        assert len(numbers) == 65 and min(numbers) > _DETERMINISTIC_BOUND
+        calls = []
+        witness = arith._miller_rabin_witness
+
+        def counted(*args):
+            calls.append(args[1])
+            return witness(*args)
+
+        trial_divided = []
+        with mock.patch.object(arith, "_miller_rabin_witness", counted):
+            for n in numbers:
+                assert not witness(n, 2, *_odd_part(n - 1)) and not sympy.isprime(n), n
+                calls.clear()
+                verdict = is_prime(n)
+                if verdict.witness_kind == "divisor":
+                    trial_divided.append(verdict.witness)
+                    assert calls == [], n
+                else:
+                    assert verdict == PrimalityVerdict("composite"), n
+                    assert calls == [2], n
+        # p = 43, 67 and 73 leave a prime factor up to 293
+        assert trial_divided == [173, 269, 293]
 
 
 class TestStrongLucas:

@@ -196,6 +196,12 @@ class TestCoverCli:
             assert reduction_profile(CoveringSystem.from_pairs([(0, 1)]), PROFILE_CLASSES) == []
         assert reductions.call_count == 1
 
+    @pytest.mark.parametrize("w", ["0", "-2"])
+    def test_class_count_below_one_exits_2(self, capsys, w):
+        code, out, err = run(capsys, "cover", "verify", D9_FILE, "--w", w)
+        assert code == 2 and out == ""
+        assert err == f"error: the class count w must be at least 1, got {w}\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "cover", "verify", D9_FILE)
         assert code == 0
@@ -804,6 +810,17 @@ class TestGrahamCli:
         assert err.startswith("error: ") and "10000000" in err
 
     @pytest.mark.parametrize("command", ["verify", "reduce"])
+    def test_huge_entry_is_bounded_before_its_primality_test(self, capsys, command):
+        huge = 10 ** 4000 + 1
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "graham", command, "--a", "1", "--b", "3", "--primes", f"2,{huge}"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: prime {huge} exceeds the recurrence period limit 10000000\n"
+
+    @pytest.mark.parametrize("command", ["verify", "reduce"])
     @pytest.mark.parametrize(
         "primes, message",
         [
@@ -841,7 +858,7 @@ class TestOrderCli:
         big = "201763709900322803748657942361"  # 30 digits, above 3.3e24
         code, out, _ = run(capsys, "order", "primes", "41")
         assert code == 0
-        assert f"83, 1231, 538987, {big} (probable-prime)" in out
+        assert out.splitlines()[0].endswith(f"83, 1231, 538987, {big} (probable-prime)")
         code, out, _ = run(capsys, "--format", "json", "order", "primes", "41")
         payload = json.loads(out)
         assert payload["primes"][-1] == big and payload["probable"] == [big]
