@@ -614,7 +614,12 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     Trial division divides out every prime up to min(trial_bound, isqrt(n)),
     found by `_trial_primes` in one numpy pass over all of them: below 2^64
     a multiply by each prime's inverse mod 2^64 and a compare, no division;
-    from 2^64 up one `residues_mod` sweep.
+    from 2^64 up one `residues_mod` sweep.  From 2^64 up with trial_bound
+    >= 293, one gcd with the product of the primes up to 293 divides those
+    out first, and the pass then runs only to min(trial_bound, isqrt(m)),
+    m the part left: what it leaves has no prime up to isqrt(m), so it is 1
+    or a prime, the factorization is the one a pass to isqrt(n) gives, and
+    a 293-smooth n is not swept at all.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -632,6 +637,11 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     counts: dict[int, int] = {}
 
     limit = budget.trial_bound
+    if n >= _WORD_BOUND and limit >= _SMALL_PRIMES[-1]:
+        g = math.gcd(n, _SMALL_PRODUCT)
+        for p in _SMALL_PRIMES:
+            if g % p == 0:
+                n = _divide_out(n, p, counts)
     top = min(limit, math.isqrt(n))
     table = _prime_table(top)
     for p in _trial_primes(n, table, bisect.bisect_right(table.primes, top)):

@@ -125,6 +125,7 @@ def cmd_cover_verify(args) -> int:
         spanned = sum(r.span for r in profile)
         marked = sum(r.cells_marked for r in profile)
         splits = sum(r.splits for r in profile)
+        parts = sum(r.parts for r in profile)
         payload["profile"] = {
             "w": w,
             "max_span": str(max_span),
@@ -132,6 +133,7 @@ def cmd_cover_verify(args) -> int:
             "cells_spanned": str(spanned),
             "cells_marked": str(marked),
             "splits": splits,
+            "parts": parts,
             "classes": [
                 {
                     "u": r.u,
@@ -141,6 +143,7 @@ def cmd_cover_verify(args) -> int:
                     "span": str(r.span),
                     "cells_marked": str(r.cells_marked),
                     "splits": r.splits,
+                    "parts": r.parts,
                     "covered": r.covered,
                 }
                 for r in profile
@@ -149,12 +152,14 @@ def cmd_cover_verify(args) -> int:
         lines.append(f"profile: w={w}, max span {max_span} at u in {top}")
         lines.append(f"cells marked: {marked} of {spanned} spanned")
         lines.append(f"splits: {splits}")
+        lines.append(f"parts: {parts}")
         if w <= 100:
             for r in profile:
                 lines.append(
                     f"  u={r.u:>4}  kept={len(r.congruences):>4}  "
                     f"lcm'={r.lcm_prime}  delta={r.delta}  span={r.span}  "
-                    f"marked={r.cells_marked}  splits={r.splits}  covered={r.covered}"
+                    f"marked={r.cells_marked}  splits={r.splits}  parts={r.parts}  "
+                    f"covered={r.covered}"
                 )
     _emit(args, payload, lines)
     return OK if verdict.covering else FAIL

@@ -12,6 +12,20 @@ sqrt(L' * LEAF_CELLS) if it will split again.  A node with no such prime
 is marked whole up to NAIVE_LIMIT and rejected beyond, so no array exceeds
 LEAF_CELLS cells otherwise.
 
+Before a node above LEAF_CELLS is split or marked, its steps are grouped
+into parts by shared prime (a bitmask over the split primes per step, every
+factor above LEAF_CELLS one more bit), so the parts' lcms L_i are pairwise
+coprime.  By the Chinese remainder theorem Z/L is the product of the
+Z/L_i, and t is uncovered iff its image in every Z/L_i is uncovered by
+that part, so the node is covered iff some part covers Z/L_i on its own.
+Each part of density (sum of |starts|/step) at least 1, the only ones that
+can cover, and with no factor above LEAF_CELLS, is refined alone, least
+L_i first, and the first that covers decides the node; if none does, the
+node splits as above, which finds the least witness.  Verdicts and
+witnesses are those of splitting alone.  A node of lcm at most LEAF_CELLS
+is marked whole without trying parts: marking it needs no split, and a
+part that does not cover would only add its cells to the node's.
+
 With the default w = 1 the whole system is one class.  With a class
 modulus w > 1, each residue class u mod w keeps only the congruences
 consistent with it, needs lcm'/delta representatives (lcm' the lcm of the
@@ -197,7 +211,8 @@ class ResidueClassReduction:
     when the class is covered.  An empty C' is recorded with lcm_prime = 1
     and span 1 (the single representative u itself, necessarily uncovered).
     cells_marked counts the cells refinement marked for the class, against
-    span for marking the class whole, and splits the nodes it split.
+    span for marking the class whole, splits the nodes it split, and parts
+    the nodes one of their coprime parts decided without a split.
     """
 
     u: int
@@ -209,6 +224,7 @@ class ResidueClassReduction:
     witness: Optional[int]
     cells_marked: int
     splits: int
+    parts: int
 
     @property
     def covered(self) -> bool:
@@ -267,23 +283,95 @@ def _split(progressions: dict[int, list[int]], p: int) -> list[dict[int, list[in
     return children
 
 
-def _least_uncovered(
-    progressions: dict[int, list[int]], length: int, primes: list[int]
-) -> tuple[Optional[int], int, int]:
-    """Least t in [0, length) on none of the progressions, cells marked and
-    nodes split.
+def _step_mask(step: int, primes: list[int]) -> int:
+    """Bit i for each primes[i] that divides step, and bit len(primes) when
+    a factor outside primes (so above LEAF_CELLS) is left over."""
+    mask = 0
+    for i, p in enumerate(primes):
+        if step % p == 0:
+            mask |= 1 << i
+            while step % p == 0:
+                step //= p
+    return mask | (step > 1) << len(primes)
 
-    progressions maps each step (a divisor of length) to its starts; primes
-    holds, ascending, every prime <= LEAF_CELLS of length (possibly more).
-    A node with a step-1 progression is covered; one of lcm at most
-    LEAF_CELLS is marked in one array.  Larger nodes split on the prime of
-    primes dividing their lcm whose p children t = p*s + j have the least
-    total _split_cost; a node with no such prime is marked whole up to
-    NAIVE_LIMIT.  A covering visits every node; otherwise only nodes that
-    may hold a t below the least witness found so far are visited.
+
+@dataclass
+class _Refinement:
+    """What the nodes of one class share: the split primes, each step's
+    _step_mask (kept for the whole system), and the counters of
+    ResidueClassReduction."""
+
+    primes: list[int]
+    masks: dict[int, int]
+    cells: int = 0
+    splits: int = 0
+    parts: int = 0
+
+
+def _dense_parts(
+    node: dict[int, list[int]], run: _Refinement
+) -> list[tuple[int, dict[int, list[int]]]]:
+    """(lcm, part) for each coprime part of node that may cover on its own,
+    least lcm first; none when node is one part.
+
+    Steps that share a split prime, or that both have a factor above
+    LEAF_CELLS, fall in one part, so the parts' lcms are pairwise coprime.
+    A part may cover only if its density, the sum of |starts|/step, is at
+    least 1.  A part with a factor above LEAF_CELLS is not tried: one of its
+    nodes may have no split prime and an lcm past NAIVE_LIMIT, and refining
+    the part alone would raise where the whole node need not.
+    """
+    masks = run.masks
+    groups: list[tuple[int, list[int]]] = []  # (mask, steps), masks disjoint
+    for step in node:
+        mask = masks.get(step)
+        if mask is None:
+            mask = masks[step] = _step_mask(step, run.primes)
+        steps = [step]
+        apart = []
+        for other, other_steps in groups:
+            if other & mask:
+                mask |= other
+                steps += other_steps
+            else:
+                apart.append((other, other_steps))
+        apart.append((mask, steps))
+        groups = apart
+    if len(groups) < 2:
+        return []
+    parts = []
+    for mask, steps in groups:
+        if mask >> len(run.primes):
+            continue
+        ell = math.lcm(*steps)
+        if sum(len(node[step]) * (ell // step) for step in steps) >= ell:
+            parts.append((ell, {step: node[step] for step in steps}))
+    parts.sort(key=lambda part: part[0])
+    return parts
+
+
+def _least_uncovered(
+    progressions: dict[int, list[int]], length: int, run: _Refinement
+) -> Optional[int]:
+    """Least t in [0, length) on none of the progressions; run counts the
+    cells marked, the nodes split and the nodes a coprime part decided.
+
+    progressions maps each step (a divisor of length) to its starts;
+    run.primes holds, ascending, every prime <= LEAF_CELLS of length
+    (possibly more).  A node with a step-1 progression is covered; one of
+    lcm at most LEAF_CELLS is marked in one array.  A larger node first
+    tries its coprime parts (_dense_parts): by the Chinese remainder
+    theorem Z/L is the product of the parts' Z/L_i, and a t is uncovered
+    iff its image in every Z/L_i is, so the node is covered iff one part
+    covers its own Z/L_i.  Each part is refined alone by this routine, and
+    the first that covers decides the node.  If none does, the node is not
+    covered and splits, so that the least witness is found: on the prime
+    of run.primes dividing its lcm whose p children t = p*s + j have the
+    least total _split_cost; a node with no such prime is marked whole up
+    to NAIVE_LIMIT.  A covering visits every node; otherwise only nodes
+    that may hold a t below the least witness found so far are visited.
     """
     best: Optional[int] = None
-    cells = splits = 0
     # (progressions, lcm, offset, scale): the node's s is t = offset + scale*s
     stack = [(progressions, length, 0, 1)]
     while stack:
@@ -293,13 +381,19 @@ def _least_uncovered(
         if not node:
             t = offset
         else:
-            candidates = [p for p in primes if ell % p == 0] if ell > LEAF_CELLS else []
+            if ell > LEAF_CELLS and any(
+                _least_uncovered(part, part_ell, run) is None
+                for part_ell, part in _dense_parts(node, run)
+            ):
+                run.parts += 1
+                continue
+            candidates = [p for p in run.primes if ell % p == 0] if ell > LEAF_CELLS else []
             if candidates:
                 p = candidates[0] if len(candidates) == 1 else min(
                     candidates, key=lambda q: _split_cost(node, q)
                 )
                 children = _split(node, p)
-                splits += 1
+                run.splits += 1
                 for j in range(p - 1, -1, -1):  # child 0 is popped first
                     child = children[j]
                     stack.append((child, math.lcm(*child), offset + scale * j, scale * p))
@@ -312,13 +406,13 @@ def _least_uncovered(
             covered = _mark_progressions(
                 ell, ((a, step) for step, starts in node.items() for a in starts)
             )
-            cells += ell
+            run.cells += ell
             if covered.all():
                 continue
             t = offset + scale * int(np.argmin(covered))
         if best is None or t < best:
             best = t
-    return best, cells, splits
+    return best
 
 
 def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReduction]:
@@ -332,6 +426,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
         raise ValueError(f"w={w} does not divide the moduli lcm {ell}")
     # every class span divides ell, so its split primes are ell's
     primes = [p for p in system.lcm_factorization.primes() if p <= LEAF_CELLS]
+    masks: dict[int, int] = {}
     # v = w*t + u meets c = r (mod m) iff g = gcd(m, w) divides r - u and
     # t = (r - u)/g * (w/g)^-1 (mod m/g)
     terms = []
@@ -351,7 +446,8 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
                 progressions = {1: [0]}  # the congruence holds on the whole class
                 break
             progressions.setdefault(step, []).append((r - u) // g * inv % step)
-        t, cells, splits = _least_uncovered(progressions, span, primes)
+        run = _Refinement(primes, masks)
+        t = _least_uncovered(progressions, span, run)
         yield ResidueClassReduction(
             u=u,
             w=w,
@@ -360,8 +456,9 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
             delta=delta,
             span=span,
             witness=None if t is None else w * t + u,
-            cells_marked=cells,
-            splits=splits,
+            cells_marked=run.cells,
+            splits=run.splits,
+            parts=run.parts,
         )
 
 

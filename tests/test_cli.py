@@ -134,6 +134,19 @@ class TestCoverCli:
         assert "splits: 0" in out.splitlines()
         assert "splits=0" in out
 
+    def test_profile_counts_parts(self, capsys):
+        # the nodes of d = -3 that a coprime part decided without a split
+        code, out, _ = run(
+            capsys, "--format", "json", "cover", "verify", D_MINUS_3_FILE, "--profile"
+        )
+        assert code == 0
+        profile = json.loads(out)["profile"]
+        assert profile["parts"] == sum(c["parts"] for c in profile["classes"]) == 39
+        code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
+        assert code == 0
+        assert "parts: 0" in out.splitlines()
+        assert "parts=0" in out
+
     def test_profile_verdict_matches_plain_verdict(self, tmp_path, capsys):
         # leaves 5 and 6 (mod 12) uncovered; with w = 2 or 3 the class
         # holding 6 comes first, but the witness is the least, 5
@@ -153,7 +166,7 @@ class TestCoverCli:
         code, out, _ = run(capsys, "cover", "verify", D_MINUS_3_FILE, "--profile")
         assert code == 0
         assert "profile: w=1," in out
-        assert "cells marked: 8620329 of 1486147703040 spanned" in out
+        assert "cells marked: 4376745 of 1486147703040 spanned" in out
         code, out, _ = run(
             capsys, "cover", "verify", D_MINUS_3_FILE, "--w", "1140", "--profile"
         )
@@ -172,8 +185,9 @@ class TestCoverCli:
             "max prime: 19\n"
             "covering: True\n"
             "profile: w=1140, max span 14325696 at u in [75, 303, 531, 759, 987]\n"
-            "cells marked: 18637307 of 385231385 spanned\n"
-            "splits: 478\n"
+            "cells marked: 13118837 of 385231385 spanned\n"
+            "splits: 75\n"
+            "parts: 261\n"
         )
 
     def test_profile_refuses_more_classes_than_it_keeps(self, tmp_path, capsys):

@@ -416,7 +416,8 @@ class TestRefinement:
     def test_split_rule_marks_no_more_than_the_total_lcm_rule(self, bundle):
         # cells each shipped digit above LEAF_CELLS marked when every child
         # of a split was charged its full lcm (27,397,606 in all), and the
-        # total over refinement_systems() under that rule
+        # total over refinement_systems() under that rule.  The shipped total
+        # was 14,623,129 before coprime parts decided nodes (8,923,029 with)
         full_lcm_rule = {
             -9: 1_387_408, -8: 3_148_046, -6: 3_357_800, -5: 104_484,
             -3: 18_066_503, -2: 39_360, 3: 1_273_493, 7: 20_512,
@@ -430,7 +431,7 @@ class TestRefinement:
         assert marked.keys() == full_lcm_rule.keys()
         for d, cells in marked.items():
             assert cells <= full_lcm_rule[d], d
-        assert sum(marked.values()) <= 15_000_000
+        assert sum(marked.values()) <= 9_000_000
         total = sum(reduction_profile(s)[0].cells_marked for s in refinement_systems())
         assert total <= 1_802_546
 
@@ -473,6 +474,122 @@ class TestRefinement:
         spanned = reduction_profile(system_d_minus_3, w=1140)
         assert sum(r.span for r in spanned) == 385_231_385
         assert sum(r.cells_marked for r in spanned) < 385_231_385 // 10
+
+
+def split_on(rng: random.Random, primes: tuple[int, ...], max_lcm: int) -> list[tuple[int, int]]:
+    """A covering whose moduli are products of primes, lcm at most
+    max_lcm, built by splitting a random class into p classes at a time,
+    then kept, or broken by dropping a congruence (density below 1) or
+    moving a residue (density 1), or given an extra congruence."""
+    cover, ell = [(0, 1)], 1
+    target = max_lcm ** rng.uniform(0.5, 1)
+    while ell < target:
+        a, m = cover.pop(rng.randrange(len(cover)))
+        p = rng.choice(primes)
+        if math.lcm(ell, m * p) > max_lcm:
+            cover.append((a, m))
+            break
+        cover += [(a + m * j, m * p) for j in range(p)]
+        ell = math.lcm(ell, m * p)
+    kind = rng.randrange(4)
+    if kind == 1 and len(cover) > 1:
+        cover.pop(rng.randrange(len(cover)))
+    elif kind == 2:
+        i = rng.randrange(len(cover))
+        cover[i] = (cover[i][0] + 1, cover[i][1])
+    elif kind == 3:
+        m = rng.choice([m for _, m in cover])
+        cover.append((rng.randrange(m), m))
+    return cover
+
+
+def coprime_union(seed: int) -> CoveringSystem:
+    """The union of two split_on systems on coprime bases, 2^a * 3^b up to
+    1728 and 5^c * 7^d * 11^e up to 1925, with lcm above LEAF_CELLS, so
+    that refinement tries the two parts at the root."""
+    rng = random.Random(seed)
+    while True:
+        pairs = split_on(rng, (2, 3), 1728) + split_on(rng, (5, 7, 11), 1925)
+        rng.shuffle(pairs)
+        system = CoveringSystem.from_pairs(pairs)
+        if system.lcm > LEAF_CELLS:
+            return system
+
+
+class TestCoprimeParts:
+    """A node whose steps fall into coprime parts is covered iff one part
+    covers on its own; otherwise splitting finds the least witness."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_unions_on_coprime_bases_match_naive(self, seed):
+        system = coprime_union(seed)
+        naive = is_covering_naive(system)
+        for w in (1, class_w(system)):
+            assert is_covering_fast(system, w=w) == naive, (seed, w)
+            for r in reduction_profile(system, w=w):
+                assert not r.covered or r.cells_marked <= r.span, (seed, w, r.u)
+
+    def test_seeded_unions_take_both_routes(self):
+        # over seeded unions some nodes are decided by a part, and some
+        # covering unions are not (both parts broken), so they split
+        decided = split = covering = 0
+        for seed in range(60):
+            system = coprime_union(seed)
+            (whole,) = reduction_profile(system)
+            assert profile_verdict([whole]) == is_covering_naive(system), seed
+            decided += whole.parts > 0
+            split += whole.splits > 0 and not whole.covered
+            covering += whole.covered
+        assert decided >= 10 and split >= 10 and covering >= 10
+
+    def test_a_covering_part_decides_the_node(self):
+        # 0 mod 2, 1 mod 4, 3 mod 4 covers Z/4 on its own, so the root of lcm
+        # 4 * 5^7 is decided by that part, marked in 4 cells, without a split
+        system = CoveringSystem.from_pairs([(0, 2), (1, 4), (3, 4), (7, 5 ** 7)])
+        (whole,) = reduction_profile(system)
+        assert whole.covered
+        assert (whole.parts, whole.splits, whole.cells_marked) == (1, 0, 4)
+
+    def test_a_dense_part_that_does_not_cover_falls_back_to_splitting(self):
+        # 0 mod 2, 0 mod 4, 2 mod 4 has density 1 but covers only the evens,
+        # so the root of lcm 4 * 5^7 is split and the least odd integer on
+        # none of the three progressions mod 5^7 is the witness
+        system = CoveringSystem.from_pairs(
+            [(0, 2), (0, 4), (2, 4), (1, 5 ** 7), (3, 5 ** 7), (5, 5 ** 7)]
+        )
+        assert system.lcm > LEAF_CELLS
+        naive = is_covering_naive(system)
+        assert naive == CoverVerdict(False, witness=7)
+        assert fast_routes(system) == [naive] * 3
+        (whole,) = reduction_profile(system)
+        assert whole.parts == 0 and whole.splits >= 1
+
+    def test_a_root_that_fits_one_array_is_marked_whole(self):
+        # parts are tried only above LEAF_CELLS: trying the dense part 0 2,
+        # 0 4, 2 4 here would mark its 4 cells and then all 12 again
+        system = CoveringSystem.from_pairs([(0, 2), (0, 4), (2, 4), (0, 3), (1, 3)])
+        assert is_covering_naive(system) == CoverVerdict(False, witness=5)
+        (whole,) = reduction_profile(system)
+        assert whole.witness == 5
+        assert (whole.cells_marked, whole.span, whole.parts) == (12, 12, 0)
+
+    def test_a_part_with_a_factor_above_leaf_cells_is_not_tried(self):
+        # the evens part carries 1 mod 2 * 65537 * 65539: refined alone it
+        # would reach the node of lcm 65537 * 65539 > NAIVE_LIMIT with no
+        # prime to split on, and raise.  The 3-adic chain 0, 1 mod 3, then
+        # 3^(k-1) - 1 and 2 * 3^(k-1) - 1 mod 3^k, ends in every class mod
+        # 3^22 and covers alone, though its lcm is the larger
+        pairs = [(0, 2), (0, 4), (2, 4), (1, 2 * 65537 * 65539), (0, 3), (1, 3)]
+        r = 2
+        for k in range(2, 23):
+            pairs += [(r, 3 ** k), (r + 3 ** (k - 1), 3 ** k)]
+            r += 2 * 3 ** (k - 1)
+        pairs.append((r, 3 ** 22))
+        system = CoveringSystem.from_pairs(pairs)
+        assert 3 ** 22 > 4 * 65537 * 65539 > NAIVE_LIMIT
+        (whole,) = reduction_profile(system)
+        assert whole.covered and whole.parts == 1
 
 
 @given(st.integers(min_value=-10 ** 9, max_value=10 ** 9))
