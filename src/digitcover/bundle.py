@@ -3,13 +3,13 @@
 The package ships one covering file per digit offset d with d not congruent
 to 2 mod 3 (the remaining six digits, `MOD3_DIGITS`, are handled by the
 single congruence 0 mod 1 assigned to the prime 3), `ORDER_PRIMES_FILE`
-with the complete list of order-m primes for each table modulus
-m <= RESOLVE_LIMIT, and a manifest of their sha256 digests.  How many
-primes of each order the construction needs is read off the covering
-rows.  `reproduce_report` re-verifies all of it: every covering and,
-whatever the resolve limit, every order-m row.  A modulus without a row
-gets its list from `primes_of_order` within the bundle's one budget,
-`TableBundle.budget`.
+with the complete list of order-m primes for some table moduli m, and a
+manifest of their sha256 digests.  How many primes of each order the
+construction needs is read off the covering rows.  A row's modulus gets
+its primes from the order file alone, proved by `prove_order_primes`; a
+modulus without a row there gets none, and no budget is spent.
+`reproduce_report` re-verifies all of it: every covering and every
+order-m row.
 """
 
 from __future__ import annotations
@@ -50,17 +50,14 @@ __all__ = [
     "REPEATED_PRIME_DIGITS",
     "DATA_ROOT",
     "ORDER_PRIMES_FILE",
-    "RESOLVE_LIMIT",
 ]
 
 DATA_ROOT = Path(__file__).parent / "data"
 
-# The report resolves prime assignments for moduli up to this bound.
-RESOLVE_LIMIT = 64
-
 # The optional file beside the covering files that lists, in
 # `load_order_table`'s `m: p1, p2, ...` format, every prime of order m for
-# some moduli m; the shipped one covers each table modulus m <= RESOLVE_LIMIT.
+# some moduli m; the shipped one covers each table modulus m <= 64 and
+# m = 90, 99 and 204.
 ORDER_PRIMES_FILE = "order_primes.txt"
 
 MOD3_DIGITS = frozenset({-7, -4, -1, 2, 5, 8})
@@ -176,15 +173,15 @@ class TableBundle:
 
     order_rows holds the rows of `order_file` (an ORDER_PRIMES_FILE) as
     read, unproved; `order_primes` proves each row on first use and keeps
-    the result in _proven, per bundle.  budget is the one budget within
-    which `order_primes` computes the list of a modulus without a row.
+    the result in _proven, per bundle.  They are the only order-m primes
+    the bundle knows: a table row whose modulus has no order row resolves
+    to no prime.
     """
 
     coverings: dict[int, tuple[CoveringRow, ...]]
     warnings: list[str] = field(default_factory=list)
     order_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
     order_file: Optional[Path] = None
-    budget: FactorBudget = DEFAULT_BUDGET
     _proven: dict[int, OrderPrimes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -212,11 +209,11 @@ class TableBundle:
 
     def order_primes(self, m: int) -> OrderPrimes:
         """The primes of order m that the rows index: the bundle's row for
-        m, proved by `prove_order_primes` the first time it is asked for,
-        or `primes_of_order(m, self.budget)` when there is no row.  A row that
-        fails its proof is a ValueError naming the file, m and the check."""
+        m, proved by `prove_order_primes` the first time it is asked for.
+        A modulus without a row, and a row that fails its proof, is a
+        ValueError; the latter names the file, m and the check."""
         if m not in self.order_rows:
-            return primes_of_order(m, self.budget)
+            raise ValueError(f"the bundle has no order-{m} row")
         if m not in self._proven:
             try:
                 self._proven[m] = prove_order_primes(m, self.order_rows[m])
@@ -230,23 +227,19 @@ class TableBundle:
 
     def order_check(self, m: int, needed: int) -> OrderCountCheck:
         """`order_primes(m)` against needed primes: "enough" when it lists
-        that many, else "short" when the list is complete (a failure) or
-        "unresolved" when it is not."""
-        known = self.order_primes(m)
-        found = len(known.primes)
-        status = "enough" if found >= needed else "short" if known.complete else "unresolved"
-        return OrderCountCheck(m, needed, found, status, known.reason)
+        that many, else "short" (a failure, since a proved row is
+        complete)."""
+        found = len(self.order_primes(m).primes)
+        return OrderCountCheck(m, needed, found, "enough" if found >= needed else "short")
 
-    def resolved_rows(
-        self, digit: int, resolve_limit: Optional[int] = None
-    ) -> Iterator[tuple[CoveringRow, Optional[int]]]:
+    def resolved_rows(self, digit: int) -> Iterator[tuple[CoveringRow, Optional[int]]]:
         """Each row of `rows(digit)` with its prime, lazily and in order: the
         rho-th prime of `order_primes(m)`, or None when the row has no
-        index, its modulus exceeds resolve_limit (None sets no limit), or
-        the index lies beyond the list's exact prefix."""
+        index, the bundle has no order-m row, or the index runs past the
+        row's primes."""
         for row in self.rows(digit):
             m = row.congruence.modulus
-            if row.rho is None or (resolve_limit is not None and m > resolve_limit):
+            if row.rho is None or m not in self.order_rows:
                 yield row, None
             else:
                 yield row, self.order_primes(m).nth(row.rho)
@@ -396,23 +389,26 @@ class SharedPrimeCheck:
 @dataclass(frozen=True)
 class OrderCountCheck:
     """The `found` primes of order m against `needed`, with the status that
-    `TableBundle.order_check` gives them; reason says why the list is
-    incomplete."""
+    `TableBundle.order_check` gives them."""
 
     m: int
     needed: int
     found: int
     status: str
-    reason: Optional[str]
 
 
 @dataclass
 class VerificationReport:
     digits: list[DigitReport]
     shared: list[SharedPrimeCheck]
-    order_counts: list[OrderCountCheck]  # one per modulus <= resolve_limit
+    order_counts: list[OrderCountCheck]  # one per table modulus with an order row
     seconds: float
-    resolve_limit: int
+
+    @property
+    def resolve_limit(self) -> int:
+        """The largest table modulus with an order row, so that
+        `shared_prime_checks(bundle, resolve_limit)` repeats `shared`."""
+        return max((c.m for c in self.order_counts), default=0)
 
     @property
     def ok(self) -> bool:
@@ -438,7 +434,8 @@ class VerificationReport:
         shared_ok = sum(1 for s in self.shared if s.consistent)
         out.append(
             f"shared primes consistent: {shared_ok}/{len(self.shared)} "
-            f"(assignments resolved for moduli <= {self.resolve_limit})"
+            f"(assignments resolved for the {len(self.order_counts)} moduli "
+            "with an order row)"
         )
         for s in self.shared:
             if not s.consistent:
@@ -459,20 +456,13 @@ class VerificationReport:
             for c in self.order_counts
             if c.status == "short"
         )
-        unresolved = [
-            f"m={c.m} needs {c.needed}, {c.found} found ({c.reason})"
-            for c in self.order_counts
-            if c.status == "unresolved"
-        ]
-        if unresolved:
-            out.append(f"order counts unresolved: {'; '.join(unresolved)}")
         closing = f"total {self.seconds:.2f}s; overall {'OK' if self.ok else 'FAIL'}"
         total = sum(len(r.rows) for r in self.digits)
         unchecked = total - sum(r.resolved for r in self.digits)
         if unchecked:
             closing += (
                 f"; {unchecked} of {total} prime assignments not checked "
-                f"(resolve limit {self.resolve_limit})"
+                "(their modulus has no order row)"
             )
         out.append(closing)
         return out
@@ -517,15 +507,12 @@ class VerificationReport:
         }
 
 
-def _verify_digit(bundle: TableBundle, digit: int, resolve_limit: int) -> DigitReport:
+def _verify_digit(bundle: TableBundle, digit: int) -> DigitReport:
     start = time.perf_counter()
     system = bundle.system(digit)
     analysis = lcm_analysis(system)
     verdict = is_covering_fast(system)
-    # resolved after lcm_analysis: its `factor` sieves arith's shared prime
-    # table to the 10^5 trial bound in one step, where resolving first would
-    # sieve 2^16 for p - 1 and then regrow the table
-    resolved = list(bundle.resolved_rows(digit, resolve_limit))
+    resolved = list(bundle.resolved_rows(digit))
     actual = (analysis.count, analysis.lcm, analysis.max_prime)
     tables = (EXPECTED_CONGRUENCE_COUNTS, EXPECTED_LCM, EXPECTED_MAX_PRIME)
     return DigitReport(
@@ -565,39 +552,41 @@ def _shared_checks(
 
 
 def shared_prime_checks(bundle: TableBundle, resolve_limit: int) -> list[SharedPrimeCheck]:
-    """Resolve assignments up to the modulus limit and check every prime
-    used by more than one digit for offset-residue consistency."""
-    return _shared_checks({d: bundle.resolved_rows(d, resolve_limit) for d in DIGIT_OFFSETS})
+    """Resolve assignments with moduli up to resolve_limit and check every
+    prime used by more than one digit for offset-residue consistency."""
+    return _shared_checks({
+        d: [
+            (row, prime)
+            for row, prime in bundle.resolved_rows(d)
+            if row.congruence.modulus <= resolve_limit
+        ]
+        for d in DIGIT_OFFSETS
+    })
 
 
-def reproduce_report(
-    bundle: Optional[TableBundle] = None, resolve_limit: int = RESOLVE_LIMIT
-) -> VerificationReport:
+def reproduce_report(bundle: Optional[TableBundle] = None) -> VerificationReport:
     """Re-verify every shipped covering and compare with the expected data.
 
     Per digit: congruence count, moduli lcm, largest prime factor, covering
     verdict and wall time, each checked against the embedded expected
     values.  Digits are reported in order of value, and shared-prime
     consistency is checked at the end.  Each prime assignment is resolved
-    once, for moduli up to resolve_limit, from the bundle's order-m lists
-    (`TableBundle.order_primes`: a shipped row is proved, any other modulus
-    is computed within the bundle's budget); every count and check reads
-    those rows.  Each modulus up to resolve_limit gets an OrderCountCheck
-    from the same list; a "short" one fails the report.  Every row of the
-    bundle's ORDER_PRIMES_FILE is proved, whatever resolve_limit is, and a
-    row that fails its proof raises ValueError.
+    once, from the proved rows of the bundle's ORDER_PRIMES_FILE
+    (`TableBundle.resolved_rows`); an assignment whose modulus has no row
+    is not checked, and every count and check reads those rows.  Each
+    table modulus with a row gets an OrderCountCheck; a "short" one fails
+    the report.  Every row is proved, used or not, and a row that fails
+    its proof raises ValueError.
     """
-    if resolve_limit < 0:
-        raise ValueError(f"resolve_limit must be >= 0, got {resolve_limit}")
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
-    reports = [_verify_digit(bundle, d, resolve_limit) for d in DIGIT_OFFSETS]
+    reports = [_verify_digit(bundle, d) for d in DIGIT_OFFSETS]
     shared = _shared_checks({r.digit: r.rows for r in reports})
     order_counts = [
         bundle.order_check(m, needed)
         for m, needed in sorted(bundle.order_counts.items())
-        if m <= resolve_limit
+        if m in bundle.order_rows
     ]
     for m in bundle.order_rows:
         bundle.order_primes(m)
@@ -606,5 +595,4 @@ def reproduce_report(
         shared=shared,
         order_counts=order_counts,
         seconds=time.perf_counter() - start,
-        resolve_limit=resolve_limit,
     )

@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Union
 
 from . import __version__
 from .arith import DEFAULT_BUDGET, FactorBudget, is_prime
 from .bundle import (
-    RESOLVE_LIMIT,
     TableBundle,
     default_bundle,
     ingest_tables,
@@ -71,15 +69,11 @@ def _ints(text: str, flag: str) -> list[int]:
     return [_int(s.strip(), flag) for s in text.split(",") if s.strip()]
 
 
-def _budget(args) -> FactorBudget:
-    return FactorBudget(rho_iterations=_int(args.rho_iterations, "--rho-iterations"))
-
-
 def _bundle(args) -> TableBundle:
     bundle = ingest_tables(args.tables) if args.tables else default_bundle()
     for w in bundle.warnings:
         print(w, file=sys.stderr)
-    return replace(bundle, budget=_budget(args))
+    return bundle
 
 
 def _load_system(path: str) -> tuple[CoveringSystem, Optional[int]]:
@@ -173,11 +167,11 @@ def _build_digit_covering(bundle: TableBundle, digit: int) -> DigitCovering:
                 f"digit {digit}: congruence {row.congruence} has no prime index"
             )
         if prime is None:
-            check = bundle.order_check(row.congruence.modulus, row.rho)
+            m = row.congruence.modulus
             why = (
-                f"only {check.found} primes have order {check.m}"
-                if check.status == "short"
-                else f"the order-{check.m} prime list is incomplete ({check.reason})"
+                f"only {bundle.order_check(m, row.rho).found} primes have order {m}"
+                if m in bundle.order_rows
+                else f"the bundle has no order-{m} row"
             )
             raise ValueError(
                 f"digit {digit}: cannot resolve the prime for "
@@ -374,7 +368,8 @@ def cmd_graham_reduce(args) -> int:
 
 
 def cmd_order_primes(args) -> int:
-    result = primes_of_order(_int(args.m, "m"), _budget(args))
+    budget = FactorBudget(rho_iterations=_int(args.rho_iterations, "--rho-iterations"))
+    result = primes_of_order(_int(args.m, "m"), budget)
     payload = {
         "m": result.modulus,
         "primes": [str(p) for p in result.primes],
@@ -424,8 +419,7 @@ def cmd_order_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    limit = _int(args.resolve_limit, "--resolve-limit")
-    report = reproduce_report(_bundle(args), limit)
+    report = reproduce_report(_bundle(args))
     _emit(args, report.to_dict(), report.lines())
     return OK if report.ok else FAIL
 
@@ -441,14 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--rho-iterations",
-        default=DEFAULT_BUDGET.rho_iterations,
-        metavar="N",
-        help="modular multiplications Pollard's p-1 may spend on each "
-        "composite cofactor when listing order-m primes; read by report, "
-        "construct assemble and order primes (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -508,6 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     order_sub = order.add_subparsers(dest="subcommand", required=True)
     oprimes = order_sub.add_parser("primes", help="primes with 10 of a given order")
     oprimes.add_argument("m")
+    oprimes.add_argument(
+        "--rho-iterations",
+        default=DEFAULT_BUDGET.rho_iterations,
+        metavar="N",
+        help="modular multiplications Pollard's p-1 may spend on each "
+        "composite cofactor (default %(default)s)",
+    )
     oprimes.set_defaults(func=cmd_order_primes)
     ovalidate = order_sub.add_parser("validate", help="validate an order-table file")
     ovalidate.add_argument("file")
@@ -515,12 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="full verification report")
     report.add_argument("--tables", default=None, help="bundle directory")
-    report.add_argument(
-        "--resolve-limit",
-        default=RESOLVE_LIMIT,
-        help="resolve prime assignments and check order counts for moduli "
-        "up to this bound (default %(default)s)",
-    )
     report.set_defaults(func=cmd_report)
 
     return parser

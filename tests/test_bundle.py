@@ -10,10 +10,9 @@ import sympy
 
 import digitcover.bundle as bundle_module
 import digitcover.cyclotomic as cyclotomic
-from digitcover.arith import DEFAULT_BUDGET, FactorBudget, factor
+from digitcover.arith import DEFAULT_BUDGET, factor
 from digitcover.bundle import (
     DATA_ROOT,
-    RESOLVE_LIMIT,
     EXPECTED_CONGRUENCE_COUNTS,
     EXPECTED_LCM,
     EXPECTED_MAX_PRIME,
@@ -33,7 +32,7 @@ from digitcover.covering import Congruence, CoveringSystem
 from digitcover.cyclotomic import OrderPrimes, cyclotomic_value, primes_of_order
 
 # Rows of the default report that rest on a probable prime: (digit, m, rho).
-PROBABLE_ROWS = [(-9, 62, 1), (-6, 58, 2), (-3, 57, 3)]
+PROBABLE_ROWS = [(-9, 62, 1), (-8, 204, 6), (-6, 58, 2), (-3, 57, 3), (7, 99, 4)]
 
 
 def copy_tables(tmp_path):
@@ -211,7 +210,7 @@ class TestIngest:
 
 class TestResolvedRows:
     def test_mod3_digit_is_one_row_resolving_to_3(self, bundle):
-        assert list(bundle.resolved_rows(2, RESOLVE_LIMIT)) == [
+        assert list(bundle.resolved_rows(2)) == [
             (CoveringRow(Congruence(0, 1), 1), 3)
         ]
         assert bundle.system(2) == CoveringSystem((Congruence(0, 1),))
@@ -227,15 +226,16 @@ class TestResolvedRows:
             bundle.rows(0)
 
     def test_limit_and_missing_index_give_none(self, bundle):
-        rows = list(bundle.resolved_rows(9, 4))
+        # the order rows limit what resolves: d9.txt's moduli are 2, 4, 8, 8
+        up_to_4 = {m: row for m, row in bundle.order_rows.items() if m <= 4}
+        rows = list(replace(bundle, order_rows=up_to_4).resolved_rows(9))
         assert [p for _, p in rows] == [11, 101, None, None]
-        assert [p for _, p in bundle.resolved_rows(9, None)] == [
-            11, 101, 73, 137
-        ]
+        assert [p for _, p in bundle.resolved_rows(9)] == [11, 101, 73, 137]
         unindexed = TableBundle(
             coverings={9: (CoveringRow(Congruence(0, 2)), CoveringRow(Congruence(1, 2), 1))},
+            order_rows={2: (11,)},
         )
-        assert [p for _, p in unindexed.resolved_rows(9, None)] == [None, 11]
+        assert [p for _, p in unindexed.resolved_rows(9)] == [None, 11]
 
     def test_lazy(self, bundle):
         # d = -3 lists moduli up to 75,240; taking the first rows must not
@@ -244,7 +244,7 @@ class TestResolvedRows:
         with mock.patch.object(
             bundle, "order_primes", lambda *a: calls.append(a) or primes_of_order(1)
         ):
-            rows = bundle.resolved_rows(-3, None)
+            rows = bundle.resolved_rows(-3)
             next(rows), next(rows)
         assert len(calls) == 2
 
@@ -255,8 +255,8 @@ class TestResolvedRows:
             OrderPrimes, "nth", lambda self, rho: calls.append(rho) or nth(self, rho)
         ):
             report = reproduce_report()
-        assert len(calls) == 181
-        assert sum(r.resolved for r in report.digits) == 181
+        assert len(calls) == 197
+        assert sum(r.resolved for r in report.digits) == 197
 
 
 class TestResolveAssignment:
@@ -284,9 +284,10 @@ def with_order_row(tmp_path, row: str) -> TableBundle:
 
 class TestShippedOrderPrimes:
     def test_rows_are_the_computed_lists(self, bundle):
-        # the file lists exactly the table moduli up to the resolve limit,
-        # each with every prime of its order, labelled as primes_of_order does
-        moduli = [m for m in sorted(bundle.order_counts) if m <= RESOLVE_LIMIT]
+        # the file lists exactly the table moduli up to 64 and 90, 99 and
+        # 204, each with every prime of its order, labelled as
+        # primes_of_order does
+        moduli = [m for m in sorted(bundle.order_counts) if m <= 64] + [90, 99, 204]
         assert sorted(bundle.order_rows) == moduli
         for m in moduli:
             known = primes_of_order(m)
@@ -295,7 +296,8 @@ class TestShippedOrderPrimes:
             proven = bundle.order_primes(m)
             assert proven.complete and proven.primes == known.primes, m
             assert proven.probable == known.probable, m
-        assert sum(len(bundle.order_rows[m]) for m in moduli) == 130
+        assert sum(len(bundle.order_rows[m]) for m in moduli) == 143
+        assert max(max(bundle.order_rows[m]) for m in moduli).bit_length() == 168
 
     def test_ingest_proves_nothing(self, tmp_path):
         copy_tables(tmp_path)
@@ -316,18 +318,24 @@ class TestShippedOrderPrimes:
             assert again.order_primes(8) is first
         assert calls == [(8, (73, 137))]
 
-    def test_a_modulus_without_a_row_is_computed(self, bundle):
+    def test_a_modulus_without_a_row_has_no_primes(self, bundle):
+        # nothing is computed: d7.txt's `16 66 2` resolves to no prime
         assert 66 not in bundle.order_rows
-        assert bundle.order_primes(66) is primes_of_order(66)
-        # within the bundle's own budget
-        small = FactorBudget(rho_iterations=10_000)
-        assert replace(bundle, budget=small).order_primes(66) is primes_of_order(66, small)
+        with pytest.raises(ValueError, match="^the bundle has no order-66 row$"):
+            bundle.order_primes(66)
+        rows = [(row.rho, p) for row, p in bundle.resolved_rows(7) if row.congruence.modulus == 66]
+        assert rows and all(p is None for _, p in rows)
 
-    def test_without_the_file_every_modulus_is_computed(self, tmp_path):
+    def test_without_the_file_no_row_resolves(self, tmp_path):
         (copy_tables(tmp_path) / ORDER_PRIMES_FILE).unlink()
         again = ingest_tables(tmp_path)
         assert again.order_rows == {} and again.order_file is None
-        assert again.order_primes(8) is primes_of_order(8)
+        report = reproduce_report(again)
+        assert report.ok and report.order_counts == [] and report.shared == []
+        assert sum(r.resolved for r in report.digits) == 0
+        assert report.lines()[-1].endswith(
+            "; 2658 of 2658 prime assignments not checked (their modulus has no order row)"
+        )
 
 
 class TestHostileOrderRows:
@@ -389,7 +397,7 @@ class TestHostileOrderRows:
     def test_report_raises_on_a_bad_row(self, tmp_path):
         tables = with_order_row(tmp_path, "8: 73")
         with pytest.raises(ValueError, match=r"order_primes.txt: m=8: the entries leave"):
-            reproduce_report(tables, 8)
+            reproduce_report(tables)
 
     def test_manifest_omitting_the_file(self, tmp_path):
         cov = tmp_path / "coverings"
@@ -423,9 +431,9 @@ class TestReport:
         assert [r.digit for r in report.digits] == sorted(by_digit)
 
     def test_each_modulus_is_factored_once(self):
-        # the Moebius product, the order cofactor, the scan and every order
-        # row's entries read one factorization of m: a cold report factors
-        # each of the 57 table moduli m <= 64 once
+        # the Moebius product, the order cofactor and every order row's
+        # entries read one factorization of m: a cold report factors each of
+        # the 60 moduli with an order row once
         factored = []
 
         def counted(n, budget=DEFAULT_BUDGET):
@@ -436,13 +444,22 @@ class TestReport:
         cyclotomic._primes_of_order_cached.cache_clear()
         with mock.patch("digitcover.cyclotomic.factor", side_effect=counted):
             assert reproduce_report(ingest_tables(DATA_ROOT)).ok
-        assert len(factored) == len(set(factored)) == 57
+        assert len(factored) == len(set(factored)) == 60
 
     def test_shared_primes_consistent(self, bundle):
         checks = shared_prime_checks(bundle, resolve_limit=64)
         assert checks
         assert all(c.consistent for c in checks)
         by_prime = {c.prime: c for c in checks}
+        # the report checks the shared primes of every resolved row, and
+        # its resolve limit, the largest table modulus with an order row,
+        # gives the same checks
+        report = reproduce_report(bundle)
+        assert report.resolve_limit == 204
+        assert shared_prime_checks(bundle, report.resolve_limit) == report.shared
+        # 32 of the 33 repeated primes; 331 has order 110, which has no row
+        shared = {c.prime for c in report.shared}
+        assert shared == set(REPEATED_PRIME_DIGITS) - {331}
         assert set(by_prime[3].uses) == {(d, 0) for d in MOD3_DIGITS}
         assert sorted(d for d, _ in by_prime[11].uses) == [-9, -2, 9]
 
@@ -462,8 +479,8 @@ class TestReportProbableAssignments:
         lines = report.lines()
         shared = next(i for i, line in enumerate(lines) if line.startswith("shared primes"))
         assert lines[shared + 1] == (
-            "resolved to probable primes: 3 "
-            "(d=-9 m=62 rho=1, d=-6 m=58 rho=2, d=-3 m=57 rho=3)"
+            "resolved to probable primes: 5 (d=-9 m=62 rho=1, d=-8 m=204 rho=6, "
+            "d=-6 m=58 rho=2, d=-3 m=57 rho=3, d=7 m=99 rho=4)"
         )
         assert report.ok
 
@@ -473,10 +490,11 @@ class TestReportProbableAssignments:
             {"modulus": 62, "rho": 1, "prime": "909090909090909090909090909091"}
         ]
         with_probable = sorted(d for d, r in digits.items() if r["probable_assignments"])
-        assert with_probable == [-9, -6, -3]
+        assert with_probable == [-9, -8, -6, -3, 7]
 
     def test_no_line_when_none_resolved(self, bundle):
-        report = reproduce_report(bundle, 8)
+        up_to_8 = {m: row for m, row in bundle.order_rows.items() if m <= 8}
+        report = reproduce_report(replace(bundle, order_rows=up_to_8))
         assert not any(r.probable for r in report.digits)
         assert not any(line.startswith("resolved to probable") for line in report.lines())
 
@@ -485,7 +503,7 @@ class TestMatchesExpected:
     def test_changed_table_fails_the_expected_counts(self, tmp_path):
         cov = copy_tables(tmp_path)
         (cov / "d9.txt").write_text("# digit 9\n0 2 1\n1 2\n")
-        report = reproduce_report(ingest_tables(tmp_path), 8)
+        report = reproduce_report(ingest_tables(tmp_path))
         d9 = next(r for r in report.digits if r.digit == 9)
         assert d9.covering and not d9.matches_expected
         assert not report.ok
@@ -494,7 +512,7 @@ class TestMatchesExpected:
         # 1 mod 2 leaves 0 uncovered, and pins 11 to the offset residue 9,
         # where digits -9 and -2 pin it to 2
         (copy_tables(tmp_path) / "d9.txt").write_text("# digit 9\n1 2 1\n")
-        report = reproduce_report(ingest_tables(tmp_path), 8)
+        report = reproduce_report(ingest_tables(tmp_path))
         lines = report.lines()
         assert lines[lines.index("    uncovered witness: 0") - 1].split()[:5] == [
             "9", "1", "2", "2", "False"
@@ -512,7 +530,7 @@ class TestMatchesExpected:
             return replace(done, remainder=2 ** 128 + 1) if n > 1 else done
 
         with mock.patch("digitcover.covering.factor", side_effect=stuck):
-            report = reproduce_report(bundle, 8)
+            report = reproduce_report(bundle)
         d9 = next(r for r in report.digits if r.digit == 9)
         assert d9.covering and d9.max_prime is None and not d9.matches_expected
         assert report.lines()[1].split()[:4] == ["-9", "232", "14433138720", "?"]

@@ -5,20 +5,17 @@ import re
 import shlex
 import shutil
 import time
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import digitcover.delicate as delicate_module
-from digitcover.arith import DEFAULT_BUDGET, FactorBudget, Factorization
+from digitcover.arith import DEFAULT_BUDGET, Factorization
 from digitcover.bundle import (
     DATA_ROOT,
     ORDER_PRIMES_FILE,
-    RESOLVE_LIMIT,
     default_bundle,
-    ingest_tables,
 )
 from digitcover.cli import build_parser, main
 from digitcover.construction import load_construction
@@ -46,8 +43,8 @@ def tables_asking_for_a_third_order_8_prime(tmp_path) -> str:
 
 
 def tables_without_order_primes(tmp_path) -> str:
-    """The shipped tables without order_primes.txt, so that every order-m
-    list is computed within the budget."""
+    """The shipped tables without order_primes.txt, so that no row
+    resolves to a prime."""
     cov = tmp_path / "coverings"
     shutil.copytree(DATA_ROOT / "coverings", cov)
     (cov / "manifest.json").unlink()
@@ -541,30 +538,37 @@ class TestConstructCli:
         )
 
     @pytest.mark.parametrize(
-        "tables, budget, digit, m, status, reason, why",
+        "tables, digit, m, status, why",
         [
-            (tables_asking_for_a_third_order_8_prime, (), "9", 8, "short", None,
+            (tables_asking_for_a_third_order_8_prime, "9", 8, "short",
              "only 2 primes have order 8"),
-            # without order_primes.txt and p - 1, Phi_40(10) keeps a 16-digit
-            # cofactor, so the second order-40 prime of d6.txt's `8 40 2` is unknown
-            (tables_without_order_primes, ("--rho-iterations", "0"), "6", 40, "unresolved",
-             "p-1 spent 0 multiplications on a 16-digit cofactor",
-             "the order-40 prime list is incomplete "
-             "(p-1 spent 0 multiplications on a 16-digit cofactor)"),
+            # without order_primes.txt no order-m list is known, so the report
+            # checks no count of m = 5 and d6.txt's first row `0 5 1`
+            # resolves to no prime
+            (tables_without_order_primes, "6", 5, None, "the bundle has no order-5 row"),
         ],
         ids=["short", "unresolved"],
     )
     def test_assemble_gives_the_reports_verdict(
-        self, tmp_path, capsys, tables, budget, digit, m, status, reason, why
+        self, tmp_path, capsys, tables, digit, m, status, why
     ):
         tables = tables(tmp_path)
-        _, out, _ = run(capsys, "--format", "json", *budget, "report", "--tables", tables)
-        check = next(c for c in json.loads(out)["order_counts"] if c["m"] == m)
-        assert (check["status"], check["reason"]) == (status, reason)
-        code, _, err = run(
-            capsys, *budget, "construct", "assemble", "--digits", digit, "--tables", tables
-        )
+        _, out, _ = run(capsys, "--format", "json", "report", "--tables", tables)
+        checks = [c["status"] for c in json.loads(out)["order_counts"] if c["m"] == m]
+        assert checks == ([status] if status else [])
+        code, _, err = run(capsys, "construct", "assemble", "--digits", digit, "--tables", tables)
         assert code == 2 and err.endswith(f"; {why}\n")
+
+    @pytest.mark.parametrize("digit, m", [("1", 70), ("-9", 93), ("4", 81), ("7", 66)])
+    def test_a_row_without_an_order_row_names_its_modulus(self, capsys, digit, m):
+        # the first row of each digit whose modulus order_primes.txt lacks;
+        # no order-m list is computed, so the refusal is quick
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "assemble", "--digits", digit)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: digit {digit}: cannot resolve the prime for ")
+        assert err.endswith(f"; the bundle has no order-{m} row\n")
 
     def test_row_without_index_is_data_error(self, tmp_path, capsys):
         cov = tmp_path / "coverings"
@@ -617,7 +621,7 @@ class TestConstructCli:
             ]
             reported = [
                 (row.congruence, row.rho, prime)
-                for row, prime in bundle.resolved_rows(d, RESOLVE_LIMIT)
+                for row, prime in bundle.resolved_rows(d)
             ]
             assert assigned == reported, d
 
@@ -735,8 +739,8 @@ class TestTablesWarnings:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("report", "--resolve-limit", "8"),
-            ("report", "--resolve-limit", "0"),
+            ("report",),
+            ("--format", "json", "construct", "assemble", "--digits", "9"),
             ("construct", "assemble", "--digits", "9"),
         ],
     )
@@ -1019,57 +1023,39 @@ class TestOrderCli:
         }
 
     def test_counts(self, capsys):
-        code, out, _ = run(capsys, "report", "--resolve-limit", "13")
+        # one count per table modulus with an order row
+        code, out, _ = run(capsys, "report")
         assert code == 0
-        assert not any(line.startswith(("m=", "order counts")) for line in out.splitlines())
-        code, out, _ = run(capsys, "--format", "json", "report", "--resolve-limit", "13")
+        assert not any(line.startswith("m=") for line in out.splitlines())
+        code, out, _ = run(capsys, "--format", "json", "report")
         counts = json.loads(out)["order_counts"]
-        assert [c["m"] for c in counts] == list(range(1, 14))
+        assert [c["m"] for c in counts] == sorted(default_bundle().order_rows)
         assert {c["status"] for c in counts} == {"enough"}
+        assert set(counts[0]) == {"m", "needed", "found", "status"}
 
-    def test_counts_with_no_modulus_in_range_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "report", "--resolve-limit", "-1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: resolve_limit must be >= 0, got -1\n"
-        code, out, _ = run(capsys, "--format", "json", "report", "--resolve-limit", "1")
-        assert code == 0
-        assert json.loads(out)["order_counts"] == [
-            {"m": 1, "needed": 1, "found": 1, "status": "enough", "reason": None}
-        ]
-
-    @pytest.fixture
-    def needs_two_of_order_3(self, tmp_path):
-        """The shipped tables with a row `1 3 2` added to d9.txt: m = 3 then
-        needs 2 primes, and only 37 exists.  The shipped m = 69 needs 3,
-        and 10k rho iterations find 1, with the factorization incomplete."""
+    def test_counts_short_row_fails_the_report(self, tmp_path, capsys):
+        # a row `1 3 2` added to d9.txt needs 2 primes of order 3, and only
+        # 37 exists
         cov = tmp_path / "coverings"
         shutil.copytree(DATA_ROOT / "coverings", cov)
         (cov / "manifest.json").unlink()
         with open(cov / "d9.txt", "a") as f:
             f.write("1 3 2\n")
-        return ["--rho-iterations", "10000", "report", "--resolve-limit", "70",
-                "--tables", str(tmp_path)]
-
-    def test_counts_incomplete_row_is_unresolved(self, needs_two_of_order_3, capsys):
-        argv = needs_two_of_order_3
+        argv = ["report", "--tables", str(tmp_path)]
         code, out, _ = run(capsys, *argv)
         assert code == 1
         lines = out.splitlines()
-        assert "m=3: rows need 2 primes of order 3, exactly 1 exists" in lines
-        assert [line for line in lines if line.startswith("order counts unresolved")] == [
-            next(line for line in lines if line.startswith("order counts unresolved: m=69 "))
-        ]
+        assert lines[-2] == "m=3: rows need 2 primes of order 3, exactly 1 exists"
         assert "; overall FAIL; " in lines[-1]
         code, out, _ = run(capsys, "--format", "json", *argv)
         payload = json.loads(out)
         status = {c["m"]: c["status"] for c in payload["order_counts"]}
-        assert status.pop(3) == "short" and status.pop(69) == "unresolved"
-        assert len(status) == 60 and set(status.values()) == {"enough"}
+        assert status.pop(3) == "short"
+        assert len(status) == 59 and set(status.values()) == {"enough"}
         assert payload["ok"] is False
 
     def test_primes_prints_exact_prefix_and_reason(self, capsys):
-        argv = ["--rho-iterations", "10000", "order", "primes", "69"]
+        argv = ["order", "primes", "69", "--rho-iterations", "10000"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "complete: False (p-1 spent " in out
@@ -1094,21 +1080,10 @@ class TestOrderCli:
         code, out, _ = run(capsys, "--format", "json", "order", "primes", "37")
         assert json.loads(out)["pm1_multiplications"] == 6911
 
-    def test_counts_unresolved_row_shows_reason(self, needs_two_of_order_3, capsys):
-        argv = needs_two_of_order_3
-        code, out, _ = run(capsys, *argv)
-        line = next(line for line in out.splitlines() if line.startswith("order counts"))
-        assert line.startswith("order counts unresolved: m=69 needs 3, 1 found (p-1 spent ")
-        code, out, _ = run(capsys, "--format", "json", *argv)
-        counts = {c["m"]: c for c in json.loads(out)["order_counts"]}
-        assert counts[3]["reason"] is None
-        assert counts[69]["reason"].startswith("p-1 spent ")
-        assert (counts[69]["needed"], counts[69]["found"]) == (3, 1)
-
 
 class TestReportCli:
     def test_report_ok(self, capsys):
-        code, out, _ = run(capsys, "report", "--resolve-limit", "8")
+        code, out, _ = run(capsys, "report")
         assert code == 0
         assert "overall OK" in out
 
@@ -1117,7 +1092,8 @@ class TestReportCli:
         assert code == 0
         closing = out.splitlines()[-1]
         assert closing.endswith(
-            "; overall OK; 2477 of 2658 prime assignments not checked (resolve limit 64)"
+            "; overall OK; 2461 of 2658 prime assignments not checked "
+            "(their modulus has no order row)"
         )
 
     def test_report_fails_a_row_past_a_complete_list(self, tmp_path, capsys):
@@ -1126,26 +1102,21 @@ class TestReportCli:
         assert code == 1
         lines = out.splitlines()
         assert lines[-2] == "m=8: rows need 3 primes of order 8, exactly 2 exist"
-        assert "; overall FAIL; 2478 of 2658 prime assignments not checked" in lines[-1]
+        assert "; overall FAIL; 2462 of 2658 prime assignments not checked" in lines[-1]
         code, out, _ = run(capsys, "--format", "json", "report", "--tables", tables)
         payload = json.loads(out)
         short = [c for c in payload["order_counts"] if c["status"] != "enough"]
-        assert short == [
-            {"m": 8, "needed": 3, "found": 2, "status": "short", "reason": None}
-        ]
+        assert short == [{"m": 8, "needed": 3, "found": 2, "status": "short"}]
         assert payload["ok"] is False
 
     def test_shipped_order_counts_are_all_enough(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "report")
         assert code == 0
         counts = json.loads(out)["order_counts"]
-        assert len(counts) == 57 and {c["status"] for c in counts} == {"enough"}
-        assert all(c["reason"] is None for c in counts)  # every list is complete
+        assert len(counts) == 60 and {c["status"] for c in counts} == {"enough"}
 
     def test_report_json(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "report", "--resolve-limit", "8"
-        )
+        code, out, _ = run(capsys, "--format", "json", "report")
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] is True
@@ -1154,39 +1125,25 @@ class TestReportCli:
         assert d3["lcm"] == "1486147703040"
         assert d3["congruences"] == 739
 
-    def test_report_honours_rho_iterations(self, capsys, tmp_path):
-        tables = tables_without_order_primes(tmp_path)
-        resolved = []
-        for budget in ([], ["--rho-iterations", "0"]):
+    def test_shipped_order_primes_spend_no_budget(self, tmp_path, capsys):
+        # proving a shipped order-m list spends no budget: with the order-m
+        # search and p - 1 refused, a cold report resolves every row whose
+        # modulus has an order row, every count is enough, and the 8-offset
+        # progression assembles
+        refuse = mock.Mock(side_effect=AssertionError("computed an order-m list"))
+        with mock.patch("digitcover.bundle.primes_of_order", refuse), mock.patch(
+            "digitcover.cyclotomic.pm1_split", refuse
+        ):
             code, out, _ = run(
-                capsys, "--format", "json", *budget, "report", "--tables", tables
+                capsys, "--format", "json", "report", "--tables", str(DATA_ROOT)
             )
-            assert code == 0
-            digits = json.loads(out)["digits"]
-            resolved.append(sum(r["resolved_assignments"] for r in digits))
-        # without p - 1, m = 60 still completes: the Aurifeuillian gcd
-        # splits its 15-digit cofactor into 4188901 and 39526741
-        assert resolved == [181, 159]
-        # the count check is per modulus: m = 63's list is incomplete, yet
-        # holds the 3 primes its rows index, all below its exact bound
-        # 1,000,063, so those rows resolve
-        counts = {c["m"]: c for c in json.loads(out)["order_counts"]}
-        assert counts[63]["status"] == "enough"
-        assert counts[63]["reason"].startswith("p-1 spent 0 multiplications")
-        assert counts[64]["status"] == "unresolved"
-        bundle = replace(ingest_tables(tables), budget=FactorBudget(rho_iterations=0))
-        rows = bundle.resolved_rows(1)
-        assert [(row.rho, prime) for row, prime in rows if row.congruence.modulus == 63] == [
-            (1, 10837), (2, 23311), (3, 45613)
-        ]
-
-    def test_shipped_order_primes_spend_no_budget(self, capsys):
-        # proving a shipped order-m list spends no budget, so every row up to
-        # m = 64 resolves, and every count is enough, at --rho-iterations 0
-        code, out, _ = run(capsys, "--format", "json", "--rho-iterations", "0", "report")
-        assert code == 0
+            assembled = main([
+                "construct", "assemble", "--digits", "9,6,2,5,8,-1,-4,-7",
+                "--tables", str(DATA_ROOT), "--out", str(tmp_path / "eight.txt"),
+            ])
+        assert code == 0 and assembled == 0 and not refuse.called
         payload = json.loads(out)
-        assert sum(r["resolved_assignments"] for r in payload["digits"]) == 181
+        assert sum(r["resolved_assignments"] for r in payload["digits"]) == 197
         assert {c["status"] for c in payload["order_counts"]} == {"enough"}
 
     def test_order_row_failing_its_proof_exits_2(self, capsys, tmp_path):
@@ -1200,19 +1157,25 @@ class TestReportCli:
             "Phi_8(10) freed of the primes of 8\n"
         )
 
-    @pytest.mark.parametrize("limit", [[], ["--resolve-limit", "8"]])
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            # a row that table rows use, below the report's resolve limit
+            ("60: 61", "m=60: the entries leave a 48-bit cofactor, so the list is incomplete"),
+            # a row of a modulus no table uses, above that limit (m = 204)
+            ("205: 7", "m=205: entry '7' does not divide Phi_205(10) freed of the primes of 205"),
+        ],
+    )
     def test_every_order_row_is_proved_whatever_the_limit(self, capsys, tmp_path, limit):
-        # m = 60 lies above resolve limit 8, and its row is proved all the same
+        row, check = limit
+        m = row.split(":")[0]
         tables = tables_without_order_primes(tmp_path)
         order_file = Path(tables) / "coverings" / ORDER_PRIMES_FILE
-        shipped = (DATA_ROOT / "coverings" / ORDER_PRIMES_FILE).read_text()
-        order_file.write_text(re.sub(r"(?m)^60:.*$", "60: 61", shipped))
-        code, out, err = run(capsys, "report", "--tables", tables, *limit)
+        shipped = (DATA_ROOT / "coverings" / ORDER_PRIMES_FILE).read_text().splitlines()
+        order_file.write_text("\n".join([r for r in shipped if r.split(":")[0] != m] + [row]))
+        code, out, err = run(capsys, "report", "--tables", tables)
         assert code == 2 and out == ""
-        assert err == (
-            f"error: {order_file}: m=60: the entries leave a 48-bit cofactor, "
-            "so the list is incomplete\n"
-        )
+        assert err == f"error: {order_file}: {check}\n"
 
     def test_order_row_with_a_nonpositive_modulus_exits_2(self, capsys, tmp_path):
         tables = tables_without_order_primes(tmp_path)
@@ -1226,13 +1189,20 @@ class TestReportCli:
         shipped = DATA_ROOT / "coverings" / ORDER_PRIMES_FILE
         code, out, _ = run(capsys, "order", "validate", str(shipped))
         assert code == 0
-        assert out.splitlines() == ["rows: 57", "valid: True"]
+        assert out.splitlines() == ["rows: 60", "valid: True"]
 
     @pytest.mark.parametrize(
         "argv", [["report"], ["order", "primes", "69"], ["order", "primes", "8"]]
     )
     def test_negative_rho_iterations_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, "--rho-iterations", "-1", *argv)
+        # only order primes reads a budget; report takes no such option
+        if argv == ["report"]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--rho-iterations", "-1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --rho-iterations -1" in capsys.readouterr().err
+            return
+        code, out, err = run(capsys, *argv, "--rho-iterations", "-1")
         assert code == 2
         assert out == ""
         assert "rho_iterations must be >= 0, got -1" in err
@@ -1253,14 +1223,11 @@ INTEGER_ENTRY_POINTS = {
         "--n: bad integer",
     ),
     "--rho-iterations": lambda tmp_path, token: (
-        ["--rho-iterations", token, "order", "primes", "3"], "--rho-iterations: bad integer"
+        ["order", "primes", "3", "--rho-iterations", token], "--rho-iterations: bad integer"
     ),
     "--w": lambda tmp_path, token: (["cover", "verify", D9_FILE, "--w", token], "--w: bad integer"),
     "--widely": lambda tmp_path, token: (
         ["delicate", "check", "294001", "--widely", token], "--widely: bad integer"
-    ),
-    "--resolve-limit": lambda tmp_path, token: (
-        ["report", "--resolve-limit", token], "--resolve-limit: bad integer"
     ),
     "covering field": lambda tmp_path, token: file_entry(
         tmp_path / "cov.txt", f"0 {token}\n", ["cover", "verify"], "1: bad modulus"
@@ -1322,8 +1289,7 @@ def test_a_signed_integer_still_parses(tmp_path, capsys, kind, token):
 
 
 def test_parser_defaults_are_the_library_constants():
-    args = build_parser().parse_args(["report"])
-    assert args.resolve_limit == RESOLVE_LIMIT
+    args = build_parser().parse_args(["order", "primes", "8"])
     assert args.rho_iterations == DEFAULT_BUDGET.rho_iterations
 
 

@@ -49,7 +49,7 @@ def test_probable_primes_are_labelled_in_one_place():
 
 def test_order_lists_get_one_verdict():
     # the report's order counts and construct assemble's message both read
-    # TableBundle.order_check's enough/short/unresolved
+    # TableBundle.order_check's enough/short
     assert callers("OrderCountCheck") == {"bundle:order_check"}
     assert callers("order_check") == {"bundle:reproduce_report", "cli:_build_digit_covering"}
 
@@ -61,9 +61,10 @@ def test_prime_grouping_has_one_definition():
 
 
 def test_only_resolution_lists_order_m_primes():
-    # order-table validation decides membership in Phi_m(10) by gcd and pow instead
+    # order-table validation decides membership in Phi_m(10) by gcd and pow
+    # instead, and a bundle reads its order-m primes from its proved rows
+    # alone: resolve_assignment serves the benchmark's (m, rho) pairs
     assert callers("primes_of_order") == {
-        "bundle:order_primes",
         "bundle:resolve_assignment",
         "cli:cmd_order_primes",
     }
@@ -173,8 +174,8 @@ def test_one_modulus_bound():
 
 
 def test_budgets_are_chosen_in_three_places():
-    # DEFAULT_BUDGET, covering's LCM_BUDGET and --rho-iterations: a bundle
-    # carries its own budget, and pm1_split takes the two numbers it spends
+    # DEFAULT_BUDGET, covering's LCM_BUDGET and order primes' --rho-iterations:
+    # a bundle spends no budget, and pm1_split takes the two numbers it spends
     built = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -182,7 +183,9 @@ def test_budgets_are_chosen_in_three_places():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FactorBudget":
                     name = getattr(stmt, "name", None) or ast.unparse(stmt.targets[0])
                     built.append(f"{path.stem}:{name}")
-    assert sorted(built) == ["arith:DEFAULT_BUDGET", "cli:_budget", "covering:LCM_BUDGET"]
+    assert sorted(built) == [
+        "arith:DEFAULT_BUDGET", "cli:cmd_order_primes", "covering:LCM_BUDGET"
+    ]
     # resolve_assignment serves the benchmark's (m, rho, budget) calls
     takers = {
         f"{path.stem}:{func.name}"
