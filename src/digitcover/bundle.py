@@ -5,11 +5,11 @@ to 2 mod 3 (the remaining six digits, `MOD3_DIGITS`, are handled by the
 single congruence 0 mod 1 assigned to the prime 3), `ORDER_PRIMES_FILE`
 with the complete list of order-m primes for some table moduli m, and a
 manifest of their sha256 digests.  How many primes of each order the
-construction needs is read off the covering rows.  A row's modulus gets
-its primes from the order file alone, proved by `prove_order_primes`; a
-modulus without a row there gets none, and no budget is spent.
-`reproduce_report` re-verifies all of it: every covering and every
-order-m row.
+construction needs is read off the covering rows.  `ingest_tables` proves
+every row of the order file once, with `prove_order_primes`, and refuses a
+bundle with a row that fails; a row's modulus gets its primes from the
+proved rows alone, a modulus without a row there gets none, and no budget
+is spent.  `reproduce_report` re-verifies every covering.
 """
 
 from __future__ import annotations
@@ -167,24 +167,19 @@ def parse_covering_file(path: Union[str, Path]) -> ParsedCovering:
     return ParsedCovering(digit=digit, rows=rows, warnings=warnings)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableBundle:
     """All shipped or ingested table data for the 18 digit offsets.
 
-    order_rows holds the rows of `order_file` (an ORDER_PRIMES_FILE) as
-    read, unproved; `order_primes` proves each row on first use and keeps
-    the result in _proven, per bundle.  They are the only order-m primes
-    the bundle knows: a table row whose modulus has no order row resolves
-    to no prime.
+    orders holds, per modulus, the order-m primes of the bundle's
+    ORDER_PRIMES_FILE, each row proved by `prove_order_primes` at ingest.
+    They are the only order-m primes the bundle knows: a table row whose
+    modulus has no order row resolves to no prime.
     """
 
     coverings: dict[int, tuple[CoveringRow, ...]]
     warnings: list[str] = field(default_factory=list)
-    order_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    order_file: Optional[Path] = None
-    _proven: dict[int, OrderPrimes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    orders: dict[int, OrderPrimes] = field(default_factory=dict)
 
     def system(self, digit: int) -> CoveringSystem:
         return CoveringSystem(tuple(r.congruence for r in self.rows(digit)))
@@ -207,42 +202,13 @@ class TableBundle:
                     counts[row.congruence.modulus] = row.rho
         return counts
 
-    def order_primes(self, m: int) -> OrderPrimes:
-        """The primes of order m that the rows index: the bundle's row for
-        m, proved by `prove_order_primes` the first time it is asked for.
-        A modulus without a row, and a row that fails its proof, is a
-        ValueError; the latter names the file, m and the check."""
-        if m not in self.order_rows:
-            raise ValueError(f"the bundle has no order-{m} row")
-        if m not in self._proven:
-            try:
-                self._proven[m] = prove_order_primes(m, self.order_rows[m])
-            except ValueError as exc:
-                raise ValueError(f"{self.order_file}: m={m}: {exc}") from None
-        return self._proven[m]
-
-    def is_probable(self, m: int, prime: int) -> bool:
-        """Whether `order_primes(m)` labels prime a probable prime."""
-        return prime in self.order_primes(m).probable
-
-    def order_check(self, m: int, needed: int) -> OrderCountCheck:
-        """`order_primes(m)` against needed primes: "enough" when it lists
-        that many, else "short" (a failure, since a proved row is
-        complete)."""
-        found = len(self.order_primes(m).primes)
-        return OrderCountCheck(m, needed, found, "enough" if found >= needed else "short")
-
     def resolved_rows(self, digit: int) -> Iterator[tuple[CoveringRow, Optional[int]]]:
-        """Each row of `rows(digit)` with its prime, lazily and in order: the
-        rho-th prime of `order_primes(m)`, or None when the row has no
-        index, the bundle has no order-m row, or the index runs past the
-        row's primes."""
+        """Each row of `rows(digit)` with its prime, in order: the rho-th
+        prime of `orders[m]`, or None when the row has no index, the bundle
+        has no order-m row, or the index runs past the row's primes."""
         for row in self.rows(digit):
-            m = row.congruence.modulus
-            if row.rho is None or m not in self.order_rows:
-                yield row, None
-            else:
-                yield row, self.order_primes(m).nth(row.rho)
+            primes = self.orders.get(row.congruence.modulus)
+            yield row, None if row.rho is None or primes is None else primes.nth(row.rho)
 
 
 def _check_manifest(path: Path, files: list[Path]) -> None:
@@ -274,9 +240,9 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     Reads every `d*.txt` file in `coverings/`, or in the directory itself
     when it has no `coverings/`.  A file's digit is its `# digit <d>`
     header, or else the integer after the `d` of its name.  An
-    ORDER_PRIMES_FILE beside them is optional; it is parsed here, with
-    `load_order_table`, and each row is proved only when the bundle's
-    `order_primes` first asks for its modulus.  A `manifest.json` beside
+    ORDER_PRIMES_FILE beside them is optional; it is parsed with
+    `load_order_table`, and every row is proved once, with
+    `prove_order_primes`, into `TableBundle.orders`.  A `manifest.json` beside
     the files is optional; when present it is a checksum list,
     `{"sha256": {"d9.txt": "<hex>", ...}}`, that must name exactly the
     files read, each with its digest.
@@ -284,7 +250,8 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     Raises ValueError on a parse error in any file, a header that
     disagrees with its file name, a digit that is not a digit offset with
     a table (`MOD3_DIGITS` take the single congruence 0 mod 1) or that two
-    files supply, a tabulated digit with no file, or a bad manifest.
+    files supply, a tabulated digit with no file, a bad manifest, or an
+    order row that fails its proof, worded `<file>: m=<m>: <check>`.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -333,12 +300,13 @@ def ingest_tables(directory: Union[str, Path]) -> TableBundle:
     ]
     if missing:
         raise ValueError(f"digit coverage gap: no covering table for {missing}")
-    return TableBundle(
-        coverings=coverings,
-        warnings=warnings,
-        order_rows=order_rows,
-        order_file=order_file,
-    )
+    orders: dict[int, OrderPrimes] = {}
+    for m, entries in order_rows.items():
+        try:
+            orders[m] = prove_order_primes(m, entries)
+        except ValueError as exc:
+            raise ValueError(f"{order_file}: m={m}: {exc}") from None
+    return TableBundle(coverings=coverings, warnings=warnings, orders=orders)
 
 
 @lru_cache(maxsize=1)
@@ -388,8 +356,9 @@ class SharedPrimeCheck:
 
 @dataclass(frozen=True)
 class OrderCountCheck:
-    """The `found` primes of order m against `needed`, with the status that
-    `TableBundle.order_check` gives them."""
+    """The `found` primes of order m against `needed`: "enough" when found
+    reaches needed, else "short" (a failure, since a proved row is
+    complete)."""
 
     m: int
     needed: int
@@ -530,7 +499,7 @@ def _verify_digit(bundle: TableBundle, digit: int) -> DigitReport:
         probable=[
             (row, prime)
             for row, prime in resolved
-            if prime is not None and bundle.is_probable(row.congruence.modulus, prime)
+            if prime is not None and prime in bundle.orders[row.congruence.modulus].probable
         ],
     )
 
@@ -571,25 +540,23 @@ def reproduce_report(bundle: Optional[TableBundle] = None) -> VerificationReport
     verdict and wall time, each checked against the embedded expected
     values.  Digits are reported in order of value, and shared-prime
     consistency is checked at the end.  Each prime assignment is resolved
-    once, from the proved rows of the bundle's ORDER_PRIMES_FILE
-    (`TableBundle.resolved_rows`); an assignment whose modulus has no row
-    is not checked, and every count and check reads those rows.  Each
-    table modulus with a row gets an OrderCountCheck; a "short" one fails
-    the report.  Every row is proved, used or not, and a row that fails
-    its proof raises ValueError.
+    once, from the rows of the bundle's ORDER_PRIMES_FILE that ingest
+    proved (`TableBundle.resolved_rows`); an assignment whose modulus has
+    no row is not checked, and every count and check reads those rows.
+    Each table modulus with a row gets an OrderCountCheck; a "short" one
+    fails the report.
     """
     if bundle is None:
         bundle = default_bundle()
     start = time.perf_counter()
     reports = [_verify_digit(bundle, d) for d in DIGIT_OFFSETS]
     shared = _shared_checks({r.digit: r.rows for r in reports})
-    order_counts = [
-        bundle.order_check(m, needed)
-        for m, needed in sorted(bundle.order_counts.items())
-        if m in bundle.order_rows
-    ]
-    for m in bundle.order_rows:
-        bundle.order_primes(m)
+    order_counts = []
+    for m, needed in sorted(bundle.order_counts.items()):
+        if m in bundle.orders:
+            found = len(bundle.orders[m].primes)
+            status = "enough" if found >= needed else "short"
+            order_counts.append(OrderCountCheck(m, needed, found, status))
     return VerificationReport(
         digits=reports,
         shared=shared,

@@ -169,8 +169,8 @@ def _build_digit_covering(bundle: TableBundle, digit: int) -> DigitCovering:
         if prime is None:
             m = row.congruence.modulus
             why = (
-                f"only {bundle.order_check(m, row.rho).found} primes have order {m}"
-                if m in bundle.order_rows
+                f"only {len(bundle.orders[m].primes)} primes have order {m}"
+                if m in bundle.orders
                 else f"the bundle has no order-{m} row"
             )
             raise ValueError(
@@ -196,9 +196,9 @@ def cmd_construct_assemble(args) -> int:
             {"prime": str(p), "residue": str(r)}
             for p, r in construction.residue_constraints
         ],
-        "probable_primes": sorted({  # as labelled by the rows' order-m lists
+        "probable_primes": sorted({  # as labelled by the bundle's proved rows
             str(e.prime) for cov in coverings for e in cov.entries
-            if bundle.is_probable(e.congruence.modulus, e.prime)
+            if e.prime in bundle.orders[e.congruence.modulus].probable
         }),
     }
     lines = [

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import time
 from dataclasses import replace
@@ -27,6 +28,7 @@ from digitcover.bundle import (
     resolve_assignment,
     shared_prime_checks,
 )
+from digitcover.cli import main
 from digitcover.construction import DIGIT_OFFSETS, cross_digit_consistency
 from digitcover.covering import Congruence, CoveringSystem
 from digitcover.cyclotomic import OrderPrimes, cyclotomic_value, primes_of_order
@@ -227,26 +229,15 @@ class TestResolvedRows:
 
     def test_limit_and_missing_index_give_none(self, bundle):
         # the order rows limit what resolves: d9.txt's moduli are 2, 4, 8, 8
-        up_to_4 = {m: row for m, row in bundle.order_rows.items() if m <= 4}
-        rows = list(replace(bundle, order_rows=up_to_4).resolved_rows(9))
+        up_to_4 = {m: primes for m, primes in bundle.orders.items() if m <= 4}
+        rows = list(replace(bundle, orders=up_to_4).resolved_rows(9))
         assert [p for _, p in rows] == [11, 101, None, None]
         assert [p for _, p in bundle.resolved_rows(9)] == [11, 101, 73, 137]
         unindexed = TableBundle(
             coverings={9: (CoveringRow(Congruence(0, 2)), CoveringRow(Congruence(1, 2), 1))},
-            order_rows={2: (11,)},
+            orders={2: bundle.orders[2]},
         )
         assert [p for _, p in unindexed.resolved_rows(9)] == [None, 11]
-
-    def test_lazy(self, bundle):
-        # d = -3 lists moduli up to 75,240; taking the first rows must not
-        # resolve the rest
-        calls = []
-        with mock.patch.object(
-            bundle, "order_primes", lambda *a: calls.append(a) or primes_of_order(1)
-        ):
-            rows = bundle.resolved_rows(-3)
-            next(rows), next(rows)
-        assert len(calls) == 2
 
     def test_report_resolves_each_row_once(self):
         calls = []
@@ -272,14 +263,15 @@ class TestResolveAssignment:
         assert resolve_assignment(6, 3) is None  # only two primes of order 6
 
 
-def with_order_row(tmp_path, row: str) -> TableBundle:
-    """The shipped tables, without their manifest, with the order_primes.txt
-    row for row's modulus replaced by row."""
+def with_order_row(tmp_path, row: str) -> Path:
+    """Copy the shipped tables, without their manifest, into tmp_path, with
+    the order_primes.txt row for row's modulus replaced by row; return that
+    file's path."""
     path = copy_tables(tmp_path) / ORDER_PRIMES_FILE
     m = row.split(":")[0]
     lines = [row if line.split(":")[0] == m else line for line in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
-    return ingest_tables(tmp_path)
+    return path
 
 
 class TestShippedOrderPrimes:
@@ -288,48 +280,45 @@ class TestShippedOrderPrimes:
         # 204, each with every prime of its order, labelled as
         # primes_of_order does
         moduli = [m for m in sorted(bundle.order_counts) if m <= 64] + [90, 99, 204]
-        assert sorted(bundle.order_rows) == moduli
+        assert sorted(bundle.orders) == moduli
         for m in moduli:
             known = primes_of_order(m)
             assert known.complete, m
-            assert bundle.order_rows[m] == known.primes, m
-            proven = bundle.order_primes(m)
+            proven = bundle.orders[m]
             assert proven.complete and proven.primes == known.primes, m
             assert proven.probable == known.probable, m
-        assert sum(len(bundle.order_rows[m]) for m in moduli) == 143
-        assert max(max(bundle.order_rows[m]) for m in moduli).bit_length() == 168
+        assert sum(len(bundle.orders[m].primes) for m in moduli) == 143
+        assert max(max(bundle.orders[m].primes) for m in moduli).bit_length() == 168
 
-    def test_ingest_proves_nothing(self, tmp_path):
+    def test_each_row_is_proved_once_per_bundle(self, tmp_path, capsys):
+        # ingest proves the 60 shipped rows; the report and the 8-offset
+        # construct assemble then read the proved rows and prove none again
         copy_tables(tmp_path)
-        with mock.patch.object(bundle_module, "prove_order_primes", side_effect=AssertionError):
-            again = ingest_tables(tmp_path)
-        assert again.order_file == tmp_path / "coverings" / ORDER_PRIMES_FILE
-        assert again.order_rows[8] == (73, 137)
-
-    def test_each_row_is_proved_once_per_bundle(self, tmp_path):
-        copy_tables(tmp_path)
-        again = ingest_tables(tmp_path)
         calls = []
         prove = bundle_module.prove_order_primes
         with mock.patch.object(
             bundle_module, "prove_order_primes", lambda *a: calls.append(a) or prove(*a)
         ):
-            first = again.order_primes(8)
-            assert again.order_primes(8) is first
-        assert calls == [(8, (73, 137))]
+            again = ingest_tables(tmp_path)
+            assert len(calls) == len({m for m, _ in calls}) == 60
+            assert (8, (73, 137)) in calls
+            calls.clear()
+            assert reproduce_report(again).ok
+            with mock.patch("digitcover.cli.default_bundle", return_value=again):
+                assert main(["construct", "assemble", "--digits", "9,6,2,5,8,-1,-4,-7"]) == 0
+        assert capsys.readouterr().out.startswith("A=")
+        assert calls == []
 
     def test_a_modulus_without_a_row_has_no_primes(self, bundle):
         # nothing is computed: d7.txt's `16 66 2` resolves to no prime
-        assert 66 not in bundle.order_rows
-        with pytest.raises(ValueError, match="^the bundle has no order-66 row$"):
-            bundle.order_primes(66)
+        assert 66 not in bundle.orders
         rows = [(row.rho, p) for row, p in bundle.resolved_rows(7) if row.congruence.modulus == 66]
         assert rows and all(p is None for _, p in rows)
 
     def test_without_the_file_no_row_resolves(self, tmp_path):
         (copy_tables(tmp_path) / ORDER_PRIMES_FILE).unlink()
         again = ingest_tables(tmp_path)
-        assert again.order_rows == {} and again.order_file is None
+        assert again.orders == {}
         report = reproduce_report(again)
         assert report.ok and report.order_counts == [] and report.shared == []
         assert sum(r.resolved for r in report.digits) == 0
@@ -353,51 +342,49 @@ class TestHostileOrderRows:
         ],
     )
     def test_row_fails_its_proof(self, tmp_path, row, check):
-        tables = with_order_row(tmp_path, row)
+        path = with_order_row(tmp_path, row)
         with pytest.raises(ValueError) as info:
-            tables.order_primes(6)
-        assert str(info.value).startswith(f"{tables.order_file}: m=6: ")
+            ingest_tables(tmp_path)
+        assert str(info.value).startswith(f"{path}: m=6: ")
         assert check in str(info.value)
 
     def test_huge_entry_costs_one_division(self, tmp_path):
-        tables = with_order_row(tmp_path, f"6: 7, 13, {10 ** 3999 + 1}")
+        with_order_row(tmp_path, f"6: 7, 13, {10 ** 3999 + 1}")
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"m=6: entry '1000.*\(4000 characters\) does not divide"):
-            tables.order_primes(6)
+            ingest_tables(tmp_path)
         assert time.perf_counter() - start < 1
 
-    def test_entry_past_the_primality_limit(self):
+    def test_entry_past_the_primality_limit(self, tmp_path):
         # Phi_1237(10) = (10^1237 - 1) / 9 has 4,107 bits, past the 4,096
         # where is_prime would run for minutes
-        value = cyclotomic_value(1237, 10)
-        tables = TableBundle(coverings={}, order_rows={1237: (value,)}, order_file=Path("x.txt"))
-        with pytest.raises(ValueError, match=r"^x.txt: m=1237: entry of 4107 bits is past"):
-            tables.order_primes(1237)
+        path = copy_tables(tmp_path / "a") / ORDER_PRIMES_FILE
+        path.write_text(f"1237: {cyclotomic_value(1237, 10)}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: m=1237: entry of 4107 bits is past"):
+            ingest_tables(tmp_path / "a")
         # no primality probe runs first: it took 7.5 s on this 4,297-digit value
-        value = cyclotomic_value(4297, 10)
-        tables = TableBundle(coverings={}, order_rows={4297: (value,)}, order_file=Path("x.txt"))
+        path = copy_tables(tmp_path / "b") / ORDER_PRIMES_FILE
+        path.write_text(f"4297: {cyclotomic_value(4297, 10)}\n")
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^x.txt: m=4297: entry of 14272 bits is past"):
-            tables.order_primes(4297)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: m=4297: entry of 14272 bits is past"):
+            ingest_tables(tmp_path / "b")
         assert time.perf_counter() - start < 1
 
     def test_modulus_above_the_limit(self, tmp_path):
-        cov = copy_tables(tmp_path)
-        with (cov / ORDER_PRIMES_FILE).open("a") as f:
+        path = copy_tables(tmp_path) / ORDER_PRIMES_FILE
+        with path.open("a") as f:
             f.write("100001: 7\n")
-        tables = ingest_tables(tmp_path)
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
-            tables.order_primes(100001)
+            ingest_tables(tmp_path)
         assert time.perf_counter() - start < 1
-        assert str(info.value) == (
-            f"{tables.order_file}: m=100001: m must be <= 100000, got '100001'"
-        )
+        assert str(info.value) == f"{path}: m=100001: m must be <= 100000, got '100001'"
 
     def test_report_raises_on_a_bad_row(self, tmp_path):
-        tables = with_order_row(tmp_path, "8: 73")
+        # the bundle is refused at ingest, so no report is built from it
+        with_order_row(tmp_path, "8: 73")
         with pytest.raises(ValueError, match=r"order_primes.txt: m=8: the entries leave"):
-            reproduce_report(tables)
+            reproduce_report(ingest_tables(tmp_path))
 
     def test_manifest_omitting_the_file(self, tmp_path):
         cov = tmp_path / "coverings"
@@ -493,8 +480,8 @@ class TestReportProbableAssignments:
         assert with_probable == [-9, -8, -6, -3, 7]
 
     def test_no_line_when_none_resolved(self, bundle):
-        up_to_8 = {m: row for m, row in bundle.order_rows.items() if m <= 8}
-        report = reproduce_report(replace(bundle, order_rows=up_to_8))
+        up_to_8 = {m: primes for m, primes in bundle.orders.items() if m <= 8}
+        report = reproduce_report(replace(bundle, orders=up_to_8))
         assert not any(r.probable for r in report.digits)
         assert not any(line.startswith("resolved to probable") for line in report.lines())
 

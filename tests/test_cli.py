@@ -1029,7 +1029,7 @@ class TestOrderCli:
         assert not any(line.startswith("m=") for line in out.splitlines())
         code, out, _ = run(capsys, "--format", "json", "report")
         counts = json.loads(out)["order_counts"]
-        assert [c["m"] for c in counts] == sorted(default_bundle().order_rows)
+        assert [c["m"] for c in counts] == sorted(default_bundle().orders)
         assert {c["status"] for c in counts} == {"enough"}
         assert set(counts[0]) == {"m", "needed", "found", "status"}
 
@@ -1158,22 +1158,31 @@ class TestReportCli:
         )
 
     @pytest.mark.parametrize(
-        "limit",
+        "command",
+        [["report"], ["construct", "assemble", "--digits", "9"]],
+        ids=["report", "assemble"],
+    )
+    @pytest.mark.parametrize(
+        "row, check",
         [
-            # a row that table rows use, below the report's resolve limit
+            # a row of a modulus the tables use (not digit 9's 2, 4 and 8)
             ("60: 61", "m=60: the entries leave a 48-bit cofactor, so the list is incomplete"),
-            # a row of a modulus no table uses, above that limit (m = 204)
+            # a row of a modulus no table uses
             ("205: 7", "m=205: entry '7' does not divide Phi_205(10) freed of the primes of 205"),
         ],
+        ids=["m60", "m205"],
     )
-    def test_every_order_row_is_proved_whatever_the_limit(self, capsys, tmp_path, limit):
-        row, check = limit
+    def test_every_command_refuses_a_failing_order_row(
+        self, capsys, tmp_path, command, row, check
+    ):
+        # ingest proves every row, used or not, so each command that reads
+        # the bundle exits 2 with the same error
         m = row.split(":")[0]
         tables = tables_without_order_primes(tmp_path)
         order_file = Path(tables) / "coverings" / ORDER_PRIMES_FILE
         shipped = (DATA_ROOT / "coverings" / ORDER_PRIMES_FILE).read_text().splitlines()
         order_file.write_text("\n".join([r for r in shipped if r.split(":")[0] != m] + [row]))
-        code, out, err = run(capsys, "report", "--tables", tables)
+        code, out, err = run(capsys, *command, "--tables", tables)
         assert code == 2 and out == ""
         assert err == f"error: {order_file}: {check}\n"
 

@@ -1,7 +1,8 @@
 """Every table row reaches its prime through one function: the report, its
 shared-prime check and `construct assemble` all consume that resolver, so
-they cannot resolve a row differently, and one verdict says whether an
-order-m list holds the primes the rows index.  One rule, membership in
+they cannot resolve a row differently, ingest alone proves the order-m
+rows they read, and one verdict says whether an order-m list holds the
+primes the rows index.  One rule, membership in
 Phi_m(10) freed of the primes of m, decided by gcd and `pow`, says whether
 a value may stand for an order-m prime, in order tables and constructions
 alike.  Likewise one limb
@@ -42,16 +43,16 @@ def test_rows_reach_their_prime_in_one_place():
     assert callers("nth") == {"bundle:resolved_rows", "bundle:resolve_assignment"}
 
 
-def test_probable_primes_are_labelled_in_one_place():
-    # the report's probable rows and construct assemble's probable_primes
-    assert callers("is_probable") == {"bundle:_verify_digit", "cli:cmd_construct_assemble"}
+def test_order_rows_are_proved_in_one_place():
+    # ingest proves every row of the order file once; the report's probable
+    # rows and order counts, and construct assemble's probable_primes and
+    # its "only N primes" wording, all read the proved TableBundle.orders
+    assert callers("prove_order_primes") == {"bundle:ingest_tables"}
 
 
 def test_order_lists_get_one_verdict():
-    # the report's order counts and construct assemble's message both read
-    # TableBundle.order_check's enough/short
-    assert callers("OrderCountCheck") == {"bundle:order_check"}
-    assert callers("order_check") == {"bundle:reproduce_report", "cli:_build_digit_covering"}
+    # the report's order counts, enough or short
+    assert callers("OrderCountCheck") == {"bundle:reproduce_report"}
 
 
 def test_prime_grouping_has_one_definition():
