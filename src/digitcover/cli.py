@@ -120,6 +120,7 @@ def cmd_cover_verify(args) -> int:
         marked = sum(r.cells_marked for r in profile)
         splits = sum(r.splits for r in profile)
         parts = sum(r.parts for r in profile)
+        costed = sum(r.costed for r in profile)
         payload["profile"] = {
             "w": w,
             "max_span": str(max_span),
@@ -128,6 +129,7 @@ def cmd_cover_verify(args) -> int:
             "cells_marked": str(marked),
             "splits": splits,
             "parts": parts,
+            "costed": costed,
             "classes": [
                 {
                     "u": r.u,
@@ -138,6 +140,7 @@ def cmd_cover_verify(args) -> int:
                     "cells_marked": str(r.cells_marked),
                     "splits": r.splits,
                     "parts": r.parts,
+                    "costed": r.costed,
                     "covered": r.covered,
                 }
                 for r in profile
@@ -147,13 +150,14 @@ def cmd_cover_verify(args) -> int:
         lines.append(f"cells marked: {marked} of {spanned} spanned")
         lines.append(f"splits: {splits}")
         lines.append(f"parts: {parts}")
+        lines.append(f"costed: {costed}")
         if w <= 100:
             for r in profile:
                 lines.append(
                     f"  u={r.u:>4}  kept={len(r.congruences):>4}  "
                     f"lcm'={r.lcm_prime}  delta={r.delta}  span={r.span}  "
                     f"marked={r.cells_marked}  splits={r.splits}  parts={r.parts}  "
-                    f"covered={r.covered}"
+                    f"costed={r.costed}  covered={r.covered}"
                 )
     _emit(args, payload, lines)
     return OK if verdict.covering else FAIL

@@ -12,6 +12,14 @@ sqrt(L' * LEAF_CELLS) if it will split again.  A node with no such prime
 is marked whole up to NAIVE_LIMIT and rejected beyond, so no array exceeds
 LEAF_CELLS cells otherwise.
 
+Each split is priced once.  Every child's lcm is a multiple of the lcm of
+the steps prime to p, so that lcm bounds the cost of p from below, and
+candidates are costed in ascending order of the bound only until it passes
+the best cost found: the choice is the least p of least cost, as over every
+candidate.  The costing yields each child's lcm, which the child is handed
+instead of recomputing it, and a child that a step-p start covers is never
+built.
+
 Before a node above LEAF_CELLS is split or marked, its steps are grouped
 into parts by shared prime (a bitmask over the split primes per step, every
 factor above LEAF_CELLS one more bit), so the parts' lcms L_i are pairwise
@@ -211,8 +219,9 @@ class ResidueClassReduction:
     when the class is covered.  An empty C' is recorded with lcm_prime = 1
     and span 1 (the single representative u itself, necessarily uncovered).
     cells_marked counts the cells refinement marked for the class, against
-    span for marking the class whole, splits the nodes it split, and parts
-    the nodes one of their coprime parts decided without a split.
+    span for marking the class whole, splits the nodes it split, parts
+    the nodes one of their coprime parts decided without a split, and
+    costed the full _split_cost evaluations that chose the split primes.
     """
 
     u: int
@@ -225,6 +234,7 @@ class ResidueClassReduction:
     cells_marked: int
     splits: int
     parts: int
+    costed: int
 
     @property
     def covered(self) -> bool:
@@ -238,48 +248,91 @@ def _node_cost(ell: int) -> int:
     return ell if ell <= LEAF_CELLS else math.isqrt(ell * LEAF_CELLS)
 
 
-def _split_cost(progressions: dict[int, list[int]], p: int) -> int:
+def _split_cost(
+    progressions: dict[int, list[int]], p: int, shared: int
+) -> tuple[int, dict[int, int]]:
     """Total _node_cost of the p children of a split on p, without building
-    them.
+    them, and the lcm of each child that a step divisible by p reaches and
+    that is not covered.
 
-    A step prime to p reaches every child; a step divisible by p reaches
-    only the child start mod p, with step / p.  A child that gets step 1 is
-    covered and costs nothing.
+    shared is the lcm of the steps prime to p: such a step reaches every
+    child, so every child's lcm is a multiple of shared, and a child that no
+    other step reaches has lcm shared.  A step divisible by p reaches only
+    the child start mod p, with step / p, and a child that gets step 1 (a
+    start of step p) is covered and costs nothing.
     """
-    shared = 1
+    covered = set(progressions.get(p, ()))
     own: dict[int, int] = {}
-    covered: set[int] = set()
     for step, starts in progressions.items():
-        if step % p:
-            shared = math.lcm(shared, step)
-        elif step == p:
-            covered.update(starts)
-        else:
+        if step % p == 0 and step != p:
             sub = step // p
             for j in {a % p for a in starts}:
                 own[j] = math.lcm(own.get(j, 1), sub)
-    reached = covered.union(own)
-    return (p - len(reached)) * _node_cost(shared) + sum(
-        _node_cost(math.lcm(shared, m)) for j, m in own.items() if j not in covered
-    )
+    lcms = {j: math.lcm(shared, m) for j, m in own.items() if j not in covered}
+    return (p - len(covered) - len(lcms)) * _node_cost(shared) + sum(
+        _node_cost(ell) for ell in lcms.values()
+    ), lcms
 
 
-def _split(progressions: dict[int, list[int]], p: int) -> list[dict[int, list[int]]]:
-    """The p children of a split on p: child j holds t = p*s + j."""
-    children: list[dict[int, list[int]]] = [{} for _ in range(p)]
+def _choose_split(
+    progressions: dict[int, list[int]], candidates: list[int], run: _Refinement
+) -> tuple[int, int, dict[int, int]]:
+    """The candidate p of least _split_cost, the least such p on a tie, with
+    the shared lcm and child lcms that _split_cost gave for it.
+
+    LB(p) = (p - |starts of step p|) * _node_cost(shared(p)) is a lower
+    bound on the cost of p, since _node_cost never decreases and every
+    uncovered child's lcm is a multiple of shared(p).  Candidates are costed
+    in ascending (LB, p) order until (LB, p) passes the best (cost, p), so
+    the choice is that of min over every candidate, with fewer costed.
+    """
+    bounds = []
+    for p in candidates:
+        shared = math.lcm(*[step for step in progressions if step % p])
+        covered = len(set(progressions.get(p, ())))
+        bounds.append(((p - covered) * _node_cost(shared), p, shared))
+    bounds.sort()
+    best: Optional[tuple[int, int, int, dict[int, int]]] = None
+    for bound, p, shared in bounds:
+        if best is not None and (bound, p) > best[:2]:
+            break
+        cost, lcms = _split_cost(progressions, p, shared)
+        run.costed += 1
+        if best is None or (cost, p) < best[:2]:
+            best = (cost, p, shared, lcms)
+    _, p, shared, lcms = best
+    return p, shared, lcms
+
+
+def _split(
+    progressions: dict[int, list[int]], p: int
+) -> list[Optional[dict[int, list[int]]]]:
+    """The p children of a split on p: child j holds t = p*s + j, and is
+    None, not built, when a start of step p covers it."""
+    covered = set(progressions.get(p, ()))
+    children: list[Optional[dict[int, list[int]]]] = [
+        None if j in covered else {} for j in range(p)
+    ]
     for step, starts in progressions.items():
         if step % p:
+            # child j gets (a - j) * inv = b - j * inv, b = a * inv (mod step)
             inv = pow(p, -1, step)
+            base = [a * inv % step for a in starts]
             for j, child in enumerate(children):
-                shifted = [(a - j) * inv % step for a in starts]
+                if child is None:
+                    continue
+                shift = j * inv % step
+                shifted = [(b - shift) % step for b in base]
                 if step in child:
                     child[step] += shifted
                 else:
                     child[step] = shifted
-        else:
+        elif step != p:
             sub = step // p
             for a in starts:
-                children[a % p].setdefault(sub, []).append(a // p)
+                child = children[a % p]
+                if child is not None:
+                    child.setdefault(sub, []).append(a // p)
     return children
 
 
@@ -306,6 +359,7 @@ class _Refinement:
     cells: int = 0
     splits: int = 0
     parts: int = 0
+    costed: int = 0
 
 
 def _dense_parts(
@@ -367,9 +421,11 @@ def _least_uncovered(
     the first that covers decides the node.  If none does, the node is not
     covered and splits, so that the least witness is found: on the prime
     of run.primes dividing its lcm whose p children t = p*s + j have the
-    least total _split_cost; a node with no such prime is marked whole up
-    to NAIVE_LIMIT.  A covering visits every node; otherwise only nodes
-    that may hold a t below the least witness found so far are visited.
+    least total _split_cost (_choose_split), each child pushed with the lcm
+    that costing gave and none that a step-p start covers; a node with no
+    such prime is marked whole up to NAIVE_LIMIT.  A covering visits every
+    node; otherwise only nodes that may hold a t below the least witness
+    found so far are visited.
     """
     best: Optional[int] = None
     # (progressions, lcm, offset, scale): the node's s is t = offset + scale*s
@@ -389,14 +445,13 @@ def _least_uncovered(
                 continue
             candidates = [p for p in run.primes if ell % p == 0] if ell > LEAF_CELLS else []
             if candidates:
-                p = candidates[0] if len(candidates) == 1 else min(
-                    candidates, key=lambda q: _split_cost(node, q)
-                )
+                p, shared, lcms = _choose_split(node, candidates, run)
                 children = _split(node, p)
                 run.splits += 1
                 for j in range(p - 1, -1, -1):  # child 0 is popped first
                     child = children[j]
-                    stack.append((child, math.lcm(*child), offset + scale * j, scale * p))
+                    if child is not None:
+                        stack.append((child, lcms.get(j, shared), offset + scale * j, scale * p))
                 continue
             if ell > NAIVE_LIMIT:
                 raise ValueError(
@@ -459,6 +514,7 @@ def _reductions(system: CoveringSystem, w: int) -> Iterator[ResidueClassReductio
             cells_marked=run.cells,
             splits=run.splits,
             parts=run.parts,
+            costed=run.costed,
         )
 
 

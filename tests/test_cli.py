@@ -144,6 +144,21 @@ class TestCoverCli:
         assert "parts: 0" in out.splitlines()
         assert "parts=0" in out
 
+    def test_profile_counts_costed_splits(self, capsys):
+        # d = -3's 188 splits evaluate the full split cost 367 times, where
+        # costing every candidate prime of every split took 1,059
+        code, out, _ = run(
+            capsys, "--format", "json", "cover", "verify", D_MINUS_3_FILE, "--profile"
+        )
+        assert code == 0
+        profile = json.loads(out)["profile"]
+        assert profile["splits"] == 188
+        assert profile["costed"] == sum(c["costed"] for c in profile["classes"]) == 367
+        code, out, _ = run(capsys, "cover", "verify", D9_FILE, "--profile")
+        assert code == 0
+        assert "costed: 0" in out.splitlines()
+        assert "costed=0" in out
+
     def test_profile_verdict_matches_plain_verdict(self, tmp_path, capsys):
         # leaves 5 and 6 (mod 12) uncovered; with w = 2 or 3 the class
         # holding 6 comes first, but the witness is the least, 5
@@ -185,6 +200,7 @@ class TestCoverCli:
             "cells marked: 13118837 of 385231385 spanned\n"
             "splits: 75\n"
             "parts: 261\n"
+            "costed: 144\n"
         )
 
     def test_profile_refuses_more_classes_than_it_keeps(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import time
+from typing import Iterable, Iterator
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from digitcover.covering import (
     Congruence,
     CoverVerdict,
     CoveringSystem,
+    ResidueClassReduction,
     is_covering_fast,
     is_covering_naive,
     lcm_analysis,
@@ -329,13 +332,13 @@ def random_divisor_system(rng: random.Random) -> CoveringSystem:
     )
 
 
-def refinement_systems() -> list[CoveringSystem]:
+def refinement_systems(seed: int = 4099, count: int = 60) -> list[CoveringSystem]:
     """Seeded systems with lcm in (LEAF_CELLS, NAIVE_LIMIT], so that
     refinement splits: random coverings (most lcm <= 10**7, a few up to
     10**8) and random residues modulo divisors."""
-    rng = random.Random(4099)
+    rng = random.Random(seed)
     systems = []
-    while len(systems) < 60:
+    while len(systems) < count:
         if len(systems) % 2:
             max_lcm = NAIVE_LIMIT if len(systems) % 15 == 1 else 10 ** 7
             system = split_covering(rng, max_lcm)
@@ -346,11 +349,15 @@ def refinement_systems() -> list[CoveringSystem]:
     return systems
 
 
+def least_prime(ell: int) -> int:
+    """The smallest prime factor of ell, or 1 for ell = 1."""
+    return next((q for q in range(2, ell + 1) if ell % q == 0), 1)
+
+
 def fast_routes(system: CoveringSystem) -> list:
     """is_covering_fast without a w, with the smallest prime factor of the
     lcm as w, and with its largest divisor up to 720 as w."""
-    ell = system.lcm
-    p = next((q for q in range(2, ell + 1) if ell % q == 0), 1)
+    p = least_prime(system.lcm)
     w = class_w(system)
     return [is_covering_fast(system), is_covering_fast(system, w=p), is_covering_fast(system, w=w)]
 
@@ -474,6 +481,123 @@ class TestRefinement:
         spanned = reduction_profile(system_d_minus_3, w=1140)
         assert sum(r.span for r in spanned) == 385_231_385
         assert sum(r.cells_marked for r in spanned) < 385_231_385 // 10
+
+
+# profile_digest(seed_777_profiles()) when every candidate prime was costed
+SEED_777_DIGEST = "74c8b2065015d012d0116821e50b9952de9904858b13fe1462d9342468e360a8"
+
+
+def seed_777_profiles() -> Iterator[ResidueClassReduction]:
+    """The classes of 300 seed-777 refinement systems, at w = 1 and at the
+    least prime of each lcm as w."""
+    for system in refinement_systems(777, 300):
+        yield from reduction_profile(system)
+        yield from reduction_profile(system, w=least_prime(system.lcm))
+
+
+def profile_digest(profile: Iterable[ResidueClassReduction]) -> str:
+    """sha256 over each class's (u, witness, cells_marked, splits, parts)."""
+    digest = hashlib.sha256()
+    for r in profile:
+        digest.update(repr((r.u, r.witness, r.cells_marked, r.splits, r.parts)).encode())
+    return digest.hexdigest()
+
+
+class TestSplitChoice:
+    """Pruning the candidate primes by a lower bound on their split cost,
+    handing children their lcm and skipping covered children leave the
+    refinement tree as it was when every candidate was costed."""
+
+    def test_the_tree_of_each_shipped_digit_is_pinned(self, bundle):
+        # (cells_marked, splits, parts) of reduction_profile(system)[0],
+        # README's per-digit table; MOD3_DIGITS (0 mod 1 each) are left out
+        pinned = {
+            -9: (1_332_556, 31, 35), -8: (1_002_924, 8, 15), -6: (1_683_080, 37, 1),
+            -5: (104_484, 1, 0), -3: (4_376_745, 188, 39), -2: (39_360, 1, 0),
+            1: (5_040, 0, 0), 3: (356_664, 3, 1), 4: (1_296, 0, 0), 6: (360, 0, 0),
+            7: (20_512, 1, 0), 9: (8, 0, 0),
+        }
+        profiles = {
+            d: reduction_profile(bundle.system(d))[0]
+            for d in DIGIT_OFFSETS if d not in MOD3_DIGITS
+        }
+        assert {d: (r.cells_marked, r.splits, r.parts) for d, r in profiles.items()} == pinned
+        assert [sum(column) for column in zip(*pinned.values())] == [8_923_029, 270, 91]
+        # costing every candidate prime of every split took 1,512 evaluations
+        assert sum(r.costed for r in profiles.values()) == 507
+
+    def test_the_papers_classes_of_d_minus_3_are_pinned(self, system_d_minus_3):
+        profile = reduction_profile(system_d_minus_3, w=1140)
+        assert sum(r.cells_marked for r in profile) == 13_118_837
+        assert sum(r.splits for r in profile) == 75
+        assert sum(r.parts for r in profile) == 261
+
+    def test_seeded_systems_keep_their_tree(self):
+        # the digest of the same classes when every candidate was costed
+        assert profile_digest(seed_777_profiles()) == SEED_777_DIGEST
+
+    def test_the_pruned_choice_is_the_exhaustive_min(self):
+        # on every node the seed-777 systems split: the least-cost prime,
+        # the least on a tie, each child's lcm as handed down, and no child
+        # built that a start of step p covers
+        choose = covering_module._choose_split
+        splits = ties = pruned = 0
+
+        def checked(node, candidates, run):
+            nonlocal splits, ties, pruned
+            costs = [
+                covering_module._split_cost(node, q, math.lcm(*[s for s in node if s % q]))[0]
+                for q in candidates
+            ]
+            costed = run.costed
+            p, shared, lcms = choose(node, candidates, run)
+            assert p == min(candidates, key=lambda q: costs[candidates.index(q)])
+            splits += 1
+            ties += costs.count(min(costs)) > 1
+            pruned += run.costed - costed < len(candidates)
+            covered = set(node.get(p, ()))
+            for j, child in enumerate(covering_module._split(node, p)):
+                if j in covered:
+                    assert child is None
+                else:
+                    assert math.lcm(*child) == lcms.get(j, shared)
+            return p, shared, lcms
+
+        with mock.patch.object(covering_module, "_choose_split", side_effect=checked):
+            assert profile_digest(seed_777_profiles()) == SEED_777_DIGEST
+        # 7 nodes have two least-cost primes; most nodes cost fewer primes
+        assert (splits, ties) == (1_791, 7) and pruned >= splits // 2
+
+    def test_small_nodes_choose_the_exhaustive_min(self):
+        # random nodes on steps dividing 2^2 * 3^2 * 5^2 * 7^2, where the
+        # least cost is often shared by two primes
+        steps = [m for m in range(2, 44101) if 44100 % m == 0]
+        rng = random.Random(1)
+        ties = 0
+        for _ in range(2000):
+            node: dict[int, list[int]] = {}
+            for step in rng.choices(steps, k=rng.randint(1, 6)):
+                node.setdefault(step, []).append(rng.randrange(step))
+            candidates = [p for p in (2, 3, 5, 7) if math.lcm(*node) % p == 0]
+            costs = [
+                covering_module._split_cost(node, q, math.lcm(*[s for s in node if s % q]))[0]
+                for q in candidates
+            ]
+            run = covering_module._Refinement([2, 3, 5, 7], {})
+            p, _, _ = covering_module._choose_split(node, candidates, run)
+            assert p == candidates[costs.index(min(costs))], node
+            ties += costs.count(min(costs)) > 1
+        assert ties >= 20
+
+    def test_a_tie_goes_to_the_least_prime_though_costed_last(self):
+        # 1 mod 2, 1 mod 3, 2 mod 9, 0 mod 36: a split on 2 leaves child 0
+        # of lcm 18, one on 3 children 0 and 2 of lcm 12 and 6, so both cost
+        # 18; 3 has the lower bound, (3 - 1) * 2 against (2 - 1) * 9, so it
+        # is costed first, and 2 still wins the tie
+        node = {3: [1], 9: [2], 36: [0], 2: [1]}
+        run = covering_module._Refinement([2, 3], {})
+        assert covering_module._choose_split(node, [2, 3], run) == (2, 9, {0: 18})
+        assert run.costed == 2
 
 
 def split_on(rng: random.Random, primes: tuple[int, ...], max_lcm: int) -> list[tuple[int, int]]:
