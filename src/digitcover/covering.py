@@ -262,13 +262,13 @@ def _split_cost(
     start of step p) is covered and costs nothing.
     """
     covered = set(progressions.get(p, ()))
-    own: dict[int, int] = {}
+    subs: dict[int, list[int]] = {}
     for step, starts in progressions.items():
         if step % p == 0 and step != p:
             sub = step // p
             for j in {a % p for a in starts}:
-                own[j] = math.lcm(own.get(j, 1), sub)
-    lcms = {j: math.lcm(shared, m) for j, m in own.items() if j not in covered}
+                subs.setdefault(j, []).append(sub)
+    lcms = {j: math.lcm(shared, *steps) for j, steps in subs.items() if j not in covered}
     return (p - len(covered) - len(lcms)) * _node_cost(shared) + sum(
         _node_cost(ell) for ell in lcms.values()
     ), lcms
