@@ -5,9 +5,11 @@ All functions are pure and safe to call from multiple threads.
 
 `factor` trial-divides by primes only, drawn from one sieved prime table
 that is built on first use (never sieved at import, and to at least 2^16)
-and grows when a larger bound is asked for.  One numpy pass over the
-table's primes, held as uint64, finds every prime that divides n.  Below
-2^64 it divides nothing: the table also holds each odd prime's inverse mod
+and grows when a larger bound is asked for.  One gcd with the product of
+the primes up to 293 divides those out first, so a 293-smooth n never
+reaches the table.  One numpy pass over the table's primes, held as
+uint64, finds every prime that divides what is left.  Below 2^64 it
+divides nothing: the table also holds each odd prime's inverse mod
 2^64 and (2^64 - 1) // p, and p | n iff n times that inverse, wrapped to 64
 bits, is at most that limit (Granlund & Montgomery 1994).  From 2^64 up it
 reduces n's top 64 bits modulo the primes, then folds in its lower 32-bit
@@ -614,12 +616,12 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     Trial division divides out every prime up to min(trial_bound, isqrt(n)),
     found by `_trial_primes` in one numpy pass over all of them: below 2^64
     a multiply by each prime's inverse mod 2^64 and a compare, no division;
-    from 2^64 up one `residues_mod` sweep.  From 2^64 up with trial_bound
-    >= 293, one gcd with the product of the primes up to 293 divides those
-    out first, and the pass then runs only to min(trial_bound, isqrt(m)),
-    m the part left: what it leaves has no prime up to isqrt(m), so it is 1
-    or a prime, the factorization is the one a pass to isqrt(n) gives, and
-    a 293-smooth n is not swept at all.
+    from 2^64 up one `residues_mod` sweep.  With trial_bound >= 293, one
+    gcd with the product of the primes up to 293 divides those out first,
+    and the pass then runs only to min(trial_bound, isqrt(m)), m the part
+    left: what it leaves has no prime up to isqrt(m), so it is 1 or a
+    prime, and the factorization is the one a pass to isqrt(n) gives.  A
+    293-smooth n leaves m = 1 and never touches the prime table.
 
     Each composite cofactor m that is not a perfect power first gets one
     base of `pm1_split(m, 2, ...)` with min(isqrt(isqrt(m)) // 4,
@@ -637,15 +639,19 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     counts: dict[int, int] = {}
 
     limit = budget.trial_bound
-    if n >= _WORD_BOUND and limit >= _SMALL_PRIMES[-1]:
+    if limit >= _SMALL_PRIMES[-1]:
         g = math.gcd(n, _SMALL_PRODUCT)
         for p in _SMALL_PRIMES:
+            if g == 1:
+                break
             if g % p == 0:
                 n = _divide_out(n, p, counts)
+                g //= p
     top = min(limit, math.isqrt(n))
-    table = _prime_table(top)
-    for p in _trial_primes(n, table, bisect.bisect_right(table.primes, top)):
-        n = _divide_out(n, p, counts)
+    if n > 1:
+        table = _prime_table(top)
+        for p in _trial_primes(n, table, bisect.bisect_right(table.primes, top)):
+            n = _divide_out(n, p, counts)
 
     unresolved: list[int] = []
     stack = [n] if n > 1 else []

@@ -440,15 +440,33 @@ class TestFactor:
         assert result.product() == p * q
 
     def test_prime_table_is_sieved_once_for_factor_then_pm1(self):
-        # factor's first sieve reaches 2^16, which p - 1's prime stream reads next
+        # factor's first sieve reaches 2^16, which p - 1's prime stream reads
+        # next; 307 * 311 has no prime up to 293, so the sweep needs the table
         calls = []
         sieve = arith.primes_up_to
-        with mock.patch.object(arith, "_table", (0, [], [])), mock.patch.object(
+        with mock.patch.object(arith, "_table", arith._build_table(0)), mock.patch.object(
             arith, "primes_up_to", lambda n: calls.append(n) or sieve(n)
         ):
-            factor(91)
+            assert factor(307 * 311).factors == [(307, 1), (311, 1)]
             next(arith._prime_stream())
         assert calls == [1 << 16]
+
+    def test_smooth_inputs_never_sieve(self):
+        # the gcd with the primes up to 293 leaves 1, so the table is not
+        # built: the 12 shipped lcms are 37-smooth and every order row has
+        # m <= 204, so neither ingest nor the report sieves
+        from digitcover.bundle import DATA_ROOT, ingest_tables, reproduce_report
+
+        calls = []
+        sieve = arith.primes_up_to
+        with mock.patch.object(arith, "_table", arith._build_table(0)), mock.patch.object(
+            arith, "primes_up_to", lambda n: calls.append(n) or sieve(n)
+        ):
+            assert factor(91).factors == [(7, 1), (13, 1)]
+            assert factor(2 ** 70 * 293 ** 3).factors == [(2, 70), (293, 3)]
+            assert reproduce_report(ingest_tables(DATA_ROOT)).ok
+            assert arith._table.bound == 0
+        assert calls == []
 
     def test_prime_list_matches_the_sieve_flags(self):
         for n in (-1, 0, 1, 2, 3, 100, 1 << 16):

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+import re
 import time
+from pathlib import Path
 from typing import Iterable, Iterator
 from unittest import mock
 
@@ -26,6 +28,8 @@ from digitcover.covering import (
     profile_verdict,
     reduction_profile,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scan_oracle(system: CoveringSystem) -> tuple[bool, int | None]:
@@ -424,7 +428,7 @@ class TestRefinement:
         # cells each shipped digit above LEAF_CELLS marked when every child
         # of a split was charged its full lcm (27,397,606 in all), and the
         # total over refinement_systems() under that rule.  The shipped total
-        # was 14,623,129 before coprime parts decided nodes (8,923,029 with)
+        # is held to what the split cost L'^(2/5) * LEAF_CELLS^(3/5) marks
         full_lcm_rule = {
             -9: 1_387_408, -8: 3_148_046, -6: 3_357_800, -5: 104_484,
             -3: 18_066_503, -2: 39_360, 3: 1_273_493, 7: 20_512,
@@ -438,9 +442,15 @@ class TestRefinement:
         assert marked.keys() == full_lcm_rule.keys()
         for d, cells in marked.items():
             assert cells <= full_lcm_rule[d], d
-        assert sum(marked.values()) <= 9_000_000
+        assert sum(marked.values()) <= 7_273_581
         total = sum(reduction_profile(s)[0].cells_marked for s in refinement_systems())
         assert total <= 1_802_546
+
+    def test_seeded_systems_mark_no_more_than_the_total_lcm_rule(self):
+        # the 300 seed-777 systems marked 9,080,576 cells in all when every
+        # child of a split was charged its full lcm
+        total = sum(reduction_profile(s)[0].cells_marked for s in refinement_systems(777, 300))
+        assert total <= 9_080_576
 
     def test_split_primes_match_the_prime_table_rule(self, bundle):
         # the rule before the split primes came from the lcm's factorization:
@@ -483,8 +493,19 @@ class TestRefinement:
         assert sum(r.cells_marked for r in spanned) < 385_231_385 // 10
 
 
-# profile_digest(seed_777_profiles()) when every candidate prime was costed
-SEED_777_DIGEST = "74c8b2065015d012d0116821e50b9952de9904858b13fe1462d9342468e360a8"
+# profile_digest(seed_777_profiles()), the same whether or not candidates are pruned
+SEED_777_DIGEST = "d54879290c6ee5d69467ecda41718d49e44640970af40c34322fb998d87e1443"
+
+
+def shipped_trees(bundle) -> dict[int, tuple[int, int, int, int]]:
+    """(cells_marked, splits, parts, costed) of reduction_profile(system)[0]
+    for each shipped digit outside MOD3_DIGITS."""
+    trees = {}
+    for d in DIGIT_OFFSETS:
+        if d not in MOD3_DIGITS:
+            r = reduction_profile(bundle.system(d))[0]
+            trees[d] = (r.cells_marked, r.splits, r.parts, r.costed)
+    return trees
 
 
 def seed_777_profiles() -> Iterator[ResidueClassReduction]:
@@ -509,22 +530,26 @@ class TestSplitChoice:
     refinement tree as it was when every candidate was costed."""
 
     def test_the_tree_of_each_shipped_digit_is_pinned(self, bundle):
-        # (cells_marked, splits, parts) of reduction_profile(system)[0],
-        # README's per-digit table; MOD3_DIGITS (0 mod 1 each) are left out
+        # MOD3_DIGITS (0 mod 1 each) are left out
         pinned = {
-            -9: (1_332_556, 31, 35), -8: (1_002_924, 8, 15), -6: (1_683_080, 37, 1),
-            -5: (104_484, 1, 0), -3: (4_376_745, 188, 39), -2: (39_360, 1, 0),
-            1: (5_040, 0, 0), 3: (356_664, 3, 1), 4: (1_296, 0, 0), 6: (360, 0, 0),
-            7: (20_512, 1, 0), 9: (8, 0, 0),
+            -9: (13_490, 3, 22, 5), -8: (859_704, 10, 15, 18), -6: (1_711_760, 19, 2, 35),
+            -5: (104_484, 1, 0, 1), -3: (4_360_475, 188, 38, 355), -2: (39_360, 1, 0, 1),
+            1: (5_040, 0, 0, 0), 3: (157_092, 3, 2, 6), 4: (1_296, 0, 0, 0),
+            6: (360, 0, 0, 0), 7: (20_512, 1, 0, 1), 9: (8, 0, 0, 0),
         }
-        profiles = {
-            d: reduction_profile(bundle.system(d))[0]
-            for d in DIGIT_OFFSETS if d not in MOD3_DIGITS
-        }
-        assert {d: (r.cells_marked, r.splits, r.parts) for d, r in profiles.items()} == pinned
-        assert [sum(column) for column in zip(*pinned.values())] == [8_923_029, 270, 91]
-        # costing every candidate prime of every split took 1,512 evaluations
-        assert sum(r.costed for r in profiles.values()) == 507
+        assert shipped_trees(bundle) == pinned
+        assert [sum(column) for column in zip(*pinned.values())] == [7_273_581, 226, 79, 422]
+
+    def test_the_readme_table_is_each_digits_tree(self, bundle):
+        # README's per-digit table gives each digit's counts after "->"
+        rows = {}
+        for line in README.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 5 and re.fullmatch(r"-?\d", cells[0]):
+                rows[int(cells[0])] = tuple(
+                    int(cell.split("->")[-1].replace(",", "")) for cell in cells[1:]
+                )
+        assert rows == shipped_trees(bundle)
 
     def test_the_papers_classes_of_d_minus_3_are_pinned(self, system_d_minus_3):
         profile = reduction_profile(system_d_minus_3, w=1140)
@@ -566,7 +591,7 @@ class TestSplitChoice:
         with mock.patch.object(covering_module, "_choose_split", side_effect=checked):
             assert profile_digest(seed_777_profiles()) == SEED_777_DIGEST
         # 7 nodes have two least-cost primes; most nodes cost fewer primes
-        assert (splits, ties) == (1_791, 7) and pruned >= splits // 2
+        assert (splits, ties) == (1_826, 7) and pruned >= splits // 2
 
     def test_small_nodes_choose_the_exhaustive_min(self):
         # random nodes on steps dividing 2^2 * 3^2 * 5^2 * 7^2, where the
@@ -598,6 +623,44 @@ class TestSplitChoice:
         run = covering_module._Refinement([2, 3], {})
         assert covering_module._choose_split(node, [2, 3], run) == (2, 9, {0: 18})
         assert run.costed == 2
+
+
+class TestNodeCost:
+    """_node_cost, the price of a child in the split choice."""
+
+    def test_it_never_decreases(self):
+        # _choose_split's lower bound needs it; seeded L' from 1 to 2^3000,
+        # sorted, and each with its successor
+        rng = random.Random(41)
+        ells = sorted({rng.getrandbits(rng.randint(1, 3000)) + 1 for _ in range(5000)})
+        ells += [1, LEAF_CELLS - 1, LEAF_CELLS, LEAF_CELLS + 1, 2 ** 1024, 2 ** 3000]
+        ells.sort()
+        costs = [covering_module._node_cost(ell) for ell in ells]
+        assert all(a <= b for a, b in zip(costs, costs[1:]))
+        for ell in ells:
+            assert covering_module._node_cost(ell) <= covering_module._node_cost(ell + 1), ell
+
+    def test_a_leaf_costs_its_cells_and_a_larger_node_less(self):
+        node_cost = covering_module._node_cost
+        assert [node_cost(ell) for ell in (1, 2, 1000, LEAF_CELLS)] == [1, 2, 1000, LEAF_CELLS]
+        for ell in (LEAF_CELLS + 1, 10 ** 6, 1486147703040, 2 ** 200):
+            expected = ell ** 0.4 * LEAF_CELLS ** 0.6
+            assert abs(node_cost(ell) - expected) <= 1 + 1e-9 * expected, ell
+            assert LEAF_CELLS <= node_cost(ell) <= ell
+        assert node_cost(2 ** 3000).bit_length() == 1210  # 2^(1200 + 9.6)
+
+    def test_a_system_with_a_huge_lcm_refines(self):
+        # (0, 2), (1, 2P) with P the product of the odd primes up to 1000: every
+        # split prime is at most 2^16, and costing the split on each q | P
+        # prices a child of lcm 2P/q, far above 2^1024
+        odd = primes_up_to(1000)[1:]
+        system = CoveringSystem.from_pairs([(0, 2), (1, 2 * math.prod(odd))])
+        assert system.lcm > 2 ** 1100
+        start = time.perf_counter()
+        assert is_covering_fast(system) == CoverVerdict(False, witness=3)
+        covered = CoveringSystem(system.congruences + (Congruence(1, 2),))
+        assert is_covering_fast(covered).covering
+        assert time.perf_counter() - start < 1.0
 
 
 def split_on(rng: random.Random, primes: tuple[int, ...], max_lcm: int) -> list[tuple[int, int]]:

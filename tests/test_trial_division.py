@@ -8,10 +8,10 @@ From 2^64 up `factor` sweeps n modulo the table's primes with
 `residues_mod`, which folds in 32-bit limbs past n's top 64 bits; the
 sweep is checked on both sides of 2^64, 2^96 and 2^128 and at the bit
 lengths where a limb is added, and `residues_mod` alone against Python's
-% for moduli up to 2^32 - 1.  From 2^64 up a gcd with the product of the
+% for moduli up to 2^32 - 1.  For every n a gcd with the product of the
 primes up to 293 comes first, so the sweep stops at the square root of
 what is left; the factorization is checked against the full sweep's on
-seeded smooth and rough n.  (`resolve_assignment`
+seeded smooth and rough n below and above 2^64.  (`resolve_assignment`
 no longer relies on it: order-m primes come from the scan in
 `primes_of_order`, whose exact prefix is tested in test_order_scan.py.)"""
 
@@ -248,16 +248,28 @@ def test_residue_sweep_only_from_2_64_up():
 @pytest.mark.parametrize("bound", [1000, 100_000])
 @pytest.mark.parametrize("rho_iterations", [0, 10_000])
 def test_above_2_64_the_factorization_is_the_full_sweeps(bound, rho_iterations):
-    # From 2^64 up a gcd divides out the primes up to 293 and the sweep
-    # stops at the square root of what is left.  On seeded n in [2^64,
-    # 2^200), smooth (primes up to 293, or up to the bound) or not (one or
-    # two primes above the bound), the factorization is the one a sweep to
-    # min(bound, isqrt(n)) gives: every prime when at most one lies above
-    # the bound, and with rho off the product of two such primes left whole
-    rng = random.Random(bound + rho_iterations)
+    assert_full_sweeps(random.Random(bound + rho_iterations), bound, rho_iterations, 64, 200)
+
+
+@pytest.mark.parametrize("bound", [1000, 100_000])
+@pytest.mark.parametrize("rho_iterations", [0, 10_000])
+def test_below_2_64_the_factorization_is_the_full_sweeps(bound, rho_iterations):
+    assert_full_sweeps(random.Random(-bound - rho_iterations), bound, rho_iterations, 1, 64)
+
+
+def assert_full_sweeps(
+    rng: random.Random, bound: int, rho_iterations: int, low: int, high: int
+) -> None:
+    # A gcd divides out the primes up to 293 and the sweep stops at the
+    # square root of what is left.  On seeded n in [2^low, 2^high), smooth
+    # (primes up to 293, or up to the bound) or not (one or two primes above
+    # the bound), the factorization is the one a sweep to min(bound,
+    # isqrt(n)) gives: every prime when at most one lies above the bound,
+    # and with rho off the product of two such primes left whole
     pools = (primes_up_to(293), primes_up_to(bound))
     checked = Counter()
-    while sum(checked.values()) < 90:
+    kinds = range(2 if rho_iterations else 3)  # how many primes above the bound
+    while sum(checked.values()) < 90 or min(checked[k] for k in kinds) < 20:
         big = sorted({
             sympy.nextprime(rng.randrange(bound, 2 ** rng.randint(20, 60)))
             for _ in range(rng.randrange(3))
@@ -267,11 +279,11 @@ def test_above_2_64_the_factorization_is_the_full_sweeps(bound, rho_iterations):
         pool = pools[rng.randrange(2)]
         counts = Counter()
         n = math.prod(big)
-        while n < 2 ** 64 or rng.random() < 0.3:
+        while n < 2 ** low or rng.random() < 0.3:
             p = rng.choice(pool)
             counts[p] += 1
             n *= p
-        if n >= 2 ** 200:
+        if n >= 2 ** high:
             continue
         if len(big) == 2:
             expected = Factorization(n, sorted(counts.items()), big[0] * big[1])
@@ -279,4 +291,3 @@ def test_above_2_64_the_factorization_is_the_full_sweeps(bound, rho_iterations):
             expected = Factorization(n, sorted((counts + Counter(big)).items()))
         assert factor(n, FactorBudget(trial_bound=bound, rho_iterations=rho_iterations)) == expected
         checked[len(big)] += 1
-    assert min(checked[k] for k in range(2 if rho_iterations else 3)) >= 20
